@@ -23,11 +23,8 @@ from .plant import (
     PerturbationTerms,
     QuadraticMap,
     SaturationBounds,
-    aw_control,
     deadzone,
-    gradient_estimate,
-    gradsat_control,
-    map_output,
+    loop_laws,
     perturbation_terms,
     saturate,
 )
@@ -52,10 +49,6 @@ from .sim import (
     Trajectory,
     export_csv,
     simulate,
-    simulate_average_aw,
-    simulate_average_gradsat,
-    simulate_gradient_sat,
-    simulate_input_sat,
 )
 from .synthesis import (
     AwDesign,

@@ -19,6 +19,7 @@ from .plant import (
     SaturationBounds,
     deadzone,
     delta_matrix,
+    loop_laws,
     perturbation_terms,
 )
 from .signals import DitherSpec, eval_M, eval_S
@@ -277,8 +278,7 @@ def sample_deadzone_sector_regional(
             continue
         accepted += 1
         ups = rng.uniform(0.1, 10.0, size=n)
-        kg = design.k @ g
-        psi = kg - np.clip(kg, -design.bounds.limits, design.bounds.limits)
+        psi = deadzone(design.k @ g, design.bounds)
         form = float(psi @ (ups * (psi - design.l @ g)))
         worst = max(worst, form)
     return worst
@@ -424,8 +424,11 @@ def average_rhs_consistency(
     For each frozen estimation error the true right-hand side (demodulated
     gradient times K minus the anti-windup term) is averaged over one period
     by composite Simpson and compared with K H tt - (K H + K_aw) psi(tt +
-    theta_star).  On unsaturated states the model reduces to K H tt; this is
-    the binding check that fixes the mean-free perturbation convention.
+    theta_star), psi being the dead-zone on the bounds that the map input and
+    the anti-windup term share (``plant.loop_laws`` raises ValueError when
+    the map has no input bounds or the controller's bounds differ from them).
+    On unsaturated states the model reduces to K H tt; this is the binding
+    check that fixes the mean-free perturbation convention.
     """
     states = np.atleast_2d(np.asarray(theta_tilde_states, dtype=float))
     T = dither.period
@@ -433,23 +436,13 @@ def average_rhs_consistency(
     wq = _simpson_weights(nodes, T)
     S = eval_S(dither, ts)
     M = eval_M(dither, ts)
-    H = qmap.hessian
-    K = ctrl.k
     offset = qmap.q_star if demod_remove_offset else 0.0
-    lim = qmap.input_bounds.limits if qmap.input_bounds is not None else None
-    clim = ctrl.bounds.limits
+    laws = loop_laws(qmap, ctrl, offset)
     worst = 0.0
     for tt in states:
         theta = tt + qmap.theta_star + S
-        v = np.clip(theta, -lim, lim) if lim is not None else theta
-        d = v - qmap.theta_star
-        y = qmap.q_star + 0.5 * np.einsum("ij,jk,ik->i", d, H, d)
-        ghat = M * (y - offset)[:, None]
-        psi = theta - np.clip(theta, -clim, clim)
-        u = ghat @ K.T - psi @ ctrl.k_aw.T
-        avg = _period_mean(u, wq, T)
-        psi_av = deadzone(tt + qmap.theta_star, ctrl.bounds)
-        model = K @ H @ (tt - psi_av) - ctrl.k_aw @ psi_av
+        avg = _period_mean(laws.control(laws.estimate(theta, M), theta), wq, T)
+        model = laws.control(laws.average_estimate(tt), tt + qmap.theta_star)
         denom = max(float(np.linalg.norm(model)), 1e-12)
         worst = max(worst, float(np.linalg.norm(avg - model)) / denom)
     return worst

@@ -10,12 +10,12 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from . import analysis, synthesis
+from . import analysis, matio, synthesis
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -30,6 +30,7 @@ from .config import (
 )
 from .plant import AwController, GradSatController
 from .polytope import HessianPolytope
+from .signals import DitherSpec
 from .sim import SimulationBlowUp, export_csv, simulate
 from .svgplot import render_trajectory_svg
 from .synthesis import (
@@ -142,7 +143,12 @@ def _cmd_design(args) -> int:
     _atomic_write(design_path, lambda p: save_design(design, p))
     report_path = os.path.join(out_dir, "design_report.txt")
     text = "\n".join(lines) + "\n"
-    _atomic_write(report_path, lambda p: open(p, "w").write(text))
+
+    def write_report(p):
+        with open(p, "w") as fh:
+            fh.write(text)
+
+    _atomic_write(report_path, write_report)
     print(text, end="")
     print(f"design written to {design_path}")
     if not ok:
@@ -194,36 +200,25 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _average_counterpart(sim_cfg):
-    scenario = (
-        "average-aw"
-        if isinstance(sim_cfg.controller, AwController)
-        else "average-gradsat"
-    )
-    from dataclasses import replace
-
-    return replace(sim_cfg, scenario=scenario, dt=None)
-
-
-def _sweep_one(cfg_path: str, design_path, param: str, value: float):
-    cfg = load_config(cfg_path)
-    sim_cfg, qmap, dither, _, _ = _load_sim_pieces(cfg, design_path)
-    from dataclasses import replace
-
+def _sweep_one(sim_cfg, param: str, value: float):
+    dither = sim_cfg.dither
     if param == "omega-scale":
         dither = dither.with_base_omega(dither.base_omega * value)
     else:
         # amplitude values are absolute and apply to every channel
-        from .signals import DitherSpec
-
         dither = DitherSpec(
             np.full(dither.dim, value), dither.freq_multipliers, dither.base_omega
         )
     sim_cfg = replace(sim_cfg, dither=dither, dt=None)
+    average = (
+        "average-aw"
+        if isinstance(sim_cfg.controller, AwController)
+        else "average-gradsat"
+    )
     traj = simulate(sim_cfg)
-    avg = simulate(_average_counterpart(sim_cfg))
+    avg = simulate(replace(sim_cfg, scenario=average))
     dev = analysis.sup_deviation(traj, avg, "theta_tilde")
-    band = analysis.check_convergence_bands(traj, qmap, dither)
+    band = analysis.check_convergence_bands(traj, sim_cfg.qmap, dither)
     fit = analysis.fit_decay(avg, "theta_tilde")
     return (value, dev, band.r_theta, band.r_y, fit.eta_hat)
 
@@ -234,15 +229,9 @@ def _cmd_sweep(args) -> int:
         print("error: sweep needs at least two values", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
-    workers = int(os.environ.get("ESC_SAT_THREADS", "0")) or min(4, len(values))
+    sim_cfg = _load_sim_pieces(load_config(args.config), args.design)[0]
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda v: _sweep_one(args.config, args.design, args.param, v),
-                    values,
-                )
-            )
+        rows = [_sweep_one(sim_cfg, args.param, v) for v in values]
     except SimulationBlowUp as exc:
         print(f"blow-up during sweep: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -283,8 +272,6 @@ def _cmd_verify(args) -> int:
         print(f"vertex inequalities: lambda_max = {worst:.6e}")
         if worst >= 0:
             failures.append("vertex inequalities not negative definite")
-        from . import matio
-
         theta_star = matio.parse_vector(cfg.require("map", "theta_star"))
         slack = analysis.sample_deadzone_sector_global(
             design.bounds, theta_star, trials=10_000, seed=args.seed

@@ -1,15 +1,17 @@
-"""Quadratic map, saturation primitives, gradient estimate and control laws.
+"""Quadratic map, saturation primitives, loop laws and perturbation terms.
 
 Two loop variants are covered.  In the input-saturation loop the map sees
 sat(theta) and the controller adds an anti-windup correction driven by the
 dead-zone of theta.  In the gradient-saturation loop the map input is not
-clipped but the parameter update rate sat(K*ghat) is.
+clipped but the parameter update rate sat(K*ghat) is.  ``loop_laws`` is the
+one definition of each loop's map output, gradient estimate and control law
+that the simulator and the analysis oracles share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -23,10 +25,7 @@ __all__ = [
     "PerturbationTerms",
     "saturate",
     "deadzone",
-    "map_output",
-    "gradient_estimate",
-    "aw_control",
-    "gradsat_control",
+    "loop_laws",
     "delta_matrix",
     "delta_dot_matrix",
     "perturbation_terms",
@@ -50,12 +49,17 @@ class SaturationBounds:
         return self.limits.size
 
 
+def _sat(v, lo, hi):
+    # np.clip's values at a fraction of its per-call cost
+    return np.minimum(np.maximum(v, lo), hi)
+
+
 def saturate(v: np.ndarray, bounds: SaturationBounds) -> np.ndarray:
     """Clamp each component of v to [-limit, +limit]."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != bounds.dim:
         raise ValueError(f"dimension mismatch: {v.shape[-1]} vs {bounds.dim}")
-    return np.clip(v, -bounds.limits, bounds.limits)
+    return _sat(v, -bounds.limits, bounds.limits)
 
 
 def deadzone(v: np.ndarray, bounds: SaturationBounds) -> np.ndarray:
@@ -101,26 +105,6 @@ class QuadraticMap:
         return self.theta_star.size
 
 
-def map_output(qmap: QuadraticMap, theta: np.ndarray, apply_input_sat: bool) -> float:
-    """Evaluate the map at theta, optionally clipping the input first."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.size != qmap.dim:
-        raise ValueError("theta dimension mismatch")
-    if apply_input_sat:
-        if qmap.input_bounds is None:
-            raise ValueError("map has no input bounds to apply")
-        v = saturate(theta, qmap.input_bounds)
-    else:
-        v = theta
-    d = v - qmap.theta_star
-    return float(qmap.q_star + 0.5 * d @ qmap.hessian @ d)
-
-
-def gradient_estimate(y: float, m: np.ndarray) -> np.ndarray:
-    """Demodulated gradient estimate ghat = M(t)*y."""
-    return np.asarray(m, dtype=float) * float(y)
-
-
 @dataclass(frozen=True)
 class AwController:
     """Feedback gain plus anti-windup gain acting on the input dead-zone."""
@@ -162,21 +146,82 @@ class GradSatController:
         return self.bounds.dim
 
 
-def aw_control(ctrl: AwController, g_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """u = K*ghat - K_aw*psi(theta); reduces to K*ghat in the linear region."""
-    g_hat = np.asarray(g_hat, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if g_hat.size != ctrl.dim or theta.size != ctrl.dim:
-        raise ValueError("dimension mismatch")
-    return ctrl.k @ g_hat - ctrl.k_aw @ deadzone(theta, ctrl.bounds)
+class _LoopLaws(NamedTuple):
+    output: Callable
+    estimate: Callable
+    average_estimate: Callable
+    control: Callable
 
 
-def gradsat_control(ctrl: GradSatController, g_hat: np.ndarray) -> np.ndarray:
-    """u = sat(K*ghat); every component obeys the rate limits."""
-    g_hat = np.asarray(g_hat, dtype=float)
-    if g_hat.size != ctrl.dim:
-        raise ValueError("dimension mismatch")
-    return saturate(ctrl.k @ g_hat, ctrl.bounds)
+def loop_laws(
+    qmap: QuadraticMap,
+    ctrl: Union[AwController, GradSatController],
+    offset: float = 0.0,
+) -> _LoopLaws:
+    """The per-sample laws of one seeking loop, checked here once.
+
+    An ``AwController`` closes the input-saturation loop: the map sees
+    v = sat(theta) and psi is the dead-zone of theta, both on the one set of
+    bounds that the map and the controller must share.  A
+    ``GradSatController`` closes the rate-saturation loop: v = theta and
+    psi = 0.  The returned callables take one sample (vectors of the loop
+    dimension) or a stack of samples (one per row) and check nothing
+    themselves:
+
+    - ``output(theta)``: y = q* + (v - theta*)' H (v - theta*) / 2;
+    - ``estimate(theta, m)``: the demodulated gradient estimate
+      ghat = m (y(theta) - offset);
+    - ``average_estimate(theta_tilde)``: its period-averaged model
+      H (theta_tilde - psi(theta_tilde + theta*));
+    - ``control(g_hat, theta)``: u = K ghat - K_aw psi(theta) for an
+      ``AwController``; u = sat(K ghat) for a ``GradSatController``, which
+      ignores theta.
+    """
+    if not isinstance(ctrl, (AwController, GradSatController)):
+        raise TypeError("controller must be an AwController or a GradSatController")
+    if ctrl.dim != qmap.dim:
+        raise ValueError("controller dimension does not match the map")
+    q_star, th_star, H = qmap.q_star, qmap.theta_star, qmap.hessian
+    offset = float(offset)
+    kt = np.ascontiguousarray(ctrl.k.T)
+    hi = ctrl.bounds.limits
+    lo = -hi
+
+    if isinstance(ctrl, AwController):
+        if qmap.input_bounds is None:
+            raise ValueError("the input-saturation loop needs map input bounds")
+        if not np.array_equal(hi, qmap.input_bounds.limits):
+            raise ValueError("anti-windup bounds must equal the map input bounds")
+        kawt = np.ascontiguousarray(ctrl.k_aw.T)
+
+        def map_input(theta):
+            return _sat(theta, lo, hi)
+
+        def control(g_hat, theta):
+            return g_hat @ kt - (theta - _sat(theta, lo, hi)) @ kawt
+
+    else:
+
+        def map_input(theta):
+            return theta
+
+        def control(g_hat, theta=None):
+            return _sat(g_hat @ kt, lo, hi)
+
+    # H is exactly symmetric, so a row times H is H times that row
+    def output(theta):
+        d = map_input(theta) - th_star
+        return q_star + 0.5 * (d @ H * d).sum(-1)
+
+    def estimate(theta, m):
+        # the transposes scale one row, or each row of a stack, by its output
+        return (m.T * (output(theta) - offset)).T
+
+    def average_estimate(theta_tilde):
+        theta = theta_tilde + th_star
+        return (theta_tilde - (theta - map_input(theta))) @ H
+
+    return _LoopLaws(output, estimate, average_estimate, control)
 
 
 def delta_matrix(spec: DitherSpec, t: float, convention: str = "mean_free") -> np.ndarray:

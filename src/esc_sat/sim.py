@@ -1,9 +1,13 @@
 """Fixed-step simulation of the true seeking loops and their averages.
 
-All four scenarios integrate with the classical 4th-order Runge-Kutta rule at
-a fixed step; the dead-zone kink makes the right-hand sides merely Lipschitz,
-so no step adaptation is attempted and identical configurations reproduce
-bitwise-identical trajectories.
+The four scenarios share one integrator, the classical 4th-order Runge-Kutta
+rule at a fixed step, and take their physics from ``plant.loop_laws``.  The
+dead-zone kink makes the right-hand sides merely Lipschitz, so no step
+adaptation is attempted and identical configurations reproduce
+bitwise-identical trajectories.  Only the states are stored during a run;
+the true loops read their dither rows from one evaluation at the 2N+1
+half-step times, and the recorded output, input, gradient estimate and
+Lyapunov value are derived from the stored states in one pass afterwards.
 
 The demodulated gradient estimate is M(t) times the measured output.  By
 default the constant optimum value of the map is removed before demodulation
@@ -20,26 +24,18 @@ equivalent to simulating in the fast time variable and relabeling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .plant import (
-    AwController,
-    GradSatController,
-    QuadraticMap,
-)
-from .signals import DitherSpec
+from .plant import AwController, GradSatController, QuadraticMap, loop_laws
+from .signals import DitherSpec, eval_M, eval_S
 
 __all__ = [
     "SimConfig",
     "Trajectory",
     "SimulationBlowUp",
     "simulate",
-    "simulate_input_sat",
-    "simulate_gradient_sat",
-    "simulate_average_aw",
-    "simulate_average_gradsat",
     "export_csv",
 ]
 
@@ -53,6 +49,7 @@ SCENARIOS = (
 BLOWUP_FACTOR = 1e6
 DEFAULT_STEPS_PER_PERIOD = 1000
 MIN_STEPS_PER_PERIOD = 200
+_AVERAGE_CLOCK = "certificate clock (rescale factor dropped)"
 
 
 class SimulationBlowUp(RuntimeError):
@@ -137,242 +134,104 @@ class Trajectory:
         return self.theta.shape[1]
 
 
-def _rk4_run(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    record: Callable[[float, np.ndarray], tuple],
-    x0: np.ndarray,
-    t_end: float,
-    dt: float,
-):
-    nstep = int(round(t_end / dt))
-    limit = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(x0)))
-    rows = [record(0.0, x0)]
-    x = x0.copy()
+def _rk4_run(rhs, x0: np.ndarray, nstep: int, dt: float) -> np.ndarray:
+    """States at the nstep + 1 grid times, one per row.
+
+    rhs(k, x) receives the half-step index k, that is the time k * dt / 2.
+    """
+    xs = np.empty((nstep + 1, x0.size))
+    xs[0] = x0
+    # compared as a squared norm, which a NaN or inf also fails
+    limit_sq = (BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(x0)))) ** 2
+    x = x0
     half = 0.5 * dt
     sixth = dt / 6.0
     for i in range(nstep):
-        t = i * dt
-        k1 = rhs(t, x)
-        k2 = rhs(t + half, x + half * k1)
-        k3 = rhs(t + half, x + half * k2)
-        k4 = rhs(t + dt, x + dt * k3)
+        k = 2 * i
+        k1 = rhs(k, x)
+        k2 = rhs(k + 1, x + half * k1)
+        k3 = rhs(k + 1, x + half * k2)
+        k4 = rhs(k + 2, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        t_next = t + dt
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > limit:
-            raise SimulationBlowUp(t_next)
-        rows.append(record(t_next, x))
-    return rows
-
-
-def _stack(rows, p_matrix, meta) -> Trajectory:
-    times = np.array([r[0] for r in rows])
-    theta = np.vstack([r[1] for r in rows])
-    theta_tilde = np.vstack([r[2] for r in rows])
-    y = np.array([r[3] for r in rows])
-    u = np.vstack([r[4] for r in rows])
-    g_hat = np.vstack([r[5] for r in rows])
-    v = None
-    if p_matrix is not None:
-        state = np.vstack([r[6] for r in rows])
-        v = np.einsum("ij,jk,ik->i", state, p_matrix, state)
-    return Trajectory(times, theta, theta_tilde, y, u, g_hat, v=v, metadata=meta)
-
-
-def simulate_input_sat(cfg: SimConfig) -> Trajectory:
-    """True loop with input saturation and anti-windup correction."""
-    if cfg.scenario != "input-saturation":
-        raise ValueError("config scenario is not input-saturation")
-    ctrl: AwController = cfg.controller
-    qmap = cfg.qmap
-    if qmap.input_bounds is None:
-        raise ValueError("input-saturation scenario needs map input bounds")
-    amps = cfg.dither.amplitudes
-    omegas = cfg.dither.omegas
-    two_over_a = 2.0 / amps
-    lim = qmap.input_bounds.limits
-    clim = ctrl.bounds.limits
-    H = qmap.hessian
-    th_star = qmap.theta_star
-    q_star = qmap.q_star
-    offset = q_star if cfg.demod_remove_offset else 0.0
-    K = ctrl.k
-    Kaw = ctrl.k_aw
-
-    def rhs(t, th_hat):
-        s = np.sin(omegas * t)
-        theta = th_hat + amps * s
-        d = np.clip(theta, -lim, lim) - th_star
-        y = q_star + 0.5 * (d @ H @ d)
-        ghat = two_over_a * s * (y - offset)
-        psi = theta - np.clip(theta, -clim, clim)
-        return K @ ghat - Kaw @ psi
-
-    def record(t, th_hat):
-        s = np.sin(omegas * t)
-        theta = th_hat + amps * s
-        d = np.clip(theta, -lim, lim) - th_star
-        y = q_star + 0.5 * (d @ H @ d)
-        ghat = two_over_a * s * (y - offset)
-        psi = theta - np.clip(theta, -clim, clim)
-        u = K @ ghat - Kaw @ psi
-        tt = th_hat - th_star
-        return (t, theta, tt, y, u, ghat, tt)
-
-    rows = _rk4_run(rhs, record, cfg.theta0, cfg.t_end, cfg.dt)
-    meta = {
-        "scenario": cfg.scenario,
-        "dt": cfg.dt,
-        "demod_remove_offset": cfg.demod_remove_offset,
-    }
-    return _stack(rows, cfg.p_matrix, meta)
-
-
-def simulate_gradient_sat(cfg: SimConfig) -> Trajectory:
-    """True loop with the saturated (rate-limited) gradient update."""
-    if cfg.scenario != "gradient-saturation":
-        raise ValueError("config scenario is not gradient-saturation")
-    ctrl: GradSatController = cfg.controller
-    qmap = cfg.qmap
-    amps = cfg.dither.amplitudes
-    omegas = cfg.dither.omegas
-    two_over_a = 2.0 / amps
-    ulim = ctrl.bounds.limits
-    H = qmap.hessian
-    th_star = qmap.theta_star
-    q_star = qmap.q_star
-    offset = q_star if cfg.demod_remove_offset else 0.0
-    K = ctrl.k
-
-    def rhs(t, th_hat):
-        s = np.sin(omegas * t)
-        d = th_hat + amps * s - th_star
-        y = q_star + 0.5 * (d @ H @ d)
-        ghat = two_over_a * s * (y - offset)
-        return np.clip(K @ ghat, -ulim, ulim)
-
-    def record(t, th_hat):
-        s = np.sin(omegas * t)
-        theta = th_hat + amps * s
-        d = theta - th_star
-        y = q_star + 0.5 * (d @ H @ d)
-        ghat = two_over_a * s * (y - offset)
-        u = np.clip(K @ ghat, -ulim, ulim)
-        tt = th_hat - th_star
-        return (t, theta, tt, y, u, ghat, tt)
-
-    rows = _rk4_run(rhs, record, cfg.theta0, cfg.t_end, cfg.dt)
-    meta = {
-        "scenario": cfg.scenario,
-        "dt": cfg.dt,
-        "demod_remove_offset": cfg.demod_remove_offset,
-    }
-    return _stack(rows, cfg.p_matrix, meta)
-
-
-def simulate_average_aw(cfg: SimConfig) -> Trajectory:
-    """Autonomous average of the input-saturation loop; no dither enters."""
-    if cfg.scenario != "average-aw":
-        raise ValueError("config scenario is not average-aw")
-    ctrl: AwController = cfg.controller
-    qmap = cfg.qmap
-    if qmap.input_bounds is None:
-        raise ValueError("average-aw scenario needs map input bounds")
-    lim = qmap.input_bounds.limits
-    clim = ctrl.bounds.limits
-    H = qmap.hessian
-    th_star = qmap.theta_star
-    q_star = qmap.q_star
-    K = ctrl.k
-    Kaw = ctrl.k_aw
-    KH = K @ H
-
-    def rhs(t, tt):
-        theta_av = tt + th_star
-        psi = theta_av - np.clip(theta_av, -clim, clim)
-        return KH @ (tt - psi) - Kaw @ psi
-
-    def record(t, tt):
-        theta_av = tt + th_star
-        psi = theta_av - np.clip(theta_av, -clim, clim)
-        d = np.clip(theta_av, -lim, lim) - th_star
-        y = q_star + 0.5 * (d @ H @ d)
-        ghat = H @ (tt - psi)
-        u = KH @ (tt - psi) - Kaw @ psi
-        return (t, theta_av, tt, y, u, ghat, tt)
-
-    tt0 = cfg.theta0 - th_star
-    rows = _rk4_run(rhs, record, tt0, cfg.t_end, cfg.dt)
-    meta = {
-        "scenario": cfg.scenario,
-        "dt": cfg.dt,
-        "clock": "certificate clock (rescale factor dropped)",
-    }
-    return _stack(rows, cfg.p_matrix, meta)
-
-
-def simulate_average_gradsat(cfg: SimConfig) -> Trajectory:
-    """Autonomous average of the rate-limited loop in gradient coordinates.
-
-    The gradient state and the parameter error are co-integrated; the error
-    part only feeds the recorded trajectory for closeness comparisons.  With
-    ``certify_region`` the initial gradient state must lie inside the unit
-    sublevel set of the supplied Lyapunov matrix, since the decay certificate
-    is regional.
-    """
-    if cfg.scenario != "average-gradsat":
-        raise ValueError("config scenario is not average-gradsat")
-    ctrl: GradSatController = cfg.controller
-    qmap = cfg.qmap
-    ulim = ctrl.bounds.limits
-    H = qmap.hessian
-    th_star = qmap.theta_star
-    q_star = qmap.q_star
-    K = ctrl.k
-    n = qmap.dim
-
-    tt0 = cfg.theta0 - th_star
-    g0 = cfg.g0 if cfg.g0 is not None else H @ tt0
-    if cfg.certify_region:
-        v0 = float(g0 @ cfg.p_matrix @ g0)
-        if v0 > 1.0:
-            raise ValueError(
-                f"initial gradient state outside the certified region (V = {v0:.4g})"
-            )
-
-    def rhs(t, state):
-        g = state[:n]
-        u = np.clip(K @ g, -ulim, ulim)
-        return np.concatenate([H @ u, u])
-
-    def record(t, state):
-        g = state[:n]
-        tt = state[n:]
-        theta_av = tt + th_star
-        d = theta_av - th_star
-        y = q_star + 0.5 * (d @ H @ d)
-        u = np.clip(K @ g, -ulim, ulim)
-        return (t, theta_av, tt, y, u, g, g)
-
-    rows = _rk4_run(rhs, record, np.concatenate([g0, tt0]), cfg.t_end, cfg.dt)
-    meta = {
-        "scenario": cfg.scenario,
-        "dt": cfg.dt,
-        "clock": "certificate clock (rescale factor dropped)",
-    }
-    return _stack(rows, cfg.p_matrix, meta)
-
-
-_DISPATCH = {
-    "input-saturation": simulate_input_sat,
-    "gradient-saturation": simulate_gradient_sat,
-    "average-aw": simulate_average_aw,
-    "average-gradsat": simulate_average_gradsat,
-}
+        if not x @ x <= limit_sq:
+            raise SimulationBlowUp((i + 1) * dt)
+        xs[i + 1] = x
+    return xs
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the scenario named in the config."""
-    return _DISPATCH[cfg.scenario](cfg)
+    qmap, ctrl, dt = cfg.qmap, cfg.controller, cfg.dt
+    offset = qmap.q_star if cfg.demod_remove_offset else 0.0
+    output, estimate, average_estimate, control = loop_laws(qmap, ctrl, offset)
+    nstep = int(round(cfg.t_end / dt))
+    th_star = qmap.theta_star
+    meta = {"scenario": cfg.scenario, "dt": dt}
+    if cfg.scenario in ("input-saturation", "gradient-saturation"):
+        half_times = np.arange(2 * nstep + 1) * (0.5 * dt)
+        S = eval_S(cfg.dither, half_times)
+        M = eval_M(cfg.dither, half_times)
+
+        def rhs(k, th_hat):
+            theta = th_hat + S[k]
+            return control(estimate(theta, M[k]), theta)
+
+        th_hat = _rk4_run(rhs, cfg.theta0, nstep, dt)
+        theta = th_hat + S[::2]
+        theta_tilde = th_hat - th_star
+        g_hat = estimate(theta, M[::2])
+        v_state = theta_tilde
+        meta["demod_remove_offset"] = cfg.demod_remove_offset
+    elif cfg.scenario == "average-aw":
+
+        def rhs(k, tt):
+            return control(average_estimate(tt), tt + th_star)
+
+        theta_tilde = _rk4_run(rhs, cfg.theta0 - th_star, nstep, dt)
+        theta = theta_tilde + th_star
+        g_hat = average_estimate(theta_tilde)
+        v_state = theta_tilde
+        meta["clock"] = _AVERAGE_CLOCK
+    else:
+        # The gradient state and the parameter error are co-integrated; the
+        # error part only feeds the recorded trajectory for closeness
+        # comparisons.  The decay certificate is regional, so with
+        # certify_region the initial gradient state must lie inside the unit
+        # sublevel set of the supplied Lyapunov matrix.
+        n = qmap.dim
+        H = qmap.hessian
+        tt0 = cfg.theta0 - th_star
+        g0 = cfg.g0 if cfg.g0 is not None else tt0 @ H
+        if cfg.certify_region:
+            v0 = float(g0 @ cfg.p_matrix @ g0)
+            if v0 > 1.0:
+                raise ValueError(
+                    f"initial gradient state outside the certified region (V = {v0:.4g})"
+                )
+
+        def rhs(k, state):
+            u = control(state[:n])
+            # g = H tt, so H u is the rate of g (H is exactly symmetric)
+            return np.concatenate([u @ H, u])
+
+        states = _rk4_run(rhs, np.concatenate([g0, tt0]), nstep, dt)
+        g_hat, theta_tilde = states[:, :n], states[:, n:]
+        theta = theta_tilde + th_star
+        v_state = g_hat
+        meta["clock"] = _AVERAGE_CLOCK
+    v = None
+    if cfg.p_matrix is not None:
+        v = np.einsum("ij,jk,ik->i", v_state, cfg.p_matrix, v_state)
+    return Trajectory(
+        np.arange(nstep + 1) * dt,
+        theta,
+        theta_tilde,
+        output(theta),
+        control(g_hat, theta),
+        g_hat,
+        v=v,
+        metadata=meta,
+    )
 
 
 def export_csv(traj: Trajectory, path: str, stride: int = 1) -> None:

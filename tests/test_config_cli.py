@@ -1,4 +1,6 @@
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +166,15 @@ def test_cli_design_and_verify(tmp_path):
     assert rc == 0
 
 
+def test_cli_design_closes_its_files(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["design", fixture_path("example1.cfg"), "--out", str(tmp_path)])
+        gc.collect()
+    assert rc == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_cli_design_epsilon_sweep(tmp_path):
     out = tmp_path / "design"
     rc = cli.main(
@@ -269,7 +280,6 @@ def test_cli_simulate_no_aw_fixture_runs(tmp_path):
 
 
 def test_cli_sweep_respects_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("ESC_SAT_THREADS", "1")
     rc = cli.main(
         [
             "sweep",

@@ -6,13 +6,10 @@ from esc_sat.plant import (
     GradSatController,
     QuadraticMap,
     SaturationBounds,
-    aw_control,
     deadzone,
     delta_dot_matrix,
     delta_matrix,
-    gradient_estimate,
-    gradsat_control,
-    map_output,
+    loop_laws,
     perturbation_terms,
     saturate,
 )
@@ -65,16 +62,33 @@ def test_bounds_must_be_positive():
         SaturationBounds([5.0, 0.0])
 
 
+def _gradsat2():
+    return GradSatController(np.eye(2), SaturationBounds([2.0, 2.0]))
+
+
+def _aw2():
+    return AwController(np.eye(2), np.eye(2), SaturationBounds([5.0, 5.0]))
+
+
 def test_map_output_examples(qmap):
-    assert map_output(qmap, [2.0, 4.0], False) == pytest.approx(10.0)
-    assert map_output(qmap, [3.0, 4.0], False) == pytest.approx(60.0)
-    assert map_output(qmap, [2.0, 9.0], True) == pytest.approx(20.0)
+    assert loop_laws(qmap, _gradsat2()).output([2.0, 4.0]) == pytest.approx(10.0)
+    assert loop_laws(qmap, _gradsat2()).output([3.0, 4.0]) == pytest.approx(60.0)
+    # only the input-saturation loop clips the map input
+    assert loop_laws(qmap, _aw2()).output([2.0, 9.0]) == pytest.approx(20.0)
+    assert loop_laws(qmap, _gradsat2()).output([2.0, 9.0]) == pytest.approx(260.0)
 
 
-def test_map_output_needs_bounds_for_sat():
+def test_map_output_needs_bounds_for_sat(qmap):
     qm = QuadraticMap(1.0, [0.0], [[2.0]])
-    with pytest.raises(ValueError):
-        map_output(qm, [0.5], True)
+    ctrl = AwController(np.eye(1), np.eye(1), SaturationBounds([2.0]))
+    with pytest.raises(ValueError, match="needs map input bounds"):
+        loop_laws(qm, ctrl)
+    # the anti-windup dead-zone and the map input clip share one set of bounds
+    wider = AwController(np.eye(2), np.eye(2), SaturationBounds([5.0, 6.0]))
+    with pytest.raises(ValueError, match="must equal the map input bounds"):
+        loop_laws(qmap, wider)
+    with pytest.raises(ValueError, match="dimension"):
+        loop_laws(qm, _gradsat2())
 
 
 def test_map_validation():
@@ -85,25 +99,62 @@ def test_map_validation():
         QuadraticMap(0.0, [5.0], [[1.0]], SaturationBounds([5.0]))
 
 
-def test_gradient_estimate():
-    assert np.array_equal(gradient_estimate(0.0, np.array([20.0, -20.0])), [0.0, 0.0])
-    assert np.array_equal(gradient_estimate(2.0, np.array([20.0, -20.0])), [40.0, -40.0])
+def test_gradient_estimate(qmap):
+    # y = 10 at theta = [2, 4]; the offset is removed before demodulation
+    def est(offset, m):
+        return loop_laws(qmap, _gradsat2(), offset).estimate(np.array([2.0, 4.0]), m)
+
+    m = np.array([20.0, -20.0])
+    assert np.array_equal(est(10.0, m), [0.0, 0.0])
+    assert np.array_equal(est(8.0, m), [40.0, -40.0])
     m = np.array([3.0, -1.0])
-    assert np.allclose(gradient_estimate(2.5, m), 2.5 * gradient_estimate(1.0, m))
+    assert np.allclose(est(7.5, m), 2.5 * est(9.0, m))
+    # period average: the gradient at the map input, H (sat(theta) - theta*)
+    # in the input-saturation loop and H (theta - theta*) in the other
+    qm = QuadraticMap(0.0, [0.0], [[3.0]], SaturationBounds([5.0]))
+    aw = AwController(np.eye(1), np.eye(1), SaturationBounds([5.0]))
+    gradsat = GradSatController(np.eye(1), SaturationBounds([2.0]))
+    assert loop_laws(qm, aw).average_estimate(np.array([6.0])) == pytest.approx([15.0])
+    assert loop_laws(qm, gradsat).average_estimate(np.array([6.0])) == pytest.approx([18.0])
 
 
 def test_aw_control_examples():
-    ctrl = AwController(np.eye(1), np.eye(1), SaturationBounds([5.0]))
-    assert aw_control(ctrl, [1.0], [6.0]) == pytest.approx([0.0])
-    assert aw_control(ctrl, [1.0], [4.0]) == pytest.approx([1.0])
-    assert aw_control(ctrl, [0.0], [4.0]) == pytest.approx([0.0])
+    qm = QuadraticMap(0.0, [0.0], [[1.0]], SaturationBounds([5.0]))
+    control = loop_laws(qm, AwController(np.eye(1), np.eye(1), SaturationBounds([5.0]))).control
+    assert control(np.array([1.0]), np.array([6.0])) == pytest.approx([0.0])
+    assert control(np.array([1.0]), np.array([4.0])) == pytest.approx([1.0])
+    assert control(np.array([0.0]), np.array([4.0])) == pytest.approx([0.0])
 
 
 def test_gradsat_control_examples():
-    ctrl = GradSatController(np.eye(1), SaturationBounds([2.0]))
-    assert gradsat_control(ctrl, [0.0]) == pytest.approx([0.0])
-    assert gradsat_control(ctrl, [5.0]) == pytest.approx([2.0])
-    assert gradsat_control(ctrl, [1.5]) == pytest.approx([1.5])
+    qm = QuadraticMap(0.0, [0.0], [[1.0]])
+    control = loop_laws(qm, GradSatController(np.eye(1), SaturationBounds([2.0]))).control
+    assert control(np.array([0.0])) == pytest.approx([0.0])
+    assert control(np.array([5.0])) == pytest.approx([2.0])
+    assert control(np.array([1.5])) == pytest.approx([1.5])
+
+
+@pytest.mark.parametrize("aw", [True, False])
+def test_loop_laws_stack_matches_rows(qmap, aw):
+    rng = np.random.default_rng(7)
+    k = rng.uniform(-1.0, 1.0, (2, 2))
+    bounds = SaturationBounds([5.0, 5.0])
+    ctrl = AwController(k, np.eye(2), bounds) if aw else GradSatController(k, bounds)
+    laws = loop_laws(qmap, ctrl, offset=10.0)
+    # rows straddle the input bounds, so clipped and free samples mix
+    theta = rng.uniform(-8.0, 8.0, (5, 2))
+    m = rng.uniform(-20.0, 20.0, (5, 2))
+    g = laws.estimate(theta, m)
+    stacked = (laws.output(theta), g, laws.average_estimate(theta), laws.control(g, theta))
+    for i in range(theta.shape[0]):
+        row = (
+            laws.output(theta[i]),
+            laws.estimate(theta[i], m[i]),
+            laws.average_estimate(theta[i]),
+            laws.control(g[i], theta[i]),
+        )
+        for whole, one in zip(stacked, row):
+            assert np.allclose(whole[i], one, rtol=1e-14, atol=0.0)
 
 
 def test_controller_shape_validation():

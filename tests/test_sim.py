@@ -15,10 +15,6 @@ from esc_sat.sim import (
     SimulationBlowUp,
     export_csv,
     simulate,
-    simulate_average_aw,
-    simulate_average_gradsat,
-    simulate_gradient_sat,
-    simulate_input_sat,
 )
 from conftest import EX1_ALPHA, EX1_H0, EX1_K, EX1_KAW, EX2_K, EX2_VERTICES
 
@@ -80,14 +76,14 @@ def test_equilibrium_with_vanishing_dither():
         theta0=np.array([2.0, 4.0]),
         t_end=1.0,
     )
-    traj = simulate_input_sat(cfg)
+    traj = simulate(cfg)
     assert np.max(np.linalg.norm(traj.theta - [2.0, 4.0], axis=1)) <= 1e-5
     assert np.max(np.abs(traj.y - 10.0)) <= 1e-9
 
 
 def test_trajectory_bookkeeping():
     cfg = ex1_config(t_end=1.0)
-    traj = simulate_input_sat(cfg)
+    traj = simulate(cfg)
     # theta = theta_hat + S and theta_tilde = theta_hat - theta* sample-wise
     S = eval_S(cfg.dither, traj.times)
     theta_hat = traj.theta - S
@@ -98,14 +94,14 @@ def test_trajectory_bookkeeping():
 
 def test_determinism():
     cfg = ex1_config(t_end=0.5)
-    a = simulate_input_sat(cfg)
-    b = simulate_input_sat(cfg)
+    a = simulate(cfg)
+    b = simulate(cfg)
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.u, b.u)
 
 
 def test_gradient_sat_respects_rate_limits():
-    traj = simulate_gradient_sat(ex2_config())
+    traj = simulate(ex2_config())
     assert np.max(np.abs(traj.u)) <= 2.0 + 0.0
 
 
@@ -115,13 +111,13 @@ def test_gradient_sat_zero_estimate_freezes():
         theta0=np.array([-1.0, -2.0, -3.0]),
         t_end=1.0,
     )
-    traj = simulate_gradient_sat(cfg)
+    traj = simulate(cfg)
     assert np.max(np.linalg.norm(traj.theta - [-1.0, -2.0, -3.0], axis=1)) <= 1e-6
 
 
 def test_average_aw_equilibrium_at_origin():
     cfg = ex1_config(scenario="average-aw", theta0=np.array([2.0, 4.0]), t_end=1.0)
-    traj = simulate_average_aw(cfg)
+    traj = simulate(cfg)
     assert np.max(np.abs(traj.theta_tilde)) == 0.0
     assert np.allclose(traj.y, 10.0)
 
@@ -132,7 +128,7 @@ def test_average_gradsat_origin_fixed():
         theta0=np.array([-1.0, -2.0, -3.0]),
         t_end=1.0,
     )
-    traj = simulate_average_gradsat(cfg)
+    traj = simulate(cfg)
     assert np.max(np.abs(traj.g_hat)) == 0.0
     assert np.max(np.abs(traj.u)) == 0.0
 
@@ -146,7 +142,7 @@ def test_average_gradsat_region_precondition():
     )
     # g0 = H * (theta0 - theta*) is far outside the unit sublevel set
     with pytest.raises(ValueError, match="outside the certified region"):
-        simulate_average_gradsat(cfg)
+        simulate(cfg)
     small = ex2_config(
         scenario="average-gradsat",
         p_matrix=p,
@@ -154,7 +150,7 @@ def test_average_gradsat_region_precondition():
         g0=np.array([0.5, 0.0, 0.0]),
         t_end=1.0,
     )
-    traj = simulate_average_gradsat(small)
+    traj = simulate(small)
     assert traj.v is not None
     assert traj.v[0] <= 1.0
     # sublevel sets are invariant along the decay
@@ -171,9 +167,9 @@ def test_step_halving_fourth_order_on_smooth_average():
     )
     cfg1 = dataclasses.replace(cfg0, dt=1e-3)
     cfg2 = dataclasses.replace(cfg0, dt=5e-4)
-    x0 = simulate_average_aw(cfg0).theta_tilde[-1]
-    x1 = simulate_average_aw(cfg1).theta_tilde[-1]
-    x2 = simulate_average_aw(cfg2).theta_tilde[-1]
+    x0 = simulate(cfg0).theta_tilde[-1]
+    x1 = simulate(cfg1).theta_tilde[-1]
+    x2 = simulate(cfg2).theta_tilde[-1]
     e0 = np.linalg.norm(x0 - x2)
     e1 = np.linalg.norm(x1 - x2)
     # Richardson ratio for a 4th-order one-step method is ~16 (here ~17 with
@@ -185,9 +181,9 @@ def test_step_halving_first_order_on_true_loop():
     cfg0 = ex1_config(t_end=1.0, dt=5e-4)
     cfg1 = dataclasses.replace(cfg0, dt=2.5e-4)
     cfg2 = dataclasses.replace(cfg0, dt=1.25e-4)
-    x0 = simulate_input_sat(cfg0).theta_tilde[-1]
-    x1 = simulate_input_sat(cfg1).theta_tilde[-1]
-    x2 = simulate_input_sat(cfg2).theta_tilde[-1]
+    x0 = simulate(cfg0).theta_tilde[-1]
+    x1 = simulate(cfg1).theta_tilde[-1]
+    x2 = simulate(cfg2).theta_tilde[-1]
     e0 = np.linalg.norm(x0 - x2)
     e1 = np.linalg.norm(x1 - x2)
     assert e0 / max(e1, 1e-300) > 1.5
@@ -199,20 +195,13 @@ def test_blowup_detected_with_time():
     ctrl = AwController(EX1_K, -np.eye(2), SaturationBounds([5.0, 5.0]))
     cfg = ex1_config(controller=ctrl, t_end=60.0)
     with pytest.raises(SimulationBlowUp) as exc:
-        simulate_input_sat(cfg)
+        simulate(cfg)
     assert 0.0 < exc.value.time <= 60.0
-
-
-def test_dispatch_matches_direct_calls():
-    cfg = ex1_config(t_end=0.5)
-    a = simulate(cfg)
-    b = simulate_input_sat(cfg)
-    assert np.array_equal(a.theta, b.theta)
 
 
 def test_csv_export(tmp_path):
     cfg = ex1_config(t_end=0.1)
-    traj = simulate_input_sat(cfg)
+    traj = simulate(cfg)
     path = tmp_path / "traj.csv"
     export_csv(traj, str(path))
     lines = path.read_text().splitlines()
@@ -227,3 +216,63 @@ def test_csv_export(tmp_path):
     assert len(strided) == 1 + len(range(0, traj.times.size, 10))
     with pytest.raises(ValueError):
         export_csv(traj, str(path), stride=0)
+
+
+# Samples of 0.5 s runs recorded from the four per-scenario integrators that
+# the shared integrator replaced: final theta_tilde, then y, u and g_hat at
+# GOLDEN_INDEX.
+GOLDEN_INDEX = [1, 100, 400, -1]
+GOLDEN = {
+    "input-saturation": (
+        ex1_config,
+        [-0.02476219201589691, 0.7351312958316285],
+        [46.202820046501074, 37.557189808099025, 15.392690606924198, 12.896604901626244],
+        [[0.9438987881394257, -6.826294417587965], [-27.66926051753906, 92.97831099892895],
+         [-5.476413446413726, 16.484938903587587], [0.5851263053158237, 1.246066061927931]],
+        [[4.549350606227796, 31.835397504898612], [323.95419527650114, -524.1688987554993],
+         [63.39488017852381, -102.57507084157852], [-55.52917824766573, -25.32303344518424]],
+    ),
+    "gradient-saturation": (
+        ex2_config,
+        [3.243855478977346, 6.85485841940412, 8.932351038192685],
+        [-354.31654934381885, -346.0357557287545, -343.1248843035242, -340.0455629546161],
+        [[-2.0, -2.0, -2.0], [-2.0, -2.0, 2.0], [-2.0, -2.0, 2.0], [2.0, -2.0, 2.0]],
+        [[-45.152752174701604, -135.45112638110913, -315.9694511023194],
+         [-4126.6728048940995, -6677.096858768515, 6677.096858768515],
+         [-4092.4534589927007, -6621.728794027264, 6621.728794027264],
+         [6614.673805915323, -4465.275770457384, 3016.49711560821]],
+    ),
+    "average-aw": (
+        ex1_config,
+        [0.1926298812194595, 0.8573095445794346],
+        [46.08771459481135, 41.96313251204174, 33.253072156574554, 23.643444165089527],
+        [[-0.9451093121929747, -3.791654923247923], [-0.8405504081031215, -3.294397500707432],
+         [-0.5909031286693783, -2.1520390028373035], [-0.3728261832386254, -1.3193365249351183]],
+        [[77.02754698181218, 33.707424094543654], [71.6825399361699, 32.10392198085098],
+         [58.82051836287906, 28.24531550886372], [43.34312037803105, 22.089697145933876]],
+    ),
+    "average-gradsat": (
+        ex2_config,
+        [2.499716899097143, 5.999716899096789, 7.999716899096789],
+        [-354.0298312689599, -341.61551533622185, -305.4848162074898, -261.2195105334885],
+        [[-2.0, -2.0, -2.0]] * 4,
+        [[-18.961310271803807, -42.216987782047454, -39.5891989203956],
+         [-18.302739680380487, -41.48070320474503, -39.02479203956074],
+         [-16.30707122152194, -39.24953781898012, -37.31446815824296],
+         [-13.672788855828038, -36.30439950977044, -35.056840634903494]],
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_matches_recorded_per_scenario_path(scenario):
+    make, tt_final, y, u, g_hat = GOLDEN[scenario]
+    traj = simulate(make(scenario=scenario, t_end=0.5))
+    assert traj.times.size == 797
+    for got, want in (
+        (traj.theta_tilde[-1], tt_final),
+        (traj.y[GOLDEN_INDEX], y),
+        (traj.u[GOLDEN_INDEX], u),
+        (traj.g_hat[GOLDEN_INDEX], g_hat),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
