@@ -266,7 +266,10 @@ def _cmd_verify(args) -> int:
     if poly is None:
         print("error: config defines no polytope", file=sys.stderr)
         return EXIT_USAGE
-    failures = []
+    if not isinstance(design, (AwDesign, GradSatDesign)):
+        print("error: unrecognized design object", file=sys.stderr)
+        return EXIT_USAGE
+    failures = synthesis.certificate_defects(design)
     if isinstance(design, AwDesign):
         worst = synthesis.verify_aw_design(design, poly)
         print(f"vertex inequalities: lambda_max = {worst:.6e}")
@@ -279,7 +282,7 @@ def _cmd_verify(args) -> int:
         print(f"dead-zone sector sampling: max slack = {slack:.3e}")
         if slack > analysis.SECTOR_SLACK_TOL:
             failures.append("sector condition violated in sampling")
-    elif isinstance(design, GradSatDesign):
+    else:
         vmax, rmin = synthesis.verify_gradsat_design(design, poly)
         print(f"vertex inequalities: lambda_max = {vmax:.6e}")
         print(f"row-coupling blocks: lambda_min = {rmin:.6e}")
@@ -300,9 +303,6 @@ def _cmd_verify(args) -> int:
             failures.append("certified region leaves the sector-validity set")
         if slack > analysis.SECTOR_SLACK_TOL:
             failures.append("sector condition violated in sampling")
-    else:
-        print("error: unrecognized design object", file=sys.stderr)
-        return EXIT_USAGE
     if failures:
         for f in failures:
             print(f"FAILED: {f}", file=sys.stderr)

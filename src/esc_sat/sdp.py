@@ -7,12 +7,21 @@ to a per-block margin.  Feasibility is decided through the phase-I program
     minimize t  s.t.  F^k(x) <= t*I  (strict blocks),  -F^k(x) <= t*I  (psd),
 
 solved with a log-det barrier and damped Newton steps.  The systems arising
-here are tiny (tens of scalar unknowns, blocks of order <= 12), so a dense
-second-order method is both the simplest and the most reliable choice.
+here are small (up to a few hundred scalar unknowns, blocks of order <= 24),
+so a dense second-order method is both the simplest and the most reliable
+choice.
+
+Each Newton system is built in Schur-complement form (Vandenberghe & Boyd,
+"Semidefinite Programming", SIAM Review 1996): every block is factored once
+as S = L L', its coefficient stack is scaled to A_j = L^-1 C_j L^-T in one
+batched product, and the barrier Hessian <A_i, A_j> is one matrix product
+over the flattened stack.
 
 The solver never trusts its own barrier state: a candidate is accepted only
-once an eigendecomposition of every assembled block meets the margins, and
-``check_solution`` re-runs that test independently of the solve path.
+once an eigendecomposition of every assembled block meets the margins.  That
+one pass per accepted point is ``check_solution``, the same oracle callers
+use independently of the solve path, and the returned block checks and
+slack are taken from it.
 """
 
 from __future__ import annotations
@@ -64,9 +73,15 @@ class LmiBlock:
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.ndim != 3 or coeffs.shape[1:] != base.shape:
             raise ValueError(f"block {self.name!r} coefficient stack has bad shape")
-        coeffs = np.stack(
-            [_symmetrize(c, f"block {self.name!r} coeff {j}") for j, c in enumerate(coeffs)]
-        )
+        skew = np.max(np.abs(coeffs - coeffs.swapaxes(1, 2)), axis=(1, 2), initial=0.0)
+        scale = np.max(np.abs(coeffs), axis=(1, 2), initial=1.0)
+        bad = np.flatnonzero(skew > _SYM_TOL * scale)
+        if bad.size:
+            j = bad[0]
+            raise ValueError(
+                f"block {self.name!r} coeff {j} is not symmetric (skew {skew[j]:.3e})"
+            )
+        coeffs = 0.5 * (coeffs + coeffs.swapaxes(1, 2))
         if self.sense not in ("strict", "psd"):
             raise ValueError(f"unknown block sense {self.sense!r}")
         if self.margin < 0:
@@ -144,14 +159,42 @@ def check_solution(problem: LmiProblem, x: np.ndarray) -> tuple[BlockCheck, ...]
     return tuple(out)
 
 
-def _phase1_slack(problem: LmiProblem, x: np.ndarray) -> float:
+def _phase1_slack(checks: tuple[BlockCheck, ...]) -> float:
     """max_k lambda_max of the sign-unified blocks (the phase-I objective)."""
-    worst = -np.inf
+    return max(c.extreme_eig if c.sense == "strict" else -c.extreme_eig for c in checks)
+
+
+def _unified_stacks(problem: LmiProblem) -> tuple[list, list]:
+    """Phase-I data of every block: G^k(x) = bases[k] - sum_j x_j C^k_j.
+
+    With z = (x, t) the barrier argument is S_k(z) = t*I - G^k(x)
+    = sum_j z_j C^k_j - bases[k]; the last coefficient C^k_m is the identity.
+    """
+    m = problem.num_vars
+    bases, stacks = [], []
     for b in problem.blocks:
-        F = problem.assemble(b, x)
-        G = F if b.sense == "strict" else -F
-        worst = max(worst, float(np.linalg.eigvalsh(G)[-1]))
-    return worst
+        sign = 1.0 if b.sense == "strict" else -1.0
+        C = np.empty((m + 1, b.dim, b.dim))
+        C[:m] = -sign * b.coeffs
+        C[m] = np.eye(b.dim)
+        bases.append(sign * b.base)
+        stacks.append(C)
+    return bases, stacks
+
+
+def _barrier_terms(L: np.ndarray, C: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """log det S, grad and Hessian of -log det S(z), from the factor S = L L'.
+
+    With the scaled stack A_j = L^-1 C_j L^-T the gradient is -tr(A_j) and
+    the Hessian is the Gram matrix <A_j, A_k> = tr(S^-1 C_j S^-1 C_k): one
+    GEMM over the flattened stack (the Schur-complement form of the Newton
+    system).
+    """
+    Linv = np.linalg.inv(L)
+    A = Linv @ C @ Linv.T
+    flat = A.reshape(A.shape[0], -1)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    return logdet, -np.trace(A, axis1=1, axis2=2), flat @ flat.T
 
 
 def solve_feasibility(
@@ -167,31 +210,29 @@ def solve_feasibility(
     slope 0.01) minimizes t/mu - sum_k log det(t*I - G^k(x)) over a shrinking
     barrier parameter mu, starting from x = 0 and t0 = max_k lambda_max + 1.
     Variables are confined to |x_j| <= box_bound, which keeps the phase-I
-    objective bounded for homogeneous systems.  After every Newton step the
-    per-block eigenvalue contracts are tested directly; the first iterate
-    passing all of them is returned as feasible.  If the barrier gap closes
-    below ``tol`` first, the problem is declared infeasible with the residual
-    slack.  Newton breakdowns and iteration exhaustion give numerical-failure.
+    objective bounded for homogeneous systems.
+
+    Each Newton iteration factors every block once, S_k = L_k L_k'.  The
+    barrier Hessian is the Schur-complement matrix H_ij = sum_k
+    <L_k^-1 C_i L_k^-T, L_k^-1 C_j L_k^-T>, one GEMM per block over the
+    scaled coefficient stack, and the same factors give the barrier value
+    at which the line search starts.
+
+    Every accepted point gets one eigendecomposition pass over the assembled
+    blocks (``check_solution``); the returned per-block checks and slack come
+    from that pass, and the first point passing all contracts is returned as
+    feasible.  If the barrier gap closes below ``tol`` first, the problem is
+    declared infeasible with the residual slack.  Newton breakdowns and
+    iteration exhaustion give numerical-failure.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = problem.num_vars
-    nb = len(problem.blocks)
-    # unified stacks: S_k(z) = t*I - s_k*F^k(x); coefficient of z in S_k is
-    # [-s_k*F_j ..., I]
-    signs = [1.0 if b.sense == "strict" else -1.0 for b in problem.blocks]
-    bases = [signs[k] * problem.blocks[k].base for k in range(nb)]
-    stacks = []
-    for k, b in enumerate(problem.blocks):
-        d = b.dim
-        C = np.empty((m + 1, d, d))
-        C[:m] = -signs[k] * b.coeffs
-        C[m] = np.eye(d)
-        stacks.append(C)
+    bases, stacks = _unified_stacks(problem)
 
-    def g_of(k: int, x: np.ndarray) -> np.ndarray:
-        G = bases[k] + np.tensordot(x, -stacks[k][:m], axes=(0, 0))
-        return 0.5 * (G + G.T)
+    def s_of(k: int, z: np.ndarray) -> np.ndarray:
+        G = bases[k] - np.tensordot(z[:m], stacks[k][:m], axes=(0, 0))
+        return z[m] * np.eye(G.shape[0]) - 0.5 * (G + G.T)
 
     def chol_or_none(S: np.ndarray):
         try:
@@ -199,26 +240,23 @@ def solve_feasibility(
         except np.linalg.LinAlgError:
             return None
 
+    def box_value(x: np.ndarray) -> float:
+        if np.any(np.abs(x) >= box_bound):
+            return np.inf
+        return -float(np.sum(np.log(box_bound - x) + np.log(box_bound + x)))
+
     def barrier_value(z: np.ndarray, mu: float) -> float:
         val = z[m] / mu
-        for k in range(nb):
-            S = z[m] * np.eye(problem.blocks[k].dim) - g_of(k, z[:m])
-            L = chol_or_none(S)
+        for k in range(len(stacks)):
+            L = chol_or_none(s_of(k, z))
             if L is None:
                 return np.inf
             val -= 2.0 * float(np.sum(np.log(np.diag(L))))
-        for j in range(m):
-            if abs(z[j]) >= box_bound:
-                return np.inf
-            val -= np.log(box_bound - z[j]) + np.log(box_bound + z[j])
-        return val
+        return val + box_value(z[:m])
 
-    def contracts_met(x: np.ndarray) -> bool:
-        return all(c.ok for c in check_solution(problem, x))
-
-    x0 = np.zeros(m)
-    t0 = max(float(np.linalg.eigvalsh(g_of(k, x0))[-1]) for k in range(nb)) + 1.0
-    z = np.concatenate([x0, [t0]])
+    checks = check_solution(problem, np.zeros(m))
+    t0 = _phase1_slack(checks) + 1.0
+    z = np.concatenate([np.zeros(m), [t0]])
     nu = sum(b.dim for b in problem.blocks) + 2 * m
     mu = 1.0 + abs(t0)
     shrink = 0.2
@@ -226,21 +264,21 @@ def solve_feasibility(
     log_rows: list[str] = []
 
     def finish(status: str, message: str = "") -> SdpSolution:
-        x = z[:m].copy()
+        # ``checks`` always belongs to the current z
         if log_path is not None:
             with open(log_path, "w") as fh:
                 fh.write("iter,t,decrement,step\n")
                 fh.writelines(log_rows)
         return SdpSolution(
-            x=x,
-            slack=_phase1_slack(problem, x),
+            x=z[:m].copy(),
+            slack=_phase1_slack(checks),
             status=status,
             iterations=iterations,
-            blocks=check_solution(problem, x),
+            blocks=checks,
             message=message,
         )
 
-    if contracts_met(z[:m]):
+    if all(c.ok for c in checks):
         return finish("feasible", "origin already satisfies all contracts")
 
     while True:
@@ -250,30 +288,24 @@ def solve_feasibility(
                 return finish(
                     "numerical-failure", f"iteration budget {max_iter} exhausted"
                 )
+            x = z[:m]
             grad = np.zeros(m + 1)
             hess = np.zeros((m + 1, m + 1))
             grad[m] = 1.0 / mu
-            domain_ok = True
-            for k in range(nb):
-                d = problem.blocks[k].dim
-                S = z[m] * np.eye(d) - g_of(k, z[:m])
-                L = chol_or_none(S)
+            f0 = z[m] / mu + box_value(x)
+            for k, C in enumerate(stacks):
+                L = chol_or_none(s_of(k, z))
                 if L is None:
-                    domain_ok = False
-                    break
-                Si = np.linalg.solve(S, np.eye(d))
-                U = np.einsum("ab,jbc->jac", Si, stacks[k])
-                grad -= np.einsum("jaa->j", U)
-                hess += np.einsum("jab,kba->jk", U, U)
-            if not domain_ok:
-                return finish(
-                    "numerical-failure", "iterate left the barrier domain"
-                )
-            for j in range(m):
-                grad[j] += 1.0 / (box_bound - z[j]) - 1.0 / (box_bound + z[j])
-                hess[j, j] += (
-                    1.0 / (box_bound - z[j]) ** 2 + 1.0 / (box_bound + z[j]) ** 2
-                )
+                    return finish(
+                        "numerical-failure", "iterate left the barrier domain"
+                    )
+                logdet, g, h = _barrier_terms(L, C)
+                f0 -= logdet
+                grad += g
+                hess += h
+            lo, hi = 1.0 / (box_bound - x), 1.0 / (box_bound + x)
+            grad[:m] += lo - hi
+            hess[np.diag_indices(m)] += lo**2 + hi**2
             try:
                 Lh = np.linalg.cholesky(hess)
             except np.linalg.LinAlgError:
@@ -288,7 +320,6 @@ def solve_feasibility(
             decrement2 = float(-grad @ dz)
             if decrement2 / 2.0 <= 1e-10:
                 break
-            f0 = barrier_value(z, mu)
             slope = float(grad @ dz)
             alpha = 1.0
             stepped = False
@@ -305,13 +336,13 @@ def solve_feasibility(
             log_rows.append(
                 f"{iterations},{z[m]!r},{np.sqrt(max(decrement2, 0.0))!r},{alpha!r}\n"
             )
-            if contracts_met(z[:m]):
+            checks = check_solution(problem, z[:m])
+            if all(c.ok for c in checks):
                 return finish("feasible")
-        if contracts_met(z[:m]):
-            return finish("feasible")
+        # the contracts at this z were tested when it was accepted, and failed
         if nu * mu <= tol:
             worst = max(
-                (c for c in check_solution(problem, z[:m]) if not c.ok),
+                (c for c in checks if not c.ok),
                 key=lambda c: abs(c.extreme_eig),
                 default=None,
             )

@@ -51,6 +51,7 @@ __all__ = [
     "verify_aw_design",
     "verify_gradsat_design",
     "verify_ellipsoid_inclusion",
+    "certificate_defects",
     "save_design",
     "load_design",
 ]
@@ -61,6 +62,8 @@ SHAPING_EPS = 1e-4
 STRICT_MARGIN_SCALE = 1e-7
 PSD_MARGIN = 1e-9
 COND_WARN = 1e10
+# relative Frobenius mismatch allowed between a stored P and X^-T W X^-1
+CONGRUENCE_RTOL = 1e-6
 
 
 class InfeasibleDesignError(Exception):
@@ -99,40 +102,45 @@ class _VarLayout:
         return self._size
 
     def unpack(self, x: np.ndarray, name: str) -> np.ndarray:
+        """Matrix variable ``name`` of x, or of each row of a stack of x."""
         kind, sl = self._slices[name]
-        v = np.asarray(x)[sl]
+        v = np.asarray(x)[..., sl]
         n = self.n
-        if kind == "diag":
-            return np.diag(v)
         if kind == "full":
-            return v.reshape(n, n)
-        out = np.zeros((n, n))
-        idx = 0
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = out[j, i] = v[idx]
-                idx += 1
+            return v.reshape(v.shape[:-1] + (n, n))
+        out = np.zeros(v.shape[:-1] + (n, n))
+        if kind == "diag":
+            out[..., range(n), range(n)] = v
+            return out
+        rows, cols = np.triu_indices(n)
+        out[..., rows, cols] = v
+        out[..., cols, rows] = v
         return out
 
-    def basis(self) -> np.ndarray:
-        """Identity matrix over the flat decision vector, row per variable."""
-        return np.eye(self._size)
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
 
 
 def _affine_stack(
     layout: _VarLayout, build: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split a linear matrix expression into base and coefficient stack."""
-    base = build(np.zeros(layout.size))
-    coeffs = np.stack([build(e) - base for e in layout.basis()])
-    return base, coeffs
+    """Split a linear matrix expression into base and coefficient stack.
+
+    ``build`` maps a stack of decision vectors to a stack of matrices; it is
+    evaluated once, on the origin followed by every unit vector.
+    """
+    values = build(np.vstack([np.zeros(layout.size), np.eye(layout.size)]))
+    base = values[0]
+    return base, values[1:] - base
 
 
 def _strict_margin(coeffs: np.ndarray, base: np.ndarray) -> float:
     scale = max(
         1.0,
         float(np.linalg.norm(base)),
-        max(float(np.linalg.norm(c)) for c in coeffs),
+        float(np.max(np.linalg.norm(coeffs, axis=(1, 2)))),
     )
     return STRICT_MARGIN_SCALE * scale
 
@@ -173,36 +181,41 @@ class AwDesign:
 
 
 def _aw_vertex_block(P, Lam, Z, Zaw, Hi, eta):
-    b11 = Z @ Hi + Hi @ Z.T + 2.0 * eta * P
-    b21 = Lam - Zaw.T - Hi @ Z.T
+    b11 = Z @ Hi + Hi @ _t(Z) + 2.0 * eta * P
+    b21 = Lam - _t(Zaw) - Hi @ _t(Z)
     b22 = -2.0 * Lam
-    top = np.hstack([b11, b21.T])
-    bot = np.hstack([b21, b22])
-    M = np.vstack([top, bot])
-    return 0.5 * (M + M.T)
+    M = np.block([[b11, _t(b21)], [b21, b22]])
+    return 0.5 * (M + _t(M))
 
 
 def _assemble_aw_problem(
-    poly: HessianPolytope, eta: float
+    poly: HessianPolytope, eta: float, gains: Optional[tuple] = None
 ) -> tuple[LmiProblem, _VarLayout]:
+    """Vertex and shaping blocks of the anti-windup design.
+
+    With ``gains = (K, K_aw)`` fixed, Z = P K and Z_aw = P K_aw and the
+    inequalities are affine in (P, Lambda) alone (certificate search).
+    """
     n = poly.dim
     layout = _VarLayout(n)
     layout.add("p", "sym")
     layout.add("lam", "diag")
-    layout.add("z", "full")
-    layout.add("z_aw", "full")
+    if gains is None:
+        layout.add("z", "full")
+        layout.add("z_aw", "full")
+
+    def parts(x):
+        P = layout.unpack(x, "p")
+        if gains is None:
+            Z, Zaw = layout.unpack(x, "z"), layout.unpack(x, "z_aw")
+        else:
+            Z, Zaw = P @ gains[0], P @ gains[1]
+        return P, layout.unpack(x, "lam"), Z, Zaw
 
     blocks = []
     for i, Hi in enumerate(poly.vertices):
         def build(x, Hi=Hi):
-            return _aw_vertex_block(
-                layout.unpack(x, "p"),
-                layout.unpack(x, "lam"),
-                layout.unpack(x, "z"),
-                layout.unpack(x, "z_aw"),
-                Hi,
-                eta,
-            )
+            return _aw_vertex_block(*parts(x), Hi, eta)
 
         base, coeffs = _affine_stack(layout, build)
         blocks.append(
@@ -326,33 +339,7 @@ def find_aw_certificate(
     """
     k = np.asarray(k, dtype=float)
     k_aw = np.asarray(k_aw, dtype=float)
-    n = poly.dim
-    layout = _VarLayout(n)
-    layout.add("p", "sym")
-    layout.add("lam", "diag")
-
-    blocks = []
-    for i, Hi in enumerate(poly.vertices):
-        def build(x, Hi=Hi):
-            P = layout.unpack(x, "p")
-            Lam = layout.unpack(x, "lam")
-            return _aw_vertex_block(P, Lam, P @ k, P @ k_aw, Hi, eta)
-
-        base, coeffs = _affine_stack(layout, build)
-        blocks.append(
-            LmiBlock(
-                base=base,
-                coeffs=coeffs,
-                sense="strict",
-                margin=_strict_margin(coeffs, base),
-                name=f"vertex[{i}]",
-            )
-        )
-    blocks.append(_shaping_block(layout, "p_floor", lambda x: layout.unpack(x, "p")))
-    blocks.append(
-        _shaping_block(layout, "lam_floor", lambda x: layout.unpack(x, "lam"))
-    )
-    problem = LmiProblem(num_vars=layout.size, blocks=tuple(blocks))
+    problem, layout = _assemble_aw_problem(poly, eta, gains=(k, k_aw))
     sol = solve_feasibility(problem, tol=tol, max_iter=max_iter)
     _raise_for_failure(sol, "certificate search")
     P = layout.unpack(sol.x, "p")
@@ -395,29 +382,29 @@ class GradSatDesign:
 
 
 def _gradsat_vertex_block(W, Ut, X, Y, Z, Hi, eta, epsilon):
-    b11 = Hi @ Z + Z.T @ Hi + 2.0 * eta * W
-    b21 = W - X.T + epsilon * Hi @ Z
-    b22 = -epsilon * (X.T + X)
+    b11 = Hi @ Z + _t(Z) @ Hi + 2.0 * eta * W
+    b21 = W - _t(X) + epsilon * Hi @ Z
+    b22 = -epsilon * (_t(X) + X)
     b31 = Y - Ut @ Hi
     b32 = -epsilon * Ut @ Hi
     b33 = -2.0 * Ut
-    M = np.vstack(
+    M = np.block(
         [
-            np.hstack([b11, b21.T, b31.T]),
-            np.hstack([b21, b22, b32.T]),
-            np.hstack([b31, b32, b33]),
+            [b11, _t(b21), _t(b31)],
+            [b21, b22, _t(b32)],
+            [b31, b32, b33],
         ]
     )
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + _t(M))
 
 
 def _gradsat_row_block(W, Y, Z, row: int, ubar: float):
-    n = W.shape[0]
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = W
-    M[:n, n] = Z[row, :] - Y[row, :]
-    M[n, :n] = M[:n, n]
-    M[n, n] = ubar**2
+    n = W.shape[-1]
+    M = np.zeros(W.shape[:-2] + (n + 1, n + 1))
+    M[..., :n, :n] = W
+    M[..., :n, n] = Z[..., row, :] - Y[..., row, :]
+    M[..., n, :n] = M[..., :n, n]
+    M[..., n, n] = ubar**2
     return M
 
 
@@ -477,7 +464,7 @@ def _assemble_gradsat_problem(
         _shaping_block(
             layout,
             "x_sym_floor",
-            lambda x: layout.unpack(x, "x") + layout.unpack(x, "x").T,
+            lambda x: layout.unpack(x, "x") + _t(layout.unpack(x, "x")),
         )
     )
     return LmiProblem(num_vars=layout.size, blocks=tuple(blocks)), layout
@@ -590,6 +577,40 @@ def verify_ellipsoid_inclusion(design: GradSatDesign) -> np.ndarray:
         diff = design.k[ell, :] - design.l[ell, :]
         M = design.p - np.outer(diff, diff) / design.bounds.limits[ell] ** 2
         out[ell] = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    return out
+
+
+def _positive_diagonal(m: np.ndarray) -> bool:
+    return bool(np.all(m == np.diag(np.diag(m))) and np.all(np.diag(m) > 0.0))
+
+
+def certificate_defects(design) -> list[str]:
+    """Conditions on a stored certificate that the vertex blocks cannot test.
+
+    The vertex inequalities are homogeneous in the certificate, so a design
+    file with a negated P and matching gains passes them; the Lyapunov
+    function needs P > 0 and the sector multiplier (Lambda, or Upsilon~ for
+    rate saturation) a positive diagonal.  A rate-saturation P must also be
+    the congruence X^-T W X^-1 that the inequalities certify.  Returns one
+    line per failed condition; an empty list means none failed.
+    """
+    out = []
+    if not np.linalg.eigvalsh(0.5 * (design.p + design.p.T))[0] > 0.0:
+        out.append("P not positive definite")
+    if isinstance(design, AwDesign):
+        if not _positive_diagonal(design.lam):
+            out.append("Lambda not a positive diagonal")
+        return out
+    if not _positive_diagonal(design.upsilon_tilde):
+        out.append("upsilon_tilde not a positive diagonal")
+    try:
+        A = np.linalg.solve(design.x.T, design.w)
+        rebuilt = np.linalg.solve(design.x.T, A.T).T
+    except np.linalg.LinAlgError:
+        out.append("X is singular")
+        return out
+    if not np.linalg.norm(rebuilt - design.p) <= CONGRUENCE_RTOL * np.linalg.norm(design.p):
+        out.append("P differs from X^-T W X^-1")
     return out
 
 

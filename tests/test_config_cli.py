@@ -205,6 +205,57 @@ def test_cli_verify_rejects_corrupted_design(tmp_path):
     assert rc == 2
 
 
+def test_cli_verify_rejects_forged_aw_certificate(tmp_path, capsys):
+    # K = 0, K_aw = -I, P = -I, Lambda = I makes every vertex block -2I
+    out = tmp_path / "design"
+    assert cli.main(["design", fixture_path("example1.cfg"), "--out", str(out)]) == 0
+    forged = {
+        "k": "0 0; 0 0",
+        "k_aw": "-1 0; 0 -1",
+        "p": "-1 0; 0 -1",
+        "lambda": "1 0; 0 1",
+    }
+    lines = []
+    for line in (out / "design.txt").read_text().splitlines():
+        key = line.partition("=")[0].strip()
+        lines.append(f"{key} = {forged[key]}" if key in forged else line)
+    (tmp_path / "forged.txt").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["verify", str(tmp_path / "forged.txt"), fixture_path("example1.cfg")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "vertex inequalities: lambda_max = -2.000000e+00" in captured.out
+    assert "all certificates pass" not in captured.out
+    assert "FAILED: P not positive definite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda d: {"p": 2.0 * d.p}, "P differs from X^-T W X^-1"),
+        (lambda d: {"p": -d.p, "w": -d.w}, "P not positive definite"),
+        (
+            lambda d: {"upsilon_tilde": d.upsilon_tilde + 1e-3 * (1.0 - np.eye(3))},
+            "upsilon_tilde not a positive diagonal",
+        ),
+    ],
+    ids=["p-scaled", "p-negated", "upsilon-offdiagonal"],
+)
+def test_cli_verify_rejects_tampered_gradsat_certificate(tmp_path, capsys, tamper, message):
+    import dataclasses
+
+    out = tmp_path / "design"
+    assert cli.main(["design", fixture_path("example2.cfg"), "--out", str(out)]) == 0
+    design = load_design(str(out / "design.txt"))
+    save_design(dataclasses.replace(design, **tamper(design)), str(out / "bad.txt"))
+    capsys.readouterr()
+    rc = cli.main(["verify", str(out / "bad.txt"), fixture_path("example2.cfg")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "all certificates pass" not in captured.out
+    assert f"FAILED: {message}" in captured.err.splitlines()
+
+
 def test_cli_verify_missing_file(tmp_path):
     rc = cli.main(
         ["verify", str(tmp_path / "nope.txt"), fixture_path("example1.cfg")]

@@ -10,6 +10,11 @@ from esc_sat.synthesis import (
     AwDesign,
     InfeasibleDesignError,
     _assemble_aw_problem,
+    _assemble_gradsat_problem,
+    _aw_vertex_block,
+    _gradsat_row_block,
+    _gradsat_vertex_block,
+    certificate_defects,
     design_aw_gains,
     design_gradsat_gain,
     find_aw_certificate,
@@ -27,6 +32,7 @@ def test_aw_design_reference_polytope(ex1_polytope, ex1_bounds):
     assert verify_aw_design(design, ex1_polytope) < 0
     assert np.all(np.linalg.eigvalsh(design.p) > 0)
     assert np.all(np.diag(design.lam) > 0)
+    assert certificate_defects(design) == []
     assert design.kappa >= 1.0
 
 
@@ -43,6 +49,63 @@ def test_aw_design_roundtrip_against_solver(ex1_polytope, ex1_bounds):
         c.extreme_eig for c in check_solution(problem, sol.x) if c.sense == "strict"
     )
     assert rebuilt == pytest.approx(solver_worst, rel=1e-6)
+
+
+def _unpack_reference(layout, x, name):
+    """Per-vector unpacking with an explicit loop over the symmetric entries."""
+    kind, sl = layout._slices[name]
+    v = x[sl]
+    n = layout.n
+    if kind == "diag":
+        return np.diag(v)
+    if kind == "full":
+        return v.reshape(n, n)
+    out = np.zeros((n, n))
+    idx = 0
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = out[j, i] = v[idx]
+            idx += 1
+    return out
+
+
+def _coeffs_by_variable(layout, build):
+    base = build(np.zeros(layout.size))
+    return np.stack([build(e) - base for e in np.eye(layout.size)])
+
+
+def test_batched_assembly_matches_per_variable_build(ex1_polytope, ex2_polytope, ex2_bounds):
+    # one build() on the stacked unit vectors gives bit-identical coefficients
+    def part(layout, x, *names):
+        return [_unpack_reference(layout, x, nm) for nm in names]
+
+    problem, layout = _assemble_aw_problem(ex1_polytope, 1.0)
+    for Hi, blk in zip(ex1_polytope.vertices, problem.blocks):
+        ref = _coeffs_by_variable(layout, lambda x: _aw_vertex_block(
+            *part(layout, x, "p", "lam", "z", "z_aw"), Hi, 1.0))
+        assert np.array_equal(blk.coeffs, ref)
+
+    problem, layout = _assemble_aw_problem(ex1_polytope, 0.9, gains=(EX1_K, EX1_KAW))
+    for Hi, blk in zip(ex1_polytope.vertices, problem.blocks):
+        def build(x):
+            P, Lam = part(layout, x, "p", "lam")
+            return _aw_vertex_block(P, Lam, P @ EX1_K, P @ EX1_KAW, Hi, 0.9)
+
+        assert np.array_equal(blk.coeffs, _coeffs_by_variable(layout, build))
+
+    problem, layout = _assemble_gradsat_problem(ex2_polytope, 1.0, 0.5, ex2_bounds)
+    names = ("w", "ut", "x", "y", "z")
+    blocks = {b.name: b for b in problem.blocks}
+    for i, Hi in enumerate(ex2_polytope.vertices):
+        ref = _coeffs_by_variable(layout, lambda x: _gradsat_vertex_block(
+            *part(layout, x, *names), Hi, 1.0, 0.5))
+        assert np.array_equal(blocks[f"vertex[{i}]"].coeffs, ref)
+    for ell in range(3):
+        def build(x):
+            W, _, _, Y, Z = part(layout, x, *names)
+            return _gradsat_row_block(W, Y, Z, ell, 2.0)
+
+        assert np.array_equal(blocks[f"row[{ell}]"].coeffs, _coeffs_by_variable(layout, build))
 
 
 def test_aw_design_singleton_stable():
@@ -95,6 +158,7 @@ def test_certificate_search_for_published_gains(ex1_polytope, ex1_bounds):
     cert = find_aw_certificate(EX1_K, EX1_KAW, ex1_polytope, 0.9, ex1_bounds)
     assert verify_aw_design(cert, ex1_polytope) < 0
     assert np.allclose(cert.k, EX1_K)
+    assert certificate_defects(cert) == []
 
 
 def test_certified_published_gains_decay_in_simulation(ex1_polytope, ex1_bounds):
@@ -127,6 +191,7 @@ def test_gradsat_design_reference_polytope(ex2_polytope, ex2_bounds):
     assert vmax < 0
     assert rmin >= -1e-9
     assert np.min(verify_ellipsoid_inclusion(design)) >= -1e-9
+    assert certificate_defects(design) == []
     assert np.all(np.linalg.eigvalsh(design.p) > 0)
     # the congruence bound makes X invertible by construction
     assert np.all(np.linalg.eigvalsh(design.x + design.x.T) > 0)
