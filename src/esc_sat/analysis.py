@@ -18,7 +18,6 @@ from .plant import (
     QuadraticMap,
     SaturationBounds,
     deadzone,
-    delta_matrix,
     loop_laws,
     perturbation_terms,
 )
@@ -219,6 +218,17 @@ def check_convergence_bands(
 # ---------------------------------------------------------------------------
 # sector-condition sampling
 
+# Rows of random draws per block of the sector samplers; their memory is
+# bounded by this, not by the trial count.
+_SAMPLER_BLOCK = 1024
+
+
+def _check_trials(trials: int) -> None:
+    # a maximum over no samples is -inf, which would pass any slack test
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def sample_deadzone_sector_global(
     bounds: SaturationBounds,
     theta_star: np.ndarray,
@@ -230,21 +240,43 @@ def sample_deadzone_sector_global(
     tt = th - theta_star, so the pair satisfies the interior-optimizer
     relation the sector argument rests on.  Any positive diagonal weight must
     keep the form nonpositive; the returned maximum should not exceed
-    roundoff.
+    roundoff.  Each trial draws th / limits from U(-3, 3)^n, then the weight
+    diagonal from U(0.1, 10)^n.
     """
+    _check_trials(trials)
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if np.any(np.abs(theta_star) >= bounds.limits):
         raise ValueError("theta_star must lie strictly inside the bounds")
     rng = np.random.default_rng(seed)
     n = bounds.dim
+    # one row per trial, the state draws and then the weights, as a loop of
+    # two n-wide draws per trial would take them from the stream
+    lo = np.repeat([-3.0, 0.1], n)
+    hi = np.repeat([3.0, 10.0], n)
     worst = -np.inf
-    for _ in range(trials):
-        theta_av = rng.uniform(-3.0, 3.0, size=n) * bounds.limits
-        lam = rng.uniform(0.1, 10.0, size=n)
+    for start in range(0, trials, _SAMPLER_BLOCK):
+        rows = min(_SAMPLER_BLOCK, trials - start)
+        draws = rng.uniform(lo, hi, size=(rows, 2 * n))
+        theta_av = draws[:, :n] * bounds.limits
+        lam = draws[:, n:]
         psi = deadzone(theta_av, bounds)
-        form = float(psi @ (lam * (psi - (theta_av - theta_star))))
-        worst = max(worst, form)
+        form = (psi * (lam * (psi - (theta_av - theta_star)))).sum(1)
+        worst = max(worst, float(np.max(form)))
     return worst
+
+
+def _follows_accepted(ok: np.ndarray) -> np.ndarray:
+    """Rows that are the weight draw of the accepted sample just before them.
+
+    Row 0 is a sample.  A rejected row is followed by a sample, and so is a
+    weight row, so inside a run of acceptable rows that starts after an
+    unacceptable one the roles alternate sample, weight, sample, ...: a row
+    is a weight exactly when an odd number of acceptable rows precede it.
+    """
+    idx = np.arange(ok.size)
+    last_bad = np.maximum.accumulate(np.where(ok, -1, idx))
+    run = idx - last_bad  # acceptable rows ending at each row
+    return np.concatenate(([False], run[:-1] % 2 == 1))
 
 
 def sample_deadzone_sector_regional(
@@ -257,30 +289,53 @@ def sample_deadzone_sector_regional(
     Samples are drawn from a box sized so that a useful fraction satisfies
     |(K - L)_l g| <= ubar_l; candidates outside are rejected.  A rejection
     rate above 99.9% means the admissible set is degenerate for sampling.
+
+    Each candidate is one n-wide uniform draw and each accepted one is
+    followed by one n-wide draw of the weight diagonal from U(0.1, 10)^n.
+    The raw doubles are drawn in blocks of rows, mapped as
+    ``Generator.uniform`` maps them (low + (high - low) u), and the role of
+    each row is read off the acceptance pattern (``_follows_accepted``), so
+    the stream is the one a draw-per-candidate loop would consume.
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     n = design.dim
+    limits = design.bounds.limits
     diff = design.k - design.l
     row_scale = np.abs(diff).sum(axis=1)
-    box = 2.0 * float(np.min(design.bounds.limits / np.maximum(row_scale, 1e-12)))
+    box = 2.0 * float(np.min(limits / np.maximum(row_scale, 1e-12)))
+    g_lo, g_hi = -box, box
+    w_lo, w_hi = 0.1, 10.0
+    max_attempts = trials * 1000
     worst = -np.inf
     accepted = 0
     attempts = 0
-    max_attempts = trials * 1000
     while accepted < trials:
         if attempts >= max_attempts:
             raise RuntimeError(
                 "admissible set rejected more than 99.9% of samples"
             )
-        attempts += 1
-        g = rng.uniform(-box, box, size=n)
-        if np.any(np.abs(diff @ g) > design.bounds.limits):
+        u = rng.random((_SAMPLER_BLOCK, n))
+        cand = g_lo + (g_hi - g_lo) * u
+        ok = ~np.any(np.abs(cand @ diff.T) > limits, axis=1)
+        is_sample = ~_follows_accepted(ok)
+        attempt_no = attempts + np.cumsum(is_sample)
+        rows = np.flatnonzero(is_sample & ok & (attempt_no <= max_attempts))
+        rows = rows[: trials - accepted]
+        attempts = int(attempt_no[-1])
+        accepted += rows.size
+        if rows.size == 0:
             continue
-        accepted += 1
-        ups = rng.uniform(0.1, 10.0, size=n)
-        psi = deadzone(design.k @ g, design.bounds)
-        form = float(psi @ (ups * (psi - design.l @ g)))
-        worst = max(worst, form)
+        u_w = u[np.minimum(rows + 1, _SAMPLER_BLOCK - 1)]
+        if rows[-1] == _SAMPLER_BLOCK - 1:
+            # the block ends on an accepted sample: its weights are the next
+            # row of the stream, and the next block starts on a sample
+            u_w[-1] = rng.random(n)
+        g = cand[rows]
+        ups = w_lo + (w_hi - w_lo) * u_w
+        psi = deadzone(g @ design.k.T, design.bounds)
+        form = (psi * (ups * (psi - g @ design.l.T))).sum(1)
+        worst = max(worst, float(np.max(form)))
     return worst
 
 
@@ -331,7 +386,8 @@ def zero_mean_report(
 
     Both diagonal conventions of the multiplicative perturbation are
     measured: the mean-free form averages to zero, the literal form to one.
-    The consistency check in ``average_rhs_consistency`` pins the mean-free
+    Every term is evaluated on all quadrature nodes in one call.  The
+    consistency check in ``average_rhs_consistency`` pins the mean-free
     convention as the one reproducing the averaged loop.
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
@@ -351,9 +407,8 @@ def zero_mean_report(
             float(_period_mean(M[:, i], wq, T)), float(np.max(np.abs(M[:, i])))
         )
 
-    deltas = np.empty((nodes, n, n))
-    for idx, t in enumerate(ts):
-        deltas[idx] = delta_matrix(dither, t, "mean_free")
+    pt = perturbation_terms(dither, qmap, ts, theta_tilde)
+    deltas = pt.delta
     dmean = _period_mean(deltas, wq, T)
     dlinf = np.max(np.abs(deltas), axis=0)
     for i in range(n):
@@ -366,20 +421,14 @@ def zero_mean_report(
             float(_period_mean(lit, wq, T)), float(np.max(np.abs(lit)))
         )
 
-    wt = np.empty((nodes, n))
-    vs = np.empty((nodes, n))
-    for idx, t in enumerate(ts):
-        pt = perturbation_terms(dither, qmap, float(t), theta_tilde)
-        wt[idx] = pt.w
-        vs[idx] = pt.varsigma
-    wmean = _period_mean(wt, wq, T)
-    vmean = _period_mean(vs, wq, T)
+    wmean = _period_mean(pt.w, wq, T)
+    vmean = _period_mean(pt.varsigma, wq, T)
     for i in range(n):
         terms[f"w[{i}]"] = TermMean(
-            float(wmean[i]), float(np.max(np.abs(wt[:, i])))
+            float(wmean[i]), float(np.max(np.abs(pt.w[:, i])))
         )
         terms[f"varsigma[{i}]"] = TermMean(
-            float(vmean[i]), float(np.max(np.abs(vs[:, i])))
+            float(vmean[i]), float(np.max(np.abs(pt.varsigma[:, i])))
         )
 
     lit_means = [terms[f"delta_literal[{i},{i}]"].mean for i in range(n)]

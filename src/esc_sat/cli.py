@@ -57,6 +57,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _atomic_write(path: str, writer) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".esc-sat-")
@@ -346,7 +358,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-check the certificates of a design")
     p.add_argument("design")
     p.add_argument("config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_verify)
     return parser
 

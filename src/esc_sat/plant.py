@@ -224,55 +224,67 @@ def loop_laws(
     return _LoopLaws(output, estimate, average_estimate, control)
 
 
-def delta_matrix(spec: DitherSpec, t: float, convention: str = "mean_free") -> np.ndarray:
+def _times(t) -> np.ndarray:
+    """A scalar time, or a 1-D time vector, with two trailing axes that
+    broadcast it against the (n, n) frequency-pair matrices."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D time vector")
+    return t[..., None, None]
+
+
+def _frequency_pairs(spec: DitherSpec):
+    """w_i - w_j, w_i + w_j and a_j / a_i as (n, n) matrices."""
+    w = spec.omegas
+    a = spec.amplitudes
+    return w[:, None] - w, w[:, None] + w, a / a[:, None]
+
+
+def delta_matrix(spec: DitherSpec, t, convention: str = "mean_free") -> np.ndarray:
     """Multiplicative dither perturbation Delta(t) with M(t)S(t)^T = I + Delta.
 
+    Off the diagonal Delta_ij = (a_j/a_i)(cos((w_i - w_j)t) - cos((w_i + w_j)t)).
     convention "mean_free" uses Delta_ii = -cos(2 w_i t), the form that is
     zero-mean over a period and satisfies the product identity above.  The
     "literal" convention keeps Delta_ii = 1 - cos(2 w_i t), whose period mean
     is one; it is retained so the discrepancy between the two can be measured
     (see analysis.zero_mean_report).
+
+    A scalar ``t`` gives shape (n, n); a 1-D time vector of length N gives
+    (N, n, n).
     """
     if convention not in ("mean_free", "literal"):
         raise ValueError(f"unknown delta convention {convention!r}")
-    w = spec.omegas
-    a = spec.amplitudes
-    n = spec.dim
-    delta = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                delta[i, i] = -np.cos(2.0 * w[i] * t)
-                if convention == "literal":
-                    delta[i, i] += 1.0
-            else:
-                delta[i, j] = (a[j] / a[i]) * (
-                    np.cos((w[i] - w[j]) * t) - np.cos((w[i] + w[j]) * t)
-                )
+    minus, plus, ratio = _frequency_pairs(spec)
+    tt = _times(t)
+    cos_plus = np.cos(plus * tt)
+    # on the diagonal w_i - w_i = 0 and a_i/a_i = 1, so the off-diagonal
+    # formula is the literal 1 - cos(2 w_i t) there
+    delta = ratio * (np.cos(minus * tt) - cos_plus)
+    if convention == "mean_free":
+        i = np.arange(spec.dim)
+        delta[..., i, i] = -cos_plus[..., i, i]
     return delta
 
 
-def delta_dot_matrix(spec: DitherSpec, t: float) -> np.ndarray:
-    """Analytic d/dt of Delta(t); identical for both diagonal conventions."""
-    w = spec.omegas
-    a = spec.amplitudes
-    n = spec.dim
-    ddot = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                ddot[i, i] = 2.0 * w[i] * np.sin(2.0 * w[i] * t)
-            else:
-                ddot[i, j] = (a[j] / a[i]) * (
-                    -(w[i] - w[j]) * np.sin((w[i] - w[j]) * t)
-                    + (w[i] + w[j]) * np.sin((w[i] + w[j]) * t)
-                )
-    return ddot
+def delta_dot_matrix(spec: DitherSpec, t) -> np.ndarray:
+    """Analytic d/dt of Delta(t); identical for both diagonal conventions.
+
+    Shapes as in ``delta_matrix``.  The off-diagonal formula gives the
+    diagonal 2 w_i sin(2 w_i t) as it stands.
+    """
+    minus, plus, ratio = _frequency_pairs(spec)
+    tt = _times(t)
+    return ratio * (-minus * np.sin(minus * tt) + plus * np.sin(plus * tt))
 
 
 @dataclass(frozen=True)
 class PerturbationTerms:
-    """Dither-induced terms entering the error dynamics at one time instant."""
+    """Dither-induced terms entering the error dynamics.
+
+    At a scalar time the fields have shapes (n, n) and (n,); at a time vector
+    of length N each gains a leading axis N.
+    """
 
     delta: np.ndarray       # Delta(t)
     omega_mat: np.ndarray   # (I + Delta(t)) H
@@ -280,10 +292,15 @@ class PerturbationTerms:
     varsigma: np.ndarray    # additive residual of the gradient-estimate dynamics
 
 
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # a @ x for one matrix and vector, or row by row for stacks of them
+    return (a @ x[..., None])[..., 0]
+
+
 def perturbation_terms(
     spec: DitherSpec,
     qmap: QuadraticMap,
-    t: float,
+    t,
     theta_tilde: np.ndarray,
     convention: str = "mean_free",
 ) -> PerturbationTerms:
@@ -292,13 +309,16 @@ def perturbation_terms(
     theta_tilde is the (frozen) estimation error; the dead-zone inside w is
     evaluated along theta(t) = theta_tilde + theta_star + S(t), so w reduces
     to its dither-only part whenever that path stays in the linear region.
+    ``t`` is a scalar or a 1-D time vector (see ``PerturbationTerms``).
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
     H = qmap.hessian
+    eye = np.eye(spec.dim)
     S = eval_S(spec, t)
     M = eval_M(spec, t)
+    S_dot = eval_S_dot(spec, t)
     delta = delta_matrix(spec, t, convention)
-    omega_mat = (np.eye(spec.dim) + delta) @ H
+    omega_mat = (eye + delta) @ H
 
     theta = theta_tilde + qmap.theta_star + S
     if qmap.input_bounds is not None:
@@ -306,22 +326,26 @@ def perturbation_terms(
     else:
         psi = np.zeros_like(theta)
 
-    omega_true = np.outer(M, S) @ H
+    # H is exactly symmetric, so x' H y is (x @ H) . y for rows x, y; the
+    # kept axis lets the form scale M at one time or at each of N times
+    def form(x, y):
+        return (x @ H * y).sum(-1, keepdims=True)
+
     w = (
         M * qmap.q_star
-        + 0.5 * omega_true @ S
-        + 0.5 * M * float(theta_tilde @ H @ theta_tilde)
-        - M * float(theta_tilde @ H @ psi)
-        + 0.5 * M * float(psi @ H @ psi)
+        + 0.5 * M * form(S, S)
+        + 0.5 * M * form(theta_tilde, theta_tilde)
+        - M * form(psi, theta_tilde)
+        + 0.5 * M * form(psi, psi)
     )
 
-    ddot = delta_dot_matrix(spec, t)
-    delta_mf = delta if convention == "mean_free" else delta - np.eye(spec.dim)
+    ddot_h = delta_dot_matrix(spec, t) @ H
+    delta_mf = delta if convention == "mean_free" else delta - eye
     varsigma = (
         eval_M_dot(spec, t) * qmap.q_star
-        + ddot @ H @ theta_tilde
-        + 0.5 * H @ eval_S_dot(spec, t)
-        + 0.5 * ddot @ H @ S
-        + 0.5 * delta_mf @ H @ eval_S_dot(spec, t)
+        + ddot_h @ theta_tilde
+        + 0.5 * S_dot @ H
+        + 0.5 * _matvec(ddot_h, S)
+        + 0.5 * _matvec(delta_mf @ H, S_dot)
     )
     return PerturbationTerms(delta=delta, omega_mat=omega_mat, w=w, varsigma=varsigma)

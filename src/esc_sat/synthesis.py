@@ -591,12 +591,23 @@ def certificate_defects(design) -> list[str]:
     file with a negated P and matching gains passes them; the Lyapunov
     function needs P > 0 and the sector multiplier (Lambda, or Upsilon~ for
     rate saturation) a positive diagonal.  A rate-saturation P must also be
-    the congruence X^-T W X^-1 that the inequalities certify.  Returns one
-    line per failed condition; an empty list means none failed.
+    the congruence X^-T W X^-1 that the inequalities certify.  The stored
+    transient bound kappa must be sqrt(lambda_max(P)/lambda_min(P)) to
+    CONGRUENCE_RTOL.  Returns one line per failed condition; an empty list
+    means none failed.
     """
     out = []
     if not np.linalg.eigvalsh(0.5 * (design.p + design.p.T))[0] > 0.0:
         out.append("P not positive definite")
+    else:
+        name, stored = (
+            ("kappa", design.kappa)
+            if isinstance(design, AwDesign)
+            else ("kappa_g", design.kappa_g)
+        )
+        kappa = _kappa_of(design.p)
+        if not abs(stored - kappa) <= CONGRUENCE_RTOL * kappa:
+            out.append(f"{name} differs from sqrt(lambda_max(P)/lambda_min(P))")
     if isinstance(design, AwDesign):
         if not _positive_diagonal(design.lam):
             out.append("Lambda not a positive diagonal")
@@ -649,9 +660,16 @@ def save_design(design, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_bounds(text: str) -> SaturationBounds:
+    return SaturationBounds(matio.parse_vector(text))
+
+
 def load_design(path: str):
-    """Read back a design file written by save_design."""
-    entries: dict[str, str] = {}
+    """Read back a design file written by save_design.
+
+    A malformed value is reported as ``path:line: field: reason``.
+    """
+    entries: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -660,36 +678,42 @@ def load_design(path: str):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
-    kind = entries.pop("kind", None)
-    try:
-        if kind == "aw":
-            bounds = SaturationBounds(matio.parse_vector(entries["bounds"]))
-            p = matio.parse_matrix(entries["p"])
-            return AwDesign(
-                k=matio.parse_matrix(entries["k"]),
-                k_aw=matio.parse_matrix(entries["k_aw"]),
-                p=p,
-                lam=matio.parse_matrix(entries["lambda"]),
-                eta=float(entries["eta"]),
-                kappa=float(entries["kappa"]),
-                bounds=bounds,
-            )
-        if kind == "gradsat":
-            bounds = SaturationBounds(matio.parse_vector(entries["bounds"]))
-            return GradSatDesign(
-                k=matio.parse_matrix(entries["k"]),
-                l=matio.parse_matrix(entries["l"]),
-                w=matio.parse_matrix(entries["w"]),
-                x=matio.parse_matrix(entries["x"]),
-                y=matio.parse_matrix(entries["y"]),
-                upsilon_tilde=matio.parse_matrix(entries["upsilon_tilde"]),
-                p=matio.parse_matrix(entries["p"]),
-                eta=float(entries["eta"]),
-                epsilon=float(entries["epsilon"]),
-                bounds=bounds,
-                kappa_g=float(entries["kappa_g"]),
-            )
-    except KeyError as exc:
-        raise ValueError(f"design file {path} is missing field {exc}") from None
+            entries[key.strip()] = (value.strip(), lineno)
+    kind = entries.pop("kind", (None, 0))[0]
+
+    def field(name: str, parse=matio.parse_matrix):
+        if name not in entries:
+            raise ValueError(f"design file {path} is missing field {name!r}")
+        text, lineno = entries[name]
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {name}: {exc}") from None
+
+    if kind == "aw":
+        bounds = field("bounds", _parse_bounds)
+        return AwDesign(
+            k=field("k"),
+            k_aw=field("k_aw"),
+            p=field("p"),
+            lam=field("lambda"),
+            eta=field("eta", float),
+            kappa=field("kappa", float),
+            bounds=bounds,
+        )
+    if kind == "gradsat":
+        bounds = field("bounds", _parse_bounds)
+        return GradSatDesign(
+            k=field("k"),
+            l=field("l"),
+            w=field("w"),
+            x=field("x"),
+            y=field("y"),
+            upsilon_tilde=field("upsilon_tilde"),
+            p=field("p"),
+            eta=field("eta", float),
+            epsilon=field("epsilon", float),
+            bounds=bounds,
+            kappa_g=field("kappa_g", float),
+        )
     raise ValueError(f"design file {path} has unknown kind {kind!r}")

@@ -205,6 +205,14 @@ def test_cli_verify_rejects_corrupted_design(tmp_path):
     assert rc == 2
 
 
+def _edit_design_file(src, dst, **values):
+    lines = []
+    for line in src.read_text().splitlines():
+        key = line.partition("=")[0].strip()
+        lines.append(f"{key} = {values[key]}" if key in values else line)
+    dst.write_text("\n".join(lines) + "\n")
+
+
 def test_cli_verify_rejects_forged_aw_certificate(tmp_path, capsys):
     # K = 0, K_aw = -I, P = -I, Lambda = I makes every vertex block -2I
     out = tmp_path / "design"
@@ -215,11 +223,7 @@ def test_cli_verify_rejects_forged_aw_certificate(tmp_path, capsys):
         "p": "-1 0; 0 -1",
         "lambda": "1 0; 0 1",
     }
-    lines = []
-    for line in (out / "design.txt").read_text().splitlines():
-        key = line.partition("=")[0].strip()
-        lines.append(f"{key} = {forged[key]}" if key in forged else line)
-    (tmp_path / "forged.txt").write_text("\n".join(lines) + "\n")
+    _edit_design_file(out / "design.txt", tmp_path / "forged.txt", **forged)
     capsys.readouterr()
     rc = cli.main(["verify", str(tmp_path / "forged.txt"), fixture_path("example1.cfg")])
     captured = capsys.readouterr()
@@ -254,6 +258,65 @@ def test_cli_verify_rejects_tampered_gradsat_certificate(tmp_path, capsys, tampe
     assert rc == 2
     assert "all certificates pass" not in captured.out
     assert f"FAILED: {message}" in captured.err.splitlines()
+
+
+def test_cli_verify_rejects_edited_kappa(tmp_path, capsys):
+    # the stored transient bound must be the condition number of P; the
+    # vertex, row and ellipsoid checks cannot see it
+    out = tmp_path / "design"
+    assert cli.main(["design", fixture_path("example2.cfg"), "--out", str(out)]) == 0
+    design = load_design(str(out / "design.txt"))
+    _edit_design_file(
+        out / "design.txt", tmp_path / "bad.txt", kappa_g=repr(0.5 * design.kappa_g)
+    )
+    capsys.readouterr()
+    rc = cli.main(["verify", str(tmp_path / "bad.txt"), fixture_path("example2.cfg")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "all certificates pass" not in captured.out
+    failed = [ln for ln in captured.err.splitlines() if ln.startswith("FAILED:")]
+    assert failed == [
+        "FAILED: kappa_g differs from sqrt(lambda_max(P)/lambda_min(P))"
+    ]
+
+
+def test_cli_verify_rejects_negative_seed_before_any_check(tmp_path, capsys):
+    out = tmp_path / "design"
+    assert cli.main(["design", fixture_path("example2.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for seed in ("-1", "x"):
+        rc = cli.main(
+            ["verify", str(out / "design.txt"), fixture_path("example2.cfg"), "--seed", seed]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "--seed" in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("eta", "abc", "could not convert string to float: 'abc'"),
+        ("k", "1 2; 3", "ragged matrix literal '1 2; 3'"),
+    ],
+)
+def test_design_file_errors_name_line_and_field(tmp_path, capsys, field, value, reason):
+    out = tmp_path / "design"
+    assert cli.main(["design", fixture_path("example1.cfg"), "--out", str(out)]) == 0
+    good = out / "design.txt"
+    lineno = 1 + [
+        ln.partition("=")[0].strip() for ln in good.read_text().splitlines()
+    ].index(field)
+    bad = tmp_path / "bad.txt"
+    _edit_design_file(good, bad, **{field: value})
+    with pytest.raises(ValueError) as exc:
+        load_design(str(bad))
+    assert str(exc.value) == f"{bad}:{lineno}: {field}: {reason}"
+    capsys.readouterr()
+    rc = cli.main(["verify", str(bad), fixture_path("example1.cfg")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}:{lineno}: {field}: {reason}\n"
 
 
 def test_cli_verify_missing_file(tmp_path):

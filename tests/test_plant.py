@@ -13,7 +13,7 @@ from esc_sat.plant import (
     perturbation_terms,
     saturate,
 )
-from esc_sat.signals import DitherSpec, eval_M, eval_S
+from esc_sat.signals import DitherSpec, eval_M, eval_M_dot, eval_S, eval_S_dot
 
 
 @pytest.fixture
@@ -221,3 +221,119 @@ def test_residuals_have_zero_period_mean(dither, qmap):
     v_rel = np.abs(wq @ vs) / dither.period / np.max(np.abs(vs), axis=0)
     assert np.all(w_rel <= 1e-6)
     assert np.all(v_rel <= 1e-6)
+
+
+# per-time double loops the vectorized perturbation terms replaced; kept
+# here as the reference for the time-vector evaluation
+
+
+def _delta_loop(spec, t, convention):
+    w, a, n = spec.omegas, spec.amplitudes, spec.dim
+    delta = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                delta[i, i] = -np.cos(2.0 * w[i] * t)
+                if convention == "literal":
+                    delta[i, i] += 1.0
+            else:
+                delta[i, j] = (a[j] / a[i]) * (
+                    np.cos((w[i] - w[j]) * t) - np.cos((w[i] + w[j]) * t)
+                )
+    return delta
+
+
+def _delta_dot_loop(spec, t):
+    w, a, n = spec.omegas, spec.amplitudes, spec.dim
+    ddot = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                ddot[i, i] = 2.0 * w[i] * np.sin(2.0 * w[i] * t)
+            else:
+                ddot[i, j] = (a[j] / a[i]) * (
+                    -(w[i] - w[j]) * np.sin((w[i] - w[j]) * t)
+                    + (w[i] + w[j]) * np.sin((w[i] + w[j]) * t)
+                )
+    return ddot
+
+
+def _perturbation_loop(spec, qmap, t, tt, convention):
+    H = qmap.hessian
+    n = spec.dim
+    S, M = eval_S(spec, t), eval_M(spec, t)
+    delta = _delta_loop(spec, t, convention)
+    psi = deadzone(tt + qmap.theta_star + S, qmap.input_bounds)
+    w = (
+        M * qmap.q_star
+        + 0.5 * np.outer(M, S) @ H @ S
+        + 0.5 * M * float(tt @ H @ tt)
+        - M * float(tt @ H @ psi)
+        + 0.5 * M * float(psi @ H @ psi)
+    )
+    ddot = _delta_dot_loop(spec, t)
+    delta_mf = delta if convention == "mean_free" else delta - np.eye(n)
+    varsigma = (
+        eval_M_dot(spec, t) * qmap.q_star
+        + ddot @ H @ tt
+        + 0.5 * H @ eval_S_dot(spec, t)
+        + 0.5 * ddot @ H @ S
+        + 0.5 * delta_mf @ H @ eval_S_dot(spec, t)
+    )
+    return delta, (np.eye(n) + delta) @ H, w, varsigma
+
+
+_VECTOR_CASES = {
+    "n2": (
+        DitherSpec([0.1, 0.1], (10, 70), 1.0),
+        QuadraticMap(
+            10.0, [2.0, 4.0], [[100.0, 30.0], [30.0, 20.0]], SaturationBounds([5.0, 5.0])
+        ),
+        np.array([0.3, -0.2]),
+    ),
+    # theta_tilde puts the dithered path outside the bounds, so psi != 0
+    "n3": (
+        DitherSpec([0.1, 0.2, 0.05], (3, 7, 11), 1.3),
+        QuadraticMap(
+            -1.0,
+            [0.4, -0.3, 0.2],
+            [[5.0, 1.0, 0.5], [1.0, 4.0, -0.7], [0.5, -0.7, 3.0]],
+            SaturationBounds([2.0, 1.0, 2.0]),
+        ),
+        np.array([1.9, -0.8, 0.3]),
+    ),
+}
+
+
+def _close(a, b):
+    scale = max(float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", sorted(_VECTOR_CASES))
+@pytest.mark.parametrize("convention", ["mean_free", "literal"])
+def test_time_vector_matches_per_time_loop(case, convention):
+    spec, qmap, tt = _VECTOR_CASES[case]
+    n = spec.dim
+    ts = np.linspace(0.0, spec.period, 257)
+    delta = delta_matrix(spec, ts, convention)
+    ddot = delta_dot_matrix(spec, ts)
+    pt = perturbation_terms(spec, qmap, ts, tt, convention)
+    assert delta.shape == ddot.shape == pt.delta.shape == pt.omega_mat.shape == (257, n, n)
+    assert pt.w.shape == pt.varsigma.shape == (257, n)
+    assert np.any(pt.w != 0.0) and np.any(pt.varsigma != 0.0)
+    refs = [_perturbation_loop(spec, qmap, float(t), tt, convention) for t in ts]
+    assert _close(delta, np.array([_delta_loop(spec, float(t), convention) for t in ts]))
+    assert _close(ddot, np.array([_delta_dot_loop(spec, float(t)) for t in ts]))
+    for k, name in enumerate(("delta", "omega_mat", "w", "varsigma")):
+        assert _close(getattr(pt, name), np.array([r[k] for r in refs])), name
+    # a scalar time keeps the per-instant shapes and values
+    one = perturbation_terms(spec, qmap, float(ts[100]), tt, convention)
+    assert one.delta.shape == (n, n) and one.w.shape == (n,)
+    for k, name in enumerate(("delta", "omega_mat", "w", "varsigma")):
+        assert _close(getattr(one, name), refs[100][k]), name
+
+
+def test_perturbation_terms_reject_time_grid(dither):
+    with pytest.raises(ValueError, match="1-D"):
+        delta_matrix(dither, np.zeros((2, 3)))
