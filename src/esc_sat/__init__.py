@@ -54,6 +54,7 @@ from .synthesis import (
     AwDesign,
     GradSatDesign,
     InfeasibleDesignError,
+    certify,
     design_aw_gains,
     design_gradsat_gain,
     find_aw_certificate,

@@ -166,18 +166,6 @@ class BandReport:
     y_ok: bool
     tail_start: float
 
-    def records(self) -> list[str]:
-        """key=value lines for harness consumption."""
-        return [
-            f"r_theta={self.r_theta!r}",
-            f"theta_band={self.theta_band!r}",
-            f"theta_ok={self.theta_ok}",
-            f"r_y={self.r_y!r}",
-            f"y_band={self.y_band!r}",
-            f"y_ok={self.y_ok}",
-            f"tail_start={self.tail_start!r}",
-        ]
-
 
 def check_convergence_bands(
     traj: Trajectory,
@@ -356,14 +344,6 @@ class TermMean:
 class ZeroMeanReport:
     terms: dict[str, TermMean] = field(default_factory=dict)
     delta_diag_note: str = ""
-
-    def records(self) -> list[str]:
-        """key=value lines (mean and relative mean per term)."""
-        out = []
-        for name, tm in self.terms.items():
-            out.append(f"{name}.mean={tm.mean!r}")
-            out.append(f"{name}.rel={tm.rel!r}")
-        return out
 
     def max_rel(self, prefixes: Sequence[str]) -> float:
         vals = [

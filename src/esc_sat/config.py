@@ -39,6 +39,7 @@ __all__ = [
     "build_sim_config",
     "SynthesisRequest",
     "build_synthesis_request",
+    "build_stride",
 ]
 
 
@@ -161,6 +162,14 @@ def _float(cfg: ExperimentConfig, section: str, key: str) -> float:
         raise ConfigError(f"{cfg.name}: [{section}] {key} = {raw!r} is not a number")
 
 
+def _int(cfg: ExperimentConfig, section: str, key: str) -> int:
+    value = _float(cfg, section, key)
+    if not value.is_integer():
+        raw = cfg.require(section, key)
+        raise ConfigError(f"{cfg.name}: [{section}] {key} = {raw!r} is not an integer")
+    return int(value)
+
+
 def build_dither(cfg: ExperimentConfig) -> DitherSpec:
     amps = matio.parse_vector(cfg.require("dither", "amplitudes"))
     mults = matio.parse_fractions(cfg.require("dither", "multipliers"))
@@ -179,7 +188,7 @@ def build_polytope(cfg: ExperimentConfig) -> Optional[HessianPolytope]:
         return from_eigen_interval(
             _float(cfg, "map", "lambda1"),
             _float(cfg, "map", "lambda2"),
-            int(_float(cfg, "map", "dim")),
+            _int(cfg, "map", "dim"),
         )
     if kind == "affine":
         gamma0 = matio.parse_matrix(cfg.require("map", "gamma0"))
@@ -257,11 +266,11 @@ def build_synthesis_request(cfg: ExperimentConfig) -> SynthesisRequest:
     kind = cfg.require("synthesis", "kind")
     if kind not in ("aw", "gradsat"):
         raise ConfigError(f"{cfg.name}: unknown synthesis kind {kind!r}")
-    eps = cfg.get("synthesis", "epsilon")
+    has_eps = cfg.get("synthesis", "epsilon") is not None
     return SynthesisRequest(
         kind=kind,
         eta=_float(cfg, "synthesis", "eta"),
-        epsilon=float(eps) if eps is not None else None,
+        epsilon=_float(cfg, "synthesis", "epsilon") if has_eps else None,
         bounds=SaturationBounds(matio.parse_vector(cfg.require("synthesis", "bounds"))),
     )
 
@@ -304,8 +313,8 @@ def build_sim_config(
     scenario = cfg.require("sim", "scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"{cfg.name}: unknown scenario {scenario!r}")
-    dt_raw = cfg.get("sim", "dt", "auto")
-    dt = None if dt_raw == "auto" else float(dt_raw)
+    auto_dt = cfg.get("sim", "dt", "auto") == "auto"
+    dt = None if auto_dt else _float(cfg, "sim", "dt")
     demod = cfg.get("sim", "demod", "deviation")
     if demod not in ("deviation", "raw"):
         raise ConfigError(f"{cfg.name}: [sim] demod must be deviation or raw")
@@ -320,3 +329,10 @@ def build_sim_config(
         demod_remove_offset=(demod == "deviation"),
         p_matrix=p_matrix,
     )
+
+
+def build_stride(cfg: ExperimentConfig) -> int:
+    """[outputs] stride, the CSV row step; 1 when absent."""
+    if cfg.get("outputs", "stride") is None:
+        return 1
+    return _int(cfg, "outputs", "stride")

@@ -19,7 +19,6 @@ __all__ = [
     "from_scaled_nominal",
     "from_affine",
     "evaluate",
-    "in_unit_simplex",
 ]
 
 _SUM_TOL = 1e-12
@@ -60,14 +59,6 @@ class HessianPolytope:
     @property
     def dim(self) -> int:
         return self.vertices[0].shape[0]
-
-
-def in_unit_simplex(alpha: np.ndarray) -> bool:
-    """Membership test for the weight simplex (sum one, nonnegative)."""
-    alpha = np.asarray(alpha, dtype=float)
-    return bool(
-        abs(float(np.sum(alpha)) - 1.0) <= _SUM_TOL and np.all(alpha >= -_NEG_TOL)
-    )
 
 
 def evaluate(poly: HessianPolytope, alpha: Sequence[float]) -> np.ndarray:

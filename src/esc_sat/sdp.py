@@ -27,7 +27,6 @@ slack are taken from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -202,7 +201,6 @@ def solve_feasibility(
     tol: float = 1e-8,
     max_iter: int = 500,
     box_bound: float = 1e6,
-    log_path: Optional[str] = None,
 ) -> SdpSolution:
     """Decide feasibility of an LMI system and return a certified point.
 
@@ -261,14 +259,9 @@ def solve_feasibility(
     mu = 1.0 + abs(t0)
     shrink = 0.2
     iterations = 0
-    log_rows: list[str] = []
 
     def finish(status: str, message: str = "") -> SdpSolution:
         # ``checks`` always belongs to the current z
-        if log_path is not None:
-            with open(log_path, "w") as fh:
-                fh.write("iter,t,decrement,step\n")
-                fh.writelines(log_rows)
         return SdpSolution(
             x=z[:m].copy(),
             slack=_phase1_slack(checks),
@@ -333,9 +326,6 @@ def solve_feasibility(
                 break
             z = z + alpha * dz
             iterations += 1
-            log_rows.append(
-                f"{iterations},{z[m]!r},{np.sqrt(max(decrement2, 0.0))!r},{alpha!r}\n"
-            )
             checks = check_solution(problem, z[:m])
             if all(c.ok for c in checks):
                 return finish("feasible")

@@ -221,11 +221,6 @@ class DitherSpec:
     def with_base_omega(self, base_omega: float) -> "DitherSpec":
         return DitherSpec(self.amplitudes.copy(), self.freq_multipliers, base_omega)
 
-    def with_amplitude_scale(self, scale: float) -> "DitherSpec":
-        return DitherSpec(
-            self.amplitudes * scale, self.freq_multipliers, self.base_omega
-        )
-
     def admissibility(self) -> FrequencyReport:
         return validate_frequencies(self.freq_multipliers)
 

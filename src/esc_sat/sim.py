@@ -23,7 +23,7 @@ equivalent to simulating in the fast time variable and relabeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,7 +49,6 @@ SCENARIOS = (
 BLOWUP_FACTOR = 1e6
 DEFAULT_STEPS_PER_PERIOD = 1000
 MIN_STEPS_PER_PERIOD = 200
-_AVERAGE_CLOCK = "certificate clock (rescale factor dropped)"
 
 
 class SimulationBlowUp(RuntimeError):
@@ -127,7 +126,6 @@ class Trajectory:
     u: np.ndarray
     g_hat: np.ndarray
     v: Optional[np.ndarray] = None   # Lyapunov values when a P matrix is supplied
-    metadata: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -166,7 +164,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
     output, estimate, average_estimate, control = loop_laws(qmap, ctrl, offset)
     nstep = int(round(cfg.t_end / dt))
     th_star = qmap.theta_star
-    meta = {"scenario": cfg.scenario, "dt": dt}
     if cfg.scenario in ("input-saturation", "gradient-saturation"):
         half_times = np.arange(2 * nstep + 1) * (0.5 * dt)
         S = eval_S(cfg.dither, half_times)
@@ -181,7 +178,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
         theta_tilde = th_hat - th_star
         g_hat = estimate(theta, M[::2])
         v_state = theta_tilde
-        meta["demod_remove_offset"] = cfg.demod_remove_offset
     elif cfg.scenario == "average-aw":
 
         def rhs(k, tt):
@@ -191,7 +187,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
         theta = theta_tilde + th_star
         g_hat = average_estimate(theta_tilde)
         v_state = theta_tilde
-        meta["clock"] = _AVERAGE_CLOCK
     else:
         # The gradient state and the parameter error are co-integrated; the
         # error part only feeds the recorded trajectory for closeness
@@ -218,7 +213,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
         g_hat, theta_tilde = states[:, :n], states[:, n:]
         theta = theta_tilde + th_star
         v_state = g_hat
-        meta["clock"] = _AVERAGE_CLOCK
     v = None
     if cfg.p_matrix is not None:
         v = np.einsum("ij,jk,ik->i", v_state, cfg.p_matrix, v_state)
@@ -230,7 +224,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
         control(g_hat, theta),
         g_hat,
         v=v,
-        metadata=meta,
     )
 
 

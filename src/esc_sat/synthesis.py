@@ -22,16 +22,17 @@ the region where the dead-zone sector bound with slope L is valid.
 
 Both systems are homogeneous (fully for anti-windup, partially for rate
 saturation), so small shaping blocks P >= eps*I etc. pin the scale away from
-zero.  Every returned design is re-verified by eigendecomposition of the
-re-assembled inequalities, independent of the solver's internal state.
+zero.  Every returned design passes ``certify``, which re-assembles the
+inequalities from the recovered gains and checks them by eigendecomposition,
+independent of the solver's internal state.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,13 +46,15 @@ __all__ = [
     "GradSatDesign",
     "InfeasibleDesignError",
     "SynthesisNumericalError",
+    "Check",
+    "CertificateReport",
+    "certify",
     "design_aw_gains",
     "design_gradsat_gain",
     "find_aw_certificate",
     "verify_aw_design",
     "verify_gradsat_design",
     "verify_ellipsoid_inclusion",
-    "certificate_defects",
     "save_design",
     "load_design",
 ]
@@ -173,11 +176,15 @@ class AwDesign:
     eta: float
     kappa: float
     bounds: SaturationBounds
-    ill_conditioned: bool = False
 
     @property
     def dim(self) -> int:
         return self.k.shape[0]
+
+    @property
+    def ill_conditioned(self) -> bool:
+        """cond(P) above COND_WARN: the recovered gains may be inaccurate."""
+        return bool(np.linalg.cond(self.p) > COND_WARN)
 
 
 def _aw_vertex_block(P, Lam, Z, Zaw, Hi, eta):
@@ -275,52 +282,24 @@ def design_aw_gains(
     _raise_for_failure(sol, "anti-windup design")
 
     P = layout.unpack(sol.x, "p")
-    Lam = layout.unpack(sol.x, "lam")
-    Z = layout.unpack(sol.x, "z")
-    Zaw = layout.unpack(sol.x, "z_aw")
-    cond = float(np.linalg.cond(P))
-    log.debug("anti-windup design: cond(P) = %.3e", cond)
-    ill = cond > COND_WARN
-    if ill:
-        warnings.warn(
-            f"recovered P is ill-conditioned (cond {cond:.2e}); gains may be "
-            "inaccurate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    K = np.linalg.solve(P, Z)
-    Kaw = np.linalg.solve(P, Zaw)
     design = AwDesign(
-        k=K,
-        k_aw=Kaw,
+        k=np.linalg.solve(P, layout.unpack(sol.x, "z")),
+        k_aw=np.linalg.solve(P, layout.unpack(sol.x, "z_aw")),
         p=P,
-        lam=Lam,
+        lam=layout.unpack(sol.x, "lam"),
         eta=eta,
         kappa=_kappa_of(P),
         bounds=bounds,
-        ill_conditioned=ill,
     )
-    worst = verify_aw_design(design, poly)
-    if worst >= 0:
-        raise SynthesisNumericalError(
-            f"recovered anti-windup gains fail re-verification (lmax {worst:.3e})"
-        )
-    return design
+    return _certified(design, poly, "anti-windup design")
 
 
 def verify_aw_design(design: AwDesign, poly: HessianPolytope) -> float:
     """Largest eigenvalue of the vertex inequalities rebuilt from (P, K).
 
-    Negative return certifies the design for every Hessian in the polytope;
-    convexity of the inequality in H makes the vertex check sufficient.
+    Negative return means the vertex checks of ``certify`` pass.
     """
-    Z = design.p @ design.k
-    Zaw = design.p @ design.k_aw
-    worst = -np.inf
-    for Hi in poly.vertices:
-        M = _aw_vertex_block(design.p, design.lam, Z, Zaw, Hi, design.eta)
-        worst = max(worst, float(np.linalg.eigvalsh(M)[-1]))
-    return worst
+    return float(np.max(certify(design, poly).values("vertex")))
 
 
 def find_aw_certificate(
@@ -343,16 +322,16 @@ def find_aw_certificate(
     sol = solve_feasibility(problem, tol=tol, max_iter=max_iter)
     _raise_for_failure(sol, "certificate search")
     P = layout.unpack(sol.x, "p")
-    Lam = layout.unpack(sol.x, "lam")
-    return AwDesign(
+    design = AwDesign(
         k=k,
         k_aw=k_aw,
         p=P,
-        lam=Lam,
+        lam=layout.unpack(sol.x, "lam"),
         eta=eta,
         kappa=_kappa_of(P),
         bounds=bounds,
     )
+    return _certified(design, poly, "certificate search")
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +353,15 @@ class GradSatDesign:
     epsilon: float
     bounds: SaturationBounds
     kappa_g: float
-    ill_conditioned: bool = False
 
     @property
     def dim(self) -> int:
         return self.k.shape[0]
+
+    @property
+    def ill_conditioned(self) -> bool:
+        """cond(P) above COND_WARN: the recovered gains may be inaccurate."""
+        return bool(np.linalg.cond(self.p) > COND_WARN)
 
 
 def _gradsat_vertex_block(W, Ut, X, Y, Z, Hi, eta, epsilon):
@@ -508,14 +491,6 @@ def design_gradsat_gain(
     A = np.linalg.solve(X.T, W)
     P = np.linalg.solve(X.T, A.T).T
     P = 0.5 * (P + P.T)
-    cond_p = float(np.linalg.cond(P))
-    ill = cond_p > COND_WARN
-    if ill:
-        warnings.warn(
-            f"recovered P is ill-conditioned (cond {cond_p:.2e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     design = GradSatDesign(
         k=K,
         l=L,
@@ -528,41 +503,20 @@ def design_gradsat_gain(
         epsilon=epsilon,
         bounds=bounds,
         kappa_g=_kappa_of(P),
-        ill_conditioned=ill,
     )
-    vertex_max, row_min = verify_gradsat_design(design, poly)
-    if vertex_max >= 0 or row_min < -10 * PSD_MARGIN:
-        raise SynthesisNumericalError(
-            "recovered rate-saturation gain fails re-verification "
-            f"(vertex lmax {vertex_max:.3e}, row lmin {row_min:.3e})"
-        )
-    return design
+    return _certified(design, poly, "rate-saturation design")
 
 
 def verify_gradsat_design(
     design: GradSatDesign, poly: HessianPolytope
 ) -> tuple[float, float]:
-    """Re-verify both inequality families by substitution.
+    """(max vertex eigenvalue, min row-coupling eigenvalue) from ``certify``.
 
-    Returns (max vertex eigenvalue, min row-coupling eigenvalue); the design
-    is certified when the first is negative and the second nonnegative up to
-    the psd margin.  Z is rebuilt as K*X so the check exercises the recovered
-    gains rather than echoing the solver's variables.
+    The vertex and row checks pass when the first is negative and the second
+    at least -PSD_MARGIN.
     """
-    Z = design.k @ design.x
-    Y = design.l @ design.x
-    vertex_max = -np.inf
-    for Hi in poly.vertices:
-        M = _gradsat_vertex_block(
-            design.w, design.upsilon_tilde, design.x, Y, Z, Hi,
-            design.eta, design.epsilon,
-        )
-        vertex_max = max(vertex_max, float(np.linalg.eigvalsh(M)[-1]))
-    row_min = np.inf
-    for ell in range(design.dim):
-        M = _gradsat_row_block(design.w, Y, Z, ell, design.bounds.limits[ell])
-        row_min = min(row_min, float(np.linalg.eigvalsh(M)[0]))
-    return vertex_max, row_min
+    report = certify(design, poly)
+    return float(np.max(report.values("vertex"))), float(np.min(report.values("row")))
 
 
 def verify_ellipsoid_inclusion(design: GradSatDesign) -> np.ndarray:
@@ -584,45 +538,141 @@ def _positive_diagonal(m: np.ndarray) -> bool:
     return bool(np.all(m == np.diag(np.diag(m))) and np.all(np.diag(m) > 0.0))
 
 
-def certificate_defects(design) -> list[str]:
-    """Conditions on a stored certificate that the vertex blocks cannot test.
+# ---------------------------------------------------------------------------
+# certificate checks
 
-    The vertex inequalities are homogeneous in the certificate, so a design
-    file with a negated P and matching gains passes them; the Lyapunov
-    function needs P > 0 and the sector multiplier (Lambda, or Upsilon~ for
-    rate saturation) a positive diagonal.  A rate-saturation P must also be
-    the congruence X^-T W X^-1 that the inequalities certify.  The stored
-    transient bound kappa must be sqrt(lambda_max(P)/lambda_min(P)) to
-    CONGRUENCE_RTOL.  Returns one line per failed condition; an empty list
-    means none failed.
+
+class Check(NamedTuple):
+    """One condition of a certificate, with the margin it holds by."""
+
+    name: str
+    value: float
+    ok: bool
+    failure: str  # the line reported when the condition fails
+
+
+@dataclass(frozen=True)
+class CertificateReport:
+    """Every check of one design over one polytope, in reporting order."""
+
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def values(self, prefix: str) -> np.ndarray:
+        """Values of the checks whose name starts with ``prefix``."""
+        return np.array([c.value for c in self.checks if c.name.startswith(prefix)])
+
+    def failures(self) -> list[str]:
+        """Failure line of every failed check, each line once, in order."""
+        return list(dict.fromkeys(c.failure for c in self.checks if not c.ok))
+
+
+def certify(design, poly: HessianPolytope) -> CertificateReport:
+    """Check every condition the certificate of ``design`` rests on over ``poly``.
+
+    In reporting order: ``p``, lambda_min(P) > 0 (the vertex blocks are
+    homogeneous, so a negated P with matching gains passes them); ``kappa``
+    (``kappa_g``), relative error from sqrt(lambda_max(P)/lambda_min(P)) at
+    most CONGRUENCE_RTOL, only when P > 0; ``lambda`` (``upsilon_tilde``), a
+    positive diagonal; ``congruence``, P = X^-T W X^-1 to CONGRUENCE_RTOL;
+    ``vertex[i]``, lambda_max < 0 of each vertex block rebuilt from the stored
+    gains (convex in H, so the vertices cover the polytope); ``row[l]`` and
+    ``inclusion[l]``, lambda_min of each row-coupling block and each
+    ellipsoid-inclusion residual at least -PSD_MARGIN.  ``congruence``,
+    ``row`` and ``inclusion`` exist for rate saturation only.
     """
-    out = []
-    if not np.linalg.eigvalsh(0.5 * (design.p + design.p.T))[0] > 0.0:
-        out.append("P not positive definite")
-    else:
-        name, stored = (
-            ("kappa", design.kappa)
-            if isinstance(design, AwDesign)
-            else ("kappa_g", design.kappa_g)
-        )
+    checks = []
+
+    def check(name, value, ok, failure):
+        checks.append(Check(name, float(value), bool(ok), failure))
+
+    aw = isinstance(design, AwDesign)
+    p_min = np.linalg.eigvalsh(0.5 * (design.p + design.p.T))[0]
+    check("p", p_min, p_min > 0.0, "P not positive definite")
+    if p_min > 0.0:
+        name, stored = ("kappa", design.kappa) if aw else ("kappa_g", design.kappa_g)
         kappa = _kappa_of(design.p)
-        if not abs(stored - kappa) <= CONGRUENCE_RTOL * kappa:
-            out.append(f"{name} differs from sqrt(lambda_max(P)/lambda_min(P))")
-    if isinstance(design, AwDesign):
-        if not _positive_diagonal(design.lam):
-            out.append("Lambda not a positive diagonal")
-        return out
-    if not _positive_diagonal(design.upsilon_tilde):
-        out.append("upsilon_tilde not a positive diagonal")
-    try:
-        A = np.linalg.solve(design.x.T, design.w)
-        rebuilt = np.linalg.solve(design.x.T, A.T).T
-    except np.linalg.LinAlgError:
-        out.append("X is singular")
-        return out
-    if not np.linalg.norm(rebuilt - design.p) <= CONGRUENCE_RTOL * np.linalg.norm(design.p):
-        out.append("P differs from X^-T W X^-1")
-    return out
+        err = abs(stored - kappa)
+        check(
+            name, err / kappa, err <= CONGRUENCE_RTOL * kappa,
+            f"{name} differs from sqrt(lambda_max(P)/lambda_min(P))",
+        )
+    name, label, mult = (
+        ("lambda", "Lambda", design.lam) if aw
+        else ("upsilon_tilde", "upsilon_tilde", design.upsilon_tilde)
+    )
+    check(
+        name, np.min(np.diag(mult)), _positive_diagonal(mult),
+        f"{label} not a positive diagonal",
+    )
+    if aw:
+        Z, Zaw = design.p @ design.k, design.p @ design.k_aw
+        blocks = [
+            _aw_vertex_block(design.p, design.lam, Z, Zaw, Hi, design.eta)
+            for Hi in poly.vertices
+        ]
+    else:
+        try:
+            A = np.linalg.solve(design.x.T, design.w)
+            mismatch = np.linalg.norm(np.linalg.solve(design.x.T, A.T).T - design.p)
+        except np.linalg.LinAlgError:
+            check("congruence", np.inf, False, "X is singular")
+        else:
+            scale = np.linalg.norm(design.p)
+            check(
+                "congruence", mismatch / scale, mismatch <= CONGRUENCE_RTOL * scale,
+                "P differs from X^-T W X^-1",
+            )
+        Z, Y = design.k @ design.x, design.l @ design.x
+        blocks = [
+            _gradsat_vertex_block(
+                design.w, design.upsilon_tilde, design.x, Y, Z, Hi,
+                design.eta, design.epsilon,
+            )
+            for Hi in poly.vertices
+        ]
+    for i, M in enumerate(blocks):
+        lmax = np.linalg.eigvalsh(M)[-1]
+        check(
+            f"vertex[{i}]", lmax, lmax < 0.0,
+            "vertex inequalities not negative definite",
+        )
+    if not aw:
+        for ell in range(design.dim):
+            M = _gradsat_row_block(design.w, Y, Z, ell, design.bounds.limits[ell])
+            lmin = np.linalg.eigvalsh(M)[0]
+            check(
+                f"row[{ell}]", lmin, lmin >= -PSD_MARGIN,
+                "row-coupling blocks not positive semidefinite",
+            )
+        for ell, r in enumerate(verify_ellipsoid_inclusion(design)):
+            check(
+                f"inclusion[{ell}]", r, r >= -PSD_MARGIN,
+                "certified region leaves the sector-validity set",
+            )
+    return CertificateReport(tuple(checks))
+
+
+def _certified(design, poly: HessianPolytope, what: str):
+    """``design`` if ``certify`` passes it, else SynthesisNumericalError."""
+    cond = float(np.linalg.cond(design.p))
+    log.debug("%s: cond(P) = %.3e", what, cond)
+    if design.ill_conditioned:
+        warnings.warn(
+            f"recovered P is ill-conditioned (cond {cond:.2e}); gains may be "
+            "inaccurate",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    failures = certify(design, poly).failures()
+    if failures:
+        raise SynthesisNumericalError(
+            f"{what}: recovered gains fail re-verification: " + "; ".join(failures)
+        )
+    return design
 
 
 # ---------------------------------------------------------------------------

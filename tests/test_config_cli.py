@@ -117,33 +117,6 @@ def test_polytope_config_roundtrip():
         assert np.array_equal(a, b)
 
 
-def test_analysis_reports_emit_records():
-    from esc_sat.analysis import check_convergence_bands, zero_mean_report
-    from esc_sat.plant import QuadraticMap, SaturationBounds
-    from esc_sat.signals import DitherSpec
-    from esc_sat.sim import SimConfig, simulate
-    from esc_sat.plant import AwController
-    from conftest import EX1_ALPHA, EX1_K, EX1_KAW
-
-    H = (EX1_ALPHA[0] * 0.9 + EX1_ALPHA[1] * 1.1) * EX1_H0
-    qmap = QuadraticMap(10.0, [2.0, 4.0], H, SaturationBounds([5.0, 5.0]))
-    dither = DitherSpec([0.1, 0.1], (10, 70), 1.0)
-    cfg = SimConfig(
-        scenario="input-saturation",
-        qmap=qmap,
-        dither=dither,
-        controller=AwController(EX1_K, EX1_KAW, SaturationBounds([5.0, 5.0])),
-        theta0=np.array([2.5, 6.0]),
-        t_end=1.0,
-    )
-    band = check_convergence_bands(simulate(cfg), qmap, dither)
-    recs = band.records()
-    assert any(r.startswith("r_theta=") for r in recs)
-    assert all("=" in r for r in recs)
-    zm = zero_mean_report(dither, qmap, np.array([0.1, 0.1]), nodes=2001)
-    assert any(r.startswith("w[0].rel=") for r in zm.records())
-
-
 def test_missing_alpha_is_an_error():
     text = GOOD.replace("alpha = 0.6822 0.3178\n", "")
     cfg = parse_config(text)
@@ -292,6 +265,62 @@ def test_cli_verify_rejects_negative_seed_before_any_check(tmp_path, capsys):
         assert rc == 1
         assert captured.out == ""
         assert "--seed" in captured.err
+
+
+def test_cli_verify_names_both_dimensions_on_mismatch(tmp_path, capsys):
+    out = tmp_path / "design"
+    assert cli.main(["design", fixture_path("example1.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["verify", str(out / "design.txt"), fixture_path("example2.cfg")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the design has dimension 2 but the config's polytope has dimension 3\n"
+    )
+
+
+def test_cli_verify_rejects_bounds_that_differ_from_the_config(tmp_path, capsys):
+    # the row couplings certify the design for its own bounds only
+    out = tmp_path / "design"
+    assert cli.main(["design", fixture_path("example2.cfg"), "--out", str(out)]) == 0
+    _edit_design_file(out / "design.txt", tmp_path / "wide.txt", bounds="100 100 100")
+    capsys.readouterr()
+    rc = cli.main(["verify", str(tmp_path / "wide.txt"), fixture_path("example2.cfg")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "all certificates pass" not in captured.out
+    assert captured.err == "FAILED: design bounds differ from the config's\n"
+
+
+@pytest.mark.parametrize(
+    "command, old, new, what",
+    [
+        ("simulate", "dt = auto", "dt = fast", "[sim] dt = 'fast' is not a number"),
+        ("simulate", "stride = 1", "stride = x", "[outputs] stride = 'x' is not a number"),
+        (
+            "simulate", "stride = 1", "stride = 2.5",
+            "[outputs] stride = '2.5' is not an integer",
+        ),
+        ("design", "kind = aw", "kind = aw\nepsilon = big",
+         "[synthesis] epsilon = 'big' is not a number"),
+        (
+            "design",
+            "polytope = scaled_nominal",
+            "polytope = eigen_interval\nlambda1 = 10\nlambda2 = 100\ndim = 2.5",
+            "[map] dim = '2.5' is not an integer",
+        ),
+    ],
+    ids=["dt", "stride-text", "stride-fraction", "epsilon", "dim-fraction"],
+)
+def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, new, what):
+    text = open(fixture_path("example1.cfg")).read()
+    assert old in text
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(old, new))
+    rc = cli.main([command, str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(f"error: {path}: {what}\n")
 
 
 @pytest.mark.parametrize(

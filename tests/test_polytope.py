@@ -7,7 +7,6 @@ from esc_sat.polytope import (
     from_affine,
     from_eigen_interval,
     from_scaled_nominal,
-    in_unit_simplex,
 )
 
 
@@ -100,11 +99,12 @@ def test_example1_mixture():
 
 
 def test_simplex_membership_tolerances():
-    assert in_unit_simplex([0.5, 0.5])
-    assert in_unit_simplex([0.5, 0.5 + 1e-13])
-    assert not in_unit_simplex([0.5, 0.6])
-    assert not in_unit_simplex([-0.1, 1.1])
-    assert in_unit_simplex([1.0, -1e-16])
+    poly = from_scaled_nominal(np.eye(2), 0.1)
+    for alpha in ([0.5, 0.5], [0.5, 0.5 + 1e-13], [1.0, -1e-16]):
+        evaluate(poly, alpha)
+    for alpha in ([0.5, 0.6], [-0.1, 1.1]):
+        with pytest.raises(ValueError):
+            evaluate(poly, alpha)
 
 
 def test_evaluate_rejects_bad_weights():

@@ -202,14 +202,6 @@ def test_iteration_budget_exhaustion():
     assert sol.status == "numerical-failure"
 
 
-def test_iteration_log(tmp_path):
-    path = tmp_path / "iters.csv"
-    solve_feasibility(scalar_lyapunov_problem(-1.0), log_path=str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iter,t,decrement,step"
-    assert len(lines) >= 2
-
-
 def test_block_validation():
     with pytest.raises(ValueError):
         block(np.array([[0.0, 1.0], [0.0, 0.0]]), [np.eye(2)])

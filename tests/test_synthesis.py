@@ -14,7 +14,7 @@ from esc_sat.synthesis import (
     _aw_vertex_block,
     _gradsat_row_block,
     _gradsat_vertex_block,
-    certificate_defects,
+    certify,
     design_aw_gains,
     design_gradsat_gain,
     find_aw_certificate,
@@ -32,7 +32,7 @@ def test_aw_design_reference_polytope(ex1_polytope, ex1_bounds):
     assert verify_aw_design(design, ex1_polytope) < 0
     assert np.all(np.linalg.eigvalsh(design.p) > 0)
     assert np.all(np.diag(design.lam) > 0)
-    assert certificate_defects(design) == []
+    assert certify(design, ex1_polytope).failures() == []
     assert design.kappa >= 1.0
 
 
@@ -158,7 +158,7 @@ def test_certificate_search_for_published_gains(ex1_polytope, ex1_bounds):
     cert = find_aw_certificate(EX1_K, EX1_KAW, ex1_polytope, 0.9, ex1_bounds)
     assert verify_aw_design(cert, ex1_polytope) < 0
     assert np.allclose(cert.k, EX1_K)
-    assert certificate_defects(cert) == []
+    assert certify(cert, ex1_polytope).failures() == []
 
 
 def test_certified_published_gains_decay_in_simulation(ex1_polytope, ex1_bounds):
@@ -191,7 +191,7 @@ def test_gradsat_design_reference_polytope(ex2_polytope, ex2_bounds):
     assert vmax < 0
     assert rmin >= -1e-9
     assert np.min(verify_ellipsoid_inclusion(design)) >= -1e-9
-    assert certificate_defects(design) == []
+    assert certify(design, ex2_polytope).failures() == []
     assert np.all(np.linalg.eigvalsh(design.p) > 0)
     # the congruence bound makes X invertible by construction
     assert np.all(np.linalg.eigvalsh(design.x + design.x.T) > 0)
@@ -240,6 +240,21 @@ def test_design_file_roundtrip(tmp_path, ex1_polytope, ex1_bounds, ex2_polytope,
     assert np.array_equal(back.k, gs.k)
     assert np.array_equal(back.x, gs.x)
     assert back.epsilon == gs.epsilon
+
+
+def test_ill_conditioning_survives_a_design_file(
+    tmp_path, ex1_polytope, ex1_bounds, ex2_polytope, ex2_bounds
+):
+    aw = design_aw_gains(ex1_polytope, 1.0, ex1_bounds)
+    gs = design_gradsat_gain(ex2_polytope, 1.0, 0.5, ex2_bounds)
+    for design in (aw, gs):
+        assert not design.ill_conditioned
+        p = np.diag(np.concatenate([[1.0], np.full(design.dim - 1, 1e-11)]))
+        path = tmp_path / "ill.txt"
+        save_design(dataclasses.replace(design, p=p), str(path))
+        back = load_design(str(path))
+        assert np.linalg.cond(back.p) == pytest.approx(1e11)
+        assert back.ill_conditioned
 
 
 def test_load_design_rejects_garbage(tmp_path):
