@@ -273,9 +273,21 @@ def _cmd_verify(args) -> int:
             f"the design has dimension {design.dim} but the config's polytope "
             f"has dimension {poly.dim}"
         )
-    bounds = matio.parse_vector(cfg.require("synthesis", "bounds"))
-    if not np.array_equal(design.bounds.limits, bounds):
-        print("FAILED: design bounds differ from the config's", file=sys.stderr)
+    req = build_synthesis_request(cfg)
+    if design.kind != req.kind:
+        raise ValueError(
+            f"the design is of kind {design.kind!r} but the config's [synthesis] "
+            f"kind is {req.kind!r}"
+        )
+    # the certificates hold for the design's own bounds and decay rate only
+    failures = []
+    if not np.array_equal(design.bounds.limits, req.bounds.limits):
+        failures.append("design bounds differ from the config's")
+    if not design.eta >= req.eta:
+        failures.append(f"design eta {design.eta!r} is below the config's {req.eta!r}")
+    if failures:
+        for f in failures:
+            print(f"FAILED: {f}", file=sys.stderr)
         return EXIT_CERTIFICATE
     report = synthesis.certify(design, poly)
     print(f"vertex inequalities: lambda_max = {np.max(report.values('vertex')):.6e}")

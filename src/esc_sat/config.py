@@ -275,10 +275,17 @@ def build_synthesis_request(cfg: ExperimentConfig) -> SynthesisRequest:
     )
 
 
+def _scenario(cfg: ExperimentConfig) -> str:
+    scenario = cfg.require("sim", "scenario")
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"{cfg.name}: unknown scenario {scenario!r}")
+    return scenario
+
+
 def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
     """Controller from explicit config matrices or a loaded design."""
     source = cfg.get("controller", "source", "explicit")
-    scenario = cfg.require("sim", "scenario")
+    scenario = _scenario(cfg)
     aw_like = scenario in ("input-saturation", "average-aw")
     if source == "designed":
         if design is None:
@@ -286,7 +293,12 @@ def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
                 f"{cfg.name}: controller source is 'designed' but no design "
                 "file was supplied"
             )
-        if aw_like:
+        if (design.kind == "aw") != aw_like:
+            raise ConfigError(
+                f"{cfg.name}: scenario {scenario!r} cannot run a design of kind "
+                f"{design.kind!r}"
+            )
+        if design.kind == "aw":
             if qmap.input_bounds is None:
                 raise ConfigError(f"{cfg.name}: [map] input_bounds required")
             return AwController(design.k, design.k_aw, qmap.input_bounds)
@@ -310,9 +322,7 @@ def build_sim_config(
     controller,
     p_matrix: Optional[np.ndarray] = None,
 ) -> SimConfig:
-    scenario = cfg.require("sim", "scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"{cfg.name}: unknown scenario {scenario!r}")
+    scenario = _scenario(cfg)
     auto_dt = cfg.get("sim", "dt", "auto") == "auto"
     dt = None if auto_dt else _float(cfg, "sim", "dt")
     demod = cfg.get("sim", "demod", "deviation")

@@ -29,17 +29,18 @@ independent of the solver's internal state.
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, ClassVar, NamedTuple, Optional
 
 import numpy as np
 
 from . import matio
 from .plant import SaturationBounds
 from .polytope import HessianPolytope
-from .sdp import LmiBlock, LmiProblem, SdpSolution, solve_feasibility
+from .sdp import LmiBlock, LmiProblem, solve_feasibility
 
 __all__ = [
     "AwDesign",
@@ -87,22 +88,19 @@ class SynthesisNumericalError(Exception):
 
 
 class _VarLayout:
-    """Maps named matrix variables onto a flat decision vector."""
+    """Maps named n-by-n matrix variables onto a flat decision vector.
 
-    def __init__(self, n: int):
+    ``kinds`` maps each name, in packing order, to "sym", "diag" or "full".
+    """
+
+    def __init__(self, n: int, kinds: dict[str, str]):
         self.n = n
         self._slices: dict[str, tuple[str, slice]] = {}
-        self._size = 0
-
-    def add(self, name: str, kind: str) -> None:
-        n = self.n
-        length = {"sym": n * (n + 1) // 2, "diag": n, "full": n * n}[kind]
-        self._slices[name] = (kind, slice(self._size, self._size + length))
-        self._size += length
-
-    @property
-    def size(self) -> int:
-        return self._size
+        self.size = 0
+        for name, kind in kinds.items():
+            length = {"sym": n * (n + 1) // 2, "diag": n, "full": n * n}[kind]
+            self._slices[name] = (kind, slice(self.size, self.size + length))
+            self.size += length
 
     def unpack(self, x: np.ndarray, name: str) -> np.ndarray:
         """Matrix variable ``name`` of x, or of each row of a stack of x."""
@@ -126,56 +124,36 @@ def _t(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _affine_stack(
-    layout: _VarLayout, build: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a linear matrix expression into base and coefficient stack.
+def _block(
+    layout: _VarLayout, name: str, kind: str, build: Callable[[np.ndarray], np.ndarray]
+) -> LmiBlock:
+    """LmiBlock of the linear matrix expression ``build`` over ``layout``.
 
     ``build`` maps a stack of decision vectors to a stack of matrices; it is
-    evaluated once, on the origin followed by every unit vector.
+    evaluated once, on the origin followed by every unit vector, which splits
+    it into base and coefficient stack.  ``kind`` is "strict" (negative
+    definite, by a margin scaled to the block's data), "psd" (positive
+    semidefinite) or "floor" (at least SHAPING_EPS * I).
     """
     values = build(np.vstack([np.zeros(layout.size), np.eye(layout.size)]))
     base = values[0]
-    return base, values[1:] - base
+    coeffs = values[1:] - base
+    if kind == "strict":
+        scale = max(
+            1.0,
+            float(np.linalg.norm(base)),
+            float(np.max(np.linalg.norm(coeffs, axis=(1, 2)))),
+        )
+        return LmiBlock(base, coeffs, "strict", STRICT_MARGIN_SCALE * scale, name)
+    if kind == "floor":
+        base = base - SHAPING_EPS * np.eye(base.shape[0])
+    return LmiBlock(base, coeffs, "psd", PSD_MARGIN, name)
 
 
-def _strict_margin(coeffs: np.ndarray, base: np.ndarray) -> float:
-    scale = max(
-        1.0,
-        float(np.linalg.norm(base)),
-        float(np.max(np.linalg.norm(coeffs, axis=(1, 2)))),
-    )
-    return STRICT_MARGIN_SCALE * scale
+class _Design:
+    """What both design kinds share; ``kind`` names one in design files."""
 
-
-def _shaping_block(
-    layout: _VarLayout, name: str, expr: Callable[[np.ndarray], np.ndarray]
-) -> LmiBlock:
-    base, coeffs = _affine_stack(layout, expr)
-    return LmiBlock(
-        base=base - SHAPING_EPS * np.eye(base.shape[0]),
-        coeffs=coeffs,
-        sense="psd",
-        margin=PSD_MARGIN,
-        name=name,
-    )
-
-
-# ---------------------------------------------------------------------------
-# anti-windup scenario
-
-
-@dataclass(frozen=True)
-class AwDesign:
-    """Anti-windup gain pair with its Lyapunov certificate."""
-
-    k: np.ndarray
-    k_aw: np.ndarray
-    p: np.ndarray
-    lam: np.ndarray
-    eta: float
-    kappa: float
-    bounds: SaturationBounds
+    kind: ClassVar[str]
 
     @property
     def dim(self) -> int:
@@ -185,6 +163,91 @@ class AwDesign:
     def ill_conditioned(self) -> bool:
         """cond(P) above COND_WARN: the recovered gains may be inaccurate."""
         return bool(np.linalg.cond(self.p) > COND_WARN)
+
+
+def _check_request(
+    poly: HessianPolytope, eta: float, bounds: SaturationBounds, **gains: np.ndarray
+) -> None:
+    """ValueError unless eta > 0 and the bounds and gains fit the polytope."""
+    n = poly.dim
+    if not eta > 0:
+        raise ValueError("decay rate eta must be positive")
+    if bounds.dim != n:
+        raise ValueError(f"{bounds.dim} bounds for a polytope of dimension {n}")
+    for name, gain in gains.items():
+        if gain.shape != (n, n):
+            raise ValueError(f"gain {name} has shape {gain.shape}, expected ({n}, {n})")
+
+
+def _solve(what: str, assembled, recover, poly: HessianPolytope, tol, max_iter):
+    """Solve an assembled (problem, layout) pair; return its certified design.
+
+    ``recover`` builds the design from a lookup of the solved matrix
+    variables by name.  Solver failure, infeasibility and a recovered design
+    that ``certify`` rejects each raise; an ill-conditioned P warns.
+    """
+    problem, layout = assembled
+    sol = solve_feasibility(problem, tol=tol, max_iter=max_iter)
+    if sol.status == "numerical-failure":
+        raise SynthesisNumericalError(
+            f"{what}: solver failed after {sol.iterations} iterations: {sol.message}"
+        )
+    if sol.status == "infeasible":
+        vertex_checks = [c for c in sol.blocks if c.name.startswith("vertex")]
+        worst = max(
+            vertex_checks or sol.blocks,
+            key=lambda c: c.extreme_eig if c.sense == "strict" else -c.extreme_eig,
+        )
+        raise InfeasibleDesignError(
+            f"{what}: infeasible (slack {sol.slack:.3e}, most violated "
+            f"block {worst.name!r})",
+            worst_block=worst.name,
+            slack=sol.slack,
+        )
+    design = recover(functools.partial(layout.unpack, sol.x))
+    cond = float(np.linalg.cond(design.p))
+    log.debug("%s: cond(P) = %.3e", what, cond)
+    if design.ill_conditioned:
+        warnings.warn(
+            f"recovered P is ill-conditioned (cond {cond:.2e}); gains may be "
+            "inaccurate",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    failures = certify(design, poly).failures()
+    if failures:
+        raise SynthesisNumericalError(
+            f"{what}: recovered gains fail re-verification: " + "; ".join(failures)
+        )
+    return design
+
+
+def _kappa_of(P: np.ndarray) -> float:
+    eigs = np.linalg.eigvalsh(P)
+    return float(np.sqrt(eigs[-1] / eigs[0]))
+
+
+def _over_x(m: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """m X^-1, solved as X' R' = m'."""
+    return np.linalg.solve(X.T, m.T).T
+
+
+# ---------------------------------------------------------------------------
+# anti-windup scenario
+
+
+@dataclass(frozen=True)
+class AwDesign(_Design):
+    """Anti-windup gain pair with its Lyapunov certificate."""
+
+    kind: ClassVar[str] = "aw"
+    k: np.ndarray
+    k_aw: np.ndarray
+    p: np.ndarray
+    lam: np.ndarray
+    eta: float
+    kappa: float
+    bounds: SaturationBounds
 
 
 def _aw_vertex_block(P, Lam, Z, Zaw, Hi, eta):
@@ -203,13 +266,10 @@ def _assemble_aw_problem(
     With ``gains = (K, K_aw)`` fixed, Z = P K and Z_aw = P K_aw and the
     inequalities are affine in (P, Lambda) alone (certificate search).
     """
-    n = poly.dim
-    layout = _VarLayout(n)
-    layout.add("p", "sym")
-    layout.add("lam", "diag")
+    kinds = {"p": "sym", "lam": "diag"}
     if gains is None:
-        layout.add("z", "full")
-        layout.add("z_aw", "full")
+        kinds.update(z="full", z_aw="full")
+    layout = _VarLayout(poly.dim, kinds)
 
     def parts(x):
         P = layout.unpack(x, "p")
@@ -219,50 +279,28 @@ def _assemble_aw_problem(
             Z, Zaw = P @ gains[0], P @ gains[1]
         return P, layout.unpack(x, "lam"), Z, Zaw
 
-    blocks = []
-    for i, Hi in enumerate(poly.vertices):
-        def build(x, Hi=Hi):
-            return _aw_vertex_block(*parts(x), Hi, eta)
-
-        base, coeffs = _affine_stack(layout, build)
-        blocks.append(
-            LmiBlock(
-                base=base,
-                coeffs=coeffs,
-                sense="strict",
-                margin=_strict_margin(coeffs, base),
-                name=f"vertex[{i}]",
-            )
+    blocks = [
+        _block(
+            layout, f"vertex[{i}]", "strict",
+            lambda x, Hi=Hi: _aw_vertex_block(*parts(x), Hi, eta),
         )
-    blocks.append(_shaping_block(layout, "p_floor", lambda x: layout.unpack(x, "p")))
-    blocks.append(
-        _shaping_block(layout, "lam_floor", lambda x: layout.unpack(x, "lam"))
-    )
+        for i, Hi in enumerate(poly.vertices)
+    ]
+    blocks += [
+        _block(layout, "p_floor", "floor", lambda x: layout.unpack(x, "p")),
+        _block(layout, "lam_floor", "floor", lambda x: layout.unpack(x, "lam")),
+    ]
     return LmiProblem(num_vars=layout.size, blocks=tuple(blocks)), layout
 
 
-def _raise_for_failure(sol: SdpSolution, what: str) -> None:
-    if sol.status == "numerical-failure":
-        raise SynthesisNumericalError(
-            f"{what}: solver failed after {sol.iterations} iterations: {sol.message}"
-        )
-    if sol.status == "infeasible":
-        vertex_checks = [c for c in sol.blocks if c.name.startswith("vertex")]
-        worst = max(
-            vertex_checks or sol.blocks,
-            key=lambda c: c.extreme_eig if c.sense == "strict" else -c.extreme_eig,
-        )
-        raise InfeasibleDesignError(
-            f"{what}: infeasible (slack {sol.slack:.3e}, most violated "
-            f"block {worst.name!r})",
-            worst_block=worst.name,
-            slack=sol.slack,
-        )
-
-
-def _kappa_of(P: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(P)
-    return float(np.sqrt(eigs[-1] / eigs[0]))
+def _aw_design(var, eta: float, bounds: SaturationBounds, gains) -> AwDesign:
+    """AwDesign from the solved variables; K, K_aw solved from Z = P K."""
+    P = var("p")
+    k, k_aw = gains or (np.linalg.solve(P, var("z")), np.linalg.solve(P, var("z_aw")))
+    return AwDesign(
+        k=k, k_aw=k_aw, p=P, lam=var("lam"), eta=eta, kappa=_kappa_of(P),
+        bounds=bounds,
+    )
 
 
 def design_aw_gains(
@@ -273,25 +311,11 @@ def design_aw_gains(
     max_iter: int = 500,
 ) -> AwDesign:
     """Synthesize (K, K_aw) certifying decay eta over the whole polytope."""
-    if eta <= 0:
-        raise ValueError("decay rate eta must be positive")
-    if bounds.dim != poly.dim:
-        raise ValueError("saturation bounds dimension mismatch")
-    problem, layout = _assemble_aw_problem(poly, eta)
-    sol = solve_feasibility(problem, tol=tol, max_iter=max_iter)
-    _raise_for_failure(sol, "anti-windup design")
-
-    P = layout.unpack(sol.x, "p")
-    design = AwDesign(
-        k=np.linalg.solve(P, layout.unpack(sol.x, "z")),
-        k_aw=np.linalg.solve(P, layout.unpack(sol.x, "z_aw")),
-        p=P,
-        lam=layout.unpack(sol.x, "lam"),
-        eta=eta,
-        kappa=_kappa_of(P),
-        bounds=bounds,
+    _check_request(poly, eta, bounds)
+    return _solve(
+        "anti-windup design", _assemble_aw_problem(poly, eta),
+        lambda var: _aw_design(var, eta, bounds, None), poly, tol, max_iter,
     )
-    return _certified(design, poly, "anti-windup design")
 
 
 def verify_aw_design(design: AwDesign, poly: HessianPolytope) -> float:
@@ -318,20 +342,11 @@ def find_aw_certificate(
     """
     k = np.asarray(k, dtype=float)
     k_aw = np.asarray(k_aw, dtype=float)
-    problem, layout = _assemble_aw_problem(poly, eta, gains=(k, k_aw))
-    sol = solve_feasibility(problem, tol=tol, max_iter=max_iter)
-    _raise_for_failure(sol, "certificate search")
-    P = layout.unpack(sol.x, "p")
-    design = AwDesign(
-        k=k,
-        k_aw=k_aw,
-        p=P,
-        lam=layout.unpack(sol.x, "lam"),
-        eta=eta,
-        kappa=_kappa_of(P),
-        bounds=bounds,
+    _check_request(poly, eta, bounds, k=k, k_aw=k_aw)
+    return _solve(
+        "certificate search", _assemble_aw_problem(poly, eta, gains=(k, k_aw)),
+        lambda var: _aw_design(var, eta, bounds, (k, k_aw)), poly, tol, max_iter,
     )
-    return _certified(design, poly, "certificate search")
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +354,23 @@ def find_aw_certificate(
 
 
 @dataclass(frozen=True)
-class GradSatDesign:
-    """Rate-limited gain with congruence variables and Lyapunov certificate."""
+class GradSatDesign(_Design):
+    """Rate-limited gain with congruence variables and Lyapunov certificate.
 
+    The solver's Y = L X is not stored: every check rebuilds it from L and X.
+    """
+
+    kind: ClassVar[str] = "gradsat"
     k: np.ndarray
     l: np.ndarray
     w: np.ndarray
     x: np.ndarray
-    y: np.ndarray
     upsilon_tilde: np.ndarray
     p: np.ndarray
     eta: float
     epsilon: float
     bounds: SaturationBounds
     kappa_g: float
-
-    @property
-    def dim(self) -> int:
-        return self.k.shape[0]
-
-    @property
-    def ill_conditioned(self) -> bool:
-        """cond(P) above COND_WARN: the recovered gains may be inaccurate."""
-        return bool(np.linalg.cond(self.p) > COND_WARN)
 
 
 def _gradsat_vertex_block(W, Ut, X, Y, Z, Hi, eta, epsilon):
@@ -395,62 +404,57 @@ def _assemble_gradsat_problem(
     poly: HessianPolytope, eta: float, epsilon: float, bounds: SaturationBounds
 ) -> tuple[LmiProblem, _VarLayout]:
     n = poly.dim
-    layout = _VarLayout(n)
-    layout.add("w", "sym")
-    layout.add("ut", "diag")
-    layout.add("x", "full")
-    layout.add("y", "full")
-    layout.add("z", "full")
+    kinds = {"w": "sym", "ut": "diag", "x": "full", "y": "full", "z": "full"}
+    layout = _VarLayout(n, kinds)
 
     def parts(x):
-        return (
-            layout.unpack(x, "w"),
-            layout.unpack(x, "ut"),
-            layout.unpack(x, "x"),
-            layout.unpack(x, "y"),
-            layout.unpack(x, "z"),
-        )
+        return [layout.unpack(x, name) for name in kinds]
 
-    blocks = []
-    for i, Hi in enumerate(poly.vertices):
-        def build(x, Hi=Hi):
-            return _gradsat_vertex_block(*parts(x), Hi, eta, epsilon)
+    def row(x, ell):
+        W, _, _, Y, Z = parts(x)
+        return _gradsat_row_block(W, Y, Z, ell, bounds.limits[ell])
 
-        base, coeffs = _affine_stack(layout, build)
-        blocks.append(
-            LmiBlock(
-                base=base,
-                coeffs=coeffs,
-                sense="strict",
-                margin=_strict_margin(coeffs, base),
-                name=f"vertex[{i}]",
-            )
+    blocks = [
+        _block(
+            layout, f"vertex[{i}]", "strict",
+            lambda x, Hi=Hi: _gradsat_vertex_block(*parts(x), Hi, eta, epsilon),
         )
-    for ell in range(n):
-        def build_row(x, ell=ell):
-            W, _, _, Y, Z = parts(x)
-            return _gradsat_row_block(W, Y, Z, ell, bounds.limits[ell])
-
-        base, coeffs = _affine_stack(layout, build_row)
-        blocks.append(
-            LmiBlock(
-                base=base,
-                coeffs=coeffs,
-                sense="psd",
-                margin=PSD_MARGIN,
-                name=f"row[{ell}]",
-            )
-        )
-    blocks.append(_shaping_block(layout, "w_floor", lambda x: layout.unpack(x, "w")))
-    blocks.append(_shaping_block(layout, "ut_floor", lambda x: layout.unpack(x, "ut")))
-    blocks.append(
-        _shaping_block(
-            layout,
-            "x_sym_floor",
+        for i, Hi in enumerate(poly.vertices)
+    ]
+    blocks += [
+        _block(layout, f"row[{ell}]", "psd", lambda x, ell=ell: row(x, ell))
+        for ell in range(n)
+    ]
+    blocks += [
+        _block(layout, "w_floor", "floor", lambda x: layout.unpack(x, "w")),
+        _block(layout, "ut_floor", "floor", lambda x: layout.unpack(x, "ut")),
+        _block(
+            layout, "x_sym_floor", "floor",
             lambda x: layout.unpack(x, "x") + _t(layout.unpack(x, "x")),
-        )
-    )
+        ),
+    ]
     return LmiProblem(num_vars=layout.size, blocks=tuple(blocks)), layout
+
+
+def _gradsat_design(
+    var, eta: float, epsilon: float, bounds: SaturationBounds
+) -> GradSatDesign:
+    """GradSatDesign from the solved variables: K = Z X^-1, L = Y X^-1."""
+    W, X = var("w"), var("x")
+    cond_x = float(np.linalg.cond(X))
+    log.debug("rate-saturation design: cond(X) = %.3e", cond_x)
+    if cond_x > 1e12:
+        raise SynthesisNumericalError(
+            f"recovered X is numerically singular (cond {cond_x:.2e})"
+        )
+    # P = X^-T W X^-1 = (X^-T W) X^-1
+    P = _over_x(np.linalg.solve(X.T, W), X)
+    P = 0.5 * (P + P.T)
+    return GradSatDesign(
+        k=_over_x(var("z"), X), l=_over_x(var("y"), X), w=W, x=X,
+        upsilon_tilde=var("ut"), p=P, eta=eta, epsilon=epsilon, bounds=bounds,
+        kappa_g=_kappa_of(P),
+    )
 
 
 def design_gradsat_gain(
@@ -462,49 +466,13 @@ def design_gradsat_gain(
     max_iter: int = 500,
 ) -> GradSatDesign:
     """Synthesize a rate-limited gain with a regional decay certificate."""
-    if eta <= 0:
-        raise ValueError("decay rate eta must be positive")
+    _check_request(poly, eta, bounds)
     if epsilon <= 0:
         raise ValueError("the congruence scalar epsilon must be positive")
-    if bounds.dim != poly.dim:
-        raise ValueError("rate bound dimension mismatch")
-    problem, layout = _assemble_gradsat_problem(poly, eta, epsilon, bounds)
-    sol = solve_feasibility(problem, tol=tol, max_iter=max_iter)
-    _raise_for_failure(sol, "rate-saturation design")
-
-    W = layout.unpack(sol.x, "w")
-    Ut = layout.unpack(sol.x, "ut")
-    X = layout.unpack(sol.x, "x")
-    Y = layout.unpack(sol.x, "y")
-    Z = layout.unpack(sol.x, "z")
-
-    cond_x = float(np.linalg.cond(X))
-    log.debug("rate-saturation design: cond(X) = %.3e", cond_x)
-    if cond_x > 1e12:
-        raise SynthesisNumericalError(
-            f"recovered X is numerically singular (cond {cond_x:.2e})"
-        )
-    # K = Z X^-1 and L = Y X^-1 via K X = Z  =>  X' K' = Z'
-    K = np.linalg.solve(X.T, Z.T).T
-    L = np.linalg.solve(X.T, Y.T).T
-    # P = X^-T W X^-1: first A = X^-T W, then P = A X^-1 via X' P' = A'
-    A = np.linalg.solve(X.T, W)
-    P = np.linalg.solve(X.T, A.T).T
-    P = 0.5 * (P + P.T)
-    design = GradSatDesign(
-        k=K,
-        l=L,
-        w=W,
-        x=X,
-        y=Y,
-        upsilon_tilde=Ut,
-        p=P,
-        eta=eta,
-        epsilon=epsilon,
-        bounds=bounds,
-        kappa_g=_kappa_of(P),
+    return _solve(
+        "rate-saturation design", _assemble_gradsat_problem(poly, eta, epsilon, bounds),
+        lambda var: _gradsat_design(var, eta, epsilon, bounds), poly, tol, max_iter,
     )
-    return _certified(design, poly, "rate-saturation design")
 
 
 def verify_gradsat_design(
@@ -616,8 +584,8 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
         ]
     else:
         try:
-            A = np.linalg.solve(design.x.T, design.w)
-            mismatch = np.linalg.norm(np.linalg.solve(design.x.T, A.T).T - design.p)
+            rebuilt = _over_x(np.linalg.solve(design.x.T, design.w), design.x)
+            mismatch = np.linalg.norm(rebuilt - design.p)
         except np.linalg.LinAlgError:
             check("congruence", np.inf, False, "X is singular")
         else:
@@ -656,68 +624,63 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
     return CertificateReport(tuple(checks))
 
 
-def _certified(design, poly: HessianPolytope, what: str):
-    """``design`` if ``certify`` passes it, else SynthesisNumericalError."""
-    cond = float(np.linalg.cond(design.p))
-    log.debug("%s: cond(P) = %.3e", what, cond)
-    if design.ill_conditioned:
-        warnings.warn(
-            f"recovered P is ill-conditioned (cond {cond:.2e}); gains may be "
-            "inaccurate",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    failures = certify(design, poly).failures()
-    if failures:
-        raise SynthesisNumericalError(
-            f"{what}: recovered gains fail re-verification: " + "; ".join(failures)
-        )
-    return design
-
-
 # ---------------------------------------------------------------------------
 # design files
+
+# One line per field, in file order after the kind line: (file key,
+# attribute, value kind).  Keys a table does not list are ignored on load,
+# so files that still carry a solver-only matrix such as ``y`` load.
+_FILE_FIELDS = {
+    AwDesign: (
+        ("eta", "eta", "float"),
+        ("bounds", "bounds", "bounds"),
+        ("k", "k", "matrix"),
+        ("k_aw", "k_aw", "matrix"),
+        ("p", "p", "matrix"),
+        ("lambda", "lam", "matrix"),
+        ("kappa", "kappa", "float"),
+    ),
+    GradSatDesign: (
+        ("eta", "eta", "float"),
+        ("epsilon", "epsilon", "float"),
+        ("bounds", "bounds", "bounds"),
+        ("k", "k", "matrix"),
+        ("l", "l", "matrix"),
+        ("w", "w", "matrix"),
+        ("x", "x", "matrix"),
+        ("upsilon_tilde", "upsilon_tilde", "matrix"),
+        ("p", "p", "matrix"),
+        ("kappa_g", "kappa_g", "float"),
+    ),
+}
+
+# value kind -> (format, parse)
+_VALUE_KINDS = {
+    "float": (repr, float),
+    "bounds": (
+        lambda b: matio.format_vector(b.limits),
+        lambda text: SaturationBounds(matio.parse_vector(text)),
+    ),
+    "matrix": (matio.format_matrix, matio.parse_matrix),
+}
 
 
 def save_design(design, path: str) -> None:
     """Write a design to a line-oriented text file (row-major matrices)."""
-    lines = []
-    if isinstance(design, AwDesign):
-        lines.append("kind = aw")
-        lines.append(f"eta = {design.eta!r}")
-        lines.append(f"bounds = {matio.format_vector(design.bounds.limits)}")
-        lines.append(f"k = {matio.format_matrix(design.k)}")
-        lines.append(f"k_aw = {matio.format_matrix(design.k_aw)}")
-        lines.append(f"p = {matio.format_matrix(design.p)}")
-        lines.append(f"lambda = {matio.format_matrix(design.lam)}")
-        lines.append(f"kappa = {design.kappa!r}")
-    elif isinstance(design, GradSatDesign):
-        lines.append("kind = gradsat")
-        lines.append(f"eta = {design.eta!r}")
-        lines.append(f"epsilon = {design.epsilon!r}")
-        lines.append(f"bounds = {matio.format_vector(design.bounds.limits)}")
-        lines.append(f"k = {matio.format_matrix(design.k)}")
-        lines.append(f"l = {matio.format_matrix(design.l)}")
-        lines.append(f"w = {matio.format_matrix(design.w)}")
-        lines.append(f"x = {matio.format_matrix(design.x)}")
-        lines.append(f"y = {matio.format_matrix(design.y)}")
-        lines.append(f"upsilon_tilde = {matio.format_matrix(design.upsilon_tilde)}")
-        lines.append(f"p = {matio.format_matrix(design.p)}")
-        lines.append(f"kappa_g = {design.kappa_g!r}")
-    else:
+    if type(design) not in _FILE_FIELDS:
         raise TypeError(f"not a design: {type(design).__name__}")
+    lines = [f"kind = {design.kind}"]
+    for key, attr, vkind in _FILE_FIELDS[type(design)]:
+        lines.append(f"{key} = {_VALUE_KINDS[vkind][0](getattr(design, attr))}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _parse_bounds(text: str) -> SaturationBounds:
-    return SaturationBounds(matio.parse_vector(text))
 
 
 def load_design(path: str):
     """Read back a design file written by save_design.
 
-    A malformed value is reported as ``path:line: field: reason``.
+    A malformed value, or a matrix or bound list whose size does not match
+    the n-by-n gain k, is reported as ``path:line: field: reason``.
     """
     entries: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
@@ -730,40 +693,26 @@ def load_design(path: str):
             key, _, value = line.partition("=")
             entries[key.strip()] = (value.strip(), lineno)
     kind = entries.pop("kind", (None, 0))[0]
+    cls = next((c for c in _FILE_FIELDS if c.kind == kind), None)
+    if cls is None:
+        raise ValueError(f"design file {path} has unknown kind {kind!r}")
 
-    def field(name: str, parse=matio.parse_matrix):
-        if name not in entries:
-            raise ValueError(f"design file {path} is missing field {name!r}")
-        text, lineno = entries[name]
+    def fail(key: str, reason) -> None:
+        raise ValueError(f"{path}:{entries[key][1]}: {key}: {reason}") from None
+
+    values = {}
+    for key, attr, vkind in _FILE_FIELDS[cls]:
+        if key not in entries:
+            raise ValueError(f"design file {path} is missing field {key!r}")
         try:
-            return parse(text)
+            values[attr] = _VALUE_KINDS[vkind][1](entries[key][0])
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {name}: {exc}") from None
-
-    if kind == "aw":
-        bounds = field("bounds", _parse_bounds)
-        return AwDesign(
-            k=field("k"),
-            k_aw=field("k_aw"),
-            p=field("p"),
-            lam=field("lambda"),
-            eta=field("eta", float),
-            kappa=field("kappa", float),
-            bounds=bounds,
-        )
-    if kind == "gradsat":
-        bounds = field("bounds", _parse_bounds)
-        return GradSatDesign(
-            k=field("k"),
-            l=field("l"),
-            w=field("w"),
-            x=field("x"),
-            y=field("y"),
-            upsilon_tilde=field("upsilon_tilde"),
-            p=field("p"),
-            eta=field("eta", float),
-            epsilon=field("epsilon", float),
-            bounds=bounds,
-            kappa_g=field("kappa_g", float),
-        )
-    raise ValueError(f"design file {path} has unknown kind {kind!r}")
+            fail(key, exc)
+    n = values["k"].shape[0]
+    # k first, since every other size is checked against its row count
+    for key, attr, vkind in sorted(_FILE_FIELDS[cls], key=lambda f: f[0] != "k"):
+        shape = np.shape(values[attr].limits if vkind == "bounds" else values[attr])
+        want = {"matrix": (n, n), "bounds": (n,)}.get(vkind, shape)
+        if shape != want:
+            fail(key, f"shape {shape}, expected {want} from the {n}-row k")
+    return cls(**values)

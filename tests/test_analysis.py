@@ -222,7 +222,7 @@ def _saturating_design(eps, n=3):
     k = np.diag(np.arange(1.0, n + 1.0)) + 0.3
     eye = np.eye(n)
     return GradSatDesign(
-        k=k, l=k - eps * eye, w=eye, x=eye, y=eye, upsilon_tilde=eye, p=eye,
+        k=k, l=k - eps * eye, w=eye, x=eye, upsilon_tilde=eye, p=eye,
         eta=1.0, epsilon=0.5, bounds=SaturationBounds(np.full(n, 2.0)), kappa_g=1.0,
     )
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from esc_sat import cli
+from esc_sat import cli, matio
 from esc_sat.config import (
     ConfigError,
     build_controller,
@@ -323,29 +323,138 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
     assert capsys.readouterr().err.endswith(f"error: {path}: {what}\n")
 
 
+@pytest.fixture(scope="module")
+def fixture_designs(tmp_path_factory):
+    """Design file of each bundled fixture with a design, keyed by config."""
+    out = tmp_path_factory.mktemp("designs")
+    designs = {}
+    for cfg in ("example1.cfg", "example2.cfg"):
+        assert cli.main(["design", fixture_path(cfg), "--out", str(out / cfg)]) == 0
+        designs[cfg] = out / cfg / "design.txt"
+    return designs
+
+
+MATRIX_SHAPE = "shape (1, 2), expected ({n}, {n}) from the {n}-row k"
+
+
 @pytest.mark.parametrize(
     "field, value, reason",
     [
         ("eta", "abc", "could not convert string to float: 'abc'"),
         ("k", "1 2; 3", "ragged matrix literal '1 2; 3'"),
+        pytest.param(
+            "k", "1 2", "shape (1, 2), expected (1, 1) from the 1-row k", id="shape-k"
+        ),
+        pytest.param(
+            "bounds", "5", "shape (1,), expected ({n},) from the {n}-row k",
+            id="shape-bounds",
+        ),
+        *[
+            pytest.param(field, "1 2", MATRIX_SHAPE, id=f"shape-{field}")
+            for field in ("k_aw", "p", "lambda", "l", "w", "x", "upsilon_tilde")
+        ],
     ],
 )
-def test_design_file_errors_name_line_and_field(tmp_path, capsys, field, value, reason):
-    out = tmp_path / "design"
-    assert cli.main(["design", fixture_path("example1.cfg"), "--out", str(out)]) == 0
-    good = out / "design.txt"
-    lineno = 1 + [
-        ln.partition("=")[0].strip() for ln in good.read_text().splitlines()
-    ].index(field)
-    bad = tmp_path / "bad.txt"
-    _edit_design_file(good, bad, **{field: value})
-    with pytest.raises(ValueError) as exc:
-        load_design(str(bad))
-    assert str(exc.value) == f"{bad}:{lineno}: {field}: {reason}"
+def test_design_file_errors_name_line_and_field(
+    tmp_path, capsys, fixture_designs, field, value, reason
+):
+    # each fixture design that has the field gets the bad value
+    tried = 0
+    for cfg, good in fixture_designs.items():
+        keys = [ln.partition("=")[0].strip() for ln in good.read_text().splitlines()]
+        if field not in keys:
+            continue
+        tried += 1
+        lineno = 1 + keys.index(field)
+        expected = reason.format(n=load_design(str(good)).dim)
+        bad = tmp_path / "bad.txt"
+        _edit_design_file(good, bad, **{field: value})
+        with pytest.raises(ValueError) as exc:
+            load_design(str(bad))
+        assert str(exc.value) == f"{bad}:{lineno}: {field}: {expected}"
+        capsys.readouterr()
+        rc = cli.main(["verify", str(bad), fixture_path(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}:{lineno}: {field}: {expected}\n"
+    assert tried
+
+
+def test_design_file_with_a_y_line_still_loads_and_verifies(
+    tmp_path, capsys, fixture_designs
+):
+    # files written before Y = L X was dropped from GradSatDesign carry it
+    good = fixture_designs["example2.cfg"]
+    design = load_design(str(good))
+    lines = good.read_text().splitlines()
+    at = 1 + [ln.partition("=")[0].strip() for ln in lines].index("x")
+    y = matio.format_matrix(design.l @ design.x)
+    old = tmp_path / "old.txt"
+    old.write_text("\n".join(lines[:at] + [f"y = {y}"] + lines[at:]) + "\n")
     capsys.readouterr()
-    rc = cli.main(["verify", str(bad), fixture_path("example1.cfg")])
+    assert cli.main(["verify", str(old), fixture_path("example2.cfg")]) == 0
+    assert capsys.readouterr().out.endswith("all certificates pass\n")
+
+
+def test_cli_verify_rejects_a_design_of_the_other_kind(tmp_path, capsys, fixture_designs):
+    # a gradsat design on the example-1 polytope has the config's dimension
+    cfg = tmp_path / "gradsat.cfg"
+    text = open(fixture_path("example1.cfg")).read()
+    cfg.write_text(text.replace("kind = aw", "kind = gradsat\nepsilon = 0.5"))
+    assert cli.main(["design", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["verify", str(tmp_path / "design.txt"), fixture_path("example1.cfg")])
+    captured = capsys.readouterr()
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {bad}:{lineno}: {field}: {reason}\n"
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the design is of kind 'gradsat' but the config's [synthesis] "
+        "kind is 'aw'\n"
+    )
+
+
+def test_cli_verify_rejects_an_eta_below_the_config(tmp_path, capsys, fixture_designs):
+    # the certificate proves the stored eta, which the config's eta must not exceed
+    good = fixture_designs["example1.cfg"]
+    _edit_design_file(good, tmp_path / "slow.txt", eta="0.25")
+    capsys.readouterr()
+    rc = cli.main(["verify", str(tmp_path / "slow.txt"), fixture_path("example1.cfg")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "FAILED: design eta 0.25 is below the config's 1.0\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "scenario, design_kind",
+    [("input-saturation", "gradsat"), ("gradient-saturation", "aw")],
+)
+def test_designed_controller_needs_the_scenario_kind(
+    tmp_path, capsys, command, scenario, design_kind
+):
+    # both designs live on the example-1 polytope, so the dimensions agree
+    text = open(fixture_path("example1.cfg")).read()
+    design_cfg = tmp_path / "design.cfg"
+    design_cfg.write_text(
+        text.replace("kind = aw", "kind = gradsat\nepsilon = 0.5")
+        if design_kind == "gradsat" else text
+    )
+    assert cli.main(["design", str(design_cfg), "--out", str(tmp_path)]) == 0
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(
+        text.replace("source = explicit", "source = designed")
+        .replace("scenario = input-saturation", f"scenario = {scenario}")
+    )
+    argv = [command, str(run_cfg), "--design", str(tmp_path / "design.txt")]
+    if command == "sweep":
+        argv += ["--param", "amplitude", "--values", "0.1,0.2"]
+    capsys.readouterr()
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {run_cfg}: scenario {scenario!r} cannot run a design of kind "
+        f"{design_kind!r}\n"
+    )
 
 
 def test_cli_verify_missing_file(tmp_path):
@@ -422,7 +531,7 @@ def test_cli_simulate_no_aw_fixture_runs(tmp_path):
     assert (tmp_path / "trajectory.csv").exists()
 
 
-def test_cli_sweep_respects_thread_cap(tmp_path, monkeypatch):
+def test_cli_sweep_amplitude_scales_tail_r_y(tmp_path):
     rc = cli.main(
         [
             "sweep",

@@ -161,6 +161,23 @@ def test_certificate_search_for_published_gains(ex1_polytope, ex1_bounds):
     assert certify(cert, ex1_polytope).failures() == []
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((EX1_K, EX1_KAW, 0.0, [5.0, 5.0]), "eta must be positive"),
+        ((EX1_K, EX1_KAW, -1.0, [5.0, 5.0]), "eta must be positive"),
+        ((EX1_K, EX1_KAW, 0.9, [5.0, 5.0, 5.0]), "3 bounds for a polytope of dimension 2"),
+        ((EX1_K[:, :1], EX1_KAW, 0.9, [5.0, 5.0]), r"gain k has shape \(2, 1\)"),
+        ((EX1_K, np.eye(3), 0.9, [5.0, 5.0]), r"gain k_aw has shape \(3, 3\)"),
+    ],
+    ids=["eta-zero", "eta-negative", "bounds-length", "k-not-square", "k_aw-size"],
+)
+def test_certificate_search_rejects_a_malformed_request(ex1_polytope, args, message):
+    k, k_aw, eta, bounds = args
+    with pytest.raises(ValueError, match=message):
+        find_aw_certificate(k, k_aw, ex1_polytope, eta, SaturationBounds(bounds))
+
+
 def test_certified_published_gains_decay_in_simulation(ex1_polytope, ex1_bounds):
     # the found certificate must actually bound the simulated average loop
     from esc_sat.plant import AwController, QuadraticMap
@@ -225,21 +242,18 @@ def test_ellipsoid_limit_cases(ex2_polytope, ex2_bounds):
 
 def test_design_file_roundtrip(tmp_path, ex1_polytope, ex1_bounds, ex2_polytope, ex2_bounds):
     aw = design_aw_gains(ex1_polytope, 1.0, ex1_bounds)
-    path = tmp_path / "aw.txt"
-    save_design(aw, str(path))
-    back = load_design(str(path))
-    assert np.array_equal(back.k, aw.k)
-    assert np.array_equal(back.k_aw, aw.k_aw)
-    assert np.array_equal(back.p, aw.p)
-    assert back.eta == aw.eta
-
     gs = design_gradsat_gain(ex2_polytope, 1.0, 0.5, ex2_bounds)
-    path = tmp_path / "gs.txt"
-    save_design(gs, str(path))
-    back = load_design(str(path))
-    assert np.array_equal(back.k, gs.k)
-    assert np.array_equal(back.x, gs.x)
-    assert back.epsilon == gs.epsilon
+    for design in (aw, gs):
+        path = tmp_path / "design.txt"
+        save_design(design, str(path))
+        back = load_design(str(path))
+        assert type(back) is type(design)
+        for f in dataclasses.fields(design):
+            stored, loaded = getattr(design, f.name), getattr(back, f.name)
+            if isinstance(stored, SaturationBounds):
+                stored, loaded = stored.limits, loaded.limits
+            assert np.array_equal(loaded, stored), f.name
+            assert np.asarray(loaded).dtype == np.asarray(stored).dtype, f.name
 
 
 def test_ill_conditioning_survives_a_design_file(
