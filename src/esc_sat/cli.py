@@ -29,9 +29,8 @@ from .config import (
     load_config,
     resolve_hessian,
 )
-from .plant import AwController
 from .signals import DitherSpec
-from .sim import SimulationBlowUp, export_csv, simulate
+from .sim import SCENARIOS, SimConfig, SimulationBlowUp, export_csv, simulate
 from .svgplot import render_trajectory_svg
 from .synthesis import (
     AwDesign,
@@ -81,8 +80,8 @@ def _atomic_write(path: str, writer) -> None:
         raise
 
 
-def _warn_frequencies(cfg: ExperimentConfig) -> None:
-    report = build_dither(cfg).admissibility()
+def _warn_frequencies(dither: DitherSpec) -> None:
+    report = dither.admissibility()
     if not report.valid:
         print(f"warning: {report.describe()}", file=sys.stderr)
         print(
@@ -93,7 +92,7 @@ def _warn_frequencies(cfg: ExperimentConfig) -> None:
 
 def _cmd_design(args) -> int:
     cfg = load_config(args.config)
-    _warn_frequencies(cfg)
+    _warn_frequencies(build_dither(cfg))
     req = build_synthesis_request(cfg)
     poly = build_polytope(cfg)
     if poly is None:
@@ -161,22 +160,20 @@ def _cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _load_sim_pieces(cfg: ExperimentConfig, design_path: Optional[str]):
+def _load_sim_config(cfg: ExperimentConfig, design_path: Optional[str]) -> SimConfig:
+    """The run the config describes; warns on inadmissible dither frequencies."""
     design = load_design(design_path) if design_path else None
-    poly = build_polytope(cfg)
-    hessian = resolve_hessian(cfg, poly)
-    qmap = build_qmap(cfg, hessian)
+    qmap = build_qmap(cfg, resolve_hessian(cfg, build_polytope(cfg)))
     dither = build_dither(cfg)
+    _warn_frequencies(dither)
     controller = build_controller(cfg, qmap, design)
     p_matrix = design.p if design is not None else None
-    sim_cfg = build_sim_config(cfg, qmap, dither, controller, p_matrix=p_matrix)
-    return sim_cfg, qmap, dither, poly, design
+    return build_sim_config(cfg, qmap, dither, controller, p_matrix=p_matrix)
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    _warn_frequencies(cfg)
-    sim_cfg, qmap, dither, _, _ = _load_sim_pieces(cfg, args.design)
+    sim_cfg = _load_sim_config(cfg, args.design)
     os.makedirs(args.out, exist_ok=True)
     stride = args.stride if args.stride is not None else build_stride(cfg)
     try:
@@ -192,7 +189,7 @@ def _cmd_simulate(args) -> int:
         svg_path = os.path.join(args.out, "trajectory.svg")
         _atomic_write(svg_path, lambda p: render_trajectory_svg(traj, p))
         print(f"plot written to {svg_path}")
-    band = analysis.check_convergence_bands(traj, qmap, dither)
+    band = analysis.check_convergence_bands(traj, sim_cfg.qmap, sim_cfg.dither)
     print(
         f"tail residuals: |theta - theta*| = {band.r_theta:.4g} "
         f"(band {band.theta_band:.4g}, {'ok' if band.theta_ok else 'FAIL'}), "
@@ -212,13 +209,8 @@ def _sweep_one(sim_cfg, param: str, value: float):
             np.full(dither.dim, value), dither.freq_multipliers, dither.base_omega
         )
     sim_cfg = replace(sim_cfg, dither=dither, dt=None)
-    average = (
-        "average-aw"
-        if isinstance(sim_cfg.controller, AwController)
-        else "average-gradsat"
-    )
     traj = simulate(sim_cfg)
-    avg = simulate(replace(sim_cfg, scenario=average))
+    avg = simulate(replace(sim_cfg, scenario=SCENARIOS[sim_cfg.scenario][1]))
     dev = analysis.sup_deviation(traj, avg, "theta_tilde")
     band = analysis.check_convergence_bands(traj, sim_cfg.qmap, dither)
     fit = analysis.fit_decay(avg, "theta_tilde")
@@ -231,7 +223,7 @@ def _cmd_sweep(args) -> int:
         print("error: sweep needs at least two values", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
-    sim_cfg = _load_sim_pieces(load_config(args.config), args.design)[0]
+    sim_cfg = _load_sim_config(load_config(args.config), args.design)
     try:
         rows = [_sweep_one(sim_cfg, args.param, v) for v in values]
     except SimulationBlowUp as exc:

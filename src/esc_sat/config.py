@@ -29,10 +29,8 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
-    "serialize_config",
     "build_dither",
     "build_polytope",
-    "polytope_to_entries",
     "resolve_hessian",
     "build_qmap",
     "build_controller",
@@ -141,40 +139,46 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read(), name=path)
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parsing it back yields an equivalent config."""
-    chunks = []
-    for sec, entries in cfg.sections.items():
-        lines = [f"[{sec}]"]
-        lines += [f"{key} = {value}" for key, value in entries.items()]
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # typed builders
 
-def _float(cfg: ExperimentConfig, section: str, key: str) -> float:
-    raw = cfg.require(section, key)
+class _NotA(ValueError):
+    """A scalar of the wrong type; the message completes "key = 'raw'"."""
+
+
+def _number(text: str) -> float:
     try:
-        return float(raw)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"{cfg.name}: [{section}] {key} = {raw!r} is not a number")
+        raise _NotA("is not a number") from None
 
 
-def _int(cfg: ExperimentConfig, section: str, key: str) -> int:
-    value = _float(cfg, section, key)
+def _integer(text: str) -> int:
+    value = _number(text)
     if not value.is_integer():
-        raw = cfg.require(section, key)
-        raise ConfigError(f"{cfg.name}: [{section}] {key} = {raw!r} is not an integer")
+        raise _NotA("is not an integer")
     return int(value)
 
 
+def _bounds(text: str) -> SaturationBounds:
+    return SaturationBounds(matio.parse_vector(text))
+
+
+def _read(cfg: ExperimentConfig, section: str, key: str, parse=_number):
+    """The value of a required key through ``parse``, which every typed read
+    uses, so that a bad value is reported with file, section and key."""
+    raw = cfg.require(section, key)
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        sep = " " if isinstance(exc, _NotA) else ": "
+        raise ConfigError(f"{cfg.name}: [{section}] {key} = {raw!r}{sep}{exc}") from None
+
+
 def build_dither(cfg: ExperimentConfig) -> DitherSpec:
-    amps = matio.parse_vector(cfg.require("dither", "amplitudes"))
-    mults = matio.parse_fractions(cfg.require("dither", "multipliers"))
-    base = _float(cfg, "dither", "base_omega")
-    return DitherSpec(amps, tuple(mults), base)
+    amps = _read(cfg, "dither", "amplitudes", matio.parse_vector)
+    mults = _read(cfg, "dither", "multipliers", matio.parse_fractions)
+    return DitherSpec(amps, tuple(mults), _read(cfg, "dither", "base_omega"))
 
 
 def build_polytope(cfg: ExperimentConfig) -> Optional[HessianPolytope]:
@@ -182,26 +186,27 @@ def build_polytope(cfg: ExperimentConfig) -> Optional[HessianPolytope]:
     if kind is None:
         return None
     if kind == "scaled_nominal":
-        h0 = matio.parse_matrix(cfg.require("map", "h0"))
-        return from_scaled_nominal(h0, _float(cfg, "map", "delta_bar"))
+        h0 = _read(cfg, "map", "h0", matio.parse_matrix)
+        return from_scaled_nominal(h0, _read(cfg, "map", "delta_bar"))
     if kind == "eigen_interval":
         return from_eigen_interval(
-            _float(cfg, "map", "lambda1"),
-            _float(cfg, "map", "lambda2"),
-            _int(cfg, "map", "dim"),
+            _read(cfg, "map", "lambda1"),
+            _read(cfg, "map", "lambda2"),
+            _read(cfg, "map", "dim", _integer),
         )
     if kind == "affine":
-        gamma0 = matio.parse_matrix(cfg.require("map", "gamma0"))
-        bars = matio.parse_vector(cfg.require("map", "delta_bars"))
-        gammas = []
-        for i in range(1, bars.size + 1):
-            gammas.append(matio.parse_matrix(cfg.require("map", f"gamma{i}")))
+        gamma0 = _read(cfg, "map", "gamma0", matio.parse_matrix)
+        bars = _read(cfg, "map", "delta_bars", matio.parse_vector)
+        gammas = [
+            _read(cfg, "map", f"gamma{i}", matio.parse_matrix)
+            for i in range(1, bars.size + 1)
+        ]
         return from_affine(gamma0, gammas, bars.tolist())
     if kind == "vertices":
         verts = []
         i = 1
         while cfg.get("map", f"vertex{i}") is not None:
-            verts.append(matio.parse_matrix(cfg.require("map", f"vertex{i}")))
+            verts.append(_read(cfg, "map", f"vertex{i}", matio.parse_matrix))
             i += 1
         if not verts:
             raise ConfigError(f"{cfg.name}: polytope kind 'vertices' lists none")
@@ -209,46 +214,29 @@ def build_polytope(cfg: ExperimentConfig) -> Optional[HessianPolytope]:
     raise ConfigError(f"{cfg.name}: unknown polytope kind {kind!r}")
 
 
-def polytope_to_entries(poly: HessianPolytope) -> dict[str, str]:
-    """[map] entries reproducing the polytope via the explicit vertex form."""
-    entries = {"polytope": "vertices"}
-    for i, v in enumerate(poly.vertices, start=1):
-        entries[f"vertex{i}"] = matio.format_matrix(v)
-    return entries
-
-
 def resolve_hessian(cfg: ExperimentConfig, poly: Optional[HessianPolytope]) -> np.ndarray:
     """True curvature for simulation: explicit, or a polytope mix by alpha."""
-    raw = cfg.get("map", "hessian")
-    if raw is not None:
-        return matio.parse_matrix(raw)
+    if cfg.get("map", "hessian") is not None:
+        return _read(cfg, "map", "hessian", matio.parse_matrix)
     if poly is None:
         raise ConfigError(
             f"{cfg.name}: [map] needs either 'hessian' or a polytope"
         )
-    alpha_raw = cfg.get("map", "alpha")
-    if alpha_raw is None:
+    if cfg.get("map", "alpha") is None:
         raise ConfigError(
             f"{cfg.name}: simulating from a polytope needs [map] alpha weights"
         )
-    return evaluate(poly, matio.parse_vector(alpha_raw))
+    return evaluate(poly, _read(cfg, "map", "alpha", matio.parse_vector))
 
 
-def build_qmap(cfg: ExperimentConfig, hessian: Optional[np.ndarray] = None) -> QuadraticMap:
-    if hessian is None:
-        hessian = resolve_hessian(cfg, build_polytope(cfg))
-    hessian = 0.5 * (hessian + hessian.T)
-    bounds_raw = cfg.get("map", "input_bounds")
-    bounds = (
-        SaturationBounds(matio.parse_vector(bounds_raw))
-        if bounds_raw is not None
-        else None
-    )
+def build_qmap(cfg: ExperimentConfig, hessian: np.ndarray) -> QuadraticMap:
+    """The simulated map with the given (``resolve_hessian``) curvature."""
+    has_bounds = cfg.get("map", "input_bounds") is not None
     return QuadraticMap(
-        q_star=_float(cfg, "map", "q_star"),
-        theta_star=matio.parse_vector(cfg.require("map", "theta_star")),
-        hessian=hessian,
-        input_bounds=bounds,
+        q_star=_read(cfg, "map", "q_star"),
+        theta_star=_read(cfg, "map", "theta_star", matio.parse_vector),
+        hessian=0.5 * (hessian + hessian.T),
+        input_bounds=_read(cfg, "map", "input_bounds", _bounds) if has_bounds else None,
     )
 
 
@@ -269,9 +257,9 @@ def build_synthesis_request(cfg: ExperimentConfig) -> SynthesisRequest:
     has_eps = cfg.get("synthesis", "epsilon") is not None
     return SynthesisRequest(
         kind=kind,
-        eta=_float(cfg, "synthesis", "eta"),
-        epsilon=_float(cfg, "synthesis", "epsilon") if has_eps else None,
-        bounds=SaturationBounds(matio.parse_vector(cfg.require("synthesis", "bounds"))),
+        eta=_read(cfg, "synthesis", "eta"),
+        epsilon=_read(cfg, "synthesis", "epsilon") if has_eps else None,
+        bounds=_read(cfg, "synthesis", "bounds", _bounds),
     )
 
 
@@ -286,14 +274,14 @@ def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
     """Controller from explicit config matrices or a loaded design."""
     source = cfg.get("controller", "source", "explicit")
     scenario = _scenario(cfg)
-    aw_like = scenario in ("input-saturation", "average-aw")
+    kind = SCENARIOS[scenario][0]
     if source == "designed":
         if design is None:
             raise ConfigError(
                 f"{cfg.name}: controller source is 'designed' but no design "
                 "file was supplied"
             )
-        if (design.kind == "aw") != aw_like:
+        if design.kind != kind:
             raise ConfigError(
                 f"{cfg.name}: scenario {scenario!r} cannot run a design of kind "
                 f"{design.kind!r}"
@@ -305,11 +293,11 @@ def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
         return GradSatController(design.k, design.bounds)
     if source != "explicit":
         raise ConfigError(f"{cfg.name}: unknown controller source {source!r}")
-    k = matio.parse_matrix(cfg.require("controller", "k"))
-    if aw_like:
+    k = _read(cfg, "controller", "k", matio.parse_matrix)
+    if kind == "aw":
         if qmap.input_bounds is None:
             raise ConfigError(f"{cfg.name}: [map] input_bounds required")
-        k_aw = matio.parse_matrix(cfg.require("controller", "k_aw"))
+        k_aw = _read(cfg, "controller", "k_aw", matio.parse_matrix)
         return AwController(k, k_aw, qmap.input_bounds)
     req = build_synthesis_request(cfg)
     return GradSatController(k, req.bounds)
@@ -324,7 +312,7 @@ def build_sim_config(
 ) -> SimConfig:
     scenario = _scenario(cfg)
     auto_dt = cfg.get("sim", "dt", "auto") == "auto"
-    dt = None if auto_dt else _float(cfg, "sim", "dt")
+    dt = None if auto_dt else _read(cfg, "sim", "dt")
     demod = cfg.get("sim", "demod", "deviation")
     if demod not in ("deviation", "raw"):
         raise ConfigError(f"{cfg.name}: [sim] demod must be deviation or raw")
@@ -333,8 +321,8 @@ def build_sim_config(
         qmap=qmap,
         dither=dither,
         controller=controller,
-        theta0=matio.parse_vector(cfg.require("sim", "theta0")),
-        t_end=_float(cfg, "sim", "t_end"),
+        theta0=_read(cfg, "sim", "theta0", matio.parse_vector),
+        t_end=_read(cfg, "sim", "t_end"),
         dt=dt,
         demod_remove_offset=(demod == "deviation"),
         p_matrix=p_matrix,
@@ -345,4 +333,4 @@ def build_stride(cfg: ExperimentConfig) -> int:
     """[outputs] stride, the CSV row step; 1 when absent."""
     if cfg.get("outputs", "stride") is None:
         return 1
-    return _int(cfg, "outputs", "stride")
+    return _read(cfg, "outputs", "stride", _integer)

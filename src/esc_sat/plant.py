@@ -240,35 +240,31 @@ def _frequency_pairs(spec: DitherSpec):
     return w[:, None] - w, w[:, None] + w, a / a[:, None]
 
 
-def delta_matrix(spec: DitherSpec, t, convention: str = "mean_free") -> np.ndarray:
+def delta_matrix(spec: DitherSpec, t) -> np.ndarray:
     """Multiplicative dither perturbation Delta(t) with M(t)S(t)^T = I + Delta.
 
     Off the diagonal Delta_ij = (a_j/a_i)(cos((w_i - w_j)t) - cos((w_i + w_j)t)).
-    convention "mean_free" uses Delta_ii = -cos(2 w_i t), the form that is
-    zero-mean over a period and satisfies the product identity above.  The
-    "literal" convention keeps Delta_ii = 1 - cos(2 w_i t), whose period mean
-    is one; it is retained so the discrepancy between the two can be measured
-    (see analysis.zero_mean_report).
+    The diagonal Delta_ii = -cos(2 w_i t) is the mean-free form: zero-mean
+    over a period, and it satisfies the product identity above.  The literal
+    diagonal 1 - cos(2 w_i t), whose period mean is one, is this plus I
+    (analysis.zero_mean_report measures both).
 
     A scalar ``t`` gives shape (n, n); a 1-D time vector of length N gives
     (N, n, n).
     """
-    if convention not in ("mean_free", "literal"):
-        raise ValueError(f"unknown delta convention {convention!r}")
     minus, plus, ratio = _frequency_pairs(spec)
     tt = _times(t)
     cos_plus = np.cos(plus * tt)
-    # on the diagonal w_i - w_i = 0 and a_i/a_i = 1, so the off-diagonal
-    # formula is the literal 1 - cos(2 w_i t) there
     delta = ratio * (np.cos(minus * tt) - cos_plus)
-    if convention == "mean_free":
-        i = np.arange(spec.dim)
-        delta[..., i, i] = -cos_plus[..., i, i]
+    # on the diagonal w_i - w_i = 0 and a_i/a_i = 1, so the formula above
+    # gives the literal 1 - cos(2 w_i t) there
+    i = np.arange(spec.dim)
+    delta[..., i, i] = -cos_plus[..., i, i]
     return delta
 
 
 def delta_dot_matrix(spec: DitherSpec, t) -> np.ndarray:
-    """Analytic d/dt of Delta(t); identical for both diagonal conventions.
+    """Analytic d/dt of Delta(t), which the literal diagonal shares.
 
     Shapes as in ``delta_matrix``.  The off-diagonal formula gives the
     diagonal 2 w_i sin(2 w_i t) as it stands.
@@ -287,7 +283,6 @@ class PerturbationTerms:
     """
 
     delta: np.ndarray       # Delta(t)
-    omega_mat: np.ndarray   # (I + Delta(t)) H
     w: np.ndarray           # additive residual of the input-saturation loop
     varsigma: np.ndarray    # additive residual of the gradient-estimate dynamics
 
@@ -302,9 +297,8 @@ def perturbation_terms(
     qmap: QuadraticMap,
     t,
     theta_tilde: np.ndarray,
-    convention: str = "mean_free",
 ) -> PerturbationTerms:
-    """Evaluate Delta(t), Omega(t) and the residuals w(t), varsigma(t).
+    """Evaluate Delta(t) and the residuals w(t), varsigma(t).
 
     theta_tilde is the (frozen) estimation error; the dead-zone inside w is
     evaluated along theta(t) = theta_tilde + theta_star + S(t), so w reduces
@@ -313,12 +307,10 @@ def perturbation_terms(
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
     H = qmap.hessian
-    eye = np.eye(spec.dim)
     S = eval_S(spec, t)
     M = eval_M(spec, t)
     S_dot = eval_S_dot(spec, t)
-    delta = delta_matrix(spec, t, convention)
-    omega_mat = (eye + delta) @ H
+    delta = delta_matrix(spec, t)
 
     theta = theta_tilde + qmap.theta_star + S
     if qmap.input_bounds is not None:
@@ -340,12 +332,11 @@ def perturbation_terms(
     )
 
     ddot_h = delta_dot_matrix(spec, t) @ H
-    delta_mf = delta if convention == "mean_free" else delta - eye
     varsigma = (
         eval_M_dot(spec, t) * qmap.q_star
         + ddot_h @ theta_tilde
         + 0.5 * S_dot @ H
         + 0.5 * _matvec(ddot_h, S)
-        + 0.5 * _matvec(delta_mf @ H, S_dot)
+        + 0.5 * _matvec(delta @ H, S_dot)
     )
-    return PerturbationTerms(delta=delta, omega_mat=omega_mat, w=w, varsigma=varsigma)
+    return PerturbationTerms(delta=delta, w=w, varsigma=varsigma)

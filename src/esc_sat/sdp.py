@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-9
+# barrier-gap tolerance below which an unmet problem is declared infeasible,
+# Newton iteration budget, and the box |x_j| <= BOX_BOUND on every variable
+TOL = 1e-8
+MAX_ITER = 500
+BOX_BOUND = 1e6
 
 
 def _symmetrize(mat: np.ndarray, what: str) -> np.ndarray:
@@ -196,18 +201,13 @@ def _barrier_terms(L: np.ndarray, C: np.ndarray) -> tuple[float, np.ndarray, np.
     return logdet, -np.trace(A, axis1=1, axis2=2), flat @ flat.T
 
 
-def solve_feasibility(
-    problem: LmiProblem,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    box_bound: float = 1e6,
-) -> SdpSolution:
+def solve_feasibility(problem: LmiProblem) -> SdpSolution:
     """Decide feasibility of an LMI system and return a certified point.
 
     Newton with Cholesky step solves and Armijo backtracking (factor 0.5,
     slope 0.01) minimizes t/mu - sum_k log det(t*I - G^k(x)) over a shrinking
     barrier parameter mu, starting from x = 0 and t0 = max_k lambda_max + 1.
-    Variables are confined to |x_j| <= box_bound, which keeps the phase-I
+    Variables are confined to |x_j| <= BOX_BOUND, which keeps the phase-I
     objective bounded for homogeneous systems.
 
     Each Newton iteration factors every block once, S_k = L_k L_k'.  The
@@ -219,12 +219,10 @@ def solve_feasibility(
     Every accepted point gets one eigendecomposition pass over the assembled
     blocks (``check_solution``); the returned per-block checks and slack come
     from that pass, and the first point passing all contracts is returned as
-    feasible.  If the barrier gap closes below ``tol`` first, the problem is
+    feasible.  If the barrier gap closes below TOL first, the problem is
     declared infeasible with the residual slack.  Newton breakdowns and
     iteration exhaustion give numerical-failure.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = problem.num_vars
     bases, stacks = _unified_stacks(problem)
 
@@ -239,9 +237,9 @@ def solve_feasibility(
             return None
 
     def box_value(x: np.ndarray) -> float:
-        if np.any(np.abs(x) >= box_bound):
+        if np.any(np.abs(x) >= BOX_BOUND):
             return np.inf
-        return -float(np.sum(np.log(box_bound - x) + np.log(box_bound + x)))
+        return -float(np.sum(np.log(BOX_BOUND - x) + np.log(BOX_BOUND + x)))
 
     def barrier_value(z: np.ndarray, mu: float) -> float:
         val = z[m] / mu
@@ -277,9 +275,9 @@ def solve_feasibility(
     while True:
         # center at the current mu
         for _ in range(200):
-            if iterations >= max_iter:
+            if iterations >= MAX_ITER:
                 return finish(
-                    "numerical-failure", f"iteration budget {max_iter} exhausted"
+                    "numerical-failure", f"iteration budget {MAX_ITER} exhausted"
                 )
             x = z[:m]
             grad = np.zeros(m + 1)
@@ -296,7 +294,7 @@ def solve_feasibility(
                 f0 -= logdet
                 grad += g
                 hess += h
-            lo, hi = 1.0 / (box_bound - x), 1.0 / (box_bound + x)
+            lo, hi = 1.0 / (BOX_BOUND - x), 1.0 / (BOX_BOUND + x)
             grad[:m] += lo - hi
             hess[np.diag_indices(m)] += lo**2 + hi**2
             try:
@@ -330,7 +328,7 @@ def solve_feasibility(
             if all(c.ok for c in checks):
                 return finish("feasible")
         # the contracts at this z were tested when it was accepted, and failed
-        if nu * mu <= tol:
+        if nu * mu <= TOL:
             worst = max(
                 (c for c in checks if not c.ok),
                 key=lambda c: abs(c.extreme_eig),

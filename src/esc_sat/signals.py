@@ -186,7 +186,7 @@ class DitherSpec:
     amplitudes: np.ndarray
     freq_multipliers: tuple[Fraction, ...]
     base_omega: float
-    period: float = field(default=0.0)
+    period: float = field(init=False)
 
     def __post_init__(self):
         amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))

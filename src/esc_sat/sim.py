@@ -39,12 +39,16 @@ __all__ = [
     "export_csv",
 ]
 
-SCENARIOS = (
-    "input-saturation",
-    "gradient-saturation",
-    "average-aw",
-    "average-gradsat",
-)
+# scenario -> (loop kind, the averaged scenario of that loop).  The loop kind
+# is the design kind that closes it: "aw" runs an AwController and "gradsat"
+# a GradSatController.
+SCENARIOS = {
+    "input-saturation": ("aw", "average-aw"),
+    "gradient-saturation": ("gradsat", "average-gradsat"),
+    "average-aw": ("aw", "average-aw"),
+    "average-gradsat": ("gradsat", "average-gradsat"),
+}
+_CONTROLLERS = {"aw": AwController, "gradsat": GradSatController}
 
 BLOWUP_FACTOR = 1e6
 DEFAULT_STEPS_PER_PERIOD = 1000
@@ -83,11 +87,11 @@ class SimConfig:
             raise ValueError("theta0 dimension mismatch")
         if self.dither.dim != self.qmap.dim:
             raise ValueError("dither dimension mismatch")
-        want_aw = self.scenario in ("input-saturation", "average-aw")
-        if want_aw and not isinstance(self.controller, AwController):
-            raise TypeError(f"scenario {self.scenario} needs an AwController")
-        if not want_aw and not isinstance(self.controller, GradSatController):
-            raise TypeError(f"scenario {self.scenario} needs a GradSatController")
+        want = _CONTROLLERS[SCENARIOS[self.scenario][0]]
+        if not isinstance(self.controller, want):
+            raise TypeError(
+                f"scenario {self.scenario} needs controller type {want.__name__}"
+            )
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
         dt = self.dt
@@ -164,7 +168,8 @@ def simulate(cfg: SimConfig) -> Trajectory:
     output, estimate, average_estimate, control = loop_laws(qmap, ctrl, offset)
     nstep = int(round(cfg.t_end / dt))
     th_star = qmap.theta_star
-    if cfg.scenario in ("input-saturation", "gradient-saturation"):
+    kind, average = SCENARIOS[cfg.scenario]
+    if cfg.scenario != average:  # a dithered loop
         half_times = np.arange(2 * nstep + 1) * (0.5 * dt)
         S = eval_S(cfg.dither, half_times)
         M = eval_M(cfg.dither, half_times)
@@ -178,7 +183,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
         theta_tilde = th_hat - th_star
         g_hat = estimate(theta, M[::2])
         v_state = theta_tilde
-    elif cfg.scenario == "average-aw":
+    elif kind == "aw":
 
         def rhs(k, tt):
             return control(average_estimate(tt), tt + th_star)

@@ -179,7 +179,7 @@ def _check_request(
             raise ValueError(f"gain {name} has shape {gain.shape}, expected ({n}, {n})")
 
 
-def _solve(what: str, assembled, recover, poly: HessianPolytope, tol, max_iter):
+def _solve(what: str, assembled, recover, poly: HessianPolytope):
     """Solve an assembled (problem, layout) pair; return its certified design.
 
     ``recover`` builds the design from a lookup of the solved matrix
@@ -187,7 +187,7 @@ def _solve(what: str, assembled, recover, poly: HessianPolytope, tol, max_iter):
     that ``certify`` rejects each raise; an ill-conditioned P warns.
     """
     problem, layout = assembled
-    sol = solve_feasibility(problem, tol=tol, max_iter=max_iter)
+    sol = solve_feasibility(problem)
     if sol.status == "numerical-failure":
         raise SynthesisNumericalError(
             f"{what}: solver failed after {sol.iterations} iterations: {sol.message}"
@@ -304,17 +304,13 @@ def _aw_design(var, eta: float, bounds: SaturationBounds, gains) -> AwDesign:
 
 
 def design_aw_gains(
-    poly: HessianPolytope,
-    eta: float,
-    bounds: SaturationBounds,
-    tol: float = 1e-8,
-    max_iter: int = 500,
+    poly: HessianPolytope, eta: float, bounds: SaturationBounds
 ) -> AwDesign:
     """Synthesize (K, K_aw) certifying decay eta over the whole polytope."""
     _check_request(poly, eta, bounds)
     return _solve(
         "anti-windup design", _assemble_aw_problem(poly, eta),
-        lambda var: _aw_design(var, eta, bounds, None), poly, tol, max_iter,
+        lambda var: _aw_design(var, eta, bounds, None), poly,
     )
 
 
@@ -332,8 +328,6 @@ def find_aw_certificate(
     poly: HessianPolytope,
     eta: float,
     bounds: SaturationBounds,
-    tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> AwDesign:
     """Search a Lyapunov certificate (P, Lambda) for externally given gains.
 
@@ -345,7 +339,7 @@ def find_aw_certificate(
     _check_request(poly, eta, bounds, k=k, k_aw=k_aw)
     return _solve(
         "certificate search", _assemble_aw_problem(poly, eta, gains=(k, k_aw)),
-        lambda var: _aw_design(var, eta, bounds, (k, k_aw)), poly, tol, max_iter,
+        lambda var: _aw_design(var, eta, bounds, (k, k_aw)), poly,
     )
 
 
@@ -458,12 +452,7 @@ def _gradsat_design(
 
 
 def design_gradsat_gain(
-    poly: HessianPolytope,
-    eta: float,
-    epsilon: float,
-    bounds: SaturationBounds,
-    tol: float = 1e-8,
-    max_iter: int = 500,
+    poly: HessianPolytope, eta: float, epsilon: float, bounds: SaturationBounds
 ) -> GradSatDesign:
     """Synthesize a rate-limited gain with a regional decay certificate."""
     _check_request(poly, eta, bounds)
@@ -471,7 +460,7 @@ def design_gradsat_gain(
         raise ValueError("the congruence scalar epsilon must be positive")
     return _solve(
         "rate-saturation design", _assemble_gradsat_problem(poly, eta, epsilon, bounds),
-        lambda var: _gradsat_design(var, eta, epsilon, bounds), poly, tol, max_iter,
+        lambda var: _gradsat_design(var, eta, epsilon, bounds), poly,
     )
 
 

@@ -97,17 +97,21 @@ def test_sup_deviation_resamples_and_rejects_disjoint():
         sup_deviation(a, c)
 
 
-def test_band_report_fields():
+def test_band_report_fields(monkeypatch):
     t = np.linspace(0.0, 10.0, 200)
     qmap = QuadraticMap(0.0, [0.0], [[2.0]])
     dither = DitherSpec([0.1], (10,), 1.0)
     norms = np.full(200, 0.05)
     traj = synthetic_trajectory(t, norms, direction=(1.0,))
-    rep = check_convergence_bands(traj, qmap, dither, c_theta=1.0, c_y=1.0)
+    monkeypatch.setattr(analysis, "C_THETA", 1.0)
+    monkeypatch.setattr(analysis, "C_Y", 1.0)
+    rep = check_convergence_bands(traj, qmap, dither)
     assert rep.theta_band == pytest.approx(0.1 + 0.1)
     assert rep.y_band == pytest.approx(0.01 + 0.01)
     assert rep.theta_ok and rep.y_ok
-    tight = check_convergence_bands(traj, qmap, dither, c_theta=0.1, c_y=1.0)
+    assert rep.tail_start == pytest.approx(8.0)
+    monkeypatch.setattr(analysis, "C_THETA", 0.1)
+    tight = check_convergence_bands(traj, qmap, dither)
     assert not tight.theta_ok
 
 

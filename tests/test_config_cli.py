@@ -17,7 +17,6 @@ from esc_sat.config import (
     load_config,
     parse_config,
     resolve_hessian,
-    serialize_config,
 )
 from esc_sat.synthesis import load_design, save_design
 from conftest import EX1_H0, fixture_path
@@ -54,13 +53,6 @@ t_end = 5
 dt = auto
 demod = deviation
 """
-
-
-def test_parse_and_roundtrip():
-    cfg = parse_config(GOOD)
-    text = serialize_config(cfg)
-    again = parse_config(text)
-    assert again.sections == cfg.sections
 
 
 def test_parse_errors_carry_position():
@@ -100,21 +92,6 @@ def test_vertex_polytope_config():
     assert poly.num_vertices == 4
     req = build_synthesis_request(cfg)
     assert req.kind == "gradsat" and req.epsilon == 0.5
-
-
-def test_polytope_config_roundtrip():
-    from esc_sat.config import polytope_to_entries
-
-    cfg = load_config(fixture_path("example2.cfg"))
-    poly = build_polytope(cfg)
-    entries = polytope_to_entries(poly)
-    text = "[map]\nq_star = 0\ntheta_star = 0 0 0\n" + "\n".join(
-        f"{k} = {v}" for k, v in entries.items()
-    )
-    back = build_polytope(parse_config(text))
-    assert back.num_vertices == poly.num_vertices
-    for a, b in zip(back.vertices, poly.vertices):
-        assert np.array_equal(a, b)
 
 
 def test_missing_alpha_is_an_error():
@@ -310,8 +287,28 @@ def test_cli_verify_rejects_bounds_that_differ_from_the_config(tmp_path, capsys)
             "polytope = eigen_interval\nlambda1 = 10\nlambda2 = 100\ndim = 2.5",
             "[map] dim = '2.5' is not an integer",
         ),
+        (
+            "simulate", "theta_star = 2 4", "theta_star = 2 x",
+            "[map] theta_star = '2 x': bad vector literal '2 x': "
+            "could not convert string to float: 'x'",
+        ),
+        (
+            "simulate", "input_bounds = 5 5", "input_bounds = 5 -5",
+            "[map] input_bounds = '5 -5': saturation limits must be strictly positive",
+        ),
+        (
+            "simulate", "k = -0.0270 0.0361; 0.0456 -0.1492", "k = 1 2; 3",
+            "[controller] k = '1 2; 3': ragged matrix literal '1 2; 3'",
+        ),
+        (
+            "simulate", "multipliers = 10 70", "multipliers = 10 7/0",
+            "[dither] multipliers = '10 7/0': bad rational '7/0': Fraction(7, 0)",
+        ),
     ],
-    ids=["dt", "stride-text", "stride-fraction", "epsilon", "dim-fraction"],
+    ids=[
+        "dt", "stride-text", "stride-fraction", "epsilon", "dim-fraction",
+        "vector", "bounds", "matrix", "rationals",
+    ],
 )
 def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, new, what):
     text = open(fixture_path("example1.cfg")).read()
@@ -570,3 +567,20 @@ def test_cli_sweep_needs_two_values(tmp_path):
 def test_cli_usage_error():
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["sweep", "nope.cfg", "--param", "bogus", "--values", "1,2"]) == 1
+
+
+@pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
+def test_inadmissible_frequencies_warn_once(tmp_path, capsys, command):
+    text = open(fixture_path("example1.cfg")).read()
+    text = text.replace("multipliers = 10 70", "multipliers = 10 20")
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace("t_end = 5", "t_end = 0.5"))
+    argv = [command, str(path), "--out", str(tmp_path)]
+    if command == "sweep":
+        argv += ["--param", "amplitude", "--values", "0.1,0.2"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == (
+        "warning: inadmissible frequency multipliers: "
+        "m[1] = m[0] + m[0] = 20; m[0] = m[1] - m[0] = 10\n"
+        "warning: proceeding anyway; averaged predictions may be distorted\n"
+    )

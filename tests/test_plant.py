@@ -169,11 +169,11 @@ def test_controller_shape_validation():
 
 
 def test_delta_at_zero(dither):
-    lit = delta_matrix(dither, 0.0, "literal")
+    mf = delta_matrix(dither, 0.0)
+    assert np.allclose(np.diag(mf), -1.0)
+    lit = mf + np.eye(2)                            # the literal diagonal
     assert np.allclose(np.diag(lit), 0.0)          # 1 - cos(0) = 0
     assert np.allclose(lit - np.diag(np.diag(lit)), 0.0)
-    mf = delta_matrix(dither, 0.0, "mean_free")
-    assert np.allclose(np.diag(mf), -1.0)
 
 
 def test_mean_free_delta_matches_dither_product(dither):
@@ -181,7 +181,7 @@ def test_mean_free_delta_matches_dither_product(dither):
     # misses this identity by the constant offset
     for t in (0.0, 0.123, 0.31, 0.57):
         prod = np.outer(eval_M(dither, t), eval_S(dither, t))
-        mf = delta_matrix(dither, t, "mean_free")
+        mf = delta_matrix(dither, t)
         assert np.allclose(np.eye(2) + mf, prod, atol=1e-12)
 
 
@@ -196,7 +196,7 @@ def test_perturbation_identity_and_residuals(dither, qmap):
     tt = np.array([0.3, -0.2])
     for t in (0.0, 0.2, 0.45):
         pt = perturbation_terms(dither, qmap, t, tt)
-        assert np.allclose(pt.omega_mat, (np.eye(2) + pt.delta) @ qmap.hessian)
+        assert np.array_equal(pt.delta, delta_matrix(dither, t))
     pt0 = perturbation_terms(dither, qmap, 0.0, tt)
     assert np.allclose(pt0.delta, np.diag([-1.0, -1.0]))
 
@@ -280,7 +280,7 @@ def _perturbation_loop(spec, qmap, t, tt, convention):
         + 0.5 * ddot @ H @ S
         + 0.5 * delta_mf @ H @ eval_S_dot(spec, t)
     )
-    return delta, (np.eye(n) + delta) @ H, w, varsigma
+    return delta, w, varsigma
 
 
 _VECTOR_CASES = {
@@ -315,23 +315,28 @@ def _close(a, b):
 def test_time_vector_matches_per_time_loop(case, convention):
     spec, qmap, tt = _VECTOR_CASES[case]
     n = spec.dim
+    # the literal diagonal is the mean-free one plus I; the residuals do not
+    # depend on the convention
+    shift = np.eye(n) if convention == "literal" else 0.0
     ts = np.linspace(0.0, spec.period, 257)
-    delta = delta_matrix(spec, ts, convention)
+    delta = delta_matrix(spec, ts) + shift
     ddot = delta_dot_matrix(spec, ts)
-    pt = perturbation_terms(spec, qmap, ts, tt, convention)
-    assert delta.shape == ddot.shape == pt.delta.shape == pt.omega_mat.shape == (257, n, n)
+    pt = perturbation_terms(spec, qmap, ts, tt)
+    assert delta.shape == ddot.shape == pt.delta.shape == (257, n, n)
     assert pt.w.shape == pt.varsigma.shape == (257, n)
     assert np.any(pt.w != 0.0) and np.any(pt.varsigma != 0.0)
     refs = [_perturbation_loop(spec, qmap, float(t), tt, convention) for t in ts]
     assert _close(delta, np.array([_delta_loop(spec, float(t), convention) for t in ts]))
     assert _close(ddot, np.array([_delta_dot_loop(spec, float(t)) for t in ts]))
-    for k, name in enumerate(("delta", "omega_mat", "w", "varsigma")):
-        assert _close(getattr(pt, name), np.array([r[k] for r in refs])), name
+    got = (pt.delta + shift, pt.w, pt.varsigma)
+    for k, name in enumerate(("delta", "w", "varsigma")):
+        assert _close(got[k], np.array([r[k] for r in refs])), name
     # a scalar time keeps the per-instant shapes and values
-    one = perturbation_terms(spec, qmap, float(ts[100]), tt, convention)
+    one = perturbation_terms(spec, qmap, float(ts[100]), tt)
     assert one.delta.shape == (n, n) and one.w.shape == (n,)
-    for k, name in enumerate(("delta", "omega_mat", "w", "varsigma")):
-        assert _close(getattr(one, name), refs[100][k]), name
+    got = (one.delta + shift, one.w, one.varsigma)
+    for k, name in enumerate(("delta", "w", "varsigma")):
+        assert _close(got[k], refs[100][k]), name
 
 
 def test_perturbation_terms_reject_time_grid(dither):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esc_sat import sdp
 from esc_sat.plant import SaturationBounds
 from esc_sat.polytope import HessianPolytope
 from esc_sat.sdp import (
@@ -195,11 +196,14 @@ def test_scaling_preserves_verdict():
         assert solve_feasibility(scaled).status == expected
 
 
-def test_iteration_budget_exhaustion():
-    sol = solve_feasibility(scalar_lyapunov_problem(-1.0), max_iter=1)
+def test_iteration_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITER", 1)
+    sol = solve_feasibility(scalar_lyapunov_problem(-1.0))
     assert sol.status in ("feasible", "numerical-failure")
-    sol = solve_feasibility(scalar_lyapunov_problem(+1.0), max_iter=2)
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
+    sol = solve_feasibility(scalar_lyapunov_problem(+1.0))
     assert sol.status == "numerical-failure"
+    assert sol.message == "iteration budget 2 exhausted"
 
 
 def test_block_validation():

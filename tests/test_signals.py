@@ -213,3 +213,10 @@ def test_spec_validation():
         DitherSpec([0.1, 0.1], (10, 70), 0.0)
     with pytest.raises(ValueError):
         DitherSpec([0.1], (10, 70), 1.0)
+
+
+def test_period_is_derived_not_given():
+    # a period passed in would be silently replaced by the derived one
+    with pytest.raises(TypeError):
+        DitherSpec([0.1], (10,), 1.0, period=123.0)
+    assert DitherSpec([0.1], (10,), 1.0).period == pytest.approx(2 * np.pi / 10)
