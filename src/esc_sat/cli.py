@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis, matio, synthesis
+from . import analysis, synthesis
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -26,6 +26,7 @@ from .config import (
     build_sim_config,
     build_stride,
     build_synthesis_request,
+    build_theta_star,
     load_config,
     resolve_hessian,
 )
@@ -145,7 +146,7 @@ def _cmd_design(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
 
-    design_path = os.path.join(out_dir, args.design_name)
+    design_path = os.path.join(out_dir, "design.txt")
     _atomic_write(design_path, lambda p: save_design(design, p))
     report_path = os.path.join(out_dir, "design_report.txt")
     text = "\n".join(lines) + "\n"
@@ -166,9 +167,7 @@ def _load_sim_config(cfg: ExperimentConfig, design_path: Optional[str]) -> SimCo
     qmap = build_qmap(cfg, resolve_hessian(cfg, build_polytope(cfg)))
     dither = build_dither(cfg)
     _warn_frequencies(dither)
-    controller = build_controller(cfg, qmap, design)
-    p_matrix = design.p if design is not None else None
-    return build_sim_config(cfg, qmap, dither, controller, p_matrix=p_matrix)
+    return build_sim_config(cfg, qmap, dither, build_controller(cfg, qmap, design))
 
 
 def _cmd_simulate(args) -> int:
@@ -281,10 +280,11 @@ def _cmd_verify(args) -> int:
         for f in failures:
             print(f"FAILED: {f}", file=sys.stderr)
         return EXIT_CERTIFICATE
+    # read before any line is printed, so a bad theta* fails with file and key
+    theta_star = build_theta_star(cfg) if isinstance(design, AwDesign) else None
     report = synthesis.certify(design, poly)
     print(f"vertex inequalities: lambda_max = {np.max(report.values('vertex')):.6e}")
     if isinstance(design, AwDesign):
-        theta_star = matio.parse_vector(cfg.require("map", "theta_star"))
         slack = analysis.sample_deadzone_sector_global(
             design.bounds, theta_star, trials=10_000, seed=args.seed
         )
@@ -316,7 +316,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("design", help="synthesize gains from a config")
     p.add_argument("config")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--design-name", default="design.txt")
     p.add_argument(
         "--epsilon-sweep",
         default=None,

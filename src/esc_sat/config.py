@@ -32,6 +32,7 @@ __all__ = [
     "build_dither",
     "build_polytope",
     "resolve_hessian",
+    "build_theta_star",
     "build_qmap",
     "build_controller",
     "build_sim_config",
@@ -229,12 +230,17 @@ def resolve_hessian(cfg: ExperimentConfig, poly: Optional[HessianPolytope]) -> n
     return evaluate(poly, _read(cfg, "map", "alpha", matio.parse_vector))
 
 
+def build_theta_star(cfg: ExperimentConfig) -> np.ndarray:
+    """[map] theta_star, the map's optimizer."""
+    return _read(cfg, "map", "theta_star", matio.parse_vector)
+
+
 def build_qmap(cfg: ExperimentConfig, hessian: np.ndarray) -> QuadraticMap:
     """The simulated map with the given (``resolve_hessian``) curvature."""
     has_bounds = cfg.get("map", "input_bounds") is not None
     return QuadraticMap(
         q_star=_read(cfg, "map", "q_star"),
-        theta_star=_read(cfg, "map", "theta_star", matio.parse_vector),
+        theta_star=build_theta_star(cfg),
         hessian=0.5 * (hessian + hessian.T),
         input_bounds=_read(cfg, "map", "input_bounds", _bounds) if has_bounds else None,
     )
@@ -271,36 +277,35 @@ def _scenario(cfg: ExperimentConfig) -> str:
 
 
 def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
-    """Controller from explicit config matrices or a loaded design."""
+    """Controller from explicit config matrices or, with source = designed,
+    from a loaded design, which is required then and refused otherwise."""
     source = cfg.get("controller", "source", "explicit")
     scenario = _scenario(cfg)
     kind = SCENARIOS[scenario][0]
-    if source == "designed":
-        if design is None:
-            raise ConfigError(
-                f"{cfg.name}: controller source is 'designed' but no design "
-                "file was supplied"
-            )
-        if design.kind != kind:
-            raise ConfigError(
-                f"{cfg.name}: scenario {scenario!r} cannot run a design of kind "
-                f"{design.kind!r}"
-            )
-        if design.kind == "aw":
-            if qmap.input_bounds is None:
-                raise ConfigError(f"{cfg.name}: [map] input_bounds required")
+    if source not in ("designed", "explicit"):
+        raise ConfigError(f"{cfg.name}: unknown controller source {source!r}")
+    if (source == "designed") != (design is not None):
+        supplied = "no" if design is None else "a"
+        raise ConfigError(
+            f"{cfg.name}: controller source is {source!r} but {supplied} design "
+            "file was supplied"
+        )
+    if design is not None and design.kind != kind:
+        raise ConfigError(
+            f"{cfg.name}: scenario {scenario!r} cannot run a design of kind "
+            f"{design.kind!r}"
+        )
+    if kind == "aw" and qmap.input_bounds is None:
+        raise ConfigError(f"{cfg.name}: [map] input_bounds required")
+    if design is not None:
+        if kind == "aw":
             return AwController(design.k, design.k_aw, qmap.input_bounds)
         return GradSatController(design.k, design.bounds)
-    if source != "explicit":
-        raise ConfigError(f"{cfg.name}: unknown controller source {source!r}")
     k = _read(cfg, "controller", "k", matio.parse_matrix)
     if kind == "aw":
-        if qmap.input_bounds is None:
-            raise ConfigError(f"{cfg.name}: [map] input_bounds required")
         k_aw = _read(cfg, "controller", "k_aw", matio.parse_matrix)
         return AwController(k, k_aw, qmap.input_bounds)
-    req = build_synthesis_request(cfg)
-    return GradSatController(k, req.bounds)
+    return GradSatController(k, build_synthesis_request(cfg).bounds)
 
 
 def build_sim_config(
@@ -308,7 +313,6 @@ def build_sim_config(
     qmap: QuadraticMap,
     dither: DitherSpec,
     controller,
-    p_matrix: Optional[np.ndarray] = None,
 ) -> SimConfig:
     scenario = _scenario(cfg)
     auto_dt = cfg.get("sim", "dt", "auto") == "auto"
@@ -325,7 +329,6 @@ def build_sim_config(
         t_end=_read(cfg, "sim", "t_end"),
         dt=dt,
         demod_remove_offset=(demod == "deviation"),
-        p_matrix=p_matrix,
     )
 
 

@@ -6,8 +6,8 @@ dead-zone kink makes the right-hand sides merely Lipschitz, so no step
 adaptation is attempted and identical configurations reproduce
 bitwise-identical trajectories.  Only the states are stored during a run;
 the true loops read their dither rows from one evaluation at the 2N+1
-half-step times, and the recorded output, input, gradient estimate and
-Lyapunov value are derived from the stored states in one pass afterwards.
+half-step times, and the recorded output, input and gradient estimate are
+derived from the stored states in one pass afterwards.
 
 The demodulated gradient estimate is M(t) times the measured output.  By
 default the constant optimum value of the map is removed before demodulation
@@ -16,6 +16,10 @@ averaged quantity, but at moderate dither frequencies its integrated ripple
 dominates the loop and buries the seeking behaviour the averaged model
 predicts.  Setting the flag False gives the raw textbook loop.
 
+Both averaged loops integrate theta_tilde alone and record the averaged
+gradient ``average_estimate(theta_tilde)`` (g = H theta_tilde for rate
+saturation) as ``g_hat``.  A caller forms a design's Lyapunov value from its
+P and ``theta_tilde`` (anti-windup) or ``g_hat`` (rate saturation).
 Average dynamics are integrated in the same clock in which the decay
 certificates are stated; the 1/omega factor of the rescaled form is dropped,
 equivalent to simulating in the fast time variable and relabeling.
@@ -75,9 +79,6 @@ class SimConfig:
     t_end: float
     dt: Optional[float] = None
     demod_remove_offset: bool = True
-    g0: Optional[np.ndarray] = None
-    p_matrix: Optional[np.ndarray] = None
-    certify_region: bool = False
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -103,18 +104,6 @@ class SimConfig:
             raise ValueError(
                 f"dt = {dt} is coarser than period/{MIN_STEPS_PER_PERIOD}"
             )
-        if self.g0 is not None:
-            g0 = np.atleast_1d(np.asarray(self.g0, dtype=float))
-            if g0.size != self.qmap.dim:
-                raise ValueError("g0 dimension mismatch")
-            object.__setattr__(self, "g0", g0)
-        if self.p_matrix is not None:
-            p = np.asarray(self.p_matrix, dtype=float)
-            if p.shape != (self.qmap.dim, self.qmap.dim):
-                raise ValueError("p_matrix shape mismatch")
-            object.__setattr__(self, "p_matrix", p)
-        if self.certify_region and self.p_matrix is None:
-            raise ValueError("certify_region needs p_matrix")
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "dt", float(dt))
 
@@ -129,7 +118,6 @@ class Trajectory:
     y: np.ndarray
     u: np.ndarray
     g_hat: np.ndarray
-    v: Optional[np.ndarray] = None   # Lyapunov values when a P matrix is supplied
 
     @property
     def dim(self) -> int:
@@ -168,8 +156,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     output, estimate, average_estimate, control = loop_laws(qmap, ctrl, offset)
     nstep = int(round(cfg.t_end / dt))
     th_star = qmap.theta_star
-    kind, average = SCENARIOS[cfg.scenario]
-    if cfg.scenario != average:  # a dithered loop
+    if cfg.scenario != SCENARIOS[cfg.scenario][1]:  # a dithered loop
         half_times = np.arange(2 * nstep + 1) * (0.5 * dt)
         S = eval_S(cfg.dither, half_times)
         M = eval_M(cfg.dither, half_times)
@@ -182,8 +169,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
         theta = th_hat + S[::2]
         theta_tilde = th_hat - th_star
         g_hat = estimate(theta, M[::2])
-        v_state = theta_tilde
-    elif kind == "aw":
+    else:  # an averaged loop, on theta_tilde alone
 
         def rhs(k, tt):
             return control(average_estimate(tt), tt + th_star)
@@ -191,36 +177,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
         theta_tilde = _rk4_run(rhs, cfg.theta0 - th_star, nstep, dt)
         theta = theta_tilde + th_star
         g_hat = average_estimate(theta_tilde)
-        v_state = theta_tilde
-    else:
-        # The gradient state and the parameter error are co-integrated; the
-        # error part only feeds the recorded trajectory for closeness
-        # comparisons.  The decay certificate is regional, so with
-        # certify_region the initial gradient state must lie inside the unit
-        # sublevel set of the supplied Lyapunov matrix.
-        n = qmap.dim
-        H = qmap.hessian
-        tt0 = cfg.theta0 - th_star
-        g0 = cfg.g0 if cfg.g0 is not None else tt0 @ H
-        if cfg.certify_region:
-            v0 = float(g0 @ cfg.p_matrix @ g0)
-            if v0 > 1.0:
-                raise ValueError(
-                    f"initial gradient state outside the certified region (V = {v0:.4g})"
-                )
-
-        def rhs(k, state):
-            u = control(state[:n])
-            # g = H tt, so H u is the rate of g (H is exactly symmetric)
-            return np.concatenate([u @ H, u])
-
-        states = _rk4_run(rhs, np.concatenate([g0, tt0]), nstep, dt)
-        g_hat, theta_tilde = states[:, :n], states[:, n:]
-        theta = theta_tilde + th_star
-        v_state = g_hat
-    v = None
-    if cfg.p_matrix is not None:
-        v = np.einsum("ij,jk,ik->i", v_state, cfg.p_matrix, v_state)
     return Trajectory(
         np.arange(nstep + 1) * dt,
         theta,
@@ -228,7 +184,6 @@ def simulate(cfg: SimConfig) -> Trajectory:
         output(theta),
         control(g_hat, theta),
         g_hat,
-        v=v,
     )
 
 

@@ -56,6 +56,14 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def lyapunov(traj, p: np.ndarray, kind: str) -> np.ndarray:
+    """V(t) = x'Px of a design's certificate along a recorded averaged run:
+    x is theta_tilde for an anti-windup ("aw") design and the gradient state
+    g_hat for a rate-saturation ("gradsat") one."""
+    x = traj.theta_tilde if kind == "aw" else traj.g_hat
+    return np.einsum("ij,jk,ik->i", x, p, x)
+
+
 @pytest.fixture
 def ex1_polytope() -> HessianPolytope:
     return from_scaled_nominal(EX1_H0, 0.1)

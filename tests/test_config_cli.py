@@ -454,6 +454,40 @@ def test_designed_controller_needs_the_scenario_kind(
     )
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_design_file_needs_a_designed_controller(
+    tmp_path, capsys, fixture_designs, command
+):
+    # with source = explicit the design's gains would be loaded and ignored
+    cfg = fixture_path("example1.cfg")
+    argv = [command, cfg, "--design", str(fixture_designs["example1.cfg"])]
+    if command == "sweep":
+        argv += ["--param", "amplitude", "--values", "0.1,0.2"]
+    capsys.readouterr()
+    rc = cli.main(argv + ["--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: controller source is 'explicit' but a design file was "
+        "supplied\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_designs):
+    text = open(fixture_path("example1.cfg")).read()
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace("theta_star = 2 4", "theta_star = 2 x"))
+    capsys.readouterr()
+    rc = cli.main(["verify", str(fixture_designs["example1.cfg"]), str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: {path}: [map] theta_star = '2 x': bad vector literal '2 x': "
+        "could not convert string to float: 'x'\n"
+    )
+
+
 def test_cli_verify_missing_file(tmp_path):
     rc = cli.main(
         ["verify", str(tmp_path / "nope.txt"), fixture_path("example1.cfg")]

@@ -16,7 +16,15 @@ from esc_sat.sim import (
     export_csv,
     simulate,
 )
-from conftest import EX1_ALPHA, EX1_H0, EX1_K, EX1_KAW, EX2_K, EX2_VERTICES
+from conftest import (
+    EX1_ALPHA,
+    EX1_H0,
+    EX1_K,
+    EX1_KAW,
+    EX2_K,
+    EX2_VERTICES,
+    lyapunov,
+)
 
 
 def ex1_qmap():
@@ -134,27 +142,25 @@ def test_average_gradsat_origin_fixed():
 
 
 def test_average_gradsat_region_precondition():
-    p = np.eye(3)
-    cfg = ex2_config(
-        scenario="average-gradsat",
-        p_matrix=p,
-        certify_region=True,
-    )
-    # g0 = H * (theta0 - theta*) is far outside the unit sublevel set
-    with pytest.raises(ValueError, match="outside the certified region"):
-        simulate(cfg)
+    # start the gradient state g0 inside the unit sublevel set of P = I
+    qmap = ex2_qmap()
+    g0 = np.array([0.5, 0.0, 0.0])
     small = ex2_config(
         scenario="average-gradsat",
-        p_matrix=p,
-        certify_region=True,
-        g0=np.array([0.5, 0.0, 0.0]),
+        theta0=qmap.theta_star + np.linalg.solve(qmap.hessian, g0),
         t_end=1.0,
     )
-    traj = simulate(small)
-    assert traj.v is not None
-    assert traj.v[0] <= 1.0
+    v = lyapunov(simulate(small), np.eye(3), "gradsat")
+    assert v[0] <= 1.0
     # sublevel sets are invariant along the decay
-    assert np.all(np.diff(traj.v) <= 1e-12)
+    assert np.all(np.diff(v) <= 1e-12)
+
+
+def test_average_gradsat_records_the_gradient_of_theta_tilde():
+    # the averaged gradient g = H theta_tilde is recorded, not integrated
+    cfg = ex2_config(scenario="average-gradsat", t_end=1.0)
+    traj = simulate(cfg)
+    assert np.array_equal(traj.g_hat, traj.theta_tilde @ cfg.qmap.hessian)
 
 
 def test_step_halving_fourth_order_on_smooth_average():

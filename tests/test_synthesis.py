@@ -24,7 +24,7 @@ from esc_sat.synthesis import (
     verify_ellipsoid_inclusion,
     verify_gradsat_design,
 )
-from conftest import EX1_K, EX1_KAW
+from conftest import EX1_K, EX1_KAW, lyapunov
 
 
 def test_aw_design_reference_polytope(ex1_polytope, ex1_bounds):
@@ -195,11 +195,11 @@ def test_certified_published_gains_decay_in_simulation(ex1_polytope, ex1_bounds)
         controller=AwController(EX1_K, EX1_KAW, ex1_bounds),
         theta0=np.array([2.5, 6.0]),
         t_end=5.0,
-        p_matrix=cert.p,
     )
     traj = simulate(cfg)
-    bound = traj.v[0] * np.exp(-2.0 * cert.eta * traj.times) * (1.0 + 1e-6)
-    assert np.all(traj.v <= bound)
+    v = lyapunov(traj, cert.p, cert.kind)
+    bound = v[0] * np.exp(-2.0 * cert.eta * traj.times) * (1.0 + 1e-6)
+    assert np.all(v <= bound)
 
 
 def test_gradsat_design_reference_polytope(ex2_polytope, ex2_bounds):
