@@ -162,12 +162,13 @@ def _cmd_design(args) -> int:
 
 
 def _load_sim_config(cfg: ExperimentConfig, design_path: Optional[str]) -> SimConfig:
-    """The run the config describes; warns on inadmissible dither frequencies."""
+    """The run the config describes, then warnings on its dither frequencies."""
     design = load_design(design_path) if design_path else None
     qmap = build_qmap(cfg, resolve_hessian(cfg, build_polytope(cfg)))
     dither = build_dither(cfg)
+    sim_cfg = build_sim_config(cfg, qmap, dither, build_controller(cfg, qmap, design))
     _warn_frequencies(dither)
-    return build_sim_config(cfg, qmap, dither, build_controller(cfg, qmap, design))
+    return sim_cfg
 
 
 def _cmd_simulate(args) -> int:
@@ -218,6 +219,9 @@ def _sweep_one(sim_cfg, param: str, value: float):
 
 def _cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
+    if not np.all(np.isfinite(values)):
+        print(f"error: sweep values must be finite: {args.values!r}", file=sys.stderr)
+        return EXIT_USAGE
     if len(values) < 2:
         print("error: sweep needs at least two values", file=sys.stderr)
         return EXIT_USAGE

@@ -149,9 +149,12 @@ class _NotA(ValueError):
 
 def _number(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise _NotA("is not a number") from None
+    if not np.isfinite(value):
+        raise _NotA("is not a finite number")
+    return value
 
 
 def _integer(text: str) -> int:

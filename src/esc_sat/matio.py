@@ -1,8 +1,8 @@
 """Plain-text matrix and vector literals shared by configs and design files.
 
-Vectors are whitespace-separated numbers, matrices use ';' between rows, so a
-2x2 identity reads ``1 0; 0 1``.  Values are emitted with repr, which is the
-shortest decimal that round-trips the float exactly.
+Vectors are whitespace-separated finite numbers, matrices use ';' between
+rows, so a 2x2 identity reads ``1 0; 0 1``.  Values are emitted with repr,
+which is the shortest decimal that round-trips the float exactly.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ def parse_vector(text: str) -> np.ndarray:
     if not parts:
         raise ValueError("empty vector literal")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ValueError(f"bad vector literal {text!r}: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"bad vector literal {text!r}: values must be finite")
+    return values
 
 
 def parse_matrix(text: str) -> np.ndarray:

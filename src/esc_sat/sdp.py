@@ -11,11 +11,14 @@ here are small (up to a few hundred scalar unknowns, blocks of order <= 24),
 so a dense second-order method is both the simplest and the most reliable
 choice.
 
-Each Newton system is built in Schur-complement form (Vandenberghe & Boyd,
-"Semidefinite Programming", SIAM Review 1996): every block is factored once
-as S = L L', its coefficient stack is scaled to A_j = L^-1 C_j L^-T in one
-batched product, and the barrier Hessian <A_i, A_j> is one matrix product
-over the flattened stack.
+Every point z = (x, t) the solver visits is factored once, block by block:
+S_k(z) = t*I - sign_k F^k(x) = L_k L_k', with sign_k = +1 for strict blocks
+and -1 for psd ones.  The factors give the point's barrier value, on which
+the line search accepts or rejects it, and, once it is accepted, its Newton
+system in Schur-complement form (Vandenberghe & Boyd, "Semidefinite
+Programming", SIAM Review 1996): each coefficient stack is scaled to
+A_j = L^-1 C_j L^-T in one batched product, and the barrier Hessian
+<A_i, A_j> is one matrix product over the flattened stack.
 
 The solver never trusts its own barrier state: a candidate is accepted only
 once an eigendecomposition of every assembled block meets the margins.  That
@@ -130,11 +133,17 @@ class BlockCheck:
     margin: float
     ok: bool
 
+    @property
+    def slack(self) -> float:
+        """Phase-I slack of the block: lambda_max if strict, -lambda_min if
+        psd.  The block's contract is slack <= -margin."""
+        return self.extreme_eig if self.sense == "strict" else -self.extreme_eig
+
 
 @dataclass(frozen=True)
 class SdpSolution:
     x: np.ndarray
-    slack: float                # max over blocks of the phase-I eigenvalue slack
+    slack: float                # max over blocks of BlockCheck.slack
     status: str                 # feasible | infeasible | numerical-failure
     iterations: int
     blocks: tuple[BlockCheck, ...] = field(default_factory=tuple)
@@ -163,31 +172,45 @@ def check_solution(problem: LmiProblem, x: np.ndarray) -> tuple[BlockCheck, ...]
     return tuple(out)
 
 
-def _phase1_slack(checks: tuple[BlockCheck, ...]) -> float:
-    """max_k lambda_max of the sign-unified blocks (the phase-I objective)."""
-    return max(c.extreme_eig if c.sense == "strict" else -c.extreme_eig for c in checks)
+def _sign(block: LmiBlock) -> float:
+    """+1 for strict blocks, -1 for psd: phase I bounds sign * F(x) by t*I."""
+    return 1.0 if block.sense == "strict" else -1.0
 
 
-def _unified_stacks(problem: LmiProblem) -> tuple[list, list]:
-    """Phase-I data of every block: G^k(x) = bases[k] - sum_j x_j C^k_j.
+def _factors(problem: LmiProblem, z: np.ndarray) -> list[np.ndarray] | None:
+    """Cholesky factors of every S_k(z) = t*I - sign_k F^k(x), z = (x, t).
 
-    With z = (x, t) the barrier argument is S_k(z) = t*I - G^k(x)
-    = sum_j z_j C^k_j - bases[k]; the last coefficient C^k_m is the identity.
+    None when some S_k is not positive definite, i.e. z lies outside the
+    barrier domain.
     """
-    m = problem.num_vars
-    bases, stacks = [], []
-    for b in problem.blocks:
-        sign = 1.0 if b.sense == "strict" else -1.0
-        C = np.empty((m + 1, b.dim, b.dim))
-        C[:m] = -sign * b.coeffs
-        C[m] = np.eye(b.dim)
-        bases.append(sign * b.base)
-        stacks.append(C)
-    return bases, stacks
+    x, t = z[:-1], z[-1]
+    try:
+        return [
+            np.linalg.cholesky(t * np.eye(b.dim) - _sign(b) * problem.assemble(b, x))
+            for b in problem.blocks
+        ]
+    except np.linalg.LinAlgError:
+        return None
 
 
-def _barrier_terms(L: np.ndarray, C: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """log det S, grad and Hessian of -log det S(z), from the factor S = L L'.
+def _barrier_value(z: np.ndarray, factors: list[np.ndarray], mu: float) -> float:
+    """t/mu - sum_k log det S_k(z) - sum_j log(BOX_BOUND^2 - x_j^2).
+
+    ``factors`` are those of ``_factors`` at z; outside the box the value is
+    infinite.
+    """
+    x = z[:-1]
+    if np.any(np.abs(x) >= BOX_BOUND):
+        return np.inf
+    val = z[-1] / mu
+    for L in factors:
+        val -= 2.0 * float(np.sum(np.log(np.diag(L))))
+    return val - float(np.sum(np.log(BOX_BOUND - x) + np.log(BOX_BOUND + x)))
+
+
+def _barrier_terms(L: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of -log det S(z), S(z) = sum_j z_j C_j + const,
+    from the factor S = L L'.
 
     With the scaled stack A_j = L^-1 C_j L^-T the gradient is -tr(A_j) and
     the Hessian is the Gram matrix <A_j, A_k> = tr(S^-1 C_j S^-1 C_k): one
@@ -197,24 +220,24 @@ def _barrier_terms(L: np.ndarray, C: np.ndarray) -> tuple[float, np.ndarray, np.
     Linv = np.linalg.inv(L)
     A = Linv @ C @ Linv.T
     flat = A.reshape(A.shape[0], -1)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return logdet, -np.trace(A, axis1=1, axis2=2), flat @ flat.T
+    return -np.trace(A, axis1=1, axis2=2), flat @ flat.T
 
 
 def solve_feasibility(problem: LmiProblem) -> SdpSolution:
     """Decide feasibility of an LMI system and return a certified point.
 
     Newton with Cholesky step solves and Armijo backtracking (factor 0.5,
-    slope 0.01) minimizes t/mu - sum_k log det(t*I - G^k(x)) over a shrinking
-    barrier parameter mu, starting from x = 0 and t0 = max_k lambda_max + 1.
-    Variables are confined to |x_j| <= BOX_BOUND, which keeps the phase-I
-    objective bounded for homogeneous systems.
+    slope 0.01) minimizes t/mu - sum_k log det(t*I - sign_k F^k(x)) over a
+    shrinking barrier parameter mu, starting from x = 0 and t0 = max_k slack
+    + 1.  Variables are confined to |x_j| <= BOX_BOUND, which keeps the
+    phase-I objective bounded for homogeneous systems.
 
-    Each Newton iteration factors every block once, S_k = L_k L_k'.  The
-    barrier Hessian is the Schur-complement matrix H_ij = sum_k
-    <L_k^-1 C_i L_k^-T, L_k^-1 C_j L_k^-T>, one GEMM per block over the
-    scaled coefficient stack, and the same factors give the barrier value
-    at which the line search starts.
+    Every point is factored once, S_k = L_k L_k' (``_factors``): a trial
+    point of the line search is accepted or rejected on the barrier value
+    of its factors, and an accepted point's factors give the next Newton
+    system, H_ij = sum_k <L_k^-1 C_i L_k^-T, L_k^-1 C_j L_k^-T> with one
+    GEMM per block over the scaled coefficient stack, and the barrier value
+    at which its line search starts.
 
     Every accepted point gets one eigendecomposition pass over the assembled
     blocks (``check_solution``); the returned per-block checks and slack come
@@ -224,45 +247,23 @@ def solve_feasibility(problem: LmiProblem) -> SdpSolution:
     iteration exhaustion give numerical-failure.
     """
     m = problem.num_vars
-    bases, stacks = _unified_stacks(problem)
-
-    def s_of(k: int, z: np.ndarray) -> np.ndarray:
-        G = bases[k] - np.tensordot(z[:m], stacks[k][:m], axes=(0, 0))
-        return z[m] * np.eye(G.shape[0]) - 0.5 * (G + G.T)
-
-    def chol_or_none(S: np.ndarray):
-        try:
-            return np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
-            return None
-
-    def box_value(x: np.ndarray) -> float:
-        if np.any(np.abs(x) >= BOX_BOUND):
-            return np.inf
-        return -float(np.sum(np.log(BOX_BOUND - x) + np.log(BOX_BOUND + x)))
-
-    def barrier_value(z: np.ndarray, mu: float) -> float:
-        val = z[m] / mu
-        for k in range(len(stacks)):
-            L = chol_or_none(s_of(k, z))
-            if L is None:
-                return np.inf
-            val -= 2.0 * float(np.sum(np.log(np.diag(L))))
-        return val + box_value(z[:m])
-
+    # coefficients of S_k in z = (x, t); the last one is the identity
+    stacks = [
+        np.concatenate([-_sign(b) * b.coeffs, np.eye(b.dim)[None]])
+        for b in problem.blocks
+    ]
     checks = check_solution(problem, np.zeros(m))
-    t0 = _phase1_slack(checks) + 1.0
+    t0 = max(c.slack for c in checks) + 1.0
     z = np.concatenate([np.zeros(m), [t0]])
     nu = sum(b.dim for b in problem.blocks) + 2 * m
     mu = 1.0 + abs(t0)
-    shrink = 0.2
     iterations = 0
 
     def finish(status: str, message: str = "") -> SdpSolution:
         # ``checks`` always belongs to the current z
         return SdpSolution(
             x=z[:m].copy(),
-            slack=_phase1_slack(checks),
+            slack=max(c.slack for c in checks),
             status=status,
             iterations=iterations,
             blocks=checks,
@@ -271,6 +272,11 @@ def solve_feasibility(problem: LmiProblem) -> SdpSolution:
 
     if all(c.ok for c in checks):
         return finish("feasible", "origin already satisfies all contracts")
+    # S_k(z0) >= I by the choice of t0, so only non-finite data fail here
+    # (a non-finite t0 would leave mu non-finite and the barrier gap open)
+    factors = _factors(problem, z)
+    if factors is None or not np.isfinite(_barrier_value(z, factors, mu)):
+        return finish("numerical-failure", "barrier is not finite at the initial point")
 
     while True:
         # center at the current mu
@@ -283,15 +289,8 @@ def solve_feasibility(problem: LmiProblem) -> SdpSolution:
             grad = np.zeros(m + 1)
             hess = np.zeros((m + 1, m + 1))
             grad[m] = 1.0 / mu
-            f0 = z[m] / mu + box_value(x)
-            for k, C in enumerate(stacks):
-                L = chol_or_none(s_of(k, z))
-                if L is None:
-                    return finish(
-                        "numerical-failure", "iterate left the barrier domain"
-                    )
-                logdet, g, h = _barrier_terms(L, C)
-                f0 -= logdet
+            for L, C in zip(factors, stacks):
+                g, h = _barrier_terms(L, C)
                 grad += g
                 hess += h
             lo, hi = 1.0 / (BOX_BOUND - x), 1.0 / (BOX_BOUND + x)
@@ -308,35 +307,32 @@ def solve_feasibility(problem: LmiProblem) -> SdpSolution:
                         "numerical-failure", "barrier Hessian lost definiteness"
                     )
             dz = -np.linalg.solve(Lh.T, np.linalg.solve(Lh, grad))
-            decrement2 = float(-grad @ dz)
-            if decrement2 / 2.0 <= 1e-10:
-                break
             slope = float(grad @ dz)
+            if -slope / 2.0 <= 1e-10:  # half the squared Newton decrement
+                break
+            f0 = _barrier_value(z, factors, mu)
             alpha = 1.0
-            stepped = False
             while alpha > 1e-14:
                 zn = z + alpha * dz
-                if barrier_value(zn, mu) <= f0 + 0.01 * alpha * slope:
-                    stepped = True
+                trial = _factors(problem, zn)
+                if trial is not None and (
+                    _barrier_value(zn, trial, mu) <= f0 + 0.01 * alpha * slope
+                ):
                     break
                 alpha *= 0.5
-            if not stepped:
+            else:
                 break
-            z = z + alpha * dz
+            z, factors = zn, trial
             iterations += 1
             checks = check_solution(problem, z[:m])
             if all(c.ok for c in checks):
                 return finish("feasible")
         # the contracts at this z were tested when it was accepted, and failed
         if nu * mu <= TOL:
-            worst = max(
-                (c for c in checks if not c.ok),
-                key=lambda c: abs(c.extreme_eig),
-                default=None,
+            worst = max((c for c in checks if not c.ok), key=lambda c: c.slack)
+            return finish(
+                "infeasible",
+                f"barrier gap {nu * mu:.2e} below tol with contracts unmet; "
+                f"worst block {worst.name!r}",
             )
-            msg = (
-                f"barrier gap {nu * mu:.2e} below tol with contracts unmet"
-                + (f"; worst block {worst.name!r}" if worst is not None else "")
-            )
-            return finish("infeasible", msg)
-        mu *= shrink
+        mu *= 0.2

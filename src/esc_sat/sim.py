@@ -191,22 +191,12 @@ def export_csv(traj: Trajectory, path: str, stride: int = 1) -> None:
     """Write t, theta, y, u and ghat columns as decimal text."""
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    n = traj.dim
-    header = (
-        ["t"]
-        + [f"theta_{i + 1}" for i in range(n)]
-        + ["y"]
-        + [f"u_{i + 1}" for i in range(n)]
-        + [f"ghat_{i + 1}" for i in range(n)]
+    theta, u, ghat = (
+        [f"{col}_{i + 1}" for i in range(traj.dim)] for col in ("theta", "u", "ghat")
     )
+    rows = np.column_stack([traj.times, traj.theta, traj.y, traj.u, traj.g_hat])
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for idx in range(0, traj.times.size, stride):
-            row = (
-                [repr(float(traj.times[idx]))]
-                + [repr(float(x)) for x in traj.theta[idx]]
-                + [repr(float(traj.y[idx]))]
-                + [repr(float(x)) for x in traj.u[idx]]
-                + [repr(float(x)) for x in traj.g_hat[idx]]
-            )
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(["t", *theta, "y", *u, *ghat]) + "\n")
+        # one row at a time: a whole-array tolist() would hold every row's floats
+        for row in rows[::stride]:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

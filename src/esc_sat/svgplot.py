@@ -23,7 +23,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _MAX_POINTS = 2000
 
 
-def _ticks_powers_of_ten(lo: float, hi: float) -> list[float]:
+def _decade_ticks(lo: float, hi: float) -> list[float]:
     ticks = [0.0] if lo <= 0.0 <= hi else []
     span = hi - lo
     if span <= 0:
@@ -65,7 +65,7 @@ def _panel(series: np.ndarray, times: np.ndarray, title: str, top: float) -> lis
         'fill="none" stroke="#555" stroke-width="1"/>',
         f'<text x="{x0}" y="{y1 - 8}" font-size="14" fill="#111">{title}</text>',
     ]
-    for tick in _ticks_powers_of_ten(lo, hi):
+    for tick in _decade_ticks(lo, hi):
         yy = sy(tick)
         dash = ' stroke-dasharray="4 4"' if tick != 0.0 else ""
         out.append(

@@ -168,10 +168,10 @@ class _Design:
 def _check_request(
     poly: HessianPolytope, eta: float, bounds: SaturationBounds, **gains: np.ndarray
 ) -> None:
-    """ValueError unless eta > 0 and the bounds and gains fit the polytope."""
+    """ValueError unless 0 < eta < inf and the bounds and gains fit the polytope."""
     n = poly.dim
-    if not eta > 0:
-        raise ValueError("decay rate eta must be positive")
+    if not 0 < eta < np.inf:
+        raise ValueError("decay rate eta must be positive and finite")
     if bounds.dim != n:
         raise ValueError(f"{bounds.dim} bounds for a polytope of dimension {n}")
     for name, gain in gains.items():
@@ -194,10 +194,7 @@ def _solve(what: str, assembled, recover, poly: HessianPolytope):
         )
     if sol.status == "infeasible":
         vertex_checks = [c for c in sol.blocks if c.name.startswith("vertex")]
-        worst = max(
-            vertex_checks or sol.blocks,
-            key=lambda c: c.extreme_eig if c.sense == "strict" else -c.extreme_eig,
-        )
+        worst = max(vertex_checks or sol.blocks, key=lambda c: c.slack)
         raise InfeasibleDesignError(
             f"{what}: infeasible (slack {sol.slack:.3e}, most violated "
             f"block {worst.name!r})",
@@ -456,8 +453,8 @@ def design_gradsat_gain(
 ) -> GradSatDesign:
     """Synthesize a rate-limited gain with a regional decay certificate."""
     _check_request(poly, eta, bounds)
-    if epsilon <= 0:
-        raise ValueError("the congruence scalar epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("the congruence scalar epsilon must be positive and finite")
     return _solve(
         "rate-saturation design", _assemble_gradsat_problem(poly, eta, epsilon, bounds),
         lambda var: _gradsat_design(var, eta, epsilon, bounds), poly,

@@ -304,10 +304,33 @@ def test_cli_verify_rejects_bounds_that_differ_from_the_config(tmp_path, capsys)
             "simulate", "multipliers = 10 70", "multipliers = 10 7/0",
             "[dither] multipliers = '10 7/0': bad rational '7/0': Fraction(7, 0)",
         ),
+        ("simulate", "t_end = 5", "t_end = inf", "[sim] t_end = 'inf' is not a finite number"),
+        ("simulate", "t_end = 5", "t_end = nan", "[sim] t_end = 'nan' is not a finite number"),
+        (
+            "simulate", "base_omega = 1", "base_omega = nan",
+            "[dither] base_omega = 'nan' is not a finite number",
+        ),
+        ("simulate", "dt = auto", "dt = nan", "[sim] dt = 'nan' is not a finite number"),
+        (
+            "simulate", "amplitudes = 0.1 0.1", "amplitudes = nan 0.1",
+            "[dither] amplitudes = 'nan 0.1': bad vector literal 'nan 0.1': "
+            "values must be finite",
+        ),
+        (
+            "simulate", "theta0 = 2.5 6", "theta0 = 2.5 inf",
+            "[sim] theta0 = '2.5 inf': bad vector literal '2.5 inf': values must be finite",
+        ),
+        ("simulate", "q_star = 10", "q_star = -inf", "[map] q_star = '-inf' is not a finite number"),
+        (
+            "design", "h0 = 100 30; 30 20", "h0 = 100 30; 30 nan",
+            "[map] h0 = '100 30; 30 nan': bad vector literal '30 nan': values must be finite",
+        ),
     ],
     ids=[
         "dt", "stride-text", "stride-fraction", "epsilon", "dim-fraction",
-        "vector", "bounds", "matrix", "rationals",
+        "vector", "bounds", "matrix", "rationals", "t_end-inf", "t_end-nan",
+        "base_omega-nan", "dt-nan", "amplitudes-nan", "theta0-inf", "q_star-inf",
+        "h0-nan",
     ],
 )
 def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, new, what):
@@ -318,6 +341,27 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
     rc = cli.main([command, str(path), "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.endswith(f"error: {path}: {what}\n")
+
+
+@pytest.mark.parametrize(
+    "param, values", [("amplitude", "nan,0.1"), ("amplitude", "inf,0.1"), ("omega-scale", "inf,1")]
+)
+def test_sweep_values_must_be_finite(tmp_path, capsys, param, values):
+    argv = ["sweep", fixture_path("example1.cfg"), "--param", param, "--values", values]
+    rc = cli.main(argv + ["--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: sweep values must be finite: {values!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_epsilon_sweep_needs_finite_candidates(tmp_path, capsys, bad):
+    argv = ["design", fixture_path("example2.cfg"), "--epsilon-sweep", f"{bad},0.5"]
+    rc = cli.main(argv + ["--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.endswith(
+        "error: the congruence scalar epsilon must be positive and finite\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +383,10 @@ MATRIX_SHAPE = "shape (1, 2), expected ({n}, {n}) from the {n}-row k"
     [
         ("eta", "abc", "could not convert string to float: 'abc'"),
         ("k", "1 2; 3", "ragged matrix literal '1 2; 3'"),
+        pytest.param(
+            "p", "nan 0; 0 1", "bad vector literal 'nan 0': values must be finite",
+            id="p-nan",
+        ),
         pytest.param(
             "k", "1 2", "shape (1, 2), expected (1, 1) from the 1-row k", id="shape-k"
         ),
@@ -458,19 +506,22 @@ def test_designed_controller_needs_the_scenario_kind(
 def test_design_file_needs_a_designed_controller(
     tmp_path, capsys, fixture_designs, command
 ):
-    # with source = explicit the design's gains would be loaded and ignored
-    cfg = fixture_path("example1.cfg")
-    argv = [command, cfg, "--design", str(fixture_designs["example1.cfg"])]
-    if command == "sweep":
-        argv += ["--param", "amplitude", "--values", "0.1,0.2"]
-    capsys.readouterr()
-    rc = cli.main(argv + ["--out", str(tmp_path)])
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        f"error: {cfg}: controller source is 'explicit' but a design file was "
-        "supplied\n"
-    )
-    assert list(tmp_path.iterdir()) == []
+    # with source = explicit the design's gains would be loaded and ignored;
+    # the refusal is the one stderr line, also where example 2's dither
+    # frequencies would warn
+    for name in ("example1.cfg", "example2.cfg"):
+        cfg = fixture_path(name)
+        argv = [command, cfg, "--design", str(fixture_designs[name])]
+        if command == "sweep":
+            argv += ["--param", "amplitude", "--values", "0.1,0.2"]
+        capsys.readouterr()
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: controller source is 'explicit' but a design file was "
+            "supplied\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_designs):

@@ -5,10 +5,12 @@ from esc_sat import sdp
 from esc_sat.plant import SaturationBounds
 from esc_sat.polytope import HessianPolytope
 from esc_sat.sdp import (
+    BlockCheck,
     LmiBlock,
     LmiProblem,
     _barrier_terms,
-    _unified_stacks,
+    _barrier_value,
+    _factors,
     check_solution,
     solve_feasibility,
 )
@@ -135,19 +137,84 @@ def einsum_barrier_terms(S, C):
 @pytest.mark.parametrize("family", ["aw", "gradsat"])
 def test_schur_terms_match_einsum_reference(family, n):
     problem = design_problem(family, n, seed=7, spread=0.5)
-    bases, stacks = _unified_stacks(problem)
+    signs = [1.0 if b.sense == "strict" else -1.0 for b in problem.blocks]
+    # S_k(z) = sum_j z_j C_j - sign_k F0^k with z = (x, t): C_m is the identity
+    stacks = [
+        np.concatenate([-s * b.coeffs, np.eye(b.dim)[None]])
+        for s, b in zip(signs, problem.blocks)
+    ]
     rng = np.random.default_rng([11, n])
+    mu = 0.3
     for _ in range(3):
         x = rng.standard_normal(problem.num_vars)
-        G = [b - np.tensordot(x, C[:-1], axes=(0, 0)) for b, C in zip(bases, stacks)]
+        G = [s * problem.assemble(b, x) for s, b in zip(signs, problem.blocks)]
         t = max(np.linalg.eigvalsh(g)[-1] for g in G) + 1.0
-        for g, C in zip(G, stacks):
+        z = np.append(x, t)
+        factors = _factors(problem, z)
+        logdet = 0.0
+        for s, b, g, C, L in zip(signs, problem.blocks, G, stacks, factors):
             S = t * np.eye(g.shape[0]) - g
-            logdet, grad, hess = _barrier_terms(np.linalg.cholesky(S), C)
+            assert np.max(np.abs(L @ L.T - S)) <= 1e-12 * np.max(np.abs(S))
+            S_of_stack = np.tensordot(z, C, axes=(0, 0)) - s * b.base
+            assert np.max(np.abs(S_of_stack - S)) <= 1e-12 * np.max(np.abs(S))
+            grad, hess = _barrier_terms(L, C)
             grad_ref, hess_ref = einsum_barrier_terms(S, C)
-            assert logdet == pytest.approx(np.linalg.slogdet(S)[1], rel=1e-12)
             assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
             assert np.max(np.abs(hess - hess_ref)) <= 1e-12 * np.max(np.abs(hess_ref))
+            logdet += np.linalg.slogdet(S)[1]
+        box = np.sum(np.log(sdp.BOX_BOUND - x) + np.log(sdp.BOX_BOUND + x))
+        assert _barrier_value(z, factors, mu) == pytest.approx(
+            t / mu - logdet - box, rel=1e-12
+        )
+
+
+def test_barrier_value_outside_the_box_is_infinite():
+    problem = scalar_lyapunov_problem(-1.0)
+    z = np.array([sdp.BOX_BOUND, 1.0])
+    factors = _factors(problem, np.array([0.0, 2.0]))
+    assert _barrier_value(z, factors, 1.0) == np.inf
+
+
+def test_block_slack_is_lambda_max_strict_and_minus_lambda_min_psd():
+    # both miss their margins; |lambda| would rank "strict" first
+    strict = BlockCheck("strict", "strict", -0.5, 1.0, False)
+    psd = BlockCheck("psd", "psd", -0.2, 0.1, False)
+    assert (strict.slack, psd.slack) == (-0.5, 0.2)
+    assert max((strict, psd), key=lambda c: c.slack) is psd
+
+
+def test_infeasible_message_names_the_most_violated_block():
+    # both blocks miss margin 1 at every x; "near" (lambda_max = -0.1) misses
+    # it by more than "far" (-0.5), which has the larger |lambda_max|
+    prob = LmiProblem(
+        num_vars=1,
+        blocks=(
+            block([[-0.5]], [[[0.0]]], "strict", 1.0, "far"),
+            block([[-0.1]], [[[0.0]]], "strict", 1.0, "near"),
+        ),
+    )
+    sol = solve_feasibility(prob)
+    assert sol.status == "infeasible"
+    assert sol.slack == -0.1
+    assert sol.message.endswith("worst block 'near'")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["base", "coeff"])
+def test_non_finite_data_fail_at_the_initial_point(bad, where):
+    base, coeff = [[-1.0]], [[1.0]]
+    if where == "base":
+        base = [[bad]]
+    else:
+        coeff = [[bad]]
+    prob = LmiProblem(
+        num_vars=1,
+        blocks=(block(base, [coeff], "strict", 0.0, "a"), block([[1.0]], [[[1.0]]], "psd")),
+    )
+    sol = solve_feasibility(prob)
+    assert (sol.status, sol.iterations) == ("numerical-failure", 0)
+    assert sol.message == "barrier is not finite at the initial point"
 
 
 # (family, n, seed, spread) -> (status, Newton iterations), recorded with the

@@ -224,6 +224,40 @@ def test_csv_export(tmp_path):
         export_csv(traj, str(path), stride=0)
 
 
+def per_element_csv(traj, path, stride):
+    """The replaced writer, one repr(float(...)) per element: the byte reference."""
+    n = traj.dim
+    with open(path, "w") as fh:
+        fh.write(
+            ",".join(
+                ["t", *(f"theta_{i + 1}" for i in range(n)), "y"]
+                + [f"u_{i + 1}" for i in range(n)]
+                + [f"ghat_{i + 1}" for i in range(n)]
+            )
+            + "\n"
+        )
+        for idx in range(0, traj.times.size, stride):
+            row = (
+                [repr(float(traj.times[idx]))]
+                + [repr(float(x)) for x in traj.theta[idx]]
+                + [repr(float(traj.y[idx]))]
+                + [repr(float(x)) for x in traj.u[idx]]
+                + [repr(float(x)) for x in traj.g_hat[idx]]
+            )
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("make", [ex1_config, ex2_config], ids=["example1", "example2"])
+def test_csv_export_matches_per_element_writer(tmp_path, make, stride):
+    traj = simulate(make(t_end=0.5))
+    export_csv(traj, str(tmp_path / "rows.csv"), stride=stride)
+    per_element_csv(traj, str(tmp_path / "elements.csv"), stride)
+    data = (tmp_path / "rows.csv").read_bytes()
+    assert data == (tmp_path / "elements.csv").read_bytes()
+    assert data.count(b"\n") == 1 + len(range(0, traj.times.size, stride))
+
+
 # Samples of 0.5 s runs recorded from the four per-scenario integrators that
 # the shared integrator replaced: final theta_tilde, then y, u and g_hat at
 # GOLDEN_INDEX.

@@ -227,6 +227,18 @@ def test_gradsat_epsilon_must_be_positive(ex2_polytope, ex2_bounds):
         design_gradsat_gain(ex2_polytope, 1.0, 0.0, ex2_bounds)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_design_requests_need_finite_eta_and_epsilon(
+    ex1_polytope, ex1_bounds, ex2_polytope, ex2_bounds, bad
+):
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        design_aw_gains(ex1_polytope, bad, ex1_bounds)
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        design_gradsat_gain(ex2_polytope, bad, 0.5, ex2_bounds)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        design_gradsat_gain(ex2_polytope, 1.0, bad, ex2_bounds)
+
+
 def test_ellipsoid_limit_cases(ex2_polytope, ex2_bounds):
     design = design_gradsat_gain(ex2_polytope, 1.0, 0.5, ex2_bounds)
     p_min = float(np.linalg.eigvalsh(design.p)[0])
