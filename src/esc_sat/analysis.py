@@ -4,6 +4,10 @@ Everything here is an oracle over immutable trajectories or closed-form
 signal definitions: exponential-decay fits, true-versus-average deviation,
 residual-band checks, randomized sector-condition sampling, and period-mean
 quadrature for the zero-mean terms the averaging step discards.
+
+The two sector samplers, property tests of ``plant.deadzone``, evaluate one
+form on plain blocks of uniform draws; the two period-mean oracles share
+one composite-Simpson grid over the dither period.
 """
 
 from __future__ import annotations
@@ -54,14 +58,17 @@ INTERIOR_MARGIN = 0.05
 # ---------------------------------------------------------------------------
 # quadrature
 
-def _simpson_weights(nodes: int, span: float) -> np.ndarray:
+def _period_grid(dither: DitherSpec, nodes: int):
+    """Composite-Simpson weights over one dither period, S and M at its
+    nodes, and the nodes themselves."""
     if nodes < 3 or nodes % 2 == 0:
         raise ValueError("composite Simpson needs an odd node count >= 3")
-    h = span / (nodes - 1)
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+    ts = np.linspace(0.0, dither.period, nodes)
+    h = dither.period / (nodes - 1)
+    wq = np.ones(nodes)
+    wq[1:-1:2] = 4.0
+    wq[2:-1:2] = 2.0
+    return wq * (h / 3.0), eval_S(dither, ts), eval_M(dither, ts), ts
 
 
 def _period_mean(values: np.ndarray, weights: np.ndarray, period: float):
@@ -208,6 +215,11 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
+def _sector_max(psi: np.ndarray, lam: np.ndarray, v: np.ndarray) -> float:
+    """max over rows of psi' diag(lam) (psi - v)."""
+    return float(np.max((psi * (lam * (psi - v))).sum(1)))
+
+
 def sample_deadzone_sector_global(
     bounds: SaturationBounds,
     theta_star: np.ndarray,
@@ -219,43 +231,22 @@ def sample_deadzone_sector_global(
     tt = th - theta_star, so the pair satisfies the interior-optimizer
     relation the sector argument rests on.  Any positive diagonal weight must
     keep the form nonpositive; the returned maximum should not exceed
-    roundoff.  Each trial draws th / limits from U(-3, 3)^n, then the weight
-    diagonal from U(0.1, 10)^n.
+    roundoff.  Each block of trials draws th / limits from U(-3, 3)^n, then
+    the weight diagonals from U(0.1, 10)^n.
     """
     _check_trials(trials)
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if np.any(np.abs(theta_star) >= bounds.limits):
         raise ValueError("theta_star must lie strictly inside the bounds")
     rng = np.random.default_rng(seed)
-    n = bounds.dim
-    # one row per trial, the state draws and then the weights, as a loop of
-    # two n-wide draws per trial would take them from the stream
-    lo = np.repeat([-3.0, 0.1], n)
-    hi = np.repeat([3.0, 10.0], n)
     worst = -np.inf
     for start in range(0, trials, _SAMPLER_BLOCK):
-        rows = min(_SAMPLER_BLOCK, trials - start)
-        draws = rng.uniform(lo, hi, size=(rows, 2 * n))
-        theta_av = draws[:, :n] * bounds.limits
-        lam = draws[:, n:]
+        shape = (min(_SAMPLER_BLOCK, trials - start), bounds.dim)
+        theta_av = rng.uniform(-3.0, 3.0, size=shape) * bounds.limits
+        lam = rng.uniform(0.1, 10.0, size=shape)
         psi = deadzone(theta_av, bounds)
-        form = (psi * (lam * (psi - (theta_av - theta_star)))).sum(1)
-        worst = max(worst, float(np.max(form)))
+        worst = max(worst, _sector_max(psi, lam, theta_av - theta_star))
     return worst
-
-
-def _follows_accepted(ok: np.ndarray) -> np.ndarray:
-    """Rows that are the weight draw of the accepted sample just before them.
-
-    Row 0 is a sample.  A rejected row is followed by a sample, and so is a
-    weight row, so inside a run of acceptable rows that starts after an
-    unacceptable one the roles alternate sample, weight, sample, ...: a row
-    is a weight exactly when an odd number of acceptable rows precede it.
-    """
-    idx = np.arange(ok.size)
-    last_bad = np.maximum.accumulate(np.where(ok, -1, idx))
-    run = idx - last_bad  # acceptable rows ending at each row
-    return np.concatenate(([False], run[:-1] % 2 == 1))
 
 
 def sample_deadzone_sector_regional(
@@ -265,56 +256,33 @@ def sample_deadzone_sector_regional(
 ) -> float:
     """Max slack of psi(Kg)' U (psi(Kg) - Lg) over the admissible set.
 
-    Samples are drawn from a box sized so that a useful fraction satisfies
-    |(K - L)_l g| <= ubar_l; candidates outside are rejected.  A rejection
-    rate above 99.9% means the admissible set is degenerate for sampling.
-
-    Each candidate is one n-wide uniform draw and each accepted one is
-    followed by one n-wide draw of the weight diagonal from U(0.1, 10)^n.
-    The raw doubles are drawn in blocks of rows, mapped as
-    ``Generator.uniform`` maps them (low + (high - low) u), and the role of
-    each row is read off the acceptance pattern (``_follows_accepted``), so
-    the stream is the one a draw-per-candidate loop would consume.
+    Candidates g are drawn in blocks from a box sized so that a useful
+    fraction satisfies |(K - L)_l g| <= ubar_l; the admissible ones are kept,
+    up to the trials still needed, and get one block of weight diagonals
+    from U(0.1, 10)^n.  Once 1000 candidates per trial have been drawn
+    without enough admissible ones (a rejection rate above 99.9%), the
+    admissible set is degenerate for sampling and RuntimeError is raised.
     """
     _check_trials(trials)
     rng = np.random.default_rng(seed)
-    n = design.dim
     limits = design.bounds.limits
     diff = design.k - design.l
-    row_scale = np.abs(diff).sum(axis=1)
-    box = 2.0 * float(np.min(limits / np.maximum(row_scale, 1e-12)))
-    g_lo, g_hi = -box, box
-    w_lo, w_hi = 0.1, 10.0
-    max_attempts = trials * 1000
+    box = 2.0 * float(np.min(limits / np.maximum(np.abs(diff).sum(1), 1e-12)))
     worst = -np.inf
-    accepted = 0
-    attempts = 0
+    accepted = drawn = 0
     while accepted < trials:
-        if attempts >= max_attempts:
-            raise RuntimeError(
-                "admissible set rejected more than 99.9% of samples"
-            )
-        u = rng.random((_SAMPLER_BLOCK, n))
-        cand = g_lo + (g_hi - g_lo) * u
-        ok = ~np.any(np.abs(cand @ diff.T) > limits, axis=1)
-        is_sample = ~_follows_accepted(ok)
-        attempt_no = attempts + np.cumsum(is_sample)
-        rows = np.flatnonzero(is_sample & ok & (attempt_no <= max_attempts))
-        rows = rows[: trials - accepted]
-        attempts = int(attempt_no[-1])
-        accepted += rows.size
-        if rows.size == 0:
+        if drawn >= 1000 * trials:
+            raise RuntimeError("admissible set rejected more than 99.9% of samples")
+        cand = rng.uniform(-box, box, size=(_SAMPLER_BLOCK, design.dim))
+        drawn += _SAMPLER_BLOCK
+        g = cand[np.all(np.abs(cand @ diff.T) <= limits, axis=1)]
+        g = g[: trials - accepted]
+        if not len(g):
             continue
-        u_w = u[np.minimum(rows + 1, _SAMPLER_BLOCK - 1)]
-        if rows[-1] == _SAMPLER_BLOCK - 1:
-            # the block ends on an accepted sample: its weights are the next
-            # row of the stream, and the next block starts on a sample
-            u_w[-1] = rng.random(n)
-        g = cand[rows]
-        ups = w_lo + (w_hi - w_lo) * u_w
+        accepted += len(g)
+        ups = rng.uniform(0.1, 10.0, size=g.shape)
         psi = deadzone(g @ design.k.T, design.bounds)
-        form = (psi * (ups * (psi - g @ design.l.T))).sum(1)
-        worst = max(worst, float(np.max(form)))
+        worst = max(worst, _sector_max(psi, ups, g @ design.l.T))
     return worst
 
 
@@ -362,47 +330,25 @@ def zero_mean_report(
     convention as the one reproducing the averaged loop.
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
-    T = dither.period
-    ts = np.linspace(0.0, T, nodes)
-    wq = _simpson_weights(nodes, T)
-    n = dither.dim
-    terms: dict[str, TermMean] = {}
-
-    S = eval_S(dither, ts)
-    M = eval_M(dither, ts)
-    for i in range(n):
-        terms[f"S[{i}]"] = TermMean(
-            float(_period_mean(S[:, i], wq, T)), float(np.max(np.abs(S[:, i])))
-        )
-        terms[f"M[{i}]"] = TermMean(
-            float(_period_mean(M[:, i], wq, T)), float(np.max(np.abs(M[:, i])))
-        )
-
+    wq, S, M, ts = _period_grid(dither, nodes)
     pt = perturbation_terms(dither, qmap, ts, theta_tilde)
-    deltas = pt.delta
-    dmean = _period_mean(deltas, wq, T)
-    dlinf = np.max(np.abs(deltas), axis=0)
-    for i in range(n):
-        for j in range(n):
-            label = f"delta_mean_free[{i},{j}]"
-            terms[label] = TermMean(float(dmean[i, j]), float(dlinf[i, j]))
-    for i in range(n):
-        lit = deltas[:, i, i] + 1.0
-        terms[f"delta_literal[{i},{i}]"] = TermMean(
-            float(_period_mean(lit, wq, T)), float(np.max(np.abs(lit)))
-        )
+    # term name pattern (indexed by the entry's position) -> values per node
+    series = {
+        "S[{0}]": S,
+        "M[{0}]": M,
+        "delta_mean_free[{0},{1}]": pt.delta,
+        "delta_literal[{0},{0}]": np.diagonal(pt.delta, axis1=1, axis2=2) + 1.0,
+        "w[{0}]": pt.w,
+        "varsigma[{0}]": pt.varsigma,
+    }
+    terms: dict[str, TermMean] = {}
+    for pattern, values in series.items():
+        means = _period_mean(values, wq, dither.period)
+        linf = np.max(np.abs(values), axis=0)
+        for idx in np.ndindex(means.shape):
+            terms[pattern.format(*idx)] = TermMean(float(means[idx]), float(linf[idx]))
 
-    wmean = _period_mean(pt.w, wq, T)
-    vmean = _period_mean(pt.varsigma, wq, T)
-    for i in range(n):
-        terms[f"w[{i}]"] = TermMean(
-            float(wmean[i]), float(np.max(np.abs(pt.w[:, i])))
-        )
-        terms[f"varsigma[{i}]"] = TermMean(
-            float(vmean[i]), float(np.max(np.abs(pt.varsigma[:, i])))
-        )
-
-    lit_means = [terms[f"delta_literal[{i},{i}]"].mean for i in range(n)]
+    lit_means = [terms[f"delta_literal[{i},{i}]"].mean for i in range(dither.dim)]
     note = (
         "literal diagonal perturbation has period mean "
         f"{np.round(lit_means, 6).tolist()} (expected 1), mean-free variant "
@@ -450,17 +396,14 @@ def average_rhs_consistency(
     check that fixes the mean-free perturbation convention.
     """
     states = np.atleast_2d(np.asarray(theta_tilde_states, dtype=float))
-    T = dither.period
-    ts = np.linspace(0.0, T, nodes)
-    wq = _simpson_weights(nodes, T)
-    S = eval_S(dither, ts)
-    M = eval_M(dither, ts)
+    wq, S, M, _ = _period_grid(dither, nodes)
     offset = qmap.q_star if demod_remove_offset else 0.0
     laws = loop_laws(qmap, ctrl, offset)
     worst = 0.0
     for tt in states:
         theta = tt + qmap.theta_star + S
-        avg = _period_mean(laws.control(laws.estimate(theta, M), theta), wq, T)
+        avg = laws.control(laws.estimate(theta, M), theta)
+        avg = _period_mean(avg, wq, dither.period)
         model = laws.control(laws.average_estimate(tt), tt + qmap.theta_star)
         denom = max(float(np.linalg.norm(model)), 1e-12)
         worst = max(worst, float(np.linalg.norm(avg - model)) / denom)

@@ -68,6 +68,15 @@ def _seed(text: str) -> int:
     return value
 
 
+def _comma_numbers(option: str, text: str) -> list[float]:
+    """The entries of a comma-separated option value, parsed before anything
+    runs; empty entries are skipped, any other non-number is an error."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{option} {text!r}: {exc}") from None
+
+
 def _atomic_write(path: str, writer) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".esc-sat-")
@@ -92,6 +101,7 @@ def _warn_frequencies(dither: DitherSpec) -> None:
 
 
 def _cmd_design(args) -> int:
+    eps_candidates = _comma_numbers("--epsilon-sweep", args.epsilon_sweep or "")
     cfg = load_config(args.config)
     _warn_frequencies(build_dither(cfg))
     req = build_synthesis_request(cfg)
@@ -111,21 +121,18 @@ def _cmd_design(args) -> int:
             lines.append(f"overall lambda_max = {np.max(vertex):.6e}")
         else:
             eps = req.epsilon if req.epsilon is not None else 0.5
-            if args.epsilon_sweep:
-                # no principled rule fixes the congruence scalar; report how
-                # feasibility and conditioning move across candidate values
-                for cand in (float(v) for v in args.epsilon_sweep.split(",")):
-                    try:
-                        trial = synthesis.design_gradsat_gain(
-                            poly, req.eta, cand, req.bounds
-                        )
-                        vmax_c, _ = synthesis.verify_gradsat_design(trial, poly)
-                        lines.append(
-                            f"epsilon = {cand:g}: feasible, kappa_g = "
-                            f"{trial.kappa_g:.6g}, vertex lambda_max = {vmax_c:.3e}"
-                        )
-                    except (InfeasibleDesignError, SynthesisNumericalError) as exc:
-                        lines.append(f"epsilon = {cand:g}: {exc}")
+            # no principled rule fixes the congruence scalar; report how
+            # feasibility and conditioning move across candidate values
+            for cand in eps_candidates:
+                try:
+                    trial = synthesis.design_gradsat_gain(poly, req.eta, cand, req.bounds)
+                    vmax_c, _ = synthesis.verify_gradsat_design(trial, poly)
+                    lines.append(
+                        f"epsilon = {cand:g}: feasible, kappa_g = "
+                        f"{trial.kappa_g:.6g}, vertex lambda_max = {vmax_c:.3e}"
+                    )
+                except (InfeasibleDesignError, SynthesisNumericalError) as exc:
+                    lines.append(f"epsilon = {cand:g}: {exc}")
             design = synthesis.design_gradsat_gain(poly, req.eta, eps, req.bounds)
             lines.append(
                 f"kind = gradsat, eta = {req.eta}, epsilon = {eps}, "
@@ -218,15 +225,15 @@ def _sweep_one(sim_cfg, param: str, value: float):
 
 
 def _cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = _comma_numbers("--values", args.values)
     if not np.all(np.isfinite(values)):
         print(f"error: sweep values must be finite: {args.values!r}", file=sys.stderr)
         return EXIT_USAGE
     if len(values) < 2:
         print("error: sweep needs at least two values", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(args.out, exist_ok=True)
     sim_cfg = _load_sim_config(load_config(args.config), args.design)
+    os.makedirs(args.out, exist_ok=True)
     try:
         rows = [_sweep_one(sim_cfg, args.param, v) for v in values]
     except SimulationBlowUp as exc:

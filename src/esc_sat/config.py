@@ -143,24 +143,19 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # typed builders
 
-class _NotA(ValueError):
-    """A scalar of the wrong type; the message completes "key = 'raw'"."""
-
-
 def _number(text: str) -> float:
     try:
-        value = float(text)
+        return matio.parse_number(text)
+    except matio.NotA:
+        raise
     except ValueError:
-        raise _NotA("is not a number") from None
-    if not np.isfinite(value):
-        raise _NotA("is not a finite number")
-    return value
+        raise matio.NotA("is not a number") from None
 
 
 def _integer(text: str) -> int:
     value = _number(text)
     if not value.is_integer():
-        raise _NotA("is not an integer")
+        raise matio.NotA("is not an integer")
     return int(value)
 
 
@@ -175,7 +170,7 @@ def _read(cfg: ExperimentConfig, section: str, key: str, parse=_number):
     try:
         return parse(raw)
     except ValueError as exc:
-        sep = " " if isinstance(exc, _NotA) else ": "
+        sep = " " if isinstance(exc, matio.NotA) else ": "
         raise ConfigError(f"{cfg.name}: [{section}] {key} = {raw!r}{sep}{exc}") from None
 
 

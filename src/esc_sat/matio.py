@@ -1,6 +1,7 @@
 """Plain-text matrix and vector literals shared by configs and design files.
 
-Vectors are whitespace-separated finite numbers, matrices use ';' between
+Scalars and the entries of vectors are finite numbers (``nan`` and ``inf``
+are rejected); vectors are whitespace-separated, matrices use ';' between
 rows, so a 2x2 identity reads ``1 0; 0 1``.  Values are emitted with repr,
 which is the shortest decimal that round-trips the float exactly.
 """
@@ -14,6 +15,8 @@ import numpy as np
 __all__ = [
     "format_vector",
     "format_matrix",
+    "NotA",
+    "parse_number",
     "parse_vector",
     "parse_matrix",
     "parse_fractions",
@@ -27,6 +30,18 @@ def format_vector(v) -> str:
 def format_matrix(m) -> str:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     return "; ".join(" ".join(repr(float(x)) for x in row) for row in m)
+
+
+class NotA(ValueError):
+    """A scalar of the wrong type; the message completes "'<text>' ..."."""
+
+
+def parse_number(text: str) -> float:
+    """A finite float; a non-number raises float's own ValueError."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise NotA("is not a finite number")
+    return value
 
 
 def parse_vector(text: str) -> np.ndarray:

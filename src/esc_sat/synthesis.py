@@ -642,7 +642,7 @@ _FILE_FIELDS = {
 
 # value kind -> (format, parse)
 _VALUE_KINDS = {
-    "float": (repr, float),
+    "float": (repr, matio.parse_number),
     "bounds": (
         lambda b: matio.format_vector(b.limits),
         lambda text: SaturationBounds(matio.parse_vector(text)),
@@ -692,6 +692,8 @@ def load_design(path: str):
             raise ValueError(f"design file {path} is missing field {key!r}")
         try:
             values[attr] = _VALUE_KINDS[vkind][1](entries[key][0])
+        except matio.NotA as exc:
+            fail(key, f"{entries[key][0]!r} {exc}")
         except ValueError as exc:
             fail(key, exc)
     n = values["k"].shape[0]

@@ -364,6 +364,37 @@ def test_cli_epsilon_sweep_needs_finite_candidates(tmp_path, capsys, bad):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["design", "example2.cfg"], "--epsilon-sweep", "0.5,abc"),
+        (["design", "example2.cfg"], "--epsilon-sweep", "abc"),
+        (["sweep", "example1.cfg", "--param", "amplitude"], "--values", "0.1,abc"),
+    ],
+)
+def test_comma_lists_are_parsed_before_anything_runs(tmp_path, capsys, argv, option, text):
+    # nothing is solved, simulated, printed or created before the bad entry
+    # is reported
+    out = tmp_path / "out"
+    argv = [argv[0], fixture_path(argv[1]), *argv[2:], option, text, "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {option} {text!r}: could not convert string to float: 'abc'\n",
+    )
+    assert not out.exists()
+
+
+def test_cli_epsilon_sweep_skips_empty_entries_as_sweep_values_do(tmp_path):
+    out = tmp_path / "design"
+    argv = ["design", fixture_path("example2.cfg"), "--epsilon-sweep", "0.25,,0.5,"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    report = (out / "design_report.txt").read_text().splitlines()
+    assert [ln.partition(":")[0] for ln in report[:2]] == [
+        "epsilon = 0.25", "epsilon = 0.5"
+    ]
+
+
 @pytest.fixture(scope="module")
 def fixture_designs(tmp_path_factory):
     """Design file of each bundled fixture with a design, keyed by config."""
@@ -387,6 +418,9 @@ MATRIX_SHAPE = "shape (1, 2), expected ({n}, {n}) from the {n}-row k"
             "p", "nan 0; 0 1", "bad vector literal 'nan 0': values must be finite",
             id="p-nan",
         ),
+        pytest.param("eta", "inf", "'inf' is not a finite number", id="eta-inf"),
+        pytest.param("epsilon", "nan", "'nan' is not a finite number", id="epsilon-nan"),
+        pytest.param("kappa", "nan", "'nan' is not a finite number", id="kappa-nan"),
         pytest.param(
             "k", "1 2", "shape (1, 2), expected (1, 1) from the 1-row k", id="shape-k"
         ),
@@ -522,6 +556,22 @@ def test_design_file_needs_a_designed_controller(
             "supplied\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("refusal", ["explicit-source", "bad-config"])
+def test_refused_sweep_leaves_no_out_directory(tmp_path, capsys, fixture_designs, refusal):
+    cfg = fixture_path("example2.cfg")
+    argv = ["sweep", cfg, "--param", "amplitude", "--values", "0.1,0.2"]
+    if refusal == "explicit-source":
+        argv += ["--design", str(fixture_designs["example2.cfg"])]
+    else:
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(open(cfg).read().replace("t_end = ", "t_end = x"))
+        argv[1] = str(bad)
+    out = tmp_path / "r2"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_designs):
