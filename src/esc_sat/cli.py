@@ -1,7 +1,9 @@
 """Command line front end: design gains, simulate, sweep, verify.
 
 Exit codes are a stable contract: 0 success, 1 usage or parse problems,
-2 infeasibility or a failed certificate, 3 simulation blow-up.
+2 infeasibility or a failed certificate, 3 simulation blow-up.  ``--design``
+alone makes ``simulate`` and ``sweep`` run a design's gains; an ``--out``
+directory is created only when a result file is written into it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .config import (
     build_polytope,
     build_qmap,
     build_sim_config,
-    build_stride,
     build_synthesis_request,
     build_theta_star,
     load_config,
@@ -56,16 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
-    return value
+def _integer_from(minimum: int):
+    """Parse-time type of an integer option, so that a bad value is a usage
+    error naming the option before anything runs."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected at least {minimum}, got {text!r}")
+        return value
+
+    return integer
 
 
 def _comma_numbers(option: str, text: str) -> list[float]:
@@ -79,6 +81,7 @@ def _comma_numbers(option: str, text: str) -> list[float]:
 
 def _atomic_write(path: str, writer) -> None:
     d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".esc-sat-")
     os.close(fd)
     try:
@@ -103,14 +106,16 @@ def _warn_frequencies(dither: DitherSpec) -> None:
 def _cmd_design(args) -> int:
     eps_candidates = _comma_numbers("--epsilon-sweep", args.epsilon_sweep or "")
     cfg = load_config(args.config)
-    _warn_frequencies(build_dither(cfg))
+    dither = build_dither(cfg)
     req = build_synthesis_request(cfg)
+    if req.kind == "aw" and args.epsilon_sweep is not None:
+        print("error: --epsilon-sweep applies to gradsat designs only", file=sys.stderr)
+        return EXIT_USAGE
+    _warn_frequencies(dither)
     poly = build_polytope(cfg)
     if poly is None:
         print("error: [map] must define a polytope for gain design", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     lines = []
     try:
         if req.kind == "aw":
@@ -153,9 +158,9 @@ def _cmd_design(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
 
-    design_path = os.path.join(out_dir, "design.txt")
+    design_path = os.path.join(args.out, "design.txt")
     _atomic_write(design_path, lambda p: save_design(design, p))
-    report_path = os.path.join(out_dir, "design_report.txt")
+    report_path = os.path.join(args.out, "design_report.txt")
     text = "\n".join(lines) + "\n"
 
     def write_report(p):
@@ -179,20 +184,16 @@ def _load_sim_config(cfg: ExperimentConfig, design_path: Optional[str]) -> SimCo
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    sim_cfg = _load_sim_config(cfg, args.design)
-    os.makedirs(args.out, exist_ok=True)
-    stride = args.stride if args.stride is not None else build_stride(cfg)
+    sim_cfg = _load_sim_config(load_config(args.config), args.design)
     try:
         traj = simulate(sim_cfg)
     except SimulationBlowUp as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     csv_path = os.path.join(args.out, "trajectory.csv")
-    _atomic_write(csv_path, lambda p: export_csv(traj, p, stride=stride))
+    _atomic_write(csv_path, lambda p: export_csv(traj, p, stride=args.stride))
     print(f"trajectory written to {csv_path} ({traj.times.size} samples)")
-    want_plot = args.plot or cfg.get("outputs", "plot", "false") == "true"
-    if want_plot:
+    if args.plot:
         svg_path = os.path.join(args.out, "trajectory.svg")
         _atomic_write(svg_path, lambda p: render_trajectory_svg(traj, p))
         print(f"plot written to {svg_path}")
@@ -233,7 +234,6 @@ def _cmd_sweep(args) -> int:
         print("error: sweep needs at least two values", file=sys.stderr)
         return EXIT_USAGE
     sim_cfg = _load_sim_config(load_config(args.config), args.design)
-    os.makedirs(args.out, exist_ok=True)
     try:
         rows = [_sweep_one(sim_cfg, args.param, v) for v in values]
     except SimulationBlowUp as exc:
@@ -258,12 +258,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not os.path.exists(args.design):
-        print(f"error: no such design file {args.design}", file=sys.stderr)
-        return EXIT_USAGE
-    if not os.path.exists(args.config):
-        print(f"error: no such config {args.config}", file=sys.stderr)
-        return EXIT_USAGE
     design = load_design(args.design)
     cfg = load_config(args.config)
     poly = build_polytope(cfg)
@@ -296,22 +290,24 @@ def _cmd_verify(args) -> int:
     report = synthesis.certify(design, poly)
     print(f"vertex inequalities: lambda_max = {np.max(report.values('vertex')):.6e}")
     if isinstance(design, AwDesign):
-        slack = analysis.sample_deadzone_sector_global(
-            design.bounds, theta_star, trials=10_000, seed=args.seed
-        )
+        sample = analysis.sample_deadzone_sector_global
+        sample_args = (design.bounds, theta_star)
     else:
         print(f"row-coupling blocks: lambda_min = {np.min(report.values('row')):.6e}")
         print(
             "ellipsoid inclusion residuals: "
             + " ".join(f"{r:.6e}" for r in report.values("inclusion"))
         )
-        slack = analysis.sample_deadzone_sector_regional(
-            design, trials=10_000, seed=args.seed
-        )
-    print(f"dead-zone sector sampling: max slack = {slack:.3e}")
+        sample, sample_args = analysis.sample_deadzone_sector_regional, (design,)
     failures = report.failures()
-    if slack > analysis.SECTOR_SLACK_TOL:
-        failures.append("sector condition violated in sampling")
+    try:
+        slack = sample(*sample_args, trials=10_000, seed=args.seed)
+    except RuntimeError as exc:
+        failures.append(f"dead-zone sector sampling: {exc}")
+    else:
+        print(f"dead-zone sector sampling: max slack = {slack:.3e}")
+        if slack > analysis.SECTOR_SLACK_TOL:
+            failures.append("sector condition violated in sampling")
     if failures:
         for f in failures:
             print(f"FAILED: {f}", file=sys.stderr)
@@ -340,7 +336,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--design", default=None, help="design file for gains")
     p.add_argument("--out", default=".")
     p.add_argument("--plot", action="store_true")
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", type=_integer_from(1), default=1, help="CSV row step")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep dither frequency or amplitude")
@@ -354,7 +350,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-check the certificates of a design")
     p.add_argument("design")
     p.add_argument("config")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_integer_from(0), default=0)
     p.set_defaults(func=_cmd_verify)
     return parser
 

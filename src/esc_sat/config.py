@@ -3,7 +3,9 @@
 A config is a sequence of ``[section]`` headers and ``key = value`` lines;
 ``#`` starts a comment.  Matrix values keep rows separated by semicolons so
 numeric content stays auditable in diffs.  Unknown sections or keys are
-rejected with the offending line and column.
+rejected with the offending line and column.  A config describes the map,
+dither, design request, explicit gains and run; which design file to run
+and how to write the results are chosen on the command line only.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "build_sim_config",
     "SynthesisRequest",
     "build_synthesis_request",
-    "build_stride",
 ]
 
 
@@ -60,9 +61,8 @@ _SCHEMA: dict[str, set[str]] = {
     },
     "dither": {"amplitudes", "multipliers", "base_omega"},
     "synthesis": {"kind", "eta", "epsilon", "bounds"},
-    "controller": {"source", "k", "k_aw"},
+    "controller": {"k", "k_aw"},
     "sim": {"scenario", "theta0", "t_end", "dt", "demod"},
-    "outputs": {"stride", "plot"},
 }
 
 
@@ -275,19 +275,10 @@ def _scenario(cfg: ExperimentConfig) -> str:
 
 
 def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
-    """Controller from explicit config matrices or, with source = designed,
-    from a loaded design, which is required then and refused otherwise."""
-    source = cfg.get("controller", "source", "explicit")
+    """Controller running a loaded design's gains when one is given, else the
+    config's [controller] k (and k_aw for the anti-windup loop)."""
     scenario = _scenario(cfg)
     kind = SCENARIOS[scenario][0]
-    if source not in ("designed", "explicit"):
-        raise ConfigError(f"{cfg.name}: unknown controller source {source!r}")
-    if (source == "designed") != (design is not None):
-        supplied = "no" if design is None else "a"
-        raise ConfigError(
-            f"{cfg.name}: controller source is {source!r} but {supplied} design "
-            "file was supplied"
-        )
     if design is not None and design.kind != kind:
         raise ConfigError(
             f"{cfg.name}: scenario {scenario!r} cannot run a design of kind "
@@ -329,9 +320,3 @@ def build_sim_config(
         demod_remove_offset=(demod == "deviation"),
     )
 
-
-def build_stride(cfg: ExperimentConfig) -> int:
-    """[outputs] stride, the CSV row step; 1 when absent."""
-    if cfg.get("outputs", "stride") is None:
-        return 1
-    return _read(cfg, "outputs", "stride", _integer)

@@ -157,6 +157,34 @@ def test_cli_verify_prints_the_report_failures(tmp_path, capsys, tamper, family)
     assert captured.err.splitlines() == [f"FAILED: {f}" for f in report.failures()]
 
 
+def test_cli_verify_reports_a_sector_sampling_failure(tmp_path, capsys):
+    # with K = I and L = 0 only a 2^-12 share of the sampling box is
+    # admissible, below the sampler's 1/1000 floor
+    n = 12
+    eye = np.eye(n)
+    design = synthesis.GradSatDesign(
+        k=eye, l=0 * eye, w=eye, x=eye, upsilon_tilde=eye, p=eye, eta=1.0,
+        epsilon=0.5, bounds=SaturationBounds(np.ones(n)), kappa_g=1.0,
+    )
+    save_design(design, str(tmp_path / "design.txt"))
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(
+        f"[map]\npolytope = eigen_interval\nlambda1 = -2\nlambda2 = -1\ndim = {n}\n"
+        f"[synthesis]\nkind = gradsat\neta = 1\nbounds = {' '.join(['1'] * n)}\n"
+    )
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "design.txt"), str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "dead-zone sector sampling" not in captured.out
+    assert "all certificates pass" not in captured.out
+    failed = captured.err.splitlines()
+    assert all(line.startswith("FAILED: ") for line in failed)
+    assert failed[-1] == (
+        "FAILED: dead-zone sector sampling: admissible set rejected more than "
+        "99.9% of samples"
+    )
+
+
 def test_design_refuses_what_certify_fails(
     monkeypatch, tmp_path, capsys, ex1_polytope, ex1_bounds, ex2_polytope, ex2_bounds
 ):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from esc_sat import cli, matio
+from esc_sat.plant import AwController, GradSatController
+from esc_sat.sim import export_csv, simulate
 from esc_sat.config import (
     ConfigError,
     build_controller,
@@ -42,7 +44,6 @@ eta = 1
 bounds = 5 5
 
 [controller]
-source = explicit
 k = -0.0270 0.0361; 0.0456 -0.1492
 k_aw = 2.2794 0.0824; -0.0865 2.2804
 
@@ -274,11 +275,6 @@ def test_cli_verify_rejects_bounds_that_differ_from_the_config(tmp_path, capsys)
     "command, old, new, what",
     [
         ("simulate", "dt = auto", "dt = fast", "[sim] dt = 'fast' is not a number"),
-        ("simulate", "stride = 1", "stride = x", "[outputs] stride = 'x' is not a number"),
-        (
-            "simulate", "stride = 1", "stride = 2.5",
-            "[outputs] stride = '2.5' is not an integer",
-        ),
         ("design", "kind = aw", "kind = aw\nepsilon = big",
          "[synthesis] epsilon = 'big' is not a number"),
         (
@@ -327,7 +323,7 @@ def test_cli_verify_rejects_bounds_that_differ_from_the_config(tmp_path, capsys)
         ),
     ],
     ids=[
-        "dt", "stride-text", "stride-fraction", "epsilon", "dim-fraction",
+        "dt", "epsilon", "dim-fraction",
         "vector", "bounds", "matrix", "rationals", "t_end-inf", "t_end-nan",
         "base_omega-nan", "dt-nan", "amplitudes-nan", "theta0-inf", "q_star-inf",
         "h0-nan",
@@ -341,6 +337,38 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
     rc = cli.main([command, str(path), "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.endswith(f"error: {path}: {what}\n")
+
+
+@pytest.mark.parametrize("stride", ["0", "-1", "x", "2.5"])
+def test_cli_stride_is_checked_before_anything_runs(tmp_path, capsys, stride):
+    out = tmp_path / "out"
+    argv = ["simulate", fixture_path("example1.cfg"), "--stride", stride]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument --stride: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, bad, what",
+    [
+        ("[controller]", "source = designed", "unknown key 'source' in [controller]"),
+        ("demod = deviation", "\n[outputs]\nstride = 1", "unknown section [outputs]"),
+    ],
+    ids=["source", "outputs"],
+)
+def test_removed_config_knobs_fail_with_their_position(tmp_path, capsys, old, bad, what):
+    # the design file and the output shape are chosen on the command line
+    text = open(fixture_path("example1.cfg")).read()
+    edited = text.replace(f"{old}\n", f"{old}\n{bad}\n")
+    line = edited.splitlines().index(bad.strip().splitlines()[0]) + 1
+    path = tmp_path / "old.cfg"
+    path.write_text(edited)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {what} (line {line}, col 1)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -393,6 +421,17 @@ def test_cli_epsilon_sweep_skips_empty_entries_as_sweep_values_do(tmp_path):
     assert [ln.partition(":")[0] for ln in report[:2]] == [
         "epsilon = 0.25", "epsilon = 0.5"
     ]
+
+
+def test_cli_epsilon_sweep_is_refused_on_an_aw_config(tmp_path, capsys):
+    # an anti-windup design has no congruence scalar to report on
+    out = tmp_path / "out"
+    argv = ["design", fixture_path("example1.cfg"), "--epsilon-sweep", "0.25,0.5"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --epsilon-sweep applies to gradsat designs only\n"
+    )
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -520,10 +559,7 @@ def test_designed_controller_needs_the_scenario_kind(
     )
     assert cli.main(["design", str(design_cfg), "--out", str(tmp_path)]) == 0
     run_cfg = tmp_path / "run.cfg"
-    run_cfg.write_text(
-        text.replace("source = explicit", "source = designed")
-        .replace("scenario = input-saturation", f"scenario = {scenario}")
-    )
+    run_cfg.write_text(text.replace("scenario = input-saturation", f"scenario = {scenario}"))
     argv = [command, str(run_cfg), "--design", str(tmp_path / "design.txt")]
     if command == "sweep":
         argv += ["--param", "amplitude", "--values", "0.1,0.2"]
@@ -536,34 +572,31 @@ def test_designed_controller_needs_the_scenario_kind(
     )
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_design_file_needs_a_designed_controller(
-    tmp_path, capsys, fixture_designs, command
-):
-    # with source = explicit the design's gains would be loaded and ignored;
-    # the refusal is the one stderr line, also where example 2's dither
-    # frequencies would warn
-    for name in ("example1.cfg", "example2.cfg"):
-        cfg = fixture_path(name)
-        argv = [command, cfg, "--design", str(fixture_designs[name])]
-        if command == "sweep":
-            argv += ["--param", "amplitude", "--values", "0.1,0.2"]
-        capsys.readouterr()
-        rc = cli.main(argv + ["--out", str(tmp_path)])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            f"error: {cfg}: controller source is 'explicit' but a design file was "
-            "supplied\n"
-        )
-        assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg"])
+def test_design_option_alone_runs_the_design_gains(tmp_path, fixture_designs, name):
+    cfg_path = fixture_path(name)
+    design = load_design(str(fixture_designs[name]))
+    cfg = load_config(cfg_path)
+    assert not np.array_equal(design.k, matio.parse_matrix(cfg.require("controller", "k")))
+    argv = ["simulate", cfg_path, "--design", str(fixture_designs[name])]
+    assert cli.main(argv + ["--out", str(tmp_path / "cli")]) == 0
+    qmap = build_qmap(cfg, resolve_hessian(cfg, build_polytope(cfg)))
+    if design.kind == "aw":
+        ctrl = AwController(design.k, design.k_aw, qmap.input_bounds)
+    else:
+        ctrl = GradSatController(design.k, design.bounds)
+    traj = simulate(build_sim_config(cfg, qmap, build_dither(cfg), ctrl))
+    export_csv(traj, str(tmp_path / "library.csv"))
+    written = (tmp_path / "cli" / "trajectory.csv").read_bytes()
+    assert written == (tmp_path / "library.csv").read_bytes()
 
 
-@pytest.mark.parametrize("refusal", ["explicit-source", "bad-config"])
+@pytest.mark.parametrize("refusal", ["other-kind", "bad-config"])
 def test_refused_sweep_leaves_no_out_directory(tmp_path, capsys, fixture_designs, refusal):
     cfg = fixture_path("example2.cfg")
     argv = ["sweep", cfg, "--param", "amplitude", "--values", "0.1,0.2"]
-    if refusal == "explicit-source":
-        argv += ["--design", str(fixture_designs["example2.cfg"])]
+    if refusal == "other-kind":
+        argv += ["--design", str(fixture_designs["example1.cfg"])]
     else:
         bad = tmp_path / "bad.cfg"
         bad.write_text(open(cfg).read().replace("t_end = ", "t_end = x"))
@@ -589,11 +622,17 @@ def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_
     )
 
 
-def test_cli_verify_missing_file(tmp_path):
-    rc = cli.main(
-        ["verify", str(tmp_path / "nope.txt"), fixture_path("example1.cfg")]
-    )
-    assert rc == 1
+def test_cli_verify_missing_file(tmp_path, capsys, fixture_designs):
+    missing = str(tmp_path / "nope.txt")
+    for argv in (
+        [missing, fixture_path("example1.cfg")],
+        [str(fixture_designs["example1.cfg"]), missing],
+    ):
+        capsys.readouterr()
+        assert cli.main(["verify", *argv]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        )
 
 
 def test_cli_simulate_writes_outputs(tmp_path):
@@ -629,6 +668,37 @@ def test_cli_simulate_blowup(tmp_path):
     path = tmp_path / "diverge.cfg"
     path.write_text(cfg)
     assert cli.main(["simulate", str(path), "--out", str(tmp_path)]) == 3
+
+
+DIVERGE = {
+    "k_aw = 2.2794 0.0824; -0.0865 2.2804": "k_aw = -1 0; 0 -1",
+    "t_end = 5": "t_end = 60",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, edits, rc",
+    [
+        ("design", "example2.cfg", {"eta = 1": "eta = 50"}, 2),
+        ("simulate", "example1.cfg", DIVERGE, 3),
+        ("sweep", "example1.cfg", DIVERGE, 3),
+    ],
+    ids=["design-infeasible", "simulate-blowup", "sweep-blowup"],
+)
+def test_failed_commands_leave_no_out_directory(tmp_path, capsys, command, name, edits, rc):
+    text = open(fixture_path(name)).read()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "failing.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, str(path), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--param", "amplitude", "--values", "0.1,0.2"]
+    assert cli.main(argv) == rc
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 def test_cli_sweep(tmp_path):
