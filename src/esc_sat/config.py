@@ -2,10 +2,11 @@
 
 A config is a sequence of ``[section]`` headers and ``key = value`` lines;
 ``#`` starts a comment.  Matrix values keep rows separated by semicolons so
-numeric content stays auditable in diffs.  Unknown sections or keys are
-rejected with the offending line and column.  A config describes the map,
-dither, design request, explicit gains and run; which design file to run
-and how to write the results are chosen on the command line only.
+numeric content stays auditable in diffs.  A malformed line, an unknown
+section or key and a repeated one are rejected with the file name and the
+offending line and column.  A config describes the map, dither, design
+request, explicit gains and run; which design file to run and how to write
+the results are chosen on the command line only.
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ class ExperimentConfig:
 def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
     sections: dict[str, dict[str, str]] = {}
     current: Optional[str] = None
+
+    def fail(message: str):
+        raise ConfigError(f"{name}: {message}", lineno, col)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -109,28 +114,28 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
         col = raw.index(stripped[0]) + 1
         if stripped.startswith("["):
             if not stripped.endswith("]"):
-                raise ConfigError("unterminated section header", lineno, col)
+                fail("unterminated section header")
             sec = stripped[1:-1].strip()
             if sec not in _SCHEMA:
-                raise ConfigError(f"unknown section [{sec}]", lineno, col)
+                fail(f"unknown section [{sec}]")
             if sec in sections:
-                raise ConfigError(f"duplicate section [{sec}]", lineno, col)
+                fail(f"duplicate section [{sec}]")
             sections[sec] = {}
             current = sec
             continue
         if current is None:
-            raise ConfigError("key outside any section", lineno, col)
+            fail("key outside any section")
         if "=" not in stripped:
-            raise ConfigError("expected 'key = value'", lineno, col)
+            fail("expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
         if not _key_allowed(current, key):
-            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno, col)
+            fail(f"unknown key {key!r} in [{current}]")
         if key in sections[current]:
-            raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno, col)
+            fail(f"duplicate key {key!r} in [{current}]")
         if not value:
-            raise ConfigError(f"empty value for {key!r}", lineno, col)
+            fail(f"empty value for {key!r}")
         sections[current][key] = value
     return ExperimentConfig(sections=sections, name=name)
 

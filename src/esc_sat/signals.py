@@ -13,6 +13,7 @@ point LCMs cannot deliver reliably.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,25 +63,41 @@ def _coerce_multipliers(multipliers: Iterable) -> tuple[Fraction, ...]:
     return mults
 
 
+# The exclusion rules, one per violation kind: (number of indices, the index
+# tuples (i, j[, k]) the rule covers, the relation on (m_i, m_j[, m_k]) that
+# excludes m_i, its text).  A half-sum with i == j or i == k reduces to a
+# plain duplicate, which is reported as such.
+_RULES = {
+    "duplicate": (2, lambda i, j: i < j, lambda a, b: a == b, "m[{0}] = m[{1}]"),
+    "half-sum": (
+        3, lambda i, j, k: j < k and i not in (j, k),
+        lambda a, b, c: a == (b + c) / 2, "m[{0}] = (m[{1}] + m[{2}])/2",
+    ),
+    "shifted-double": (
+        3, lambda i, j, k: not i == j == k,
+        lambda a, b, c: a == b + 2 * c, "m[{0}] = m[{1}] + 2*m[{2}]",
+    ),
+    "sum": (
+        3, lambda i, j, k: j <= k and not i == j == k,
+        lambda a, b, c: a == b + c, "m[{0}] = m[{1}] + m[{2}]",
+    ),
+    "difference": (
+        3, lambda i, j, k: j != k,
+        lambda a, b, c: a == b - c, "m[{0}] = m[{1}] - m[{2}]",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class FrequencyViolation:
     """One admissibility exclusion hit by a multiplier set."""
 
-    kind: str                      # duplicate | half-sum | shifted-double | sum | difference
+    kind: str                      # a key of _RULES
     indices: tuple[int, ...]
     value: Fraction
 
     def describe(self) -> str:
-        i = self.indices
-        if self.kind == "duplicate":
-            return f"m[{i[0]}] = m[{i[1]}] = {self.value}"
-        if self.kind == "half-sum":
-            return f"m[{i[0]}] = (m[{i[1]}] + m[{i[2]}])/2 = {self.value}"
-        if self.kind == "shifted-double":
-            return f"m[{i[0]}] = m[{i[1]}] + 2*m[{i[2]}] = {self.value}"
-        if self.kind == "sum":
-            return f"m[{i[0]}] = m[{i[1]}] + m[{i[2]}] = {self.value}"
-        return f"m[{i[0]}] = m[{i[1]}] - m[{i[2]}] = {self.value}"
+        return f"{_RULES[self.kind][3].format(*self.indices)} = {self.value}"
 
 
 @dataclass(frozen=True)
@@ -104,46 +121,12 @@ def validate_frequencies(multipliers: Iterable) -> FrequencyReport:
     self-contradictory (every m trivially equals itself).
     """
     mults = _coerce_multipliers(multipliers)
-    n = len(mults)
-    hits: list[FrequencyViolation] = []
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mults[i] == mults[j]:
-                hits.append(FrequencyViolation("duplicate", (i, j), mults[i]))
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                # i == j, i == k or j == k all reduce the half-sum rule to a
-                # plain duplicate, which is reported above
-                if i in (j, k):
-                    continue
-                if mults[i] == (mults[j] + mults[k]) / 2:
-                    hits.append(FrequencyViolation("half-sum", (i, j, k), mults[i]))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i == j == k:
-                    continue
-                if mults[i] == mults[j] + 2 * mults[k]:
-                    hits.append(
-                        FrequencyViolation("shifted-double", (i, j, k), mults[i])
-                    )
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                if i == j == k:
-                    continue
-                if mults[i] == mults[j] + mults[k]:
-                    hits.append(FrequencyViolation("sum", (i, j, k), mults[i]))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                if mults[i] == mults[j] - mults[k]:
-                    hits.append(FrequencyViolation("difference", (i, j, k), mults[i]))
-
+    hits = [
+        FrequencyViolation(kind, idx, mults[idx[0]])
+        for kind, (arity, covers, excludes, _) in _RULES.items()
+        for idx in itertools.product(range(len(mults)), repeat=arity)
+        if covers(*idx) and excludes(*(mults[i] for i in idx))
+    ]
     return FrequencyReport(valid=not hits, violations=tuple(hits))
 
 

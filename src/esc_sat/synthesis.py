@@ -22,9 +22,11 @@ the region where the dead-zone sector bound with slope L is valid.
 
 Both systems are homogeneous (fully for anti-windup, partially for rate
 saturation), so small shaping blocks P >= eps*I etc. pin the scale away from
-zero.  Every returned design passes ``certify``, which re-assembles the
-inequalities from the recovered gains and checks them by eigendecomposition,
-independent of the solver's internal state.
+zero.  Each design kind lists its blocks once, in one conditions function
+mapping matrix variables to ``(name, kind, matrix)`` entries.  The solver's
+problem evaluates it on the unit vectors of the decision vector; ``certify``,
+which every returned design passes, evaluates it on the recovered gains and
+checks the blocks by eigendecomposition, independent of the solver's state.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import functools
 import logging
 import warnings
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -124,18 +126,14 @@ def _t(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _block(
-    layout: _VarLayout, name: str, kind: str, build: Callable[[np.ndarray], np.ndarray]
-) -> LmiBlock:
-    """LmiBlock of the linear matrix expression ``build`` over ``layout``.
+def _block(name: str, kind: str, values: np.ndarray) -> LmiBlock:
+    """LmiBlock of a linear matrix expression evaluated on ``_assemble``'s stack.
 
-    ``build`` maps a stack of decision vectors to a stack of matrices; it is
-    evaluated once, on the origin followed by every unit vector, which splits
-    it into base and coefficient stack.  ``kind`` is "strict" (negative
-    definite, by a margin scaled to the block's data), "psd" (positive
-    semidefinite) or "floor" (at least SHAPING_EPS * I).
+    ``values[0]`` is the expression at the origin and ``values[1 + j]`` at
+    unit vector j, which splits it into base and coefficient stack.  ``kind``
+    is "strict" (negative definite, by a margin scaled to the block's data),
+    "psd" (positive semidefinite) or "floor" (at least SHAPING_EPS * I).
     """
-    values = build(np.vstack([np.zeros(layout.size), np.eye(layout.size)]))
     base = values[0]
     coeffs = values[1:] - base
     if kind == "strict":
@@ -148,6 +146,20 @@ def _block(
     if kind == "floor":
         base = base - SHAPING_EPS * np.eye(base.shape[0])
     return LmiBlock(base, coeffs, "psd", PSD_MARGIN, name)
+
+
+def _assemble(n: int, kinds: dict, conditions) -> tuple[LmiProblem, _VarLayout]:
+    """LmiProblem of the entries ``conditions`` maps the variables ``kinds`` to.
+
+    ``conditions`` is called once, with every matrix variable unpacked from
+    the stack of the origin followed by every unit vector, and returns
+    ``(name, kind, values)`` entries; each becomes one ``_block``.
+    """
+    layout = _VarLayout(n, kinds)
+    x = np.vstack([np.zeros(layout.size), np.eye(layout.size)])
+    v = {name: layout.unpack(x, name) for name in kinds}
+    blocks = tuple(_block(*entry) for entry in conditions(v))
+    return LmiProblem(num_vars=layout.size, blocks=blocks), layout
 
 
 class _Design:
@@ -246,13 +258,28 @@ class AwDesign(_Design):
     kappa: float
     bounds: SaturationBounds
 
+    def _conditions(self, poly: HessianPolytope) -> list:
+        """This design's entries of ``_aw_conditions``: Z = P K, Z_aw = P K_aw."""
+        v = {"p": self.p, "lam": self.lam}
+        v.update(z=self.p @ self.k, z_aw=self.p @ self.k_aw)
+        return _aw_conditions(v, poly, self.eta)
 
-def _aw_vertex_block(P, Lam, Z, Zaw, Hi, eta):
-    b11 = Z @ Hi + Hi @ _t(Z) + 2.0 * eta * P
-    b21 = Lam - _t(Zaw) - Hi @ _t(Z)
-    b22 = -2.0 * Lam
-    M = np.block([[b11, _t(b21)], [b21, b22]])
-    return 0.5 * (M + _t(M))
+
+def _aw_conditions(v: dict, poly: HessianPolytope, eta: float) -> list:
+    """(name, kind, matrix) entries of the anti-windup design over ``poly``.
+
+    ``v`` holds P ("p"), Lambda ("lam"), Z = P K ("z") and Z_aw = P K_aw
+    ("z_aw"), as matrices or as equal-length stacks of them.
+    """
+    P, Lam, Z, Zaw = v["p"], v["lam"], v["z"], v["z_aw"]
+    entries = []
+    for i, Hi in enumerate(poly.vertices):
+        b11 = Z @ Hi + Hi @ _t(Z) + 2.0 * eta * P
+        b21 = Lam - _t(Zaw) - Hi @ _t(Z)
+        b22 = -2.0 * Lam
+        M = np.block([[b11, _t(b21)], [b21, b22]])
+        entries.append((f"vertex[{i}]", "strict", 0.5 * (M + _t(M))))
+    return entries + [("p_floor", "floor", P), ("lam_floor", "floor", Lam)]
 
 
 def _assemble_aw_problem(
@@ -266,28 +293,13 @@ def _assemble_aw_problem(
     kinds = {"p": "sym", "lam": "diag"}
     if gains is None:
         kinds.update(z="full", z_aw="full")
-    layout = _VarLayout(poly.dim, kinds)
 
-    def parts(x):
-        P = layout.unpack(x, "p")
-        if gains is None:
-            Z, Zaw = layout.unpack(x, "z"), layout.unpack(x, "z_aw")
-        else:
-            Z, Zaw = P @ gains[0], P @ gains[1]
-        return P, layout.unpack(x, "lam"), Z, Zaw
+    def conditions(v):
+        if gains is not None:
+            v.update(z=v["p"] @ gains[0], z_aw=v["p"] @ gains[1])
+        return _aw_conditions(v, poly, eta)
 
-    blocks = [
-        _block(
-            layout, f"vertex[{i}]", "strict",
-            lambda x, Hi=Hi: _aw_vertex_block(*parts(x), Hi, eta),
-        )
-        for i, Hi in enumerate(poly.vertices)
-    ]
-    blocks += [
-        _block(layout, "p_floor", "floor", lambda x: layout.unpack(x, "p")),
-        _block(layout, "lam_floor", "floor", lambda x: layout.unpack(x, "lam")),
-    ]
-    return LmiProblem(num_vars=layout.size, blocks=tuple(blocks)), layout
+    return _assemble(poly.dim, kinds, conditions)
 
 
 def _aw_design(var, eta: float, bounds: SaturationBounds, gains) -> AwDesign:
@@ -363,68 +375,64 @@ class GradSatDesign(_Design):
     bounds: SaturationBounds
     kappa_g: float
 
-
-def _gradsat_vertex_block(W, Ut, X, Y, Z, Hi, eta, epsilon):
-    b11 = Hi @ Z + _t(Z) @ Hi + 2.0 * eta * W
-    b21 = W - _t(X) + epsilon * Hi @ Z
-    b22 = -epsilon * (_t(X) + X)
-    b31 = Y - Ut @ Hi
-    b32 = -epsilon * Ut @ Hi
-    b33 = -2.0 * Ut
-    M = np.block(
-        [
-            [b11, _t(b21), _t(b31)],
-            [b21, b22, _t(b32)],
-            [b31, b32, b33],
-        ]
-    )
-    return 0.5 * (M + _t(M))
+    def _conditions(self, poly: HessianPolytope) -> list:
+        """This design's entries of ``_gradsat_conditions``: Y = L X, Z = K X."""
+        v = {
+            "w": self.w, "ut": self.upsilon_tilde, "x": self.x,
+            "y": self.l @ self.x, "z": self.k @ self.x,
+        }
+        return _gradsat_conditions(v, poly, self.eta, self.epsilon, self.bounds.limits)
 
 
-def _gradsat_row_block(W, Y, Z, row: int, ubar: float):
+def _gradsat_conditions(
+    v: dict, poly: HessianPolytope, eta: float, epsilon: float, limits: np.ndarray
+) -> list:
+    """(name, kind, matrix) entries of the rate-saturation design over ``poly``.
+
+    ``v`` holds W ("w"), the multiplier ("ut"), X ("x"), Y = L X ("y") and
+    Z = K X ("z"), as matrices or as equal-length stacks of them; ``limits``
+    are the rate bounds ubar.
+    """
+    W, Ut, X, Y, Z = v["w"], v["ut"], v["x"], v["y"], v["z"]
+    entries = []
+    for i, Hi in enumerate(poly.vertices):
+        b11 = Hi @ Z + _t(Z) @ Hi + 2.0 * eta * W
+        b21 = W - _t(X) + epsilon * Hi @ Z
+        b22 = -epsilon * (_t(X) + X)
+        b31 = Y - Ut @ Hi
+        b32 = -epsilon * Ut @ Hi
+        b33 = -2.0 * Ut
+        M = np.block(
+            [
+                [b11, _t(b21), _t(b31)],
+                [b21, b22, _t(b32)],
+                [b31, b32, b33],
+            ]
+        )
+        entries.append((f"vertex[{i}]", "strict", 0.5 * (M + _t(M))))
     n = W.shape[-1]
-    M = np.zeros(W.shape[:-2] + (n + 1, n + 1))
-    M[..., :n, :n] = W
-    M[..., :n, n] = Z[..., row, :] - Y[..., row, :]
-    M[..., n, :n] = M[..., :n, n]
-    M[..., n, n] = ubar**2
-    return M
+    for ell, ubar in enumerate(limits):
+        M = np.zeros(W.shape[:-2] + (n + 1, n + 1))
+        M[..., :n, :n] = W
+        M[..., :n, n] = Z[..., ell, :] - Y[..., ell, :]
+        M[..., n, :n] = M[..., :n, n]
+        M[..., n, n] = ubar**2
+        entries.append((f"row[{ell}]", "psd", M))
+    return entries + [
+        ("w_floor", "floor", W),
+        ("ut_floor", "floor", Ut),
+        ("x_sym_floor", "floor", X + _t(X)),
+    ]
 
 
 def _assemble_gradsat_problem(
     poly: HessianPolytope, eta: float, epsilon: float, bounds: SaturationBounds
 ) -> tuple[LmiProblem, _VarLayout]:
-    n = poly.dim
     kinds = {"w": "sym", "ut": "diag", "x": "full", "y": "full", "z": "full"}
-    layout = _VarLayout(n, kinds)
-
-    def parts(x):
-        return [layout.unpack(x, name) for name in kinds]
-
-    def row(x, ell):
-        W, _, _, Y, Z = parts(x)
-        return _gradsat_row_block(W, Y, Z, ell, bounds.limits[ell])
-
-    blocks = [
-        _block(
-            layout, f"vertex[{i}]", "strict",
-            lambda x, Hi=Hi: _gradsat_vertex_block(*parts(x), Hi, eta, epsilon),
-        )
-        for i, Hi in enumerate(poly.vertices)
-    ]
-    blocks += [
-        _block(layout, f"row[{ell}]", "psd", lambda x, ell=ell: row(x, ell))
-        for ell in range(n)
-    ]
-    blocks += [
-        _block(layout, "w_floor", "floor", lambda x: layout.unpack(x, "w")),
-        _block(layout, "ut_floor", "floor", lambda x: layout.unpack(x, "ut")),
-        _block(
-            layout, "x_sym_floor", "floor",
-            lambda x: layout.unpack(x, "x") + _t(layout.unpack(x, "x")),
-        ),
-    ]
-    return LmiProblem(num_vars=layout.size, blocks=tuple(blocks)), layout
+    return _assemble(
+        poly.dim, kinds,
+        lambda v: _gradsat_conditions(v, poly, eta, epsilon, bounds.limits),
+    )
 
 
 def _gradsat_design(
@@ -562,13 +570,7 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
         name, np.min(np.diag(mult)), _positive_diagonal(mult),
         f"{label} not a positive diagonal",
     )
-    if aw:
-        Z, Zaw = design.p @ design.k, design.p @ design.k_aw
-        blocks = [
-            _aw_vertex_block(design.p, design.lam, Z, Zaw, Hi, design.eta)
-            for Hi in poly.vertices
-        ]
-    else:
+    if not aw:
         try:
             rebuilt = _over_x(np.linalg.solve(design.x.T, design.w), design.x)
             mismatch = np.linalg.norm(rebuilt - design.p)
@@ -580,28 +582,17 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
                 "congruence", mismatch / scale, mismatch <= CONGRUENCE_RTOL * scale,
                 "P differs from X^-T W X^-1",
             )
-        Z, Y = design.k @ design.x, design.l @ design.x
-        blocks = [
-            _gradsat_vertex_block(
-                design.w, design.upsilon_tilde, design.x, Y, Z, Hi,
-                design.eta, design.epsilon,
-            )
-            for Hi in poly.vertices
-        ]
-    for i, M in enumerate(blocks):
-        lmax = np.linalg.eigvalsh(M)[-1]
-        check(
-            f"vertex[{i}]", lmax, lmax < 0.0,
-            "vertex inequalities not negative definite",
-        )
-    if not aw:
-        for ell in range(design.dim):
-            M = _gradsat_row_block(design.w, Y, Z, ell, design.bounds.limits[ell])
+    for name, kind, M in design._conditions(poly):
+        if kind == "strict":
+            lmax = np.linalg.eigvalsh(M)[-1]
+            check(name, lmax, lmax < 0.0, "vertex inequalities not negative definite")
+        elif kind == "psd":
             lmin = np.linalg.eigvalsh(M)[0]
             check(
-                f"row[{ell}]", lmin, lmin >= -PSD_MARGIN,
+                name, lmin, lmin >= -PSD_MARGIN,
                 "row-coupling blocks not positive semidefinite",
             )
+    if not aw:
         for ell, r in enumerate(verify_ellipsoid_inclusion(design)):
             check(
                 f"inclusion[{ell}]", r, r >= -PSD_MARGIN,
@@ -665,8 +656,8 @@ def save_design(design, path: str) -> None:
 def load_design(path: str):
     """Read back a design file written by save_design.
 
-    A malformed value, or a matrix or bound list whose size does not match
-    the n-by-n gain k, is reported as ``path:line: field: reason``.
+    A repeated field, a malformed value, or a matrix or bound list whose
+    size does not match the n-by-n gain k fails as ``path:line: field: reason``.
     """
     entries: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
@@ -676,8 +667,11 @@ def load_design(path: str):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            entries[key.strip()] = (value.strip(), lineno)
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in entries:
+                reason = f"duplicate field (first on line {entries[key][1]})"
+                raise ValueError(f"{path}:{lineno}: {key}: {reason}")
+            entries[key] = (value, lineno)
     kind = entries.pop("kind", (None, 0))[0]
     cls = next((c for c in _FILE_FIELDS if c.kind == kind), None)
     if cls is None:

@@ -355,11 +355,14 @@ def test_cli_stride_is_checked_before_anything_runs(tmp_path, capsys, stride):
     [
         ("[controller]", "source = designed", "unknown key 'source' in [controller]"),
         ("demod = deviation", "\n[outputs]\nstride = 1", "unknown section [outputs]"),
+        ("demod = deviation", "\n[plant]", "unknown section [plant]"),
+        ("demod = deviation", "demod = plain", "duplicate key 'demod' in [sim]"),
     ],
-    ids=["source", "outputs"],
+    ids=["source", "outputs", "unknown-section", "duplicate-key"],
 )
 def test_removed_config_knobs_fail_with_their_position(tmp_path, capsys, old, bad, what):
-    # the design file and the output shape are chosen on the command line
+    # the design file and the output shape are chosen on the command line;
+    # every parse error names the file, as typed reads do
     text = open(fixture_path("example1.cfg")).read()
     edited = text.replace(f"{old}\n", f"{old}\n{bad}\n")
     line = edited.splitlines().index(bad.strip().splitlines()[0]) + 1
@@ -367,7 +370,7 @@ def test_removed_config_knobs_fail_with_their_position(tmp_path, capsys, old, ba
     path.write_text(edited)
     out = tmp_path / "out"
     assert cli.main(["simulate", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: {what} (line {line}, col 1)\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {what} (line {line}, col 1)\n")
     assert not out.exists()
 
 
@@ -471,6 +474,14 @@ MATRIX_SHAPE = "shape (1, 2), expected ({n}, {n}) from the {n}-row k"
             pytest.param(field, "1 2", MATRIX_SHAPE, id=f"shape-{field}")
             for field in ("k_aw", "p", "lambda", "l", "w", "x", "upsilon_tilde")
         ],
+        pytest.param(
+            "k", "0 0; 0 0\nk = 0 0; 0 0", "duplicate field (first on line {first})",
+            id="duplicate-k",
+        ),
+        pytest.param(
+            "kind", "aw\nkind = aw", "duplicate field (first on line {first})",
+            id="duplicate-kind",
+        ),
     ],
 )
 def test_design_file_errors_name_line_and_field(
@@ -483,10 +494,12 @@ def test_design_file_errors_name_line_and_field(
         if field not in keys:
             continue
         tried += 1
-        lineno = 1 + keys.index(field)
-        expected = reason.format(n=load_design(str(good)).dim)
+        first = 1 + keys.index(field)
+        expected = reason.format(n=load_design(str(good)).dim, first=first)
         bad = tmp_path / "bad.txt"
         _edit_design_file(good, bad, **{field: value})
+        # the error names the field's last line: a repeat, if there is one
+        lineno = first + value.count("\n")
         with pytest.raises(ValueError) as exc:
             load_design(str(bad))
         assert str(exc.value) == f"{bad}:{lineno}: {field}: {expected}"

@@ -71,6 +71,27 @@ def test_example2_multipliers_flagged():
     assert any(v.kind == "shifted-double" for v in report.violations)
 
 
+def test_describe_names_every_violation_kind():
+    # m = (1/2, 1/2, 1, 3/2) hits all five rules; every violation, in order
+    report = validate_frequencies(["1/2", "1/2", 1, "3/2"])
+    assert [v.kind for v in report.violations] == (
+        ["duplicate"] + ["half-sum"] * 2 + ["shifted-double"] * 4 + ["sum"] * 5
+        + ["difference"] * 8
+    )
+    assert report.describe() == "inadmissible frequency multipliers: " + "; ".join([
+        "m[0] = m[1] = 1/2",
+        "m[2] = (m[0] + m[3])/2 = 1", "m[2] = (m[1] + m[3])/2 = 1",
+        "m[3] = m[0] + 2*m[0] = 3/2", "m[3] = m[0] + 2*m[1] = 3/2",
+        "m[3] = m[1] + 2*m[0] = 3/2", "m[3] = m[1] + 2*m[1] = 3/2",
+        "m[2] = m[0] + m[0] = 1", "m[2] = m[0] + m[1] = 1", "m[2] = m[1] + m[1] = 1",
+        "m[3] = m[0] + m[2] = 3/2", "m[3] = m[1] + m[2] = 3/2",
+        "m[0] = m[2] - m[0] = 1/2", "m[0] = m[2] - m[1] = 1/2",
+        "m[0] = m[3] - m[2] = 1/2", "m[1] = m[2] - m[0] = 1/2",
+        "m[1] = m[2] - m[1] = 1/2", "m[1] = m[3] - m[2] = 1/2",
+        "m[2] = m[3] - m[0] = 1", "m[2] = m[3] - m[1] = 1",
+    ])
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_matches_exhaustive_oracle(seed):
     rng = np.random.default_rng(seed)

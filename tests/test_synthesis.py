@@ -5,15 +5,14 @@ import pytest
 
 from esc_sat.plant import SaturationBounds
 from esc_sat.polytope import HessianPolytope, from_scaled_nominal
-from esc_sat.sdp import check_solution
+from esc_sat.sdp import check_solution, solve_feasibility
 from esc_sat.synthesis import (
     AwDesign,
     InfeasibleDesignError,
     _assemble_aw_problem,
     _assemble_gradsat_problem,
-    _aw_vertex_block,
-    _gradsat_row_block,
-    _gradsat_vertex_block,
+    _aw_conditions,
+    _gradsat_conditions,
     certify,
     design_aw_gains,
     design_gradsat_gain,
@@ -36,19 +35,40 @@ def test_aw_design_reference_polytope(ex1_polytope, ex1_bounds):
     assert design.kappa >= 1.0
 
 
-def test_aw_design_roundtrip_against_solver(ex1_polytope, ex1_bounds):
-    # substitution residuals must agree with the solver's own slack
-    problem, layout = _assemble_aw_problem(ex1_polytope, 1.0)
-    from esc_sat.sdp import solve_feasibility
-
+def _solver_checks_read_by_certify(problem, design, poly):
+    """Solver's checks of its non-floor blocks at its own solution, after
+    asserting that they are ``certify``'s vertex/row checks, in order."""
     sol = solve_feasibility(problem)
     assert sol.status == "feasible"
+    solver = [c for c in check_solution(problem, sol.x) if not c.name.endswith("_floor")]
+    report = certify(design, poly).checks
+    assert [c.name for c in report if c.name.startswith(("vertex", "row"))] == [
+        c.name for c in solver
+    ]
+    return solver
+
+
+def test_aw_design_roundtrip_against_solver(ex1_polytope, ex1_bounds):
+    # substitution residuals must agree with the solver's own slack
+    problem, _ = _assemble_aw_problem(ex1_polytope, 1.0)
     design = design_aw_gains(ex1_polytope, 1.0, ex1_bounds)
+    solver = _solver_checks_read_by_certify(problem, design, ex1_polytope)
     rebuilt = verify_aw_design(design, ex1_polytope)
-    solver_worst = max(
-        c.extreme_eig for c in check_solution(problem, sol.x) if c.sense == "strict"
-    )
+    solver_worst = max(c.extreme_eig for c in solver if c.sense == "strict")
     assert rebuilt == pytest.approx(solver_worst, rel=1e-6)
+
+
+def test_gradsat_design_roundtrip_against_solver(ex2_polytope, ex2_bounds):
+    problem, _ = _assemble_gradsat_problem(ex2_polytope, 1.0, 0.5, ex2_bounds)
+    design = design_gradsat_gain(ex2_polytope, 1.0, 0.5, ex2_bounds)
+    solver = _solver_checks_read_by_certify(problem, design, ex2_polytope)
+    vertex_max, row_min = verify_gradsat_design(design, ex2_polytope)
+    assert vertex_max == pytest.approx(
+        max(c.extreme_eig for c in solver if c.sense == "strict"), rel=1e-6
+    )
+    assert row_min == pytest.approx(
+        min(c.extreme_eig for c in solver if c.sense == "psd"), rel=1e-6
+    )
 
 
 def _unpack_reference(layout, x, name):
@@ -69,43 +89,42 @@ def _unpack_reference(layout, x, name):
     return out
 
 
-def _coeffs_by_variable(layout, build):
-    base = build(np.zeros(layout.size))
-    return np.stack([build(e) - base for e in np.eye(layout.size)])
+def _coeffs_by_variable(layout, conditions):
+    """Coefficient stack of every entry of ``conditions``, by name, from one
+    call per unit vector on reference-unpacked variables."""
+    def entries(x):
+        return conditions({nm: _unpack_reference(layout, x, nm) for nm in layout._slices})
+
+    base = entries(np.zeros(layout.size))
+    per_var = [entries(e) for e in np.eye(layout.size)]
+    return {
+        name: np.stack([e[j][2] - m for e in per_var])
+        for j, (name, _, m) in enumerate(base)
+    }
 
 
 def test_batched_assembly_matches_per_variable_build(ex1_polytope, ex2_polytope, ex2_bounds):
-    # one build() on the stacked unit vectors gives bit-identical coefficients
-    def part(layout, x, *names):
-        return [_unpack_reference(layout, x, nm) for nm in names]
+    # one conditions call on the stacked unit vectors gives bit-identical coefficients
+    def fixed_gains(v):
+        v.update(z=v["p"] @ EX1_K, z_aw=v["p"] @ EX1_KAW)
+        return _aw_conditions(v, ex1_polytope, 0.9)
 
-    problem, layout = _assemble_aw_problem(ex1_polytope, 1.0)
-    for Hi, blk in zip(ex1_polytope.vertices, problem.blocks):
-        ref = _coeffs_by_variable(layout, lambda x: _aw_vertex_block(
-            *part(layout, x, "p", "lam", "z", "z_aw"), Hi, 1.0))
-        assert np.array_equal(blk.coeffs, ref)
-
-    problem, layout = _assemble_aw_problem(ex1_polytope, 0.9, gains=(EX1_K, EX1_KAW))
-    for Hi, blk in zip(ex1_polytope.vertices, problem.blocks):
-        def build(x):
-            P, Lam = part(layout, x, "p", "lam")
-            return _aw_vertex_block(P, Lam, P @ EX1_K, P @ EX1_KAW, Hi, 0.9)
-
-        assert np.array_equal(blk.coeffs, _coeffs_by_variable(layout, build))
-
-    problem, layout = _assemble_gradsat_problem(ex2_polytope, 1.0, 0.5, ex2_bounds)
-    names = ("w", "ut", "x", "y", "z")
-    blocks = {b.name: b for b in problem.blocks}
-    for i, Hi in enumerate(ex2_polytope.vertices):
-        ref = _coeffs_by_variable(layout, lambda x: _gradsat_vertex_block(
-            *part(layout, x, *names), Hi, 1.0, 0.5))
-        assert np.array_equal(blocks[f"vertex[{i}]"].coeffs, ref)
-    for ell in range(3):
-        def build(x):
-            W, _, _, Y, Z = part(layout, x, *names)
-            return _gradsat_row_block(W, Y, Z, ell, 2.0)
-
-        assert np.array_equal(blocks[f"row[{ell}]"].coeffs, _coeffs_by_variable(layout, build))
+    cases = [
+        (
+            _assemble_aw_problem(ex1_polytope, 1.0),
+            lambda v: _aw_conditions(v, ex1_polytope, 1.0),
+        ),
+        (_assemble_aw_problem(ex1_polytope, 0.9, gains=(EX1_K, EX1_KAW)), fixed_gains),
+        (
+            _assemble_gradsat_problem(ex2_polytope, 1.0, 0.5, ex2_bounds),
+            lambda v: _gradsat_conditions(v, ex2_polytope, 1.0, 0.5, ex2_bounds.limits),
+        ),
+    ]
+    for (problem, layout), conditions in cases:
+        ref = _coeffs_by_variable(layout, conditions)
+        assert [blk.name for blk in problem.blocks] == list(ref)
+        for blk in problem.blocks:
+            assert np.array_equal(blk.coeffs, ref[blk.name])
 
 
 def test_aw_design_singleton_stable():
