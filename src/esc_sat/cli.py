@@ -211,12 +211,16 @@ def _sweep_one(sim_cfg, param: str, value: float):
     dither = sim_cfg.dither
     if param == "omega-scale":
         dither = dither.with_base_omega(dither.base_omega * value)
+        # the period changes with the frequencies, so each value runs at its
+        # own automatic step, period/1000
+        sim_cfg = replace(sim_cfg, dither=dither, dt=None)
     else:
-        # amplitude values are absolute and apply to every channel
+        # amplitude values are absolute and apply to every channel; the
+        # period, and so the config's step, stays
         dither = DitherSpec(
             np.full(dither.dim, value), dither.freq_multipliers, dither.base_omega
         )
-    sim_cfg = replace(sim_cfg, dither=dither, dt=None)
+        sim_cfg = replace(sim_cfg, dither=dither)
     traj = simulate(sim_cfg)
     avg = simulate(replace(sim_cfg, scenario=SCENARIOS[sim_cfg.scenario][1]))
     dev = analysis.sup_deviation(traj, avg, "theta_tilde")

@@ -238,8 +238,34 @@ def build_theta_star(cfg: ExperimentConfig) -> np.ndarray:
     return _read(cfg, "map", "theta_star", matio.parse_vector)
 
 
+def _check_input_bounds(cfg: ExperimentConfig) -> None:
+    """The map input saturates at one set of bounds, with the optimizer
+    strictly inside: [map] input_bounds and, in an anti-windup config
+    ([synthesis] kind = aw), [synthesis] bounds must agree where both are
+    given, and [map] theta_star must lie strictly inside them."""
+    keys = [("map", "input_bounds")] if cfg.get("map", "input_bounds") is not None else []
+    if cfg.get("synthesis", "kind") == "aw":
+        keys.append(("synthesis", "bounds"))
+    if not keys:
+        return
+    stated = [f"[{section}] {key} = {cfg.get(section, key)!r}" for section, key in keys]
+    limits = [_read(cfg, section, key, _bounds).limits for section, key in keys]
+    if len(limits) == 2 and not np.array_equal(*limits):
+        raise ConfigError(
+            f"{cfg.name}: {stated[0]} and {stated[1]} differ; an anti-windup "
+            "loop has one set of input bounds"
+        )
+    theta_star = build_theta_star(cfg)
+    if theta_star.shape == limits[0].shape and np.any(np.abs(theta_star) >= limits[0]):
+        raise ConfigError(
+            f"{cfg.name}: [map] theta_star = {cfg.get('map', 'theta_star')!r} must "
+            f"lie strictly inside {stated[0]}"
+        )
+
+
 def build_qmap(cfg: ExperimentConfig, hessian: np.ndarray) -> QuadraticMap:
     """The simulated map with the given (``resolve_hessian``) curvature."""
+    _check_input_bounds(cfg)
     has_bounds = cfg.get("map", "input_bounds") is not None
     return QuadraticMap(
         q_star=_read(cfg, "map", "q_star"),
@@ -263,6 +289,7 @@ def build_synthesis_request(cfg: ExperimentConfig) -> SynthesisRequest:
     kind = cfg.require("synthesis", "kind")
     if kind not in ("aw", "gradsat"):
         raise ConfigError(f"{cfg.name}: unknown synthesis kind {kind!r}")
+    _check_input_bounds(cfg)
     has_eps = cfg.get("synthesis", "epsilon") is not None
     return SynthesisRequest(
         kind=kind,

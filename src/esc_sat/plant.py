@@ -27,7 +27,6 @@ __all__ = [
     "deadzone",
     "loop_laws",
     "delta_matrix",
-    "delta_dot_matrix",
     "perturbation_terms",
 ]
 
@@ -224,54 +223,23 @@ def loop_laws(
     return _LoopLaws(output, estimate, average_estimate, control)
 
 
-def _times(t) -> np.ndarray:
-    """A scalar time, or a 1-D time vector, with two trailing axes that
-    broadcast it against the (n, n) frequency-pair matrices."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D time vector")
-    return t[..., None, None]
-
-
-def _frequency_pairs(spec: DitherSpec):
-    """w_i - w_j, w_i + w_j and a_j / a_i as (n, n) matrices."""
-    w = spec.omegas
-    a = spec.amplitudes
-    return w[:, None] - w, w[:, None] + w, a / a[:, None]
+def _delta(M: np.ndarray, S: np.ndarray) -> np.ndarray:
+    # M S' - I at one time, or at each of N times for (N, n) stacks
+    return M[..., :, None] * S[..., None, :] - np.eye(M.shape[-1])
 
 
 def delta_matrix(spec: DitherSpec, t) -> np.ndarray:
-    """Multiplicative dither perturbation Delta(t) with M(t)S(t)^T = I + Delta.
+    """Multiplicative dither perturbation Delta(t) = M(t) S(t)^T - I.
 
-    Off the diagonal Delta_ij = (a_j/a_i)(cos((w_i - w_j)t) - cos((w_i + w_j)t)).
-    The diagonal Delta_ii = -cos(2 w_i t) is the mean-free form: zero-mean
-    over a period, and it satisfies the product identity above.  The literal
-    diagonal 1 - cos(2 w_i t), whose period mean is one, is this plus I
+    Its diagonal Delta_ii = 2 sin^2(w_i t) - 1 = -cos(2 w_i t) is the
+    mean-free form: zero-mean over a period.  The literal diagonal
+    1 - cos(2 w_i t), whose period mean is one, is this plus I
     (analysis.zero_mean_report measures both).
 
     A scalar ``t`` gives shape (n, n); a 1-D time vector of length N gives
     (N, n, n).
     """
-    minus, plus, ratio = _frequency_pairs(spec)
-    tt = _times(t)
-    cos_plus = np.cos(plus * tt)
-    delta = ratio * (np.cos(minus * tt) - cos_plus)
-    # on the diagonal w_i - w_i = 0 and a_i/a_i = 1, so the formula above
-    # gives the literal 1 - cos(2 w_i t) there
-    i = np.arange(spec.dim)
-    delta[..., i, i] = -cos_plus[..., i, i]
-    return delta
-
-
-def delta_dot_matrix(spec: DitherSpec, t) -> np.ndarray:
-    """Analytic d/dt of Delta(t), which the literal diagonal shares.
-
-    Shapes as in ``delta_matrix``.  The off-diagonal formula gives the
-    diagonal 2 w_i sin(2 w_i t) as it stands.
-    """
-    minus, plus, ratio = _frequency_pairs(spec)
-    tt = _times(t)
-    return ratio * (-minus * np.sin(minus * tt) + plus * np.sin(plus * tt))
+    return _delta(eval_M(spec, t), eval_S(spec, t))
 
 
 @dataclass(frozen=True)
@@ -287,11 +255,6 @@ class PerturbationTerms:
     varsigma: np.ndarray    # additive residual of the gradient-estimate dynamics
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # a @ x for one matrix and vector, or row by row for stacks of them
-    return (a @ x[..., None])[..., 0]
-
-
 def perturbation_terms(
     spec: DitherSpec,
     qmap: QuadraticMap,
@@ -303,40 +266,35 @@ def perturbation_terms(
     theta_tilde is the (frozen) estimation error; the dead-zone inside w is
     evaluated along theta(t) = theta_tilde + theta_star + S(t), so w reduces
     to its dither-only part whenever that path stays in the linear region.
+    With e = theta_tilde - psi, substituting M S' = I + Delta and
+    Delta_dot = M_dot S' + M S_dot' into the error dynamics leaves
+
+        w = M (q* + e'He/2 + S'HS/2),
+        varsigma = d/dt [M (q* + S'H theta_tilde + S'HS/2)]
+                 = M_dot (q* + S'H theta_tilde + S'HS/2) + M S_dot'H (theta_tilde + S).
+
     ``t`` is a scalar or a 1-D time vector (see ``PerturbationTerms``).
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
     H = qmap.hessian
     S = eval_S(spec, t)
     M = eval_M(spec, t)
-    S_dot = eval_S_dot(spec, t)
-    delta = delta_matrix(spec, t)
 
     theta = theta_tilde + qmap.theta_star + S
     if qmap.input_bounds is not None:
-        psi = deadzone(theta, qmap.input_bounds)
+        e = theta_tilde - deadzone(theta, qmap.input_bounds)
     else:
-        psi = np.zeros_like(theta)
+        e = theta_tilde
 
     # H is exactly symmetric, so x' H y is (x @ H) . y for rows x, y; the
     # kept axis lets the form scale M at one time or at each of N times
     def form(x, y):
         return (x @ H * y).sum(-1, keepdims=True)
 
-    w = (
-        M * qmap.q_star
-        + 0.5 * M * form(S, S)
-        + 0.5 * M * form(theta_tilde, theta_tilde)
-        - M * form(psi, theta_tilde)
-        + 0.5 * M * form(psi, psi)
-    )
-
-    ddot_h = delta_dot_matrix(spec, t) @ H
+    half_shs = 0.5 * form(S, S)
+    w = M * (qmap.q_star + 0.5 * form(e, e) + half_shs)
     varsigma = (
-        eval_M_dot(spec, t) * qmap.q_star
-        + ddot_h @ theta_tilde
-        + 0.5 * S_dot @ H
-        + 0.5 * _matvec(ddot_h, S)
-        + 0.5 * _matvec(delta @ H, S_dot)
+        eval_M_dot(spec, t) * (qmap.q_star + form(S, theta_tilde) + half_shs)
+        + M * form(eval_S_dot(spec, t), theta_tilde + S)
     )
-    return PerturbationTerms(delta=delta, w=w, varsigma=varsigma)
+    return PerturbationTerms(delta=_delta(M, S), w=w, varsigma=varsigma)

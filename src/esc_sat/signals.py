@@ -210,15 +210,16 @@ class DitherSpec:
 
 def _phase(spec: DitherSpec, t):
     t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return spec.omegas * float(t)
-    return np.outer(t, spec.omegas)
+    if t.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D time vector")
+    return t[..., None] * spec.omegas
 
 
 def eval_S(spec: DitherSpec, t):
     """Probing dither S(t); component i is a_i*sin(w_i t).
 
-    Scalar ``t`` gives shape (n,); a 1-D time array gives shape (len(t), n).
+    Scalar ``t`` gives shape (n,); a 1-D time array gives shape (len(t), n);
+    any other ``t`` is a ``ValueError``, as in every ``eval_*``.
     """
     return spec.amplitudes * np.sin(_phase(spec, t))
 

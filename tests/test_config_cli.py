@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from esc_sat import cli, matio
+from esc_sat import analysis, cli, matio
 from esc_sat.plant import AwController, GradSatController
 from esc_sat.sim import export_csv, simulate
 from esc_sat.config import (
@@ -635,6 +635,43 @@ def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_
     )
 
 
+@pytest.mark.parametrize("command", ["design", "verify", "simulate", "sweep"])
+@pytest.mark.parametrize(
+    "old, new, what",
+    [
+        (
+            "bounds = 5 5", "bounds = 4 4",
+            "[map] input_bounds = '5 5' and [synthesis] bounds = '4 4' differ; "
+            "an anti-windup loop has one set of input bounds",
+        ),
+        (
+            "theta_star = 2 4", "theta_star = 2 6",
+            "[map] theta_star = '2 6' must lie strictly inside [map] input_bounds = '5 5'",
+        ),
+    ],
+    ids=["bounds-differ", "theta-star-outside"],
+)
+def test_aw_config_states_one_set_of_input_bounds(
+    tmp_path, capsys, fixture_designs, command, old, new, what
+):
+    text = open(fixture_path("example1.cfg")).read()
+    assert text.count(f"\n{old}\n") == 1
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    out = tmp_path / "out"
+    argv = {
+        "design": ["design", str(path), "--out", str(out)],
+        "verify": ["verify", str(fixture_designs["example1.cfg"]), str(path)],
+        "simulate": ["simulate", str(path), "--out", str(out)],
+        "sweep": ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2",
+                  "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {what}\n")
+    assert not out.exists()
+
+
 def test_cli_verify_missing_file(tmp_path, capsys, fixture_designs):
     missing = str(tmp_path / "nope.txt")
     for argv in (
@@ -764,6 +801,21 @@ def test_cli_sweep_amplitude_scales_tail_r_y(tmp_path):
     ry1 = float(rows[1].split(",")[3])
     ry2 = float(rows[2].split(",")[3])
     assert 2.0 <= ry2 / ry1 <= 8.0
+
+
+def test_amplitude_sweep_keeps_the_config_step(tmp_path):
+    # the row at the config's own amplitude is the config's run: same dt
+    text = open(fixture_path("example1.cfg")).read()
+    text = text.replace("dt = auto", "dt = 0.0005").replace("t_end = 5", "t_end = 1.5")
+    path = tmp_path / "dt.cfg"
+    path.write_text(text)
+    argv = ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+    sim_cfg = cli._load_sim_config(load_config(str(path)), None)
+    assert sim_cfg.dt == 0.0005
+    band = analysis.check_convergence_bands(simulate(sim_cfg), sim_cfg.qmap, sim_cfg.dither)
+    assert (float(row[0]), float(row[2]), float(row[3])) == (0.1, band.r_theta, band.r_y)
 
 
 def test_cli_sweep_needs_two_values(tmp_path):

@@ -7,7 +7,6 @@ from esc_sat.plant import (
     QuadraticMap,
     SaturationBounds,
     deadzone,
-    delta_dot_matrix,
     delta_matrix,
     loop_laws,
     perturbation_terms,
@@ -185,13 +184,6 @@ def test_mean_free_delta_matches_dither_product(dither):
         assert np.allclose(np.eye(2) + mf, prod, atol=1e-12)
 
 
-def test_delta_dot_matches_finite_difference(dither):
-    h = 1e-7
-    for t in (0.1, 0.37):
-        fd = (delta_matrix(dither, t + h) - delta_matrix(dither, t - h)) / (2 * h)
-        assert np.allclose(delta_dot_matrix(dither, t), fd, atol=1e-4)
-
-
 def test_perturbation_identity_and_residuals(dither, qmap):
     tt = np.array([0.3, -0.2])
     for t in (0.0, 0.2, 0.45):
@@ -320,14 +312,12 @@ def test_time_vector_matches_per_time_loop(case, convention):
     shift = np.eye(n) if convention == "literal" else 0.0
     ts = np.linspace(0.0, spec.period, 257)
     delta = delta_matrix(spec, ts) + shift
-    ddot = delta_dot_matrix(spec, ts)
     pt = perturbation_terms(spec, qmap, ts, tt)
-    assert delta.shape == ddot.shape == pt.delta.shape == (257, n, n)
+    assert delta.shape == pt.delta.shape == (257, n, n)
     assert pt.w.shape == pt.varsigma.shape == (257, n)
     assert np.any(pt.w != 0.0) and np.any(pt.varsigma != 0.0)
     refs = [_perturbation_loop(spec, qmap, float(t), tt, convention) for t in ts]
     assert _close(delta, np.array([_delta_loop(spec, float(t), convention) for t in ts]))
-    assert _close(ddot, np.array([_delta_dot_loop(spec, float(t)) for t in ts]))
     got = (pt.delta + shift, pt.w, pt.varsigma)
     for k, name in enumerate(("delta", "w", "varsigma")):
         assert _close(got[k], np.array([r[k] for r in refs])), name
@@ -337,6 +327,23 @@ def test_time_vector_matches_per_time_loop(case, convention):
     got = (one.delta + shift, one.w, one.varsigma)
     for k, name in enumerate(("delta", "w", "varsigma")):
         assert _close(got[k], refs[100][k]), name
+
+
+@pytest.mark.parametrize("case", sorted(_VECTOR_CASES))
+def test_varsigma_is_the_time_derivative_of_the_demodulated_output(case):
+    # varsigma = d/dt [M (q* + S'H theta_tilde + S'HS/2)] at frozen theta_tilde
+    spec, qmap, tt = _VECTOR_CASES[case]
+    H = qmap.hessian
+
+    def demodulated(t):
+        S = eval_S(spec, t)
+        return eval_M(spec, t) * (qmap.q_star + S @ H @ tt + 0.5 * S @ H @ S)
+
+    h = 1e-6
+    ts = spec.period * np.array([0.1, 0.37, 0.61, 0.9])
+    fd = np.array([(demodulated(t + h) - demodulated(t - h)) / (2 * h) for t in ts])
+    varsigma = perturbation_terms(spec, qmap, ts, tt).varsigma
+    assert np.max(np.abs(fd - varsigma)) <= 1e-7 * np.max(np.abs(varsigma))
 
 
 def test_perturbation_terms_reject_time_grid(dither):

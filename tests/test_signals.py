@@ -211,6 +211,16 @@ def test_dither_derivatives_match_finite_differences():
         assert np.allclose(eval_M_dot(spec, t), fd_m, atol=1e-3)
 
 
+@pytest.mark.parametrize("evaluate", [eval_S, eval_M, eval_S_dot, eval_M_dot])
+def test_dither_rejects_a_time_grid(evaluate):
+    # a 2-D t used to be flattened into one long time vector
+    spec = DitherSpec([0.1, 0.2], (10, 70), 1.0)
+    with pytest.raises(ValueError, match="1-D"):
+        evaluate(spec, np.zeros((2, 3)))
+    assert evaluate(spec, np.zeros(3)).shape == (3, 2)
+    assert evaluate(spec, 0.5).shape == (2,)
+
+
 def test_zero_mean_by_quadrature():
     spec = DitherSpec([0.1, 0.1], (10, 70), 1.0)
     nodes = 20001
