@@ -31,7 +31,7 @@ from .config import (
     load_config,
     resolve_hessian,
 )
-from .signals import DitherSpec
+from .signals import DitherSpec, validate_frequencies
 from .sim import SCENARIOS, SimConfig, SimulationBlowUp, export_csv, simulate
 from .svgplot import render_trajectory_svg
 from .synthesis import (
@@ -94,13 +94,26 @@ def _atomic_write(path: str, writer) -> None:
 
 
 def _warn_frequencies(dither: DitherSpec) -> None:
-    report = dither.admissibility()
+    report = validate_frequencies(dither.freq_multipliers)
     if not report.valid:
         print(f"warning: {report.describe()}", file=sys.stderr)
         print(
             "warning: proceeding anyway; averaged predictions may be distorted",
             file=sys.stderr,
         )
+
+
+def _design_polytope(cfg: ExperimentConfig, req):
+    """The config's polytope, which a design needs, with [synthesis] bounds to match."""
+    poly = build_polytope(cfg)
+    if poly is None:
+        raise ConfigError(f"{cfg.name}: [map] must define a polytope for gain design")
+    if req.bounds.dim != poly.dim:
+        raise ConfigError(
+            f"{cfg.name}: [synthesis] bounds = {cfg.get('synthesis', 'bounds')!r} has "
+            f"{req.bounds.dim} bounds for a [map] polytope of dimension {poly.dim}"
+        )
+    return poly
 
 
 def _cmd_design(args) -> int:
@@ -111,11 +124,8 @@ def _cmd_design(args) -> int:
     if req.kind == "aw" and args.epsilon_sweep is not None:
         print("error: --epsilon-sweep applies to gradsat designs only", file=sys.stderr)
         return EXIT_USAGE
+    poly = _design_polytope(cfg, req)
     _warn_frequencies(dither)
-    poly = build_polytope(cfg)
-    if poly is None:
-        print("error: [map] must define a polytope for gain design", file=sys.stderr)
-        return EXIT_USAGE
     lines = []
     try:
         if req.kind == "aw":
@@ -134,14 +144,14 @@ def _cmd_design(args) -> int:
                     vmax_c, _ = synthesis.verify_gradsat_design(trial, poly)
                     lines.append(
                         f"epsilon = {cand:g}: feasible, kappa_g = "
-                        f"{trial.kappa_g:.6g}, vertex lambda_max = {vmax_c:.3e}"
+                        f"{trial.kappa:.6g}, vertex lambda_max = {vmax_c:.3e}"
                     )
                 except (InfeasibleDesignError, SynthesisNumericalError) as exc:
                     lines.append(f"epsilon = {cand:g}: {exc}")
             design = synthesis.design_gradsat_gain(poly, req.eta, eps, req.bounds)
             lines.append(
                 f"kind = gradsat, eta = {req.eta}, epsilon = {eps}, "
-                f"kappa_g = {design.kappa_g:.6g}"
+                f"kappa_g = {design.kappa:.6g}"
             )
             report = synthesis.certify(design, poly)
             lines.append(f"vertex lambda_max = {np.max(report.values('vertex')):.6e}")
@@ -207,25 +217,26 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(sim_cfg, param: str, value: float):
+def _sweep_one(sim_cfg, param: str, value: float, averaged: dict):
     dither = sim_cfg.dither
     if param == "omega-scale":
-        dither = dither.with_base_omega(dither.base_omega * value)
+        dither = replace(dither, base_omega=dither.base_omega * value)
         # the period changes with the frequencies, so each value runs at its
         # own automatic step, period/1000
         sim_cfg = replace(sim_cfg, dither=dither, dt=None)
     else:
         # amplitude values are absolute and apply to every channel; the
         # period, and so the config's step, stays
-        dither = DitherSpec(
-            np.full(dither.dim, value), dither.freq_multipliers, dither.base_omega
-        )
+        dither = replace(dither, amplitudes=np.full(dither.dim, value))
         sim_cfg = replace(sim_cfg, dither=dither)
     traj = simulate(sim_cfg)
-    avg = simulate(replace(sim_cfg, scenario=SCENARIOS[sim_cfg.scenario][1]))
+    # the averaged loop reads no dither: one run and decay fit per step
+    if sim_cfg.dt not in averaged:
+        avg = simulate(replace(sim_cfg, scenario=SCENARIOS[sim_cfg.scenario][1]))
+        averaged[sim_cfg.dt] = (avg, analysis.fit_decay(avg, "theta_tilde"))
+    avg, fit = averaged[sim_cfg.dt]
     dev = analysis.sup_deviation(traj, avg, "theta_tilde")
     band = analysis.check_convergence_bands(traj, sim_cfg.qmap, dither)
-    fit = analysis.fit_decay(avg, "theta_tilde")
     return (value, dev, band.r_theta, band.r_y, fit.eta_hat)
 
 
@@ -239,7 +250,8 @@ def _cmd_sweep(args) -> int:
         return EXIT_USAGE
     sim_cfg = _load_sim_config(load_config(args.config), args.design)
     try:
-        rows = [_sweep_one(sim_cfg, args.param, v) for v in values]
+        averaged: dict = {}
+        rows = [_sweep_one(sim_cfg, args.param, v, averaged) for v in values]
     except SimulationBlowUp as exc:
         print(f"blow-up during sweep: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
@@ -264,16 +276,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     design = load_design(args.design)
     cfg = load_config(args.config)
-    poly = build_polytope(cfg)
-    if poly is None:
-        print("error: config defines no polytope", file=sys.stderr)
-        return EXIT_USAGE
+    req = build_synthesis_request(cfg)
+    poly = _design_polytope(cfg, req)
     if design.dim != poly.dim:
         raise ValueError(
             f"the design has dimension {design.dim} but the config's polytope "
             f"has dimension {poly.dim}"
         )
-    req = build_synthesis_request(cfg)
     if design.kind != req.kind:
         raise ValueError(
             f"the design is of kind {design.kind!r} but the config's [synthesis] "
@@ -289,13 +298,12 @@ def _cmd_verify(args) -> int:
         for f in failures:
             print(f"FAILED: {f}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    # read before any line is printed, so a bad theta* fails with file and key
-    theta_star = build_theta_star(cfg) if isinstance(design, AwDesign) else None
     report = synthesis.certify(design, poly)
     print(f"vertex inequalities: lambda_max = {np.max(report.values('vertex')):.6e}")
     if isinstance(design, AwDesign):
         sample = analysis.sample_deadzone_sector_global
-        sample_args = (design.bounds, theta_star)
+        # build_synthesis_request has read theta* of this anti-windup config
+        sample_args = (design.bounds, build_theta_star(cfg))
     else:
         print(f"row-coupling blocks: lambda_min = {np.min(report.values('row')):.6e}")
         print(

@@ -11,6 +11,7 @@ the results are chosen on the command line only.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -95,9 +96,6 @@ class ExperimentConfig:
             raise ConfigError(f"{self.name}: missing [{section}] {key}")
         return value
 
-    def has_section(self, section: str) -> bool:
-        return section in self.sections
-
 
 def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
     sections: dict[str, dict[str, str]] = {}
@@ -172,50 +170,62 @@ def _read(cfg: ExperimentConfig, section: str, key: str, parse=_number):
     """The value of a required key through ``parse``, which every typed read
     uses, so that a bad value is reported with file, section and key."""
     raw = cfg.require(section, key)
-    try:
+    with _about(cfg, f"[{section}] {key} = {raw!r}"):
         return parse(raw)
+
+
+@contextmanager
+def _about(cfg: ExperimentConfig, keys: str):
+    """Re-raise a ValueError of a value built from ``keys`` ("[section] key,
+    ...") as a ConfigError naming the config and them; ConfigErrors pass."""
+    try:
+        yield
+    except ConfigError:
+        raise
     except ValueError as exc:
         sep = " " if isinstance(exc, matio.NotA) else ": "
-        raise ConfigError(f"{cfg.name}: [{section}] {key} = {raw!r}{sep}{exc}") from None
+        raise ConfigError(f"{cfg.name}: {keys}{sep}{exc}") from None
 
 
 def build_dither(cfg: ExperimentConfig) -> DitherSpec:
     amps = _read(cfg, "dither", "amplitudes", matio.parse_vector)
     mults = _read(cfg, "dither", "multipliers", matio.parse_fractions)
-    return DitherSpec(amps, tuple(mults), _read(cfg, "dither", "base_omega"))
+    with _about(cfg, "[dither] amplitudes, multipliers, base_omega"):
+        return DitherSpec(amps, tuple(mults), _read(cfg, "dither", "base_omega"))
 
 
 def build_polytope(cfg: ExperimentConfig) -> Optional[HessianPolytope]:
     kind = cfg.get("map", "polytope")
     if kind is None:
         return None
-    if kind == "scaled_nominal":
-        h0 = _read(cfg, "map", "h0", matio.parse_matrix)
-        return from_scaled_nominal(h0, _read(cfg, "map", "delta_bar"))
-    if kind == "eigen_interval":
-        return from_eigen_interval(
-            _read(cfg, "map", "lambda1"),
-            _read(cfg, "map", "lambda2"),
-            _read(cfg, "map", "dim", _integer),
-        )
-    if kind == "affine":
-        gamma0 = _read(cfg, "map", "gamma0", matio.parse_matrix)
-        bars = _read(cfg, "map", "delta_bars", matio.parse_vector)
-        gammas = [
-            _read(cfg, "map", f"gamma{i}", matio.parse_matrix)
-            for i in range(1, bars.size + 1)
-        ]
-        return from_affine(gamma0, gammas, bars.tolist())
-    if kind == "vertices":
-        verts = []
-        i = 1
-        while cfg.get("map", f"vertex{i}") is not None:
-            verts.append(_read(cfg, "map", f"vertex{i}", matio.parse_matrix))
-            i += 1
-        if not verts:
-            raise ConfigError(f"{cfg.name}: polytope kind 'vertices' lists none")
-        return HessianPolytope(tuple(verts))
-    raise ConfigError(f"{cfg.name}: unknown polytope kind {kind!r}")
+    with _about(cfg, f"[map] polytope = {kind!r}"):
+        if kind == "scaled_nominal":
+            h0 = _read(cfg, "map", "h0", matio.parse_matrix)
+            return from_scaled_nominal(h0, _read(cfg, "map", "delta_bar"))
+        if kind == "eigen_interval":
+            return from_eigen_interval(
+                _read(cfg, "map", "lambda1"),
+                _read(cfg, "map", "lambda2"),
+                _read(cfg, "map", "dim", _integer),
+            )
+        if kind == "affine":
+            gamma0 = _read(cfg, "map", "gamma0", matio.parse_matrix)
+            bars = _read(cfg, "map", "delta_bars", matio.parse_vector)
+            gammas = [
+                _read(cfg, "map", f"gamma{i}", matio.parse_matrix)
+                for i in range(1, bars.size + 1)
+            ]
+            return from_affine(gamma0, gammas, bars.tolist())
+        if kind == "vertices":
+            verts = []
+            i = 1
+            while cfg.get("map", f"vertex{i}") is not None:
+                verts.append(_read(cfg, "map", f"vertex{i}", matio.parse_matrix))
+                i += 1
+            if not verts:
+                raise ConfigError(f"{cfg.name}: polytope kind 'vertices' lists none")
+            return HessianPolytope(tuple(verts))
+        raise ConfigError(f"{cfg.name}: unknown polytope kind {kind!r}")
 
 
 def resolve_hessian(cfg: ExperimentConfig, poly: Optional[HessianPolytope]) -> np.ndarray:
@@ -230,7 +240,8 @@ def resolve_hessian(cfg: ExperimentConfig, poly: Optional[HessianPolytope]) -> n
         raise ConfigError(
             f"{cfg.name}: simulating from a polytope needs [map] alpha weights"
         )
-    return evaluate(poly, _read(cfg, "map", "alpha", matio.parse_vector))
+    with _about(cfg, "[map] alpha, polytope"):
+        return evaluate(poly, _read(cfg, "map", "alpha", matio.parse_vector))
 
 
 def build_theta_star(cfg: ExperimentConfig) -> np.ndarray:
@@ -267,12 +278,12 @@ def build_qmap(cfg: ExperimentConfig, hessian: np.ndarray) -> QuadraticMap:
     """The simulated map with the given (``resolve_hessian``) curvature."""
     _check_input_bounds(cfg)
     has_bounds = cfg.get("map", "input_bounds") is not None
-    return QuadraticMap(
-        q_star=_read(cfg, "map", "q_star"),
-        theta_star=build_theta_star(cfg),
-        hessian=0.5 * (hessian + hessian.T),
-        input_bounds=_read(cfg, "map", "input_bounds", _bounds) if has_bounds else None,
-    )
+    q_star = _read(cfg, "map", "q_star")
+    theta_star = build_theta_star(cfg)
+    bounds = _read(cfg, "map", "input_bounds", _bounds) if has_bounds else None
+    curvature = "hessian" if cfg.get("map", "hessian") is not None else "polytope"
+    with _about(cfg, f"[map] theta_star, {curvature}"):
+        return QuadraticMap(q_star, theta_star, 0.5 * (hessian + hessian.T), bounds)
 
 
 @dataclass(frozen=True)
@@ -284,7 +295,7 @@ class SynthesisRequest:
 
 
 def build_synthesis_request(cfg: ExperimentConfig) -> SynthesisRequest:
-    if not cfg.has_section("synthesis"):
+    if "synthesis" not in cfg.sections:
         raise ConfigError(f"{cfg.name}: missing [synthesis] section")
     kind = cfg.require("synthesis", "kind")
     if kind not in ("aw", "gradsat"):
@@ -320,13 +331,14 @@ def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
         raise ConfigError(f"{cfg.name}: [map] input_bounds required")
     if design is not None:
         if kind == "aw":
-            return AwController(design.k, design.k_aw, qmap.input_bounds)
+            return AwController(design.k, design.k_aw)
         return GradSatController(design.k, design.bounds)
     k = _read(cfg, "controller", "k", matio.parse_matrix)
-    if kind == "aw":
-        k_aw = _read(cfg, "controller", "k_aw", matio.parse_matrix)
-        return AwController(k, k_aw, qmap.input_bounds)
-    return GradSatController(k, build_synthesis_request(cfg).bounds)
+    keys = "[controller] k, " + ("k_aw" if kind == "aw" else "[synthesis] bounds")
+    with _about(cfg, keys):
+        if kind == "aw":
+            return AwController(k, _read(cfg, "controller", "k_aw", matio.parse_matrix))
+        return GradSatController(k, build_synthesis_request(cfg).bounds)
 
 
 def build_sim_config(
@@ -341,14 +353,10 @@ def build_sim_config(
     demod = cfg.get("sim", "demod", "deviation")
     if demod not in ("deviation", "raw"):
         raise ConfigError(f"{cfg.name}: [sim] demod must be deviation or raw")
-    return SimConfig(
-        scenario=scenario,
-        qmap=qmap,
-        dither=dither,
-        controller=controller,
-        theta0=_read(cfg, "sim", "theta0", matio.parse_vector),
-        t_end=_read(cfg, "sim", "t_end"),
-        dt=dt,
-        demod_remove_offset=(demod == "deviation"),
-    )
+    theta0 = _read(cfg, "sim", "theta0", matio.parse_vector)
+    with _about(cfg, "[sim] theta0, t_end, dt, [map] theta_star, [dither] amplitudes"):
+        return SimConfig(
+            scenario, qmap, dither, controller, theta0, _read(cfg, "sim", "t_end"), dt,
+            demod_remove_offset=(demod == "deviation"),
+        )
 

@@ -26,7 +26,6 @@ __all__ = [
     "saturate",
     "deadzone",
     "loop_laws",
-    "delta_matrix",
     "perturbation_terms",
 ]
 
@@ -106,24 +105,22 @@ class QuadraticMap:
 
 @dataclass(frozen=True)
 class AwController:
-    """Feedback gain plus anti-windup gain acting on the input dead-zone."""
+    """Feedback and anti-windup gains; psi is the dead-zone of the map's input bounds."""
 
     k: np.ndarray
     k_aw: np.ndarray
-    bounds: SaturationBounds
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float)
         k_aw = np.asarray(self.k_aw, dtype=float)
-        n = self.bounds.dim
-        if k.shape != (n, n) or k_aw.shape != (n, n):
-            raise ValueError("controller gains must be square of the loop dimension")
+        if k.ndim != 2 or k.shape[0] != k.shape[1] or k_aw.shape != k.shape:
+            raise ValueError("controller gains must be square and of one shape")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "k_aw", k_aw)
 
     @property
     def dim(self) -> int:
-        return self.bounds.dim
+        return self.k.shape[0]
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,8 @@ def loop_laws(
     """The per-sample laws of one seeking loop, checked here once.
 
     An ``AwController`` closes the input-saturation loop: the map sees
-    v = sat(theta) and psi is the dead-zone of theta, both on the one set of
-    bounds that the map and the controller must share.  A
+    v = sat(theta) and psi is the dead-zone of theta, both on the map's
+    ``input_bounds``, which this loop requires.  A
     ``GradSatController`` closes the rate-saturation loop: v = theta and
     psi = 0.  The returned callables take one sample (vectors of the loop
     dimension) or a stack of samples (one per row) and check nothing
@@ -182,15 +179,14 @@ def loop_laws(
         raise ValueError("controller dimension does not match the map")
     q_star, th_star, H = qmap.q_star, qmap.theta_star, qmap.hessian
     offset = float(offset)
+    aw = isinstance(ctrl, AwController)
+    if aw and qmap.input_bounds is None:
+        raise ValueError("the input-saturation loop needs map input bounds")
     kt = np.ascontiguousarray(ctrl.k.T)
-    hi = ctrl.bounds.limits
+    hi = (qmap.input_bounds if aw else ctrl.bounds).limits
     lo = -hi
 
-    if isinstance(ctrl, AwController):
-        if qmap.input_bounds is None:
-            raise ValueError("the input-saturation loop needs map input bounds")
-        if not np.array_equal(hi, qmap.input_bounds.limits):
-            raise ValueError("anti-windup bounds must equal the map input bounds")
+    if aw:
         kawt = np.ascontiguousarray(ctrl.k_aw.T)
 
         def map_input(theta):
@@ -228,23 +224,14 @@ def _delta(M: np.ndarray, S: np.ndarray) -> np.ndarray:
     return M[..., :, None] * S[..., None, :] - np.eye(M.shape[-1])
 
 
-def delta_matrix(spec: DitherSpec, t) -> np.ndarray:
-    """Multiplicative dither perturbation Delta(t) = M(t) S(t)^T - I.
-
-    Its diagonal Delta_ii = 2 sin^2(w_i t) - 1 = -cos(2 w_i t) is the
-    mean-free form: zero-mean over a period.  The literal diagonal
-    1 - cos(2 w_i t), whose period mean is one, is this plus I
-    (analysis.zero_mean_report measures both).
-
-    A scalar ``t`` gives shape (n, n); a 1-D time vector of length N gives
-    (N, n, n).
-    """
-    return _delta(eval_M(spec, t), eval_S(spec, t))
-
-
 @dataclass(frozen=True)
 class PerturbationTerms:
     """Dither-induced terms entering the error dynamics.
+
+    ``delta`` is Delta(t) = M(t) S(t)^T - I, whose diagonal 2 sin^2(w_i t) - 1
+    = -cos(2 w_i t) is the mean-free form, zero-mean over a period; the
+    literal diagonal 1 - cos(2 w_i t), of period mean one, is this plus I
+    (analysis.zero_mean_report measures both).
 
     At a scalar time the fields have shapes (n, n) and (n,); at a time vector
     of length N each gains a leading axis N.

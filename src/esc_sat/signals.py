@@ -201,12 +201,6 @@ class DitherSpec:
             [float(m) * self.base_omega for m in self.freq_multipliers]
         )
 
-    def with_base_omega(self, base_omega: float) -> "DitherSpec":
-        return DitherSpec(self.amplitudes.copy(), self.freq_multipliers, base_omega)
-
-    def admissibility(self) -> FrequencyReport:
-        return validate_frequencies(self.freq_multipliers)
-
 
 def _phase(spec: DitherSpec, t):
     t = np.asarray(t, dtype=float)

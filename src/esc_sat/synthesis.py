@@ -8,7 +8,7 @@ auxiliary gains Z = P*K, Z_aw = P*K_aw making
 
 hold at every polytope vertex H_i; K and K_aw are recovered by solving
 against P.  The certified decay of the averaged loop is then eta, with
-conditioning prefactor kappa = sqrt(lmax(P)/lmin(P)).
+conditioning prefactor kappa = sqrt(lmax(P)/lmin(P)), derived from P.
 
 Rate-saturation design searches for W (symmetric), a diagonal multiplier,
 and X, Y, Z with K = Z*X^-1, L = Y*X^-1, under one 3n-by-3n strict block per
@@ -172,6 +172,11 @@ class _Design:
         return self.k.shape[0]
 
     @property
+    def kappa(self) -> float:
+        """Decay prefactor sqrt(lambda_max(P)/lambda_min(P)) of the certificate."""
+        return _kappa_of(self.p)
+
+    @property
     def ill_conditioned(self) -> bool:
         """cond(P) above COND_WARN: the recovered gains may be inaccurate."""
         return bool(np.linalg.cond(self.p) > COND_WARN)
@@ -255,7 +260,6 @@ class AwDesign(_Design):
     p: np.ndarray
     lam: np.ndarray
     eta: float
-    kappa: float
     bounds: SaturationBounds
 
     def _conditions(self, poly: HessianPolytope) -> list:
@@ -306,10 +310,7 @@ def _aw_design(var, eta: float, bounds: SaturationBounds, gains) -> AwDesign:
     """AwDesign from the solved variables; K, K_aw solved from Z = P K."""
     P = var("p")
     k, k_aw = gains or (np.linalg.solve(P, var("z")), np.linalg.solve(P, var("z_aw")))
-    return AwDesign(
-        k=k, k_aw=k_aw, p=P, lam=var("lam"), eta=eta, kappa=_kappa_of(P),
-        bounds=bounds,
-    )
+    return AwDesign(k=k, k_aw=k_aw, p=P, lam=var("lam"), eta=eta, bounds=bounds)
 
 
 def design_aw_gains(
@@ -373,7 +374,6 @@ class GradSatDesign(_Design):
     eta: float
     epsilon: float
     bounds: SaturationBounds
-    kappa_g: float
 
     def _conditions(self, poly: HessianPolytope) -> list:
         """This design's entries of ``_gradsat_conditions``: Y = L X, Z = K X."""
@@ -452,7 +452,6 @@ def _gradsat_design(
     return GradSatDesign(
         k=_over_x(var("z"), X), l=_over_x(var("y"), X), w=W, x=X,
         upsilon_tilde=var("ut"), p=P, eta=eta, epsilon=epsilon, bounds=bounds,
-        kappa_g=_kappa_of(P),
     )
 
 
@@ -536,15 +535,14 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
     """Check every condition the certificate of ``design`` rests on over ``poly``.
 
     In reporting order: ``p``, lambda_min(P) > 0 (the vertex blocks are
-    homogeneous, so a negated P with matching gains passes them); ``kappa``
-    (``kappa_g``), relative error from sqrt(lambda_max(P)/lambda_min(P)) at
-    most CONGRUENCE_RTOL, only when P > 0; ``lambda`` (``upsilon_tilde``), a
-    positive diagonal; ``congruence``, P = X^-T W X^-1 to CONGRUENCE_RTOL;
-    ``vertex[i]``, lambda_max < 0 of each vertex block rebuilt from the stored
-    gains (convex in H, so the vertices cover the polytope); ``row[l]`` and
-    ``inclusion[l]``, lambda_min of each row-coupling block and each
-    ellipsoid-inclusion residual at least -PSD_MARGIN.  ``congruence``,
-    ``row`` and ``inclusion`` exist for rate saturation only.
+    homogeneous, so a negated P with matching gains passes them); ``lambda``
+    (``upsilon_tilde``), a positive diagonal; ``congruence``, P = X^-T W X^-1
+    to CONGRUENCE_RTOL; ``vertex[i]``, lambda_max < 0 of each vertex block
+    rebuilt from the stored gains (convex in H, so the vertices cover the
+    polytope); ``row[l]`` and ``inclusion[l]``, lambda_min of each
+    row-coupling block and each ellipsoid-inclusion residual at least
+    -PSD_MARGIN.  ``congruence``, ``row`` and ``inclusion`` exist for rate
+    saturation only.  kappa is derived from P, so it needs no check.
     """
     checks = []
 
@@ -554,14 +552,6 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
     aw = isinstance(design, AwDesign)
     p_min = np.linalg.eigvalsh(0.5 * (design.p + design.p.T))[0]
     check("p", p_min, p_min > 0.0, "P not positive definite")
-    if p_min > 0.0:
-        name, stored = ("kappa", design.kappa) if aw else ("kappa_g", design.kappa_g)
-        kappa = _kappa_of(design.p)
-        err = abs(stored - kappa)
-        check(
-            name, err / kappa, err <= CONGRUENCE_RTOL * kappa,
-            f"{name} differs from sqrt(lambda_max(P)/lambda_min(P))",
-        )
     name, label, mult = (
         ("lambda", "Lambda", design.lam) if aw
         else ("upsilon_tilde", "upsilon_tilde", design.upsilon_tilde)
@@ -606,7 +596,7 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
 
 # One line per field, in file order after the kind line: (file key,
 # attribute, value kind).  Keys a table does not list are ignored on load,
-# so files that still carry a solver-only matrix such as ``y`` load.
+# so older files that carry ``y`` or a derived ``kappa``/``kappa_g`` load.
 _FILE_FIELDS = {
     AwDesign: (
         ("eta", "eta", "float"),
@@ -615,7 +605,6 @@ _FILE_FIELDS = {
         ("k_aw", "k_aw", "matrix"),
         ("p", "p", "matrix"),
         ("lambda", "lam", "matrix"),
-        ("kappa", "kappa", "float"),
     ),
     GradSatDesign: (
         ("eta", "eta", "float"),
@@ -627,7 +616,6 @@ _FILE_FIELDS = {
         ("x", "x", "matrix"),
         ("upsilon_tilde", "upsilon_tilde", "matrix"),
         ("p", "p", "matrix"),
-        ("kappa_g", "kappa_g", "float"),
     ),
 }
 
@@ -654,7 +642,7 @@ def save_design(design, path: str) -> None:
 
 
 def load_design(path: str):
-    """Read back a design file written by save_design.
+    """Read back a design file written by save_design; ``#`` starts a comment.
 
     A repeated field, a malformed value, or a matrix or bound list whose
     size does not match the n-by-n gain k fails as ``path:line: field: reason``.
@@ -662,8 +650,8 @@ def load_design(path: str):
     entries: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")

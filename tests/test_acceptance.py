@@ -65,7 +65,7 @@ def ex1_sim_config(**over) -> SimConfig:
         scenario="input-saturation",
         qmap=ex1_qmap(),
         dither=DitherSpec([0.1, 0.1], (10, 70), 1.0),
-        controller=AwController(EX1_K, EX1_KAW, SaturationBounds([5.0, 5.0])),
+        controller=AwController(EX1_K, EX1_KAW),
         theta0=np.array([2.5, 6.0]),
         t_end=5.0,  # e^{-eta t_end} = e^{-5} < 0.01 at the designed eta = 1
     )
@@ -227,7 +227,7 @@ def test_criterion_3_example1_reproduction():
     ),
 )
 def test_criterion_3_ablation_windup():
-    ctrl = AwController(EX1_K, np.zeros((2, 2)), SaturationBounds([5.0, 5.0]))
+    ctrl = AwController(EX1_K, np.zeros((2, 2)))
     traj = simulate(ex1_sim_config(controller=ctrl))
     r_theta, _ = tail_residuals(traj, ex1_qmap())
     verdict(
@@ -286,7 +286,7 @@ def test_criterion_5_average_decay():
     aw = design_aw_gains(poly1, 1.0, SaturationBounds([5.0, 5.0]))
     cfg = ex1_sim_config(
         scenario="average-aw",
-        controller=AwController(aw.k, aw.k_aw, aw.bounds),
+        controller=AwController(aw.k, aw.k_aw),
     )
     traj = simulate(cfg)
     v = lyapunov(traj, aw.p, aw.kind)
@@ -335,7 +335,7 @@ def test_criterion_6_omega_doubling_example1():
     avg = simulate(dataclasses.replace(base_cfg, scenario="average-aw", dt=None))
     true1 = simulate(base_cfg)
     doubled = dataclasses.replace(
-        base_cfg, dither=base_cfg.dither.with_base_omega(2.0), dt=None
+        base_cfg, dither=dataclasses.replace(base_cfg.dither, base_omega=2.0), dt=None
     )
     true2 = simulate(doubled)
     d1 = sup_deviation(true1, avg)
@@ -363,7 +363,7 @@ def test_criterion_6_omega_doubling_example2():
     avg = simulate(dataclasses.replace(base_cfg, scenario="average-gradsat", dt=None))
     true1 = simulate(base_cfg)
     doubled = dataclasses.replace(
-        base_cfg, dither=base_cfg.dither.with_base_omega(2.0), dt=None
+        base_cfg, dither=dataclasses.replace(base_cfg.dither, base_omega=2.0), dt=None
     )
     true2 = simulate(doubled)
     ratio = sup_deviation(true1, avg) / sup_deviation(true2, avg)
@@ -428,7 +428,7 @@ def test_criterion_8_sector_suites():
 def test_criterion_9_zero_mean_and_consistency():
     qmap = ex1_qmap()
     dither = DitherSpec([0.1, 0.1], (10, 70), 1.0)
-    ctrl = AwController(EX1_K, EX1_KAW, SaturationBounds([5.0, 5.0]))
+    ctrl = AwController(EX1_K, EX1_KAW)
     rep = zero_mean_report(dither, qmap, np.array([0.3, -0.2]))
     offdiag = ("delta_mean_free[0,1]", "delta_mean_free[1,0]")
     zm = rep.max_rel(("S[", "M[", "w[", "varsigma[") + offdiag)

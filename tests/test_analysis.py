@@ -188,7 +188,7 @@ def _saturating_design(eps, n=3):
     eye = np.eye(n)
     return GradSatDesign(
         k=k, l=k - eps * eye, w=eye, x=eye, upsilon_tilde=eye, p=eye,
-        eta=1.0, epsilon=0.5, bounds=SaturationBounds(np.full(n, 2.0)), kappa_g=1.0,
+        eta=1.0, epsilon=0.5, bounds=SaturationBounds(np.full(n, 2.0)),
     )
 
 
@@ -232,7 +232,7 @@ def ex1_setup():
     H = (EX1_ALPHA[0] * 0.9 + EX1_ALPHA[1] * 1.1) * EX1_H0
     qmap = QuadraticMap(10.0, [2.0, 4.0], H, SaturationBounds([5.0, 5.0]))
     dither = DitherSpec([0.1, 0.1], (10, 70), 1.0)
-    ctrl = AwController(EX1_K, EX1_KAW, SaturationBounds([5.0, 5.0]))
+    ctrl = AwController(EX1_K, EX1_KAW)
     return qmap, dither, ctrl
 
 

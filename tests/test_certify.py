@@ -64,11 +64,6 @@ def _off_diagonal(m: np.ndarray) -> np.ndarray:
     return m + 1e-9 * np.max(np.abs(m)) * (1.0 - np.eye(len(m)))
 
 
-def _kappa_line(aw: bool) -> str:
-    name = "kappa" if aw else "kappa_g"
-    return f"{name} differs from sqrt(lambda_max(P)/lambda_min(P))"
-
-
 # tamper -> (edit of the design, failure lines for aw, for gradsat); an
 # absent family means the tamper is not defined for it
 TAMPERS = {
@@ -86,14 +81,6 @@ TAMPERS = {
             "aw": ["Lambda not a positive diagonal"],
             "gradsat": ["upsilon_tilde not a positive diagonal"],
         },
-    ),
-    "kappa-scaled": (
-        lambda d: (
-            {"kappa": 1.5 * d.kappa}
-            if isinstance(d, AwDesign)
-            else {"kappa_g": 1.5 * d.kappa_g}
-        ),
-        {"aw": [_kappa_line(True)], "gradsat": [_kappa_line(False)]},
     ),
     "p-doubled": (lambda d: {"p": 2.0 * d.p}, {"gradsat": [CONGRUENCE]}),
     "k-shifted": (
@@ -164,7 +151,7 @@ def test_cli_verify_reports_a_sector_sampling_failure(tmp_path, capsys):
     eye = np.eye(n)
     design = synthesis.GradSatDesign(
         k=eye, l=0 * eye, w=eye, x=eye, upsilon_tilde=eye, p=eye, eta=1.0,
-        epsilon=0.5, bounds=SaturationBounds(np.ones(n)), kappa_g=1.0,
+        epsilon=0.5, bounds=SaturationBounds(np.ones(n)),
     )
     save_design(design, str(tmp_path / "design.txt"))
     cfg = tmp_path / "wide.cfg"

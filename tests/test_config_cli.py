@@ -20,7 +20,7 @@ from esc_sat.config import (
     parse_config,
     resolve_hessian,
 )
-from esc_sat.synthesis import load_design, save_design
+from esc_sat.synthesis import _kappa_of, load_design, save_design
 from conftest import EX1_H0, fixture_path
 
 GOOD = """
@@ -211,24 +211,19 @@ def test_cli_verify_rejects_tampered_gradsat_certificate(tmp_path, capsys, tampe
     assert f"FAILED: {message}" in captured.err.splitlines()
 
 
-def test_cli_verify_rejects_edited_kappa(tmp_path, capsys):
-    # the stored transient bound must be the condition number of P; the
-    # vertex, row and ellipsoid checks cannot see it
-    out = tmp_path / "design"
-    assert cli.main(["design", fixture_path("example2.cfg"), "--out", str(out)]) == 0
-    design = load_design(str(out / "design.txt"))
-    _edit_design_file(
-        out / "design.txt", tmp_path / "bad.txt", kappa_g=repr(0.5 * design.kappa_g)
-    )
-    capsys.readouterr()
-    rc = cli.main(["verify", str(tmp_path / "bad.txt"), fixture_path("example2.cfg")])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "all certificates pass" not in captured.out
-    failed = [ln for ln in captured.err.splitlines() if ln.startswith("FAILED:")]
-    assert failed == [
-        "FAILED: kappa_g differs from sqrt(lambda_max(P)/lambda_min(P))"
-    ]
+def test_cli_verify_ignores_an_edited_kappa_line(tmp_path, capsys, fixture_designs):
+    # kappa is derived from P; the kappa / kappa_g line that older design
+    # files carry is read by nothing, so an edited one cannot disagree with P
+    for cfg, key in (("example1.cfg", "kappa"), ("example2.cfg", "kappa_g")):
+        good = fixture_designs[cfg]
+        assert f"\n{key} = " not in good.read_text()
+        edited = tmp_path / "edited.txt"
+        edited.write_text(good.read_text() + f"{key} = 0.5\n")
+        design = load_design(str(edited))
+        assert design.kappa == _kappa_of(design.p)
+        capsys.readouterr()
+        assert cli.main(["verify", str(edited), fixture_path(cfg)]) == 0
+        assert capsys.readouterr().out.endswith("all certificates pass\n")
 
 
 def test_cli_verify_rejects_negative_seed_before_any_check(tmp_path, capsys):
@@ -337,6 +332,68 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
     rc = cli.main([command, str(path), "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.endswith(f"error: {path}: {what}\n")
+
+
+@pytest.mark.parametrize(
+    "command, name, old, new, what",
+    [
+        (
+            "simulate", "example1.cfg", "theta0 = 2.5 6", "theta0 = 2.5",
+            "[sim] theta0, t_end, dt, [map] theta_star, [dither] amplitudes: "
+            "theta0 dimension mismatch",
+        ),
+        (
+            "simulate", "example2.cfg", "alpha = 0.25 0.25 0.25 0.25", "alpha = 0.5 0.5",
+            "[map] alpha, polytope: alpha has 2 weights for 4 vertices",
+        ),
+        (
+            "simulate", "example2.cfg", "alpha = 0.25 0.25 0.25 0.25",
+            "alpha = 0.5 0.2 0.2 0.05",
+            "[map] alpha, polytope: alpha weights sum to 0.95, not 1",
+        ),
+        *[
+            (
+                command, "example2.cfg",
+                "amplitudes = 0.1 0.1 0.1", "amplitudes = 0.1 0.1",
+                "[dither] amplitudes, multipliers, base_omega: "
+                "amplitudes and freq_multipliers disagree in length",
+            )
+            for command in ("simulate", "design")
+        ],
+        (
+            "simulate", "example1.cfg", "k = -0.0270 0.0361; 0.0456 -0.1492",
+            "k = 1 0 0; 0 1 0",
+            "[controller] k, k_aw: controller gains must be square and of one shape",
+        ),
+        (
+            "simulate", "example1.cfg", "h0 = 100 30; 30 20", "h0 = 100",
+            "[map] theta_star, polytope: hessian shape does not match theta_star",
+        ),
+        (
+            "design", "example1.cfg", "h0 = 100 30; 30 20", "h0 = 100",
+            "[synthesis] bounds = '5 5' has 2 bounds for a [map] polytope of dimension 1",
+        ),
+        (
+            "design", "example2.cfg", "polytope = vertices\n", "",
+            "[map] must define a polytope for gain design",
+        ),
+    ],
+    ids=[
+        "theta0", "alpha-count", "alpha-sum", "amplitudes-simulate", "amplitudes-design",
+        "k-shape", "h0-simulate", "h0-design", "no-polytope",
+    ],
+)
+def test_config_errors_across_keys_name_the_config(
+    tmp_path, capsys, command, name, old, new, what
+):
+    text = open(fixture_path(name)).read()
+    assert text.count(old) == 1
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main([command, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {what}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stride", ["0", "-1", "x", "2.5"])
@@ -462,7 +519,6 @@ MATRIX_SHAPE = "shape (1, 2), expected ({n}, {n}) from the {n}-row k"
         ),
         pytest.param("eta", "inf", "'inf' is not a finite number", id="eta-inf"),
         pytest.param("epsilon", "nan", "'nan' is not a finite number", id="epsilon-nan"),
-        pytest.param("kappa", "nan", "'nan' is not a finite number", id="kappa-nan"),
         pytest.param(
             "k", "1 2", "shape (1, 2), expected (1, 1) from the 1-row k", id="shape-k"
         ),
@@ -523,6 +579,20 @@ def test_design_file_with_a_y_line_still_loads_and_verifies(
     old.write_text("\n".join(lines[:at] + [f"y = {y}"] + lines[at:]) + "\n")
     capsys.readouterr()
     assert cli.main(["verify", str(old), fixture_path("example2.cfg")]) == 0
+    assert capsys.readouterr().out.endswith("all certificates pass\n")
+
+
+def test_design_file_comments_are_ignored(tmp_path, capsys, fixture_designs):
+    good = fixture_designs["example1.cfg"]
+    lines = good.read_text().splitlines()
+    at = [ln.partition("=")[0].strip() for ln in lines].index("eta")
+    lines[at] += "  # the certified decay rate"
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# an anti-windup design\n" + "\n".join(lines) + "\n")
+    save_design(load_design(str(commented)), str(tmp_path / "again.txt"))
+    assert (tmp_path / "again.txt").read_bytes() == good.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["verify", str(commented), fixture_path("example1.cfg")]) == 0
     assert capsys.readouterr().out.endswith("all certificates pass\n")
 
 
@@ -595,7 +665,7 @@ def test_design_option_alone_runs_the_design_gains(tmp_path, fixture_designs, na
     assert cli.main(argv + ["--out", str(tmp_path / "cli")]) == 0
     qmap = build_qmap(cfg, resolve_hessian(cfg, build_polytope(cfg)))
     if design.kind == "aw":
-        ctrl = AwController(design.k, design.k_aw, qmap.input_bounds)
+        ctrl = AwController(design.k, design.k_aw)
     else:
         ctrl = GradSatController(design.k, design.bounds)
     traj = simulate(build_sim_config(cfg, qmap, build_dither(cfg), ctrl))
@@ -816,6 +886,32 @@ def test_amplitude_sweep_keeps_the_config_step(tmp_path):
     assert sim_cfg.dt == 0.0005
     band = analysis.check_convergence_bands(simulate(sim_cfg), sim_cfg.qmap, sim_cfg.dither)
     assert (float(row[0]), float(row[2]), float(row[3])) == (0.1, band.r_theta, band.r_y)
+
+
+@pytest.mark.parametrize(
+    "param, values, runs", [("amplitude", "0.05,0.1,0.2", 4), ("omega-scale", "1,2", 4)]
+)
+def test_sweep_runs_the_averaged_loop_once_per_step(
+    tmp_path, monkeypatch, param, values, runs
+):
+    # the averaged loop reads no dither: an amplitude sweep keeps one step,
+    # so one averaged run serves every row; an omega-scale value has its own
+    text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.5")
+    path = tmp_path / "short.cfg"
+    path.write_text(text)
+    scenarios = []
+
+    def counted(cfg):
+        scenarios.append(cfg.scenario)
+        return simulate(cfg)
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    argv = ["sweep", str(path), "--param", param, "--values", values]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(scenarios) == runs
+    rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    eta_hats = {row[4] for row in rows}
+    assert len(eta_hats) == (1 if param == "amplitude" else len(rows))
 
 
 def test_cli_sweep_needs_two_values(tmp_path):

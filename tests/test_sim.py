@@ -33,7 +33,7 @@ def ex1_qmap():
 
 
 def ex1_controller():
-    return AwController(EX1_K, EX1_KAW, SaturationBounds([5.0, 5.0]))
+    return AwController(EX1_K, EX1_KAW)
 
 
 def ex1_config(**over):
@@ -198,7 +198,7 @@ def test_step_halving_first_order_on_true_loop():
 def test_blowup_detected_with_time():
     # anti-windup gain with the wrong sign feeds the dead-zone back
     # positively: the estimate runs away once saturated
-    ctrl = AwController(EX1_K, -np.eye(2), SaturationBounds([5.0, 5.0]))
+    ctrl = AwController(EX1_K, -np.eye(2))
     cfg = ex1_config(controller=ctrl, t_end=60.0)
     with pytest.raises(SimulationBlowUp) as exc:
         simulate(cfg)

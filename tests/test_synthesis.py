@@ -158,7 +158,6 @@ def test_verify_rejects_zero_gains(ex1_polytope, ex1_bounds):
         p=np.eye(2),
         lam=np.eye(2),
         eta=1.0,
-        kappa=1.0,
         bounds=ex1_bounds,
     )
     assert verify_aw_design(bad, ex1_polytope) >= 0
@@ -211,7 +210,7 @@ def test_certified_published_gains_decay_in_simulation(ex1_polytope, ex1_bounds)
         scenario="average-aw",
         qmap=qmap,
         dither=DitherSpec([0.1, 0.1], (10, 70), 1.0),
-        controller=AwController(EX1_K, EX1_KAW, ex1_bounds),
+        controller=AwController(EX1_K, EX1_KAW),
         theta0=np.array([2.5, 6.0]),
         t_end=5.0,
     )
