@@ -52,6 +52,27 @@ class _UsageError(Exception):
     pass
 
 
+class _CertificateFailed(Exception):
+    """The failed checks of ``verify``, one per line."""
+
+    def __init__(self, failures: list[str]):
+        super().__init__("\n".join(failures))
+
+
+# Every way a command stops short of success: exception type -> (exit code,
+# prefix of each stderr line).  ``main`` takes the entry of the most specific
+# class, so a ConfigError, a ValueError, reports as "error".
+_EXITS = {
+    _UsageError: (EXIT_USAGE, "usage error"),
+    InfeasibleDesignError: (EXIT_CERTIFICATE, "infeasible"),
+    SynthesisNumericalError: (EXIT_CERTIFICATE, "numerical failure"),
+    _CertificateFailed: (EXIT_CERTIFICATE, "FAILED"),
+    SimulationBlowUp: (EXIT_BLOWUP, "blow-up"),
+    ValueError: (EXIT_USAGE, "error"),
+    OSError: (EXIT_USAGE, "error"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -116,57 +137,49 @@ def _design_polytope(cfg: ExperimentConfig, req):
     return poly
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args) -> None:
     eps_candidates = _comma_numbers("--epsilon-sweep", args.epsilon_sweep or "")
     cfg = load_config(args.config)
     dither = build_dither(cfg)
     req = build_synthesis_request(cfg)
     if req.kind == "aw" and args.epsilon_sweep is not None:
-        print("error: --epsilon-sweep applies to gradsat designs only", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--epsilon-sweep applies to gradsat designs only")
     poly = _design_polytope(cfg, req)
     _warn_frequencies(dither)
     lines = []
-    try:
-        if req.kind == "aw":
-            design = synthesis.design_aw_gains(poly, req.eta, req.bounds)
-            vertex = synthesis.certify(design, poly).values("vertex")
-            lines.append(f"kind = aw, eta = {req.eta}, kappa = {design.kappa:.6g}")
-            lines += [f"vertex[{i}] lambda_max = {v:.6e}" for i, v in enumerate(vertex)]
-            lines.append(f"overall lambda_max = {np.max(vertex):.6e}")
-        else:
-            eps = req.epsilon if req.epsilon is not None else 0.5
-            # no principled rule fixes the congruence scalar; report how
-            # feasibility and conditioning move across candidate values
-            for cand in eps_candidates:
-                try:
-                    trial = synthesis.design_gradsat_gain(poly, req.eta, cand, req.bounds)
-                    vmax_c, _ = synthesis.verify_gradsat_design(trial, poly)
-                    lines.append(
-                        f"epsilon = {cand:g}: feasible, kappa_g = "
-                        f"{trial.kappa:.6g}, vertex lambda_max = {vmax_c:.3e}"
-                    )
-                except (InfeasibleDesignError, SynthesisNumericalError) as exc:
-                    lines.append(f"epsilon = {cand:g}: {exc}")
-            design = synthesis.design_gradsat_gain(poly, req.eta, eps, req.bounds)
-            lines.append(
-                f"kind = gradsat, eta = {req.eta}, epsilon = {eps}, "
-                f"kappa_g = {design.kappa:.6g}"
-            )
-            report = synthesis.certify(design, poly)
-            lines.append(f"vertex lambda_max = {np.max(report.values('vertex')):.6e}")
-            rmin = np.min(report.values("row"))
-            lines.append(f"row-coupling lambda_min = {rmin:.6e}")
-            lines.append(
-                "ellipsoid inclusion residuals = "
-                + " ".join(f"{r:.6e}" for r in report.values("inclusion"))
-            )
-    except InfeasibleDesignError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except SynthesisNumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+    if req.kind == "aw":
+        design = synthesis.design_aw_gains(poly, req.eta, req.bounds)
+        vertex = synthesis.certify(design, poly).values("vertex")
+        lines.append(f"kind = aw, eta = {req.eta}, kappa = {design.kappa:.6g}")
+        lines += [f"vertex[{i}] lambda_max = {v:.6e}" for i, v in enumerate(vertex)]
+        lines.append(f"overall lambda_max = {np.max(vertex):.6e}")
+    else:
+        eps = req.epsilon if req.epsilon is not None else 0.5
+        # no principled rule fixes the congruence scalar; report how
+        # feasibility and conditioning move across candidate values
+        for cand in eps_candidates:
+            try:
+                trial = synthesis.design_gradsat_gain(poly, req.eta, cand, req.bounds)
+                vmax_c, _ = synthesis.verify_gradsat_design(trial, poly)
+                lines.append(
+                    f"epsilon = {cand:g}: feasible, kappa_g = "
+                    f"{trial.kappa:.6g}, vertex lambda_max = {vmax_c:.3e}"
+                )
+            except (InfeasibleDesignError, SynthesisNumericalError) as exc:
+                lines.append(f"epsilon = {cand:g}: {exc}")
+        design = synthesis.design_gradsat_gain(poly, req.eta, eps, req.bounds)
+        lines.append(
+            f"kind = gradsat, eta = {req.eta}, epsilon = {eps}, "
+            f"kappa_g = {design.kappa:.6g}"
+        )
+        report = synthesis.certify(design, poly)
+        lines.append(f"vertex lambda_max = {np.max(report.values('vertex')):.6e}")
+        rmin = np.min(report.values("row"))
+        lines.append(f"row-coupling lambda_min = {rmin:.6e}")
+        lines.append(
+            "ellipsoid inclusion residuals = "
+            + " ".join(f"{r:.6e}" for r in report.values("inclusion"))
+        )
 
     design_path = os.path.join(args.out, "design.txt")
     _atomic_write(design_path, lambda p: save_design(design, p))
@@ -180,7 +193,6 @@ def _cmd_design(args) -> int:
     _atomic_write(report_path, write_report)
     print(text, end="")
     print(f"design written to {design_path}")
-    return EXIT_OK
 
 
 def _load_sim_config(cfg: ExperimentConfig, design_path: Optional[str]) -> SimConfig:
@@ -193,13 +205,9 @@ def _load_sim_config(cfg: ExperimentConfig, design_path: Optional[str]) -> SimCo
     return sim_cfg
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     sim_cfg = _load_sim_config(load_config(args.config), args.design)
-    try:
-        traj = simulate(sim_cfg)
-    except SimulationBlowUp as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    traj = simulate(sim_cfg)
     csv_path = os.path.join(args.out, "trajectory.csv")
     _atomic_write(csv_path, lambda p: export_csv(traj, p, stride=args.stride))
     print(f"trajectory written to {csv_path} ({traj.times.size} samples)")
@@ -214,7 +222,6 @@ def _cmd_simulate(args) -> int:
         f"|y - q*| = {band.r_y:.4g} "
         f"(band {band.y_band:.4g}, {'ok' if band.y_ok else 'FAIL'})"
     )
-    return EXIT_OK
 
 
 def _sweep_one(sim_cfg, param: str, value: float, averaged: dict):
@@ -240,21 +247,15 @@ def _sweep_one(sim_cfg, param: str, value: float, averaged: dict):
     return (value, dev, band.r_theta, band.r_y, fit.eta_hat)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     values = _comma_numbers("--values", args.values)
     if not np.all(np.isfinite(values)):
-        print(f"error: sweep values must be finite: {args.values!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"sweep values must be finite: {args.values!r}")
     if len(values) < 2:
-        print("error: sweep needs at least two values", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("sweep needs at least two values")
     sim_cfg = _load_sim_config(load_config(args.config), args.design)
-    try:
-        averaged: dict = {}
-        rows = [_sweep_one(sim_cfg, args.param, v, averaged) for v in values]
-    except SimulationBlowUp as exc:
-        print(f"blow-up during sweep: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    averaged: dict = {}
+    rows = [_sweep_one(sim_cfg, args.param, v, averaged) for v in values]
     path = os.path.join(args.out, "sweep.csv")
 
     def write(p):
@@ -270,10 +271,9 @@ def _cmd_sweep(args) -> int:
             f"r_theta = {row[2]:.4g}, r_y = {row[3]:.4g}, eta_hat = {row[4]:.4g}"
         )
     print(f"sweep summary written to {path}")
-    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     design = load_design(args.design)
     cfg = load_config(args.config)
     req = build_synthesis_request(cfg)
@@ -295,9 +295,7 @@ def _cmd_verify(args) -> int:
     if not design.eta >= req.eta:
         failures.append(f"design eta {design.eta!r} is below the config's {req.eta!r}")
     if failures:
-        for f in failures:
-            print(f"FAILED: {f}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        raise _CertificateFailed(failures)
     report = synthesis.certify(design, poly)
     print(f"vertex inequalities: lambda_max = {np.max(report.values('vertex')):.6e}")
     if isinstance(design, AwDesign):
@@ -321,11 +319,8 @@ def _cmd_verify(args) -> int:
         if slack > analysis.SECTOR_SLACK_TOL:
             failures.append("sector condition violated in sampling")
     if failures:
-        for f in failures:
-            print(f"FAILED: {f}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        raise _CertificateFailed(failures)
     print("all certificates pass")
-    return EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -368,16 +363,15 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+        args.func(args)
+    except tuple(_EXITS) as exc:
+        code, prefix = next(_EXITS[t] for t in type(exc).__mro__ if t in _EXITS)
+        lines = str(exc).split("\n")
+        print("\n".join(f"{prefix}: {line}" for line in lines), file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -176,13 +176,14 @@ def _read(cfg: ExperimentConfig, section: str, key: str, parse=_number):
 
 @contextmanager
 def _about(cfg: ExperimentConfig, keys: str):
-    """Re-raise a ValueError of a value built from ``keys`` ("[section] key,
-    ...") as a ConfigError naming the config and them; ConfigErrors pass."""
+    """Re-raise a ValueError or OverflowError of a value built from ``keys``
+    ("[section] key, ...") as a ConfigError naming the config and them;
+    ConfigErrors pass."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         sep = " " if isinstance(exc, matio.NotA) else ": "
         raise ConfigError(f"{cfg.name}: {keys}{sep}{exc}") from None
 
@@ -319,7 +320,8 @@ def _scenario(cfg: ExperimentConfig) -> str:
 
 def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
     """Controller running a loaded design's gains when one is given, else the
-    config's [controller] k (and k_aw for the anti-windup loop)."""
+    config's [controller] k (and k_aw for the anti-windup loop), of the map's
+    dimension."""
     scenario = _scenario(cfg)
     kind = SCENARIOS[scenario][0]
     if design is not None and design.kind != kind:
@@ -330,15 +332,27 @@ def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
     if kind == "aw" and qmap.input_bounds is None:
         raise ConfigError(f"{cfg.name}: [map] input_bounds required")
     if design is not None:
+        source = "the design"
         if kind == "aw":
-            return AwController(design.k, design.k_aw)
-        return GradSatController(design.k, design.bounds)
-    k = _read(cfg, "controller", "k", matio.parse_matrix)
-    keys = "[controller] k, " + ("k_aw" if kind == "aw" else "[synthesis] bounds")
-    with _about(cfg, keys):
-        if kind == "aw":
-            return AwController(k, _read(cfg, "controller", "k_aw", matio.parse_matrix))
-        return GradSatController(k, build_synthesis_request(cfg).bounds)
+            ctrl = AwController(design.k, design.k_aw)
+        else:
+            ctrl = GradSatController(design.k, design.bounds)
+    else:
+        source = "[controller] k"
+        k = _read(cfg, "controller", "k", matio.parse_matrix)
+        keys = "[controller] k, " + ("k_aw" if kind == "aw" else "[synthesis] bounds")
+        with _about(cfg, keys):
+            if kind == "aw":
+                k_aw = _read(cfg, "controller", "k_aw", matio.parse_matrix)
+                ctrl = AwController(k, k_aw)
+            else:
+                ctrl = GradSatController(k, build_synthesis_request(cfg).bounds)
+    if ctrl.dim != qmap.dim:
+        raise ConfigError(
+            f"{cfg.name}: {source} gives a controller of dimension {ctrl.dim} "
+            f"for a map of dimension {qmap.dim}"
+        )
+    return ctrl
 
 
 def build_sim_config(

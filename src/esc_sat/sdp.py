@@ -50,17 +50,6 @@ MAX_ITER = 500
 BOX_BOUND = 1e6
 
 
-def _symmetrize(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be square")
-    skew = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(mat)))) if mat.size else 1.0
-    if skew > _SYM_TOL * scale:
-        raise ValueError(f"{what} is not symmetric (skew {skew:.3e})")
-    return 0.5 * (mat + mat.T)
-
-
 @dataclass(frozen=True)
 class LmiBlock:
     """One affine block F(x) = base + sum_j x_j coeffs[j] with a sense.
@@ -76,19 +65,25 @@ class LmiBlock:
     name: str = ""
 
     def __post_init__(self):
-        base = _symmetrize(self.base, f"block {self.name!r} base")
+        base = np.asarray(self.base, dtype=float)
+        if base.ndim != 2 or base.shape[0] != base.shape[1]:
+            raise ValueError(f"block {self.name!r} base must be square")
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.ndim != 3 or coeffs.shape[1:] != base.shape:
             raise ValueError(f"block {self.name!r} coefficient stack has bad shape")
-        skew = np.max(np.abs(coeffs - coeffs.swapaxes(1, 2)), axis=(1, 2), initial=0.0)
-        scale = np.max(np.abs(coeffs), axis=(1, 2), initial=1.0)
+        # slice 0 is the base, slice j + 1 coefficient j
+        stack = np.concatenate([base[None], coeffs])
+        skew = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2), initial=0.0)
+        scale = np.max(np.abs(stack), axis=(1, 2), initial=1.0)
         bad = np.flatnonzero(skew > _SYM_TOL * scale)
         if bad.size:
             j = bad[0]
+            what = "base" if j == 0 else f"coeff {j - 1}"
             raise ValueError(
-                f"block {self.name!r} coeff {j} is not symmetric (skew {skew[j]:.3e})"
+                f"block {self.name!r} {what} is not symmetric (skew {skew[j]:.3e})"
             )
-        coeffs = 0.5 * (coeffs + coeffs.swapaxes(1, 2))
+        stack = 0.5 * (stack + stack.swapaxes(1, 2))
+        base, coeffs = stack[0], stack[1:]
         if self.sense not in ("strict", "psd"):
             raise ValueError(f"unknown block sense {self.sense!r}")
         if self.margin < 0:

@@ -104,6 +104,10 @@ class SimConfig:
             raise ValueError(
                 f"dt = {dt} is coarser than period/{MIN_STEPS_PER_PERIOD}"
             )
+        if round(self.t_end / dt) < 1:
+            raise ValueError(
+                f"t_end = {self.t_end:g} rounds to no step of dt = {dt:.6g}"
+            )
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "dt", float(dt))
 

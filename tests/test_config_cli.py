@@ -377,10 +377,32 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
             "design", "example2.cfg", "polytope = vertices\n", "",
             "[map] must define a polytope for gain design",
         ),
+        (
+            "simulate", "example1.cfg",
+            "k = -0.0270 0.0361; 0.0456 -0.1492\nk_aw = 2.2794 0.0824; -0.0865 2.2804",
+            "k = 1 0 0; 0 1 0; 0 0 1\nk_aw = 1 0 0; 0 1 0; 0 0 1",
+            "[controller] k gives a controller of dimension 3 for a map of dimension 2",
+        ),
+        *[
+            (
+                command, "example2.cfg", "multipliers = 10 30 70",
+                "multipliers = 1/100000007 1/100000037 1/100000039",
+                "[dither] amplitudes, multipliers, base_omega: common-period LCM "
+                "exceeds exact integer range while combining multiplier 2 "
+                "(reciprocal 100000039) with the running value 10000004400000259",
+            )
+            for command in ("simulate", "design")
+        ],
+        (
+            "simulate", "example1.cfg", "t_end = 5", "t_end = 0.0001",
+            "[sim] theta0, t_end, dt, [map] theta_star, [dither] amplitudes: "
+            "t_end = 0.0001 rounds to no step of dt = 0.000628319",
+        ),
     ],
     ids=[
         "theta0", "alpha-count", "alpha-sum", "amplitudes-simulate", "amplitudes-design",
-        "k-shape", "h0-simulate", "h0-design", "no-polytope",
+        "k-shape", "h0-simulate", "h0-design", "no-polytope", "k-dimension",
+        "period-overflow-simulate", "period-overflow-design", "t_end-under-one-step",
     ],
 )
 def test_config_errors_across_keys_name_the_config(
@@ -655,6 +677,29 @@ def test_designed_controller_needs_the_scenario_kind(
     )
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_designed_controller_needs_the_map_dimension(
+    tmp_path, capsys, fixture_designs, command
+):
+    # the example-2 design is a three-dimensional rate-saturation design
+    text = open(fixture_path("example1.cfg")).read()
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(
+        text.replace("scenario = input-saturation", "scenario = gradient-saturation")
+    )
+    argv = [command, str(run_cfg), "--design", str(fixture_designs["example2.cfg"])]
+    if command == "sweep":
+        argv += ["--param", "amplitude", "--values", "0.1,0.2"]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {run_cfg}: the design gives a controller of dimension 3 for a map "
+        "of dimension 2\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg"])
 def test_design_option_alone_runs_the_design_gains(tmp_path, fixture_designs, name):
     cfg_path = fixture_path(name)
@@ -674,12 +719,16 @@ def test_design_option_alone_runs_the_design_gains(tmp_path, fixture_designs, na
     assert written == (tmp_path / "library.csv").read_bytes()
 
 
-@pytest.mark.parametrize("refusal", ["other-kind", "bad-config"])
+@pytest.mark.parametrize("refusal", ["other-kind", "bad-config", "under-one-step"])
 def test_refused_sweep_leaves_no_out_directory(tmp_path, capsys, fixture_designs, refusal):
     cfg = fixture_path("example2.cfg")
     argv = ["sweep", cfg, "--param", "amplitude", "--values", "0.1,0.2"]
     if refusal == "other-kind":
         argv += ["--design", str(fixture_designs["example1.cfg"])]
+    elif refusal == "under-one-step":
+        # the slowed dither's automatic step, period/1000, is far longer than t_end
+        argv = ["sweep", fixture_path("example1.cfg"), "--param", "omega-scale"]
+        argv += ["--values", "1e-300,1"]
     else:
         bad = tmp_path / "bad.cfg"
         bad.write_text(open(cfg).read().replace("t_end = ", "t_end = x"))
@@ -797,15 +846,17 @@ DIVERGE = {
 
 
 @pytest.mark.parametrize(
-    "command, name, edits, rc",
+    "command, name, edits, rc, prefix",
     [
-        ("design", "example2.cfg", {"eta = 1": "eta = 50"}, 2),
-        ("simulate", "example1.cfg", DIVERGE, 3),
-        ("sweep", "example1.cfg", DIVERGE, 3),
+        ("design", "example2.cfg", {"eta = 1": "eta = 50"}, 2, "infeasible: "),
+        ("simulate", "example1.cfg", DIVERGE, 3, "blow-up: "),
+        ("sweep", "example1.cfg", DIVERGE, 3, "blow-up: "),
     ],
     ids=["design-infeasible", "simulate-blowup", "sweep-blowup"],
 )
-def test_failed_commands_leave_no_out_directory(tmp_path, capsys, command, name, edits, rc):
+def test_failed_commands_leave_no_out_directory(
+    tmp_path, capsys, command, name, edits, rc, prefix
+):
     text = open(fixture_path(name)).read()
     for old, new in edits.items():
         assert old in text
@@ -817,7 +868,10 @@ def test_failed_commands_leave_no_out_directory(tmp_path, capsys, command, name,
     if command == "sweep":
         argv += ["--param", "amplitude", "--values", "0.1,0.2"]
     assert cli.main(argv) == rc
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # frequency warnings may come first; the last line says why the command stopped
+    assert captured.err.splitlines()[-1].startswith(prefix)
     assert not out.exists()
 
 
