@@ -7,7 +7,7 @@ quadrature for the zero-mean terms the averaging step discards.
 
 The two sector samplers, property tests of ``plant.deadzone``, evaluate one
 form on plain blocks of uniform draws; the two period-mean oracles share
-one composite-Simpson grid over the dither period.
+one periodic trapezoid rule over the dither period.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .plant import (
     loop_laws,
     perturbation_terms,
 )
-from .signals import DitherSpec, eval_M, eval_S
+from .signals import DitherSpec, _harmonics, eval_M, eval_S
 from .sim import Trajectory
 from .synthesis import GradSatDesign
 
@@ -53,22 +53,21 @@ TAIL_FRACTION = 0.2
 # distance draw_interior_states keeps between the dithered input path and the
 # input bounds
 INTERIOR_MARGIN = 0.05
+# per-state nodes along a path that leaves the bounds, where none is exact
+SATURATING_NODES = 20001
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
 def _period_grid(dither: DitherSpec, nodes: int):
-    """Composite-Simpson weights over one dither period, S and M at its
-    nodes, and the nodes themselves."""
-    if nodes < 3 or nodes % 2 == 0:
-        raise ValueError("composite Simpson needs an odd node count >= 3")
+    """Trapezoid weights over [0, T], S and M at its nodes, and the nodes:
+    the periodic rule on nodes - 1 points, exact on trigonometric
+    polynomials of degree below nodes - 1 (Trefethen & Weideman, 2014)."""
     ts = np.linspace(0.0, dither.period, nodes)
-    h = dither.period / (nodes - 1)
-    wq = np.ones(nodes)
-    wq[1:-1:2] = 4.0
-    wq[2:-1:2] = 2.0
-    return wq * (h / 3.0), eval_S(dither, ts), eval_M(dither, ts), ts
+    wq = np.full(nodes, dither.period / (nodes - 1))
+    wq[[0, -1]] *= 0.5
+    return wq, eval_S(dither, ts), eval_M(dither, ts), ts
 
 
 def _period_mean(values: np.ndarray, weights: np.ndarray, period: float):
@@ -302,7 +301,6 @@ class TermMean:
 @dataclass(frozen=True)
 class ZeroMeanReport:
     terms: dict[str, TermMean] = field(default_factory=dict)
-    delta_diag_note: str = ""
 
     def max_rel(self, prefixes: Sequence[str]) -> float:
         vals = [
@@ -347,15 +345,7 @@ def zero_mean_report(
         linf = np.max(np.abs(values), axis=0)
         for idx in np.ndindex(means.shape):
             terms[pattern.format(*idx)] = TermMean(float(means[idx]), float(linf[idx]))
-
-    lit_means = [terms[f"delta_literal[{i},{i}]"].mean for i in range(dither.dim)]
-    note = (
-        "literal diagonal perturbation has period mean "
-        f"{np.round(lit_means, 6).tolist()} (expected 1), mean-free variant "
-        "averages to zero; the averaged-loop consistency check selects the "
-        "mean-free convention"
-    )
-    return ZeroMeanReport(terms=terms, delta_diag_note=note)
+    return ZeroMeanReport(terms=terms)
 
 
 def draw_interior_states(
@@ -381,30 +371,38 @@ def average_rhs_consistency(
     qmap: QuadraticMap,
     ctrl: AwController,
     theta_tilde_states: np.ndarray,
-    nodes: int = 20001,
     demod_remove_offset: bool = True,
 ) -> float:
     """Max relative gap between the period-averaged loop and its model.
 
     For each frozen estimation error the true right-hand side (demodulated
     gradient times K minus the anti-windup term) is averaged over one period
-    by composite Simpson and compared with K H tt - (K H + K_aw) psi(tt +
-    theta_star), psi being the dead-zone on the bounds that the map input and
-    the anti-windup term share (``plant.loop_laws`` raises ValueError when
-    the map has no input bounds or the controller's bounds differ from them).
-    On unsaturated states the model reduces to K H tt; this is the binding
-    check that fixes the mean-free perturbation convention.
+    and compared with K H tt - (K H + K_aw) psi(tt + theta_star), psi being
+    the dead-zone on the map's input bounds; on unsaturated states, K H tt.
+    This binding check fixes the mean-free perturbation convention.  With
+    whole harmonics h_i, a path strictly inside the bounds has an integrand
+    of degree 3 max h_i, averaged exactly, all such states as one stack.
     """
+    if not isinstance(ctrl, AwController):
+        raise TypeError("the consistency check closes the input-saturation loop")
     states = np.atleast_2d(np.asarray(theta_tilde_states, dtype=float))
-    wq, S, M, _ = _period_grid(dither, nodes)
-    offset = qmap.q_star if demod_remove_offset else 0.0
-    laws = loop_laws(qmap, ctrl, offset)
-    worst = 0.0
-    for tt in states:
-        theta = tt + qmap.theta_star + S
-        avg = laws.control(laws.estimate(theta, M), theta)
-        avg = _period_mean(avg, wq, dither.period)
-        model = laws.control(laws.average_estimate(tt), tt + qmap.theta_star)
-        denom = max(float(np.linalg.norm(model)), 1e-12)
-        worst = max(worst, float(np.linalg.norm(avg - model)) / denom)
-    return worst
+    laws = loop_laws(qmap, ctrl, qmap.q_star if demod_remove_offset else 0.0)
+    theta = states + qmap.theta_star
+
+    def mean_rhs(grid, rows):
+        wq, S, M, _ = grid
+        path = (S[:, None] + rows).reshape(-1, qmap.dim)
+        rhs = laws.control(laws.estimate(path, np.repeat(M, len(rows), axis=0)), path)
+        return _period_mean(rhs.reshape(len(S), *rows.shape), wq, dither.period)
+
+    inside = np.all(np.abs(theta) + dither.amplitudes < qmap.input_bounds.limits, 1)
+    exact = _period_grid(dither, 3 * max(_harmonics(dither.freq_multipliers)) + 2)
+    means = np.empty_like(theta)
+    means[inside] = mean_rhs(exact, theta[inside])
+    if not np.all(inside):
+        fine = _period_grid(dither, SATURATING_NODES)
+        for i in np.flatnonzero(~inside):
+            means[i] = mean_rhs(fine, theta[i : i + 1])[0]
+    model = laws.control(laws.average_estimate(states), theta)
+    denom = np.maximum(np.linalg.norm(model, axis=1), 1e-12)
+    return float(np.max(np.linalg.norm(means - model, axis=1) / denom, initial=0.0))

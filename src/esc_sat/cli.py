@@ -224,18 +224,19 @@ def _cmd_simulate(args) -> None:
     )
 
 
-def _sweep_one(sim_cfg, param: str, value: float, averaged: dict):
+def _sweep_member(sim_cfg: SimConfig, param: str, value: float) -> SimConfig:
     dither = sim_cfg.dither
     if param == "omega-scale":
+        # the frequencies change, so each value runs at its own automatic
+        # step, the smaller of period/1000 and fastest dither cycle/100
         dither = replace(dither, base_omega=dither.base_omega * value)
-        # the period changes with the frequencies, so each value runs at its
-        # own automatic step, period/1000
-        sim_cfg = replace(sim_cfg, dither=dither, dt=None)
-    else:
-        # amplitude values are absolute and apply to every channel; the
-        # period, and so the config's step, stays
-        dither = replace(dither, amplitudes=np.full(dither.dim, value))
-        sim_cfg = replace(sim_cfg, dither=dither)
+        return replace(sim_cfg, dither=dither, dt=None)
+    # amplitude values are absolute and apply to every channel; the
+    # frequencies, and so the config's step, stay
+    return replace(sim_cfg, dither=replace(dither, amplitudes=np.full(dither.dim, value)))
+
+
+def _sweep_run(sim_cfg: SimConfig, averaged: dict):
     traj = simulate(sim_cfg)
     # the averaged loop reads no dither: one run and decay fit per step
     if sim_cfg.dt not in averaged:
@@ -243,8 +244,8 @@ def _sweep_one(sim_cfg, param: str, value: float, averaged: dict):
         averaged[sim_cfg.dt] = (avg, analysis.fit_decay(avg, "theta_tilde"))
     avg, fit = averaged[sim_cfg.dt]
     dev = analysis.sup_deviation(traj, avg, "theta_tilde")
-    band = analysis.check_convergence_bands(traj, sim_cfg.qmap, dither)
-    return (value, dev, band.r_theta, band.r_y, fit.eta_hat)
+    band = analysis.check_convergence_bands(traj, sim_cfg.qmap, sim_cfg.dither)
+    return (dev, band.r_theta, band.r_y, fit.eta_hat)
 
 
 def _cmd_sweep(args) -> None:
@@ -253,9 +254,18 @@ def _cmd_sweep(args) -> None:
         raise ValueError(f"sweep values must be finite: {args.values!r}")
     if len(values) < 2:
         raise ValueError("sweep needs at least two values")
-    sim_cfg = _load_sim_config(load_config(args.config), args.design)
+    cfg = load_config(args.config)
+    sim_cfg = _load_sim_config(cfg, args.design)
+    # every member is built, and so checked, before the first run
+    members = []
+    for v in values:
+        try:
+            members.append(_sweep_member(sim_cfg, args.param, v))
+        except ValueError as exc:
+            where = f"{cfg.name}: --param {args.param} --values {v:g}"
+            raise ValueError(f"{where}: {exc}") from None
     averaged: dict = {}
-    rows = [_sweep_one(sim_cfg, args.param, v, averaged) for v in values]
+    rows = [(v, *_sweep_run(m, averaged)) for v, m in zip(values, members)]
     path = os.path.join(args.out, "sweep.csv")
 
     def write(p):

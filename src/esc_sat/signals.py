@@ -158,6 +158,14 @@ def common_period(multipliers: Iterable, base_omega: float) -> float:
     return 2.0 * math.pi * float(lcm) / base_omega
 
 
+def _harmonics(multipliers: Iterable) -> tuple[int, ...]:
+    """Integer harmonics h_i = m_i * LCM{1/m_j}: component i completes
+    exactly h_i cycles in the common period."""
+    mults = _coerce_multipliers(multipliers)
+    lcm = _lcm_fractions([1 / m for m in mults])
+    return tuple(int(m * lcm) for m in mults)
+
+
 @dataclass(frozen=True)
 class DitherSpec:
     """Amplitudes, rational frequency multipliers and the common period.

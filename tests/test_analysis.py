@@ -14,8 +14,10 @@ from esc_sat.analysis import (
     zero_mean_report,
 )
 from esc_sat import analysis
-from esc_sat.plant import AwController, QuadraticMap, SaturationBounds, deadzone
-from esc_sat.signals import DitherSpec
+from esc_sat.plant import (
+    AwController, GradSatController, QuadraticMap, SaturationBounds, deadzone, loop_laws,
+)
+from esc_sat.signals import DitherSpec, eval_M, eval_S
 from esc_sat.sim import Trajectory
 from esc_sat.synthesis import GradSatDesign, design_gradsat_gain
 from esc_sat.polytope import HessianPolytope
@@ -245,7 +247,6 @@ def test_zero_mean_report(ex1_setup):
     # the two diagonal conventions differ by exactly the reported unit mean
     assert rep.terms["delta_literal[0,0]"].mean == pytest.approx(1.0, abs=1e-6)
     assert rep.terms["delta_mean_free[0,0]"].mean == pytest.approx(0.0, abs=1e-6)
-    assert "mean-free" in rep.delta_diag_note
 
 
 def test_interior_state_sampler(ex1_setup):
@@ -258,8 +259,12 @@ def test_interior_state_sampler(ex1_setup):
 def test_average_rhs_matches_model(ex1_setup):
     qmap, dither, ctrl = ex1_setup
     states = draw_interior_states(qmap, dither, 20, seed=4)
-    err = average_rhs_consistency(dither, qmap, ctrl, states, nodes=8001)
+    err = average_rhs_consistency(dither, qmap, ctrl, states)
     assert err <= 1e-6
+    # the exact rule reads the input bounds; a clipped rate is no polynomial
+    rate = GradSatController(ctrl.k, qmap.input_bounds)
+    with pytest.raises(TypeError, match="input-saturation"):
+        average_rhs_consistency(dither, qmap, rate, states)
 
 
 def test_average_rhs_offset_is_immaterial(ex1_setup):
@@ -267,9 +272,7 @@ def test_average_rhs_offset_is_immaterial(ex1_setup):
     # the same loop
     qmap, dither, ctrl = ex1_setup
     states = draw_interior_states(qmap, dither, 5, seed=5)
-    raw = average_rhs_consistency(
-        dither, qmap, ctrl, states, nodes=8001, demod_remove_offset=False
-    )
+    raw = average_rhs_consistency(dither, qmap, ctrl, states, demod_remove_offset=False)
     assert raw <= 1e-6
 
 
@@ -278,7 +281,7 @@ def test_average_rhs_literal_convention_fails(ex1_setup):
     # diagonal back (the literal convention) would double the gradient term
     qmap, dither, ctrl = ex1_setup
     states = draw_interior_states(qmap, dither, 5, seed=6)
-    err = average_rhs_consistency(dither, qmap, ctrl, states, nodes=8001)
+    err = average_rhs_consistency(dither, qmap, ctrl, states)
     H = qmap.hessian
     for tt in states:
         model = ctrl.k @ H @ tt
@@ -286,3 +289,86 @@ def test_average_rhs_literal_convention_fails(ex1_setup):
         rel = np.linalg.norm(doubled - model) / np.linalg.norm(model)
         assert rel > 1e-3
     assert err <= 1e-6
+
+
+def test_period_grid_is_exact_below_its_degree():
+    # a trigonometric polynomial of degree below the count of distinct nodes
+    # (nodes - 1) has its constant term as the rule's mean; at degree equal
+    # to that count, cos(N w t) is 1 on every node and aliases into the mean
+    dither = DitherSpec([0.1, 0.1], (10, 70), 1.0)
+    rng = np.random.default_rng(11)
+    for nodes in (2, 3, 9, 23, 64):
+        degree = nodes - 2
+        a, b = rng.normal(size=(2, degree + 2))
+        wq, _, _, ts = analysis._period_grid(dither, nodes)
+        k = np.arange(degree + 2)
+        phase = np.outer(ts, k) * (2.0 * np.pi / dither.period)
+        below = np.cos(phase[:, :-1]) @ a[:-1] + np.sin(phase[:, :-1]) @ b[:-1]
+        mean = wq @ below / dither.period
+        assert abs(mean - a[0]) <= 1e-14 * np.abs(np.r_[a, b]).sum()
+        aliased = wq @ (below + a[-1] * np.cos(phase[:, -1])) / dither.period
+        assert aliased - a[0] == pytest.approx(a[-1], rel=1e-12)
+
+
+def _simpson_consistency(dither, qmap, ctrl, states, nodes=20001):
+    # the per-state composite-Simpson loop the periodic trapezoid rule
+    # replaced; kept here as the reference for the one-stack evaluation
+    ts = np.linspace(0.0, dither.period, nodes)
+    wq = np.ones(nodes)
+    wq[1:-1:2], wq[2:-1:2] = 4.0, 2.0
+    wq *= dither.period / (nodes - 1) / 3.0
+    S, M = eval_S(dither, ts), eval_M(dither, ts)
+    laws = loop_laws(qmap, ctrl, qmap.q_star)
+    worst = 0.0
+    for tt in np.atleast_2d(states):
+        theta = tt + qmap.theta_star + S
+        avg = wq @ laws.control(laws.estimate(theta, M), theta) / dither.period
+        model = laws.control(laws.average_estimate(tt), tt + qmap.theta_star)
+        denom = max(float(np.linalg.norm(model)), 1e-12)
+        worst = max(worst, float(np.linalg.norm(avg - model)) / denom)
+    return worst
+
+
+def _fine_trapezoid_consistency(dither, qmap, ctrl, tt, nodes=2_000_001, chunk=100_000):
+    # the trapezoid rule on a fine grid, summed in chunks to bound memory
+    laws = loop_laws(qmap, ctrl, qmap.q_star)
+    h = dither.period / (nodes - 1)
+    total = np.zeros(qmap.dim)
+    for start in range(0, nodes, chunk):
+        j = np.arange(start, min(start + chunk, nodes))
+        w = np.where((j == 0) | (j == nodes - 1), 0.5 * h, h)
+        theta = tt + qmap.theta_star + eval_S(dither, j * h)
+        total += w @ laws.control(laws.estimate(theta, eval_M(dither, j * h)), theta)
+    model = laws.control(laws.average_estimate(tt), tt + qmap.theta_star)
+    return float(np.linalg.norm(total / dither.period - model) / np.linalg.norm(model))
+
+
+def test_average_rhs_matches_the_simpson_loop_on_interior_states(ex1_setup):
+    qmap, dither, ctrl = ex1_setup
+    states = draw_interior_states(qmap, dither, 100, seed=0)
+    fast = average_rhs_consistency(dither, qmap, ctrl, states)
+    assert fast == pytest.approx(_simpson_consistency(dither, qmap, ctrl, states), abs=1e-12)
+    assert fast <= 1e-12
+
+
+def test_average_rhs_aliases_below_the_degree_bound(ex1_setup, monkeypatch):
+    # harmonics (1, 7) make the interior integrand a trigonometric polynomial
+    # of degree 21 whose cosines reach degree 14: 14 distinct nodes alias
+    qmap, dither, ctrl = ex1_setup
+    states = draw_interior_states(qmap, dither, 100, seed=0)
+    assert average_rhs_consistency(dither, qmap, ctrl, states) <= 1e-12
+    grid = analysis._period_grid
+    monkeypatch.setattr(analysis, "_period_grid", lambda d, nodes: grid(d, 14 + 1))
+    assert average_rhs_consistency(dither, qmap, ctrl, states) > 1.0
+
+
+@pytest.mark.parametrize("tt", [(2.95, 0.97), (3.1, -9.0)])
+def test_average_rhs_on_saturating_states(ex1_setup, tt):
+    # the dead-zone kink leaves the integrand only Lipschitz: such a state is
+    # averaged on the fine grid, as the Simpson loop did
+    qmap, dither, ctrl = ex1_setup
+    tt = np.array(tt)
+    assert np.any(np.abs(tt + qmap.theta_star) + dither.amplitudes >= qmap.input_bounds.limits)
+    reference = _fine_trapezoid_consistency(dither, qmap, ctrl, tt)
+    assert average_rhs_consistency(dither, qmap, ctrl, tt) == pytest.approx(reference, abs=1e-7)
+    assert _simpson_consistency(dither, qmap, ctrl, tt) == pytest.approx(reference, abs=1e-7)

@@ -739,6 +739,33 @@ def test_refused_sweep_leaves_no_out_directory(tmp_path, capsys, fixture_designs
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "param, values, what",
+    [
+        ("omega-scale", "1,2,0", "--values 0: base_omega must be positive"),
+        ("amplitude", "-1,1", "--values -1: dither amplitudes must be strictly positive"),
+        (
+            "omega-scale", "1e-6,1",
+            "--values 1e-06: t_end = 5 rounds to no step of dt = 628.319",
+        ),
+    ],
+    ids=["omega-zero", "amplitude-negative", "omega-under-one-step"],
+)
+def test_bad_sweep_value_fails_before_any_run(tmp_path, capsys, monkeypatch, param, values, what):
+    # every member of the sweep is built, and so checked, before the first run
+
+    def no_run(sim_cfg):
+        raise AssertionError("a sweep member was simulated")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    cfg = fixture_path("example1.cfg")
+    out = tmp_path / "out"
+    argv = ["sweep", cfg, "--param", param, f"--values={values}", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}: --param {param} {what}\n")
+    assert not out.exists()
+
+
 def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_designs):
     text = open(fixture_path("example1.cfg")).read()
     path = tmp_path / "bad.cfg"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esc_sat.analysis import _period_grid
 from esc_sat.plant import (
     AwController,
     GradSatController,
@@ -187,24 +188,15 @@ def test_perturbation_identity_and_residuals(dither, qmap):
 
 def test_residuals_have_zero_period_mean(dither, qmap):
     # frozen interior state: the dither path stays unsaturated, so w reduces
-    # to its oscillatory part and both residuals average out
+    # to its oscillatory part, both residuals are trigonometric polynomials of
+    # degree 3 max h = 21, and the periodic trapezoid rule on 22 distinct
+    # points gives their means exactly
     tt = np.array([0.3, -0.2])
-    nodes = 8001
-    ts = np.linspace(0.0, dither.period, nodes)
-    h = dither.period / (nodes - 1)
-    wq = np.ones(nodes)
-    wq[1:-1:2], wq[2:-1:2] = 4.0, 2.0
-    wq *= h / 3.0
-    ws = np.empty((nodes, 2))
-    vs = np.empty((nodes, 2))
-    for i, t in enumerate(ts):
-        pt = perturbation_terms(dither, qmap, float(t), tt)
-        ws[i] = pt.w
-        vs[i] = pt.varsigma
-    w_rel = np.abs(wq @ ws) / dither.period / np.max(np.abs(ws), axis=0)
-    v_rel = np.abs(wq @ vs) / dither.period / np.max(np.abs(vs), axis=0)
-    assert np.all(w_rel <= 1e-6)
-    assert np.all(v_rel <= 1e-6)
+    wq, _, _, ts = _period_grid(dither, 3 * 7 + 2)
+    pt = perturbation_terms(dither, qmap, ts, tt)
+    for values in (pt.w, pt.varsigma):
+        rel = np.abs(wq @ values) / dither.period / np.max(np.abs(values), axis=0)
+        assert np.all(rel <= 1e-12)
 
 
 # per-time double loops the vectorized perturbation terms replaced; kept

@@ -5,8 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from esc_sat.analysis import _period_grid
 from esc_sat.signals import (
     DitherSpec,
+    _harmonics,
     common_period,
     eval_M,
     eval_M_dot,
@@ -222,17 +224,15 @@ def test_dither_rejects_a_time_grid(evaluate):
 
 
 def test_zero_mean_by_quadrature():
+    # S and M have degree max h = 7 in the period's fundamental, so the
+    # periodic trapezoid rule on 8 distinct points gives their means exactly
     spec = DitherSpec([0.1, 0.1], (10, 70), 1.0)
-    nodes = 20001
-    ts = np.linspace(0.0, spec.period, nodes)
-    h = spec.period / (nodes - 1)
-    w = np.ones(nodes)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= h / 3.0
-    S = eval_S(spec, ts)
-    M = eval_M(spec, ts)
-    assert np.all(np.abs(w @ S) / spec.period <= 1e-9)
-    assert np.all(np.abs(w @ M) / spec.period <= 1e-9)
+    assert _harmonics(spec.freq_multipliers) == (1, 7)
+    assert _harmonics((10, 30, 70)) == (1, 3, 7)
+    assert _harmonics(("1/100", 100)) == (1, 10_000)
+    wq, S, M, _ = _period_grid(spec, 7 + 2)
+    assert np.all(np.abs(wq @ S) / spec.period <= 1e-12 * np.max(np.abs(S), axis=0))
+    assert np.all(np.abs(wq @ M) / spec.period <= 1e-12 * np.max(np.abs(M), axis=0))
 
 
 def test_spec_validation():

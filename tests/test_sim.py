@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ def test_config_validation():
         ex1_config(dt=1.0)  # coarser than period/200
     with pytest.raises(ValueError):
         ex1_config(theta0=np.array([1.0]))
+
+
+def test_step_reads_the_fastest_dither_cycle():
+    # multipliers 0.01 and 100 share a 200 pi s period in which the 100 rad/s
+    # probe makes 10000 cycles: period/1000 would be 0.1 steps per cycle,
+    # sampling the probe at its zeros, so its gradient estimate would stay at
+    # rounding level
+    dither = DitherSpec([0.1, 0.1], (Fraction(1, 100), 100), 1.0)
+    cfg = ex1_config(dither=dither, t_end=0.5)
+    assert cfg.dt == dither.period / (100 * 10_000)
+    assert cfg.dt == pytest.approx(2.0 * np.pi / 100.0 / 100, rel=1e-15)
+    assert np.max(np.abs(simulate(cfg).g_hat[:, 1])) > 1.0
+    ex1_config(dither=dither, t_end=0.5, dt=dither.period / (20 * 10_000))
+    with pytest.raises(ValueError, match="coarser than period/200000"):
+        ex1_config(dither=dither, t_end=0.5, dt=dither.period / (19 * 10_000))
+    # the fixture dither makes 7 cycles per period: the period counts bind
+    fixture = ex1_config()
+    assert fixture.dt == fixture.dither.period / 1000
 
 
 def test_equilibrium_with_vanishing_dither():
