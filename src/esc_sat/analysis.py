@@ -25,7 +25,7 @@ from .plant import (
     loop_laws,
     perturbation_terms,
 )
-from .signals import DitherSpec, _harmonics, eval_M, eval_S
+from .signals import DitherSpec, _eval_S_M, _harmonics
 from .sim import Trajectory
 from .synthesis import GradSatDesign
 
@@ -67,7 +67,7 @@ def _period_grid(dither: DitherSpec, nodes: int):
     ts = np.linspace(0.0, dither.period, nodes)
     wq = np.full(nodes, dither.period / (nodes - 1))
     wq[[0, -1]] *= 0.5
-    return wq, eval_S(dither, ts), eval_M(dither, ts), ts
+    return (wq, *_eval_S_M(dither, ts), ts)
 
 
 def _period_mean(values: np.ndarray, weights: np.ndarray, period: float):
@@ -376,8 +376,9 @@ def average_rhs_consistency(
     """Max relative gap between the period-averaged loop and its model.
 
     For each frozen estimation error the true right-hand side (demodulated
-    gradient times K minus the anti-windup term) is averaged over one period
-    and compared with K H tt - (K H + K_aw) psi(tt + theta_star), psi being
+    gradient times K minus the anti-windup term, the simulator's stage law
+    ``rhs``) is averaged over one period and compared with its model
+    ``average_rhs``, K H tt - (K H + K_aw) psi(tt + theta_star), psi being
     the dead-zone on the map's input bounds; on unsaturated states, K H tt.
     This binding check fixes the mean-free perturbation convention.  With
     whole harmonics h_i, a path strictly inside the bounds has an integrand
@@ -392,7 +393,7 @@ def average_rhs_consistency(
     def mean_rhs(grid, rows):
         wq, S, M, _ = grid
         path = (S[:, None] + rows).reshape(-1, qmap.dim)
-        rhs = laws.control(laws.estimate(path, np.repeat(M, len(rows), axis=0)), path)
+        rhs = laws.rhs(path, np.repeat(laws.demod_gain(M), len(rows), axis=0))
         return _period_mean(rhs.reshape(len(S), *rows.shape), wq, dither.period)
 
     inside = np.all(np.abs(theta) + dither.amplitudes < qmap.input_bounds.limits, 1)
@@ -403,6 +404,6 @@ def average_rhs_consistency(
         fine = _period_grid(dither, SATURATING_NODES)
         for i in np.flatnonzero(~inside):
             means[i] = mean_rhs(fine, theta[i : i + 1])[0]
-    model = laws.control(laws.average_estimate(states), theta)
+    model = laws.average_rhs(states)
     denom = np.maximum(np.linalg.norm(model, axis=1), 1e-12)
     return float(np.max(np.linalg.norm(means - model, axis=1) / denom, initial=0.0))

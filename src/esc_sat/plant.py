@@ -4,8 +4,9 @@ Two loop variants are covered.  In the input-saturation loop the map sees
 sat(theta) and the controller adds an anti-windup correction driven by the
 dead-zone of theta.  In the gradient-saturation loop the map input is not
 clipped but the parameter update rate sat(K*ghat) is.  ``loop_laws`` is the
-one definition of each loop's map output, gradient estimate and control law
-that the simulator and the analysis oracles share.
+one definition of each loop's map output, gradient estimate and control law,
+and of the stage laws fused from them, that the simulator and the analysis
+oracles share.
 """
 
 from __future__ import annotations
@@ -147,6 +148,9 @@ class _LoopLaws(NamedTuple):
     estimate: Callable
     average_estimate: Callable
     control: Callable
+    demod_gain: Callable
+    rhs: Callable
+    average_rhs: Callable
 
 
 def loop_laws(
@@ -172,6 +176,18 @@ def loop_laws(
     - ``control(g_hat, theta)``: u = K ghat - K_aw psi(theta) for an
       ``AwController``; u = sat(K ghat) for a ``GradSatController``, which
       ignores theta.
+
+    These four are the reference forms, which record a run.  The
+    integrators evaluate two stage laws fused from them, each taking its
+    clip once:
+
+    - ``rhs(theta, mk)``: the dithered loop's right-hand side
+      (y(v) - offset) mk - psi(theta) K_aw' with v = sat(theta), or
+      sat((y(theta) - offset) mk), where mk = ``demod_gain(m)`` = m K' is
+      precomputed; ``control(estimate(theta, m), theta)`` up to rounding;
+    - ``average_rhs(theta_tilde)``: the averaged loop's right-hand side,
+      bitwise ``control(average_estimate(theta_tilde), theta_tilde +
+      theta*)``.
     """
     if not isinstance(ctrl, (AwController, GradSatController)):
         raise TypeError("controller must be an AwController or a GradSatController")
@@ -186,6 +202,19 @@ def loop_laws(
     hi = (qmap.input_bounds if aw else ctrl.bounds).limits
     lo = -hi
 
+    # H is exactly symmetric, so a row times H is H times that row
+    def demodulate(v, m):
+        # (y(v) - offset) m.  One row takes its form as a dot product and
+        # scales m by a scalar, at a fraction of a stack's per-call cost; the
+        # transposes scale each row of a stack by its output.
+        d = v - th_star
+        if d.ndim == 1:
+            return (q_star + 0.5 * (d @ H @ d) - offset) * m
+        return (m.T * (q_star + 0.5 * (d @ H * d).sum(-1) - offset)).T
+
+    def demod_gain(m):
+        return m @ kt
+
     if aw:
         kawt = np.ascontiguousarray(ctrl.k_aw.T)
 
@@ -195,6 +224,15 @@ def loop_laws(
         def control(g_hat, theta):
             return g_hat @ kt - (theta - _sat(theta, lo, hi)) @ kawt
 
+        def rhs(theta, mk):
+            v = _sat(theta, lo, hi)
+            return demodulate(v, mk) - (theta - v) @ kawt
+
+        def average_rhs(theta_tilde):
+            theta = theta_tilde + th_star
+            psi = theta - _sat(theta, lo, hi)
+            return (theta_tilde - psi) @ H @ kt - psi @ kawt
+
     else:
 
         def map_input(theta):
@@ -203,20 +241,27 @@ def loop_laws(
         def control(g_hat, theta=None):
             return _sat(g_hat @ kt, lo, hi)
 
-    # H is exactly symmetric, so a row times H is H times that row
+        def rhs(theta, mk):
+            return _sat(demodulate(theta, mk), lo, hi)
+
+        def average_rhs(theta_tilde):
+            # psi = theta - theta is exactly zero on a finite state
+            return _sat(theta_tilde @ H @ kt, lo, hi)
+
     def output(theta):
         d = map_input(theta) - th_star
         return q_star + 0.5 * (d @ H * d).sum(-1)
 
     def estimate(theta, m):
-        # the transposes scale one row, or each row of a stack, by its output
-        return (m.T * (output(theta) - offset)).T
+        return demodulate(map_input(theta), m)
 
     def average_estimate(theta_tilde):
         theta = theta_tilde + th_star
         return (theta_tilde - (theta - map_input(theta))) @ H
 
-    return _LoopLaws(output, estimate, average_estimate, control)
+    return _LoopLaws(
+        output, estimate, average_estimate, control, demod_gain, rhs, average_rhs
+    )
 
 
 def _delta(M: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -231,6 +231,13 @@ def eval_M(spec: DitherSpec, t):
     return (2.0 / spec.amplitudes) * np.sin(_phase(spec, t))
 
 
+def _eval_S_M(spec: DitherSpec, t):
+    """S(t) and M(t) from one sine evaluation, bitwise ``eval_S`` and
+    ``eval_M``."""
+    sin = np.sin(_phase(spec, t))
+    return spec.amplitudes * sin, (2.0 / spec.amplitudes) * sin
+
+
 def eval_S_dot(spec: DitherSpec, t):
     """Analytic d/dt of the probing dither."""
     return spec.amplitudes * spec.omegas * np.cos(_phase(spec, t))

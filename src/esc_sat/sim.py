@@ -4,10 +4,12 @@ The four scenarios share one integrator, the classical 4th-order Runge-Kutta
 rule at a fixed step, and take their physics from ``plant.loop_laws``.  The
 dead-zone kink makes the right-hand sides merely Lipschitz, so no step
 adaptation is attempted and identical configurations reproduce
-bitwise-identical trajectories.  Only the states are stored during a run;
-the true loops read their dither rows from one evaluation at the 2N+1
-half-step times, and the recorded output, input and gradient estimate are
-derived from the stored states in one pass afterwards.
+bitwise-identical trajectories.  Only the states are stored during a run.
+The true loops integrate the stage law ``rhs``, which reads S and M K'
+precomputed at the 2N+1 half-step times from one sine evaluation; the
+averaged loops integrate ``average_rhs``.  The recorded output, input and
+gradient estimate are derived from the stored states in one pass afterwards
+by the reference laws.
 
 The demodulated gradient estimate is M(t) times the measured output.  By
 default the constant optimum value of the map is removed before demodulation
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .plant import AwController, GradSatController, QuadraticMap, loop_laws
-from .signals import DitherSpec, _harmonics, eval_M, eval_S
+from .signals import DitherSpec, _eval_S_M, _harmonics
 
 __all__ = [
     "SimConfig",
@@ -164,36 +166,35 @@ def simulate(cfg: SimConfig) -> Trajectory:
     """Run the scenario named in the config."""
     qmap, ctrl, dt = cfg.qmap, cfg.controller, cfg.dt
     offset = qmap.q_star if cfg.demod_remove_offset else 0.0
-    output, estimate, average_estimate, control = loop_laws(qmap, ctrl, offset)
+    laws = loop_laws(qmap, ctrl, offset)
     nstep = int(round(cfg.t_end / dt))
     th_star = qmap.theta_star
     if cfg.scenario != SCENARIOS[cfg.scenario][1]:  # a dithered loop
-        half_times = np.arange(2 * nstep + 1) * (0.5 * dt)
-        S = eval_S(cfg.dither, half_times)
-        M = eval_M(cfg.dither, half_times)
+        S, M = _eval_S_M(cfg.dither, np.arange(2 * nstep + 1) * (0.5 * dt))
+        MK = laws.demod_gain(M)
+        M = M[::2].copy()  # read again only for g_hat at the grid times
+        rhs = laws.rhs
 
-        def rhs(k, th_hat):
-            theta = th_hat + S[k]
-            return control(estimate(theta, M[k]), theta)
+        def stage(k, th_hat):
+            return rhs(th_hat + S[k], MK[k])
 
-        th_hat = _rk4_run(rhs, cfg.theta0, nstep, dt)
+        th_hat = _rk4_run(stage, cfg.theta0, nstep, dt)
         theta = th_hat + S[::2]
         theta_tilde = th_hat - th_star
-        g_hat = estimate(theta, M[::2])
+        g_hat = laws.estimate(theta, M)
     else:  # an averaged loop, on theta_tilde alone
-
-        def rhs(k, tt):
-            return control(average_estimate(tt), tt + th_star)
-
-        theta_tilde = _rk4_run(rhs, cfg.theta0 - th_star, nstep, dt)
+        average_rhs = laws.average_rhs
+        theta_tilde = _rk4_run(
+            lambda k, tt: average_rhs(tt), cfg.theta0 - th_star, nstep, dt
+        )
         theta = theta_tilde + th_star
-        g_hat = average_estimate(theta_tilde)
+        g_hat = laws.average_estimate(theta_tilde)
     return Trajectory(
         np.arange(nstep + 1) * dt,
         theta,
         theta_tilde,
-        output(theta),
-        control(g_hat, theta),
+        laws.output(theta),
+        laws.control(g_hat, theta),
         g_hat,
     )
 

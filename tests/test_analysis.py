@@ -310,6 +310,16 @@ def test_period_grid_is_exact_below_its_degree():
         assert aliased - a[0] == pytest.approx(a[-1], rel=1e-12)
 
 
+def test_period_grid_scales_one_sine_into_both_dithers():
+    for dither in (
+        DitherSpec([0.1, 0.1], (10, 70), 1.0),
+        DitherSpec([0.1, 0.3, 0.05], (3, 7, 11), 1.3),
+    ):
+        _, S, M, ts = analysis._period_grid(dither, 23)
+        assert np.array_equal(S, eval_S(dither, ts))
+        assert np.array_equal(M, eval_M(dither, ts))
+
+
 def _simpson_consistency(dither, qmap, ctrl, states, nodes=20001):
     # the per-state composite-Simpson loop the periodic trapezoid rule
     # replaced; kept here as the reference for the one-stack evaluation

@@ -152,6 +152,62 @@ def test_loop_laws_stack_matches_rows(qmap, aw):
             assert np.allclose(whole[i], one, rtol=1e-14, atol=0.0)
 
 
+def _stage_law_case(n, aw, offset_at_optimum):
+    # a seeded loop of dimension n whose samples straddle its bounds: some
+    # map inputs (aw) or demodulated rates (gradsat) clip, others do not
+    rng = np.random.default_rng(100 + 2 * n + aw)
+    a = rng.normal(size=(n, n))
+    limits = rng.uniform(1.0, 3.0, n)
+    bounds = SaturationBounds(limits)
+    qmap = QuadraticMap(
+        rng.uniform(-5.0, 5.0), 0.5 * limits * rng.uniform(-1.0, 1.0, n),
+        a @ a.T + np.eye(n), bounds if aw else None,
+    )
+    k = rng.normal(size=(n, n))
+    ctrl = AwController(k, rng.normal(size=(n, n))) if aw else GradSatController(k, bounds)
+    offset = qmap.q_star if offset_at_optimum else 0.0
+    laws = loop_laws(qmap, ctrl, offset)
+    # half the rows inside the bounds, half drawn to twice them
+    reach = np.repeat([0.9, 2.0], 32)[:, None]
+    theta = reach * limits * rng.uniform(-1.0, 1.0, (64, n))
+    # demodulator rows sized so that the rate m K' (y - offset) stays below
+    # the limits on even rows and reaches four times them on odd rows
+    size = np.tile([0.5 * limits.min() / np.sqrt(n), 4.0 * limits.max()], 32)
+    m = rng.uniform(-1.0, 1.0, (64, n)) * (
+        size / np.linalg.norm(k, 2) / np.abs(laws.output(theta) - offset)
+    )[:, None]
+    return qmap, laws, theta, m, limits
+
+
+@pytest.mark.parametrize("offset_at_optimum", [False, True])
+@pytest.mark.parametrize("aw", [True, False])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stage_laws_match_the_reference_composition(n, aw, offset_at_optimum):
+    qmap, laws, theta, m, limits = _stage_law_case(n, aw, offset_at_optimum)
+    inside = np.all(np.abs(theta) <= limits, axis=1)
+    assert 0 < inside.sum() < len(theta)
+    # the dithered law against the composition it fuses, on the stack and
+    # on each row alone, to rounding
+    mk = laws.demod_gain(m)
+    ref = laws.control(laws.estimate(theta, m), theta)
+    scale = np.linalg.norm(ref, axis=1)
+    assert np.all(np.linalg.norm(laws.rhs(theta, mk) - ref, axis=1) <= 1e-12 * scale)
+    rows = np.array([laws.rhs(theta[i], laws.demod_gain(m[i])) for i in range(len(m))])
+    assert np.all(np.linalg.norm(rows - ref, axis=1) <= 1e-12 * scale)
+    if not aw:
+        clipped = np.any(np.abs(ref) == limits, axis=1)
+        assert 0 < clipped.sum() < len(ref)
+    # the averaged law, bitwise
+    tt = theta - qmap.theta_star
+    ref = laws.control(laws.average_estimate(tt), tt + qmap.theta_star)
+    assert np.array_equal(laws.average_rhs(tt), ref)
+    for i in range(len(tt)):
+        assert np.array_equal(
+            laws.average_rhs(tt[i]),
+            laws.control(laws.average_estimate(tt[i]), tt[i] + qmap.theta_star),
+        )
+
+
 def test_controller_shape_validation():
     with pytest.raises(ValueError):
         AwController(np.eye(2), np.eye(3))

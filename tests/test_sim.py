@@ -4,14 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from esc_sat import sim
 from esc_sat.plant import (
     AwController,
     GradSatController,
     QuadraticMap,
     SaturationBounds,
+    loop_laws,
 )
-from esc_sat.signals import DitherSpec, eval_S
+from esc_sat.signals import DitherSpec, eval_M, eval_S
 from esc_sat.sim import (
+    SCENARIOS,
     SimConfig,
     SimulationBlowUp,
     export_csv,
@@ -212,6 +215,40 @@ def test_step_halving_first_order_on_true_loop():
     e0 = np.linalg.norm(x0 - x2)
     e1 = np.linalg.norm(x1 - x2)
     assert e0 / max(e1, 1e-300) > 1.5
+
+
+def _composed_run(cfg):
+    # theta_tilde from the per-stage composition the fused stage laws
+    # replaced, on the same integrator; kept as their reference
+    laws = loop_laws(cfg.qmap, cfg.controller, cfg.qmap.q_star)
+    nstep = int(round(cfg.t_end / cfg.dt))
+    th_star = cfg.qmap.theta_star
+    if cfg.scenario == SCENARIOS[cfg.scenario][1]:
+        def rhs(k, tt):
+            return laws.control(laws.average_estimate(tt), tt + th_star)
+
+        return sim._rk4_run(rhs, cfg.theta0 - th_star, nstep, cfg.dt)
+    half_times = np.arange(2 * nstep + 1) * (0.5 * cfg.dt)
+    S, M = eval_S(cfg.dither, half_times), eval_M(cfg.dither, half_times)
+
+    def rhs(k, th_hat):
+        theta = th_hat + S[k]
+        return laws.control(laws.estimate(theta, M[k]), theta)
+
+    return sim._rk4_run(rhs, cfg.theta0, nstep, cfg.dt) - th_star
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_stage_laws_reproduce_the_composed_run(scenario):
+    # the averaged loops bitwise, the dithered loops to rounding
+    make = ex1_config if SCENARIOS[scenario][0] == "aw" else ex2_config
+    cfg = make(scenario=scenario, t_end=1.0)
+    got = simulate(cfg).theta_tilde
+    want = _composed_run(cfg)
+    if scenario == SCENARIOS[scenario][1]:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_blowup_detected_with_time():
