@@ -49,6 +49,7 @@ from .sim import (
     Trajectory,
     export_csv,
     simulate,
+    simulate_batch,
 )
 from .synthesis import (
     AwDesign,

@@ -32,7 +32,14 @@ from .config import (
     resolve_hessian,
 )
 from .signals import DitherSpec, validate_frequencies
-from .sim import SCENARIOS, SimConfig, SimulationBlowUp, export_csv, simulate
+from .sim import (
+    SCENARIOS,
+    SimConfig,
+    SimulationBlowUp,
+    export_csv,
+    simulate,
+    simulate_batch,
+)
 from .svgplot import render_trajectory_svg
 from .synthesis import (
     AwDesign,
@@ -236,9 +243,10 @@ def _sweep_member(sim_cfg: SimConfig, param: str, value: float) -> SimConfig:
     return replace(sim_cfg, dither=replace(dither, amplitudes=np.full(dither.dim, value)))
 
 
-def _sweep_run(sim_cfg: SimConfig, averaged: dict):
-    traj = simulate(sim_cfg)
-    # the averaged loop reads no dither: one run and decay fit per step
+def _sweep_row(sim_cfg: SimConfig, traj, averaged: dict):
+    if isinstance(traj, SimulationBlowUp):
+        raise traj
+    # the averaged loop reads no dither: one lone run and decay fit per step
     if sim_cfg.dt not in averaged:
         avg = simulate(replace(sim_cfg, scenario=SCENARIOS[sim_cfg.scenario][1]))
         averaged[sim_cfg.dt] = (avg, analysis.fit_decay(avg, "theta_tilde"))
@@ -264,8 +272,11 @@ def _cmd_sweep(args) -> None:
         except ValueError as exc:
             where = f"{cfg.name}: --param {args.param} --values {v:g}"
             raise ValueError(f"{where}: {exc}") from None
+    # the true runs step as one batch; walking the members in value order
+    # then reports the first failure as running them one by one would
+    runs = simulate_batch(members)
     averaged: dict = {}
-    rows = [(v, *_sweep_run(m, averaged)) for v, m in zip(values, members)]
+    rows = [(v, *_sweep_row(m, r, averaged)) for v, m, r in zip(values, members, runs)]
     path = os.path.join(args.out, "sweep.csv")
 
     def write(p):

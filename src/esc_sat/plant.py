@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .signals import DitherSpec, eval_M, eval_M_dot, eval_S, eval_S_dot
+from .signals import DitherSpec, _eval_S_M, _eval_S_M_dot
 
 __all__ = [
     "QuadraticMap",
@@ -205,12 +205,13 @@ def loop_laws(
     # H is exactly symmetric, so a row times H is H times that row
     def demodulate(v, m):
         # (y(v) - offset) m.  One row takes its form as a dot product and
-        # scales m by a scalar, at a fraction of a stack's per-call cost; the
-        # transposes scale each row of a stack by its output.
+        # scales m by a scalar, at a fraction of a stack's per-call cost.  A
+        # stack takes each row's form as a dot product too, so each row
+        # gives the lone row's bits wherever its d @ H does.
         d = v - th_star
         if d.ndim == 1:
             return (q_star + 0.5 * (d @ H @ d) - offset) * m
-        return (m.T * (q_star + 0.5 * (d @ H * d).sum(-1) - offset)).T
+        return m * (q_star + 0.5 * ((d @ H)[:, None, :] @ d[:, :, None])[:, 0] - offset)
 
     def demod_gain(m):
         return m @ kt
@@ -309,8 +310,7 @@ def perturbation_terms(
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
     H = qmap.hessian
-    S = eval_S(spec, t)
-    M = eval_M(spec, t)
+    S, M = _eval_S_M(spec, t)
 
     theta = theta_tilde + qmap.theta_star + S
     if qmap.input_bounds is not None:
@@ -325,8 +325,9 @@ def perturbation_terms(
 
     half_shs = 0.5 * form(S, S)
     w = M * (qmap.q_star + 0.5 * form(e, e) + half_shs)
+    S_dot, M_dot = _eval_S_M_dot(spec, t)
     varsigma = (
-        eval_M_dot(spec, t) * (qmap.q_star + form(S, theta_tilde) + half_shs)
-        + M * form(eval_S_dot(spec, t), theta_tilde + S)
+        M_dot * (qmap.q_star + form(S, theta_tilde) + half_shs)
+        + M * form(S_dot, theta_tilde + S)
     )
     return PerturbationTerms(delta=_delta(M, S), w=w, varsigma=varsigma)

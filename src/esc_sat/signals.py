@@ -246,3 +246,11 @@ def eval_S_dot(spec: DitherSpec, t):
 def eval_M_dot(spec: DitherSpec, t):
     """Analytic d/dt of the demodulation dither."""
     return (2.0 / spec.amplitudes) * spec.omegas * np.cos(_phase(spec, t))
+
+
+def _eval_S_M_dot(spec: DitherSpec, t):
+    """d/dt of S(t) and M(t) from one cosine evaluation, bitwise
+    ``eval_S_dot`` and ``eval_M_dot``."""
+    w = spec.omegas
+    cos = np.cos(_phase(spec, t))
+    return spec.amplitudes * w * cos, (2.0 / spec.amplitudes) * w * cos

@@ -7,7 +7,7 @@ import pytest
 
 from esc_sat import analysis, cli, matio
 from esc_sat.plant import AwController, GradSatController
-from esc_sat.sim import export_csv, simulate
+from esc_sat.sim import SimulationBlowUp, export_csv, simulate, simulate_batch
 from esc_sat.config import (
     ConfigError,
     build_controller,
@@ -754,10 +754,11 @@ def test_refused_sweep_leaves_no_out_directory(tmp_path, capsys, fixture_designs
 def test_bad_sweep_value_fails_before_any_run(tmp_path, capsys, monkeypatch, param, values, what):
     # every member of the sweep is built, and so checked, before the first run
 
-    def no_run(sim_cfg):
+    def no_run(sim_cfgs):
         raise AssertionError("a sweep member was simulated")
 
     monkeypatch.setattr(cli, "simulate", no_run)
+    monkeypatch.setattr(cli, "simulate_batch", no_run)
     cfg = fixture_path("example1.cfg")
     out = tmp_path / "out"
     argv = ["sweep", cfg, "--param", param, f"--values={values}", "--out", str(out)]
@@ -902,6 +903,50 @@ def test_failed_commands_leave_no_out_directory(
     assert not out.exists()
 
 
+def test_sweep_blowup_reports_the_first_member_in_value_order(tmp_path, capsys):
+    # the member at amplitude 0.05 blows up first in time (t = 9.73 s), the
+    # one at 0.1 first in value order (t = 16.5 s); the sweep reports that one
+    text = open(fixture_path("example1.cfg")).read()
+    for old, new in DIVERGE.items():
+        text = text.replace(old, new)
+    path = tmp_path / "diverge.cfg"
+    path.write_text(text)
+    sim_cfg = cli._load_sim_config(load_config(str(path)), None)
+    with pytest.raises(SimulationBlowUp) as first:
+        simulate(cli._sweep_member(sim_cfg, "amplitude", 0.1))
+    out = tmp_path / "out"
+    argv = ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2,0.05"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", f"blow-up: simulation state blew up at t = {first.value.time:.6g} s\n"
+    )
+    assert not out.exists()
+
+
+def test_sweep_reports_an_earlier_averaged_blowup_first(tmp_path, capsys, monkeypatch):
+    # run one by one, the first member's averaged run fails before the
+    # second member's true run; the batch keeps that order
+
+    def blown_average(cfg):
+        assert cfg.scenario == "average-aw"
+        raise SimulationBlowUp(0.25)
+
+    def second_blows_up(cfgs):
+        return [simulate(cfgs[0]), SimulationBlowUp(0.5)]
+
+    monkeypatch.setattr(cli, "simulate", blown_average)
+    monkeypatch.setattr(cli, "simulate_batch", second_blows_up)
+    text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.1")
+    path = tmp_path / "short.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2"]
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "blow-up: simulation state blew up at t = 0.25 s\n")
+    assert not out.exists()
+
+
 def test_cli_sweep(tmp_path):
     rc = cli.main(
         [
@@ -986,10 +1031,17 @@ def test_sweep_runs_the_averaged_loop_once_per_step(
         scenarios.append(cfg.scenario)
         return simulate(cfg)
 
+    def counted_batch(cfgs):
+        scenarios.extend(cfg.scenario for cfg in cfgs)
+        return simulate_batch(cfgs)
+
     monkeypatch.setattr(cli, "simulate", counted)
+    monkeypatch.setattr(cli, "simulate_batch", counted_batch)
     argv = ["sweep", str(path), "--param", param, "--values", values]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    # members, not calls: one true run per value, one averaged run per step
     assert len(scenarios) == runs
+    assert scenarios.count("input-saturation") == len(values.split(","))
     rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
     eta_hats = {row[4] for row in rows}
     assert len(eta_hats) == (1 if param == "amplitude" else len(rows))

@@ -8,6 +8,8 @@ import pytest
 from esc_sat.analysis import _period_grid
 from esc_sat.signals import (
     DitherSpec,
+    _eval_S_M,
+    _eval_S_M_dot,
     _harmonics,
     common_period,
     eval_M,
@@ -211,6 +213,18 @@ def test_dither_derivatives_match_finite_differences():
         fd_m = (eval_M(spec, t + h) - eval_M(spec, t - h)) / (2 * h)
         assert np.allclose(eval_S_dot(spec, t), fd_s, atol=1e-5)
         assert np.allclose(eval_M_dot(spec, t), fd_m, atol=1e-3)
+
+
+@pytest.mark.parametrize("t", [0.37, np.linspace(0.0, 2.0, 101)], ids=["scalar", "vector"])
+def test_one_trig_call_gives_both_dithers_bitwise(t):
+    # the private evaluators share one sine or one cosine between S and M
+    spec = DitherSpec([0.1, 0.25, 0.4], (10, 30, 70), 1.3)
+    S, M = _eval_S_M(spec, t)
+    S_dot, M_dot = _eval_S_M_dot(spec, t)
+    assert np.array_equal(S, eval_S(spec, t))
+    assert np.array_equal(M, eval_M(spec, t))
+    assert np.array_equal(S_dot, eval_S_dot(spec, t))
+    assert np.array_equal(M_dot, eval_M_dot(spec, t))
 
 
 @pytest.mark.parametrize("evaluate", [eval_S, eval_M, eval_S_dot, eval_M_dot])

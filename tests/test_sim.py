@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from esc_sat import sim
+from esc_sat import config, sim
 from esc_sat.plant import (
     AwController,
     GradSatController,
@@ -19,6 +19,7 @@ from esc_sat.sim import (
     SimulationBlowUp,
     export_csv,
     simulate,
+    simulate_batch,
 )
 from conftest import (
     EX1_ALPHA,
@@ -27,6 +28,7 @@ from conftest import (
     EX1_KAW,
     EX2_K,
     EX2_VERTICES,
+    fixture_path,
     lyapunov,
 )
 
@@ -217,6 +219,12 @@ def test_step_halving_first_order_on_true_loop():
     assert e0 / max(e1, 1e-300) > 1.5
 
 
+def _lone_rk4_run(rhs, x0, nstep, dt):
+    # the integrator's batch of one, whose member runs as a lone 1-D row
+    (xs,) = sim._rk4_run(lambda rows: rhs, x0[None], [nstep], [dt])
+    return xs
+
+
 def _composed_run(cfg):
     # theta_tilde from the per-stage composition the fused stage laws
     # replaced, on the same integrator; kept as their reference
@@ -227,7 +235,7 @@ def _composed_run(cfg):
         def rhs(k, tt):
             return laws.control(laws.average_estimate(tt), tt + th_star)
 
-        return sim._rk4_run(rhs, cfg.theta0 - th_star, nstep, cfg.dt)
+        return _lone_rk4_run(rhs, cfg.theta0 - th_star, nstep, cfg.dt)
     half_times = np.arange(2 * nstep + 1) * (0.5 * cfg.dt)
     S, M = eval_S(cfg.dither, half_times), eval_M(cfg.dither, half_times)
 
@@ -235,7 +243,7 @@ def _composed_run(cfg):
         theta = th_hat + S[k]
         return laws.control(laws.estimate(theta, M[k]), theta)
 
-    return sim._rk4_run(rhs, cfg.theta0, nstep, cfg.dt) - th_star
+    return _lone_rk4_run(rhs, cfg.theta0, nstep, cfg.dt) - th_star
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -259,6 +267,110 @@ def test_blowup_detected_with_time():
     with pytest.raises(SimulationBlowUp) as exc:
         simulate(cfg)
     assert 0.0 < exc.value.time <= 60.0
+
+
+TRAJECTORY_FIELDS = ("times", "theta", "theta_tilde", "y", "u", "g_hat")
+
+
+def _fixture_config(name, **over):
+    cfg = config.load_config(fixture_path(f"{name}.cfg"))
+    qmap = config.build_qmap(cfg, config.resolve_hessian(cfg, config.build_polytope(cfg)))
+    sim_cfg = config.build_sim_config(
+        cfg, qmap, config.build_dither(cfg), config.build_controller(cfg, qmap)
+    )
+    return dataclasses.replace(sim_cfg, **over)
+
+
+def _members(cfg, omega_scales, amplitudes):
+    # a sweep's members: each omega scale runs at its own automatic step,
+    # so their step counts differ; each amplitude keeps the config's step
+    d = cfg.dither
+    return [
+        dataclasses.replace(
+            cfg, dither=dataclasses.replace(d, base_omega=d.base_omega * s), dt=None
+        )
+        for s in omega_scales
+    ] + [
+        dataclasses.replace(cfg, dither=dataclasses.replace(d, amplitudes=np.full(d.dim, a)))
+        for a in amplitudes
+    ]
+
+
+@pytest.mark.parametrize("name", ["example1", "example1_no_aw", "example2"])
+def test_batch_members_equal_their_lone_runs(name):
+    # unequal step counts in input order 1.2, 0.8, 1: the stack shrinks
+    # twice and its last member runs on alone; the amplitude members finish
+    # together
+    members = _members(_fixture_config(name, t_end=1.0), (1.2, 0.8, 1.0), (0.05, 0.2))
+    assert len({round(m.t_end / m.dt) for m in members}) == 3
+    for got, member in zip(simulate_batch(members), members):
+        want = simulate(member)
+        for field in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("scenario", ["input-saturation", "gradient-saturation"])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_batch_members_match_lone_runs_at_higher_dimension(n, scenario):
+    # a stack's d @ H may round apart from a lone row's at n >= 4; each true
+    # member still agrees with its lone run to rounding
+    rng = np.random.default_rng([7, n])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    bounds = SaturationBounds(np.full(n, 2.0))
+    theta0 = rng.uniform(-3.0, 3.0, n)
+    if scenario == "input-saturation":
+        H = (q * np.linspace(3.0, 6.0, n)) @ q.T
+        qmap = QuadraticMap(5.0, rng.uniform(-1.0, 1.0, n), 0.5 * (H + H.T), bounds)
+        ctrl = AwController(-0.05 * np.eye(n), 2.0 * np.eye(n))
+    else:
+        H = (q * np.linspace(-6.0, -3.0, n)) @ q.T
+        qmap = QuadraticMap(5.0, rng.uniform(-1.0, 1.0, n), 0.5 * (H + H.T))
+        ctrl = GradSatController(0.5 * np.eye(n), bounds)
+    mults = tuple(range(3, 3 + 2 * n, 2))
+    cfg = SimConfig(
+        scenario, qmap, DitherSpec(np.full(n, 0.1), mults, 1.0), ctrl, theta0, t_end=0.5
+    )
+    members = _members(cfg, (1.1, 0.9), (0.05,))
+    for got, member in zip(simulate_batch(members), members):
+        want = simulate(member)
+        for field in TRAJECTORY_FIELDS:
+            a, b = getattr(got, field), getattr(want, field)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.max(np.abs(b), axis=0)), field
+
+
+def test_batch_blowup_stays_in_its_slot():
+    # the member at amplitude 0.05 blows up at t = 9.734 s in the middle of
+    # the stack; the shorter member after it finishes, and the first one runs
+    # on alone to its end
+    ctrl = AwController(EX1_K, -np.eye(2))
+    members = [
+        ex1_config(controller=ctrl, t_end=t_end, dt=0.002, dither=DitherSpec([a, a], (10, 70), 1.0))
+        for a, t_end in ((0.1, 12.0), (0.05, 12.0), (0.2, 11.0))
+    ]
+    got = simulate_batch(members)
+    with pytest.raises(SimulationBlowUp) as exc:
+        simulate(members[1])
+    assert isinstance(got[1], SimulationBlowUp)
+    assert (got[1].time, str(got[1])) == (exc.value.time, str(exc.value))
+    for b in (0, 2):
+        want = simulate(members[b])
+        for field in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(got[b], field), getattr(want, field)), field
+
+
+def test_batch_needs_one_loop():
+    cfg = ex1_config(t_end=0.1)
+    assert simulate_batch([]) == []
+    same = dataclasses.replace(cfg, qmap=ex1_qmap(), controller=ex1_controller())
+    assert len(simulate_batch([cfg, same])) == 2
+    for other in (
+        dataclasses.replace(cfg, scenario="average-aw"),
+        dataclasses.replace(cfg, demod_remove_offset=False),
+        dataclasses.replace(cfg, controller=AwController(EX1_K, -np.eye(2))),
+        dataclasses.replace(cfg, qmap=dataclasses.replace(cfg.qmap, q_star=11.0)),
+    ):
+        with pytest.raises(ValueError, match="one loop"):
+            simulate_batch([cfg, other])
 
 
 def test_csv_export(tmp_path):
