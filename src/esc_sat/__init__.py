@@ -38,9 +38,8 @@ from .polytope import (
 from .sdp import LmiBlock, LmiProblem, SdpSolution, check_solution, solve_feasibility
 from .signals import (
     DitherSpec,
-    common_period,
-    eval_M,
-    eval_S,
+    eval_S_M,
+    eval_S_M_dot,
     validate_frequencies,
 )
 from .sim import (

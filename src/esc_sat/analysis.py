@@ -25,7 +25,7 @@ from .plant import (
     loop_laws,
     perturbation_terms,
 )
-from .signals import DitherSpec, _eval_S_M, _harmonics
+from .signals import DitherSpec, eval_S_M
 from .sim import Trajectory
 from .synthesis import GradSatDesign
 
@@ -67,7 +67,7 @@ def _period_grid(dither: DitherSpec, nodes: int):
     ts = np.linspace(0.0, dither.period, nodes)
     wq = np.full(nodes, dither.period / (nodes - 1))
     wq[[0, -1]] *= 0.5
-    return (wq, *_eval_S_M(dither, ts), ts)
+    return (wq, *eval_S_M(dither, ts), ts)
 
 
 def _period_mean(values: np.ndarray, weights: np.ndarray, period: float):
@@ -397,7 +397,7 @@ def average_rhs_consistency(
         return _period_mean(rhs.reshape(len(S), *rows.shape), wq, dither.period)
 
     inside = np.all(np.abs(theta) + dither.amplitudes < qmap.input_bounds.limits, 1)
-    exact = _period_grid(dither, 3 * max(_harmonics(dither.freq_multipliers)) + 2)
+    exact = _period_grid(dither, 3 * max(dither.harmonics) + 2)
     means = np.empty_like(theta)
     means[inside] = mean_rhs(exact, theta[inside])
     if not np.all(inside):

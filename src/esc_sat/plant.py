@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .signals import DitherSpec, _eval_S_M, _eval_S_M_dot
+from .signals import DitherSpec, eval_S_M, eval_S_M_dot
 
 __all__ = [
     "QuadraticMap",
@@ -310,7 +310,7 @@ def perturbation_terms(
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
     H = qmap.hessian
-    S, M = _eval_S_M(spec, t)
+    S, M = eval_S_M(spec, t)
 
     theta = theta_tilde + qmap.theta_star + S
     if qmap.input_bounds is not None:
@@ -325,7 +325,7 @@ def perturbation_terms(
 
     half_shs = 0.5 * form(S, S)
     w = M * (qmap.q_star + 0.5 * form(e, e) + half_shs)
-    S_dot, M_dot = _eval_S_M_dot(spec, t)
+    S_dot, M_dot = eval_S_M_dot(spec, t)
     varsigma = (
         M_dot * (qmap.q_star + form(S, theta_tilde) + half_shs)
         + M * form(S_dot, theta_tilde + S)

@@ -8,7 +8,8 @@ frequencies are w_i = m_i * base_omega with rational multipliers m_i.
 The multipliers are kept as exact ``fractions.Fraction`` values until a signal
 is actually evaluated.  Averaging arguments need the exact common period of
 all dither components (and of every product of two of them), which floating
-point LCMs cannot deliver reliably.
+point LCMs cannot deliver reliably.  ``eval_S_M`` gives S and M from one
+sine and ``eval_S_M_dot`` their derivatives from one cosine.
 """
 
 from __future__ import annotations
@@ -26,11 +27,8 @@ __all__ = [
     "FrequencyViolation",
     "FrequencyReport",
     "validate_frequencies",
-    "common_period",
-    "eval_S",
-    "eval_M",
-    "eval_S_dot",
-    "eval_M_dot",
+    "eval_S_M",
+    "eval_S_M_dot",
 ]
 
 # Exact rational LCMs can outgrow machine integers for adversarial multiplier
@@ -145,39 +143,21 @@ def _lcm_fractions(values: Sequence[Fraction]) -> Fraction:
     return acc
 
 
-def common_period(multipliers: Iterable, base_omega: float) -> float:
-    """Common period T = 2*pi*LCM{1/w_i} of all dither components.
-
-    The LCM is taken exactly over the rational multipliers; base_omega only
-    scales the result, so T*base_omega/(2*pi) is an exact rational.
-    """
-    if base_omega <= 0:
-        raise ValueError("base_omega must be positive")
-    mults = _coerce_multipliers(multipliers)
-    lcm = _lcm_fractions([1 / m for m in mults])
-    return 2.0 * math.pi * float(lcm) / base_omega
-
-
-def _harmonics(multipliers: Iterable) -> tuple[int, ...]:
-    """Integer harmonics h_i = m_i * LCM{1/m_j}: component i completes
-    exactly h_i cycles in the common period."""
-    mults = _coerce_multipliers(multipliers)
-    lcm = _lcm_fractions([1 / m for m in mults])
-    return tuple(int(m * lcm) for m in mults)
-
-
 @dataclass(frozen=True)
 class DitherSpec:
     """Amplitudes, rational frequency multipliers and the common period.
 
-    ``period`` is derived on construction; the stored frequencies are
-    w_i = float(freq_multipliers[i]) * base_omega.
+    One exact LCM L of the 1/m_i, taken on construction, derives ``period``
+    T = 2*pi*L/base_omega and the integer ``harmonics`` h_i = m_i*L:
+    component i completes exactly h_i cycles in T.  The stored frequencies
+    are w_i = float(freq_multipliers[i]) * base_omega.
     """
 
     amplitudes: np.ndarray
     freq_multipliers: tuple[Fraction, ...]
     base_omega: float
     period: float = field(init=False)
+    harmonics: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
@@ -194,9 +174,9 @@ class DitherSpec:
             raise ValueError("base_omega must be positive")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "freq_multipliers", mults)
-        object.__setattr__(
-            self, "period", common_period(mults, self.base_omega)
-        )
+        lcm = _lcm_fractions([1 / m for m in mults])
+        object.__setattr__(self, "period", 2.0 * math.pi * float(lcm) / self.base_omega)
+        object.__setattr__(self, "harmonics", tuple(int(m * lcm) for m in mults))
 
     @property
     def dim(self) -> int:
@@ -217,40 +197,19 @@ def _phase(spec: DitherSpec, t):
     return t[..., None] * spec.omegas
 
 
-def eval_S(spec: DitherSpec, t):
-    """Probing dither S(t); component i is a_i*sin(w_i t).
+def eval_S_M(spec: DitherSpec, t):
+    """Probing and demodulation dithers S(t) and M(t) from one sine:
+    component i is a_i*sin(w_i t) and (2/a_i)*sin(w_i t).
 
-    Scalar ``t`` gives shape (n,); a 1-D time array gives shape (len(t), n);
-    any other ``t`` is a ``ValueError``, as in every ``eval_*``.
+    Scalar ``t`` gives two arrays of shape (n,); a 1-D time array gives shape
+    (len(t), n); any other ``t`` is a ``ValueError``, as in ``eval_S_M_dot``.
     """
-    return spec.amplitudes * np.sin(_phase(spec, t))
-
-
-def eval_M(spec: DitherSpec, t):
-    """Demodulation dither M(t); component i is (2/a_i)*sin(w_i t)."""
-    return (2.0 / spec.amplitudes) * np.sin(_phase(spec, t))
-
-
-def _eval_S_M(spec: DitherSpec, t):
-    """S(t) and M(t) from one sine evaluation, bitwise ``eval_S`` and
-    ``eval_M``."""
     sin = np.sin(_phase(spec, t))
     return spec.amplitudes * sin, (2.0 / spec.amplitudes) * sin
 
 
-def eval_S_dot(spec: DitherSpec, t):
-    """Analytic d/dt of the probing dither."""
-    return spec.amplitudes * spec.omegas * np.cos(_phase(spec, t))
-
-
-def eval_M_dot(spec: DitherSpec, t):
-    """Analytic d/dt of the demodulation dither."""
-    return (2.0 / spec.amplitudes) * spec.omegas * np.cos(_phase(spec, t))
-
-
-def _eval_S_M_dot(spec: DitherSpec, t):
-    """d/dt of S(t) and M(t) from one cosine evaluation, bitwise
-    ``eval_S_dot`` and ``eval_M_dot``."""
+def eval_S_M_dot(spec: DitherSpec, t):
+    """Analytic d/dt of S(t) and M(t) from one cosine."""
     w = spec.omegas
     cos = np.cos(_phase(spec, t))
     return spec.amplitudes * w * cos, (2.0 / spec.amplitudes) * w * cos

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .plant import AwController, GradSatController, QuadraticMap, loop_laws
-from .signals import DitherSpec, _eval_S_M, _harmonics
+from .signals import DitherSpec, eval_S_M
 
 __all__ = [
     "SimConfig",
@@ -107,6 +107,8 @@ class SimConfig:
         theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
         if theta0.size != self.qmap.dim:
             raise ValueError("theta0 dimension mismatch")
+        if not np.all(np.isfinite(theta0)):
+            raise ValueError("theta0 must be finite")
         if self.dither.dim != self.qmap.dim:
             raise ValueError("dither dimension mismatch")
         want = _CONTROLLERS[SCENARIOS[self.scenario][0]]
@@ -116,7 +118,9 @@ class SimConfig:
             )
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        cycles = max(_harmonics(self.dither.freq_multipliers))
+        if not np.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
+        cycles = max(self.dither.harmonics)
         dt = self.dt
         if dt is None:
             steps = max(DEFAULT_STEPS_PER_PERIOD, DEFAULT_STEPS_PER_CYCLE * cycles)
@@ -126,6 +130,8 @@ class SimConfig:
         steps = max(MIN_STEPS_PER_PERIOD, MIN_STEPS_PER_CYCLE * cycles)
         if dt > self.dither.period / steps:
             raise ValueError(f"dt = {dt} is coarser than period/{steps}")
+        if np.isnan(dt):
+            raise ValueError("dt must be finite")
         if round(self.t_end / dt) < 1:
             raise ValueError(
                 f"t_end = {self.t_end:g} rounds to no step of dt = {dt:.6g}"
@@ -150,20 +156,29 @@ class Trajectory:
         return self.theta.shape[1]
 
 
-def _rk4_lone(stage, x: np.ndarray, xs: np.ndarray, i0: int, dt: float, limit_sq: float):
-    """Fill xs[i0 + 1:] with the states that follow x = xs[i0], one row at a time."""
+def _rk4_steps(stage, x, xs, sel, i0: int, i1: int, dt, limit, sq):
+    """Step x = xs[i0, sel] towards xs[i1, sel], storing each state, until
+    step i1 or a row whose squared norm ``sq(x)`` exceeds its limit.
+
+    Returns the last step taken, its state and each row's test.  A stack
+    passes a (B, 1) dt column and its rows ``sel``; a lone row passes its
+    float dt and its int ``sel``.
+    """
     half = 0.5 * dt
     sixth = dt / 6.0
-    for i in range(i0, xs.shape[0] - 1):
+    for i in range(i0, i1):
         k = 2 * i
         k1 = stage(k, x)
         k2 = stage(k + 1, x + half * k1)
         k3 = stage(k + 1, x + half * k2)
         k4 = stage(k + 2, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not x @ x <= limit_sq:
-            raise SimulationBlowUp((i + 1) * dt)
-        xs[i + 1] = x
+        xs[i + 1, sel] = x
+        ok = sq(x) <= limit
+        # a lone row's np.bool_ is tested as it is: its .all() costs 2 us
+        if not (ok.all() if ok.ndim else ok):
+            break
+    return i + 1, x, ok
 
 
 def _rk4_run(stage_for, x0: np.ndarray, nsteps: list, dts: list) -> list:
@@ -188,33 +203,24 @@ def _rk4_run(stage_for, x0: np.ndarray, nsteps: list, dts: list) -> list:
     while rows.size > 1:
         # the stack runs until its shortest member finishes or a row blows up
         sel = slice(0, rows.size) if rows[-1] == rows.size - 1 else rows
-        stage = stage_for(sel)
-        dt = np.array(dts)[sel][:, None]
-        half, sixth = 0.5 * dt, dt / 6.0
-        limit = np.array(limit_sq)[sel]
-        for i in range(done, nsteps[rows[-1]]):
-            k = 2 * i
-            k1 = stage(k, x)
-            k2 = stage(k + 1, x + half * k1)
-            k3 = stage(k + 1, x + half * k2)
-            k4 = stage(k + 2, x + dt * k3)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            xs[i + 1, sel] = x
+        done, x, ok = _rk4_steps(
+            stage_for(sel), x, xs, sel, done, nsteps[rows[-1]],
+            np.array(dts)[sel][:, None], np.array(limit_sq)[sel],
             # each row's x @ x, bitwise the lone row's
-            ok = (x[:, None, :] @ x[:, :, None])[:, 0, 0] <= limit
-            if not ok.all():
-                for b in rows[~ok]:
-                    out[b] = SimulationBlowUp((i + 1) * dts[b])
-                break
-        done = i + 1
+            lambda v: (v[:, None, :] @ v[:, :, None])[:, 0, 0],
+        )
+        for b in rows[~ok]:
+            out[b] = SimulationBlowUp(done * dts[b])
         keep = ok & (done < np.array(nsteps)[rows])
         rows, x = rows[keep], x[keep]
     if rows.size:
-        b = rows[0]
-        try:
-            _rk4_lone(stage_for(b), x[0], out[b], done, dts[b], limit_sq[b])
-        except SimulationBlowUp as exc:
-            out[b] = exc
+        b = int(rows[0])
+        done, _, ok = _rk4_steps(
+            stage_for(b), x[0], xs, b, done, nsteps[b], dts[b], limit_sq[b],
+            lambda v: v @ v,
+        )
+        if not ok:
+            out[b] = SimulationBlowUp(done * dts[b])
     return out
 
 
@@ -262,7 +268,7 @@ def _run(cfgs: list) -> list:
         shape = (2 * nsteps[0] + 1, len(runs), qmap.dim)
         S, MK, M = np.zeros(shape), np.zeros(shape), []
         for p, cfg in enumerate(runs):
-            S_p, M_p = _eval_S_M(cfg.dither, np.arange(2 * nsteps[p] + 1) * (0.5 * cfg.dt))
+            S_p, M_p = eval_S_M(cfg.dither, np.arange(2 * nsteps[p] + 1) * (0.5 * cfg.dt))
             S[:len(S_p), p], MK[:len(M_p), p] = S_p, laws.demod_gain(M_p)
             M.append(M_p[::2].copy())  # read again only for g_hat at the grid times
         rhs = laws.rhs

@@ -17,7 +17,7 @@ from esc_sat import analysis
 from esc_sat.plant import (
     AwController, GradSatController, QuadraticMap, SaturationBounds, deadzone, loop_laws,
 )
-from esc_sat.signals import DitherSpec, eval_M, eval_S
+from esc_sat.signals import DitherSpec, eval_S_M
 from esc_sat.sim import Trajectory
 from esc_sat.synthesis import GradSatDesign, design_gradsat_gain
 from esc_sat.polytope import HessianPolytope
@@ -316,8 +316,9 @@ def test_period_grid_scales_one_sine_into_both_dithers():
         DitherSpec([0.1, 0.3, 0.05], (3, 7, 11), 1.3),
     ):
         _, S, M, ts = analysis._period_grid(dither, 23)
-        assert np.array_equal(S, eval_S(dither, ts))
-        assert np.array_equal(M, eval_M(dither, ts))
+        S_ref, M_ref = eval_S_M(dither, ts)
+        assert np.array_equal(S, S_ref)
+        assert np.array_equal(M, M_ref)
 
 
 def _simpson_consistency(dither, qmap, ctrl, states, nodes=20001):
@@ -327,7 +328,7 @@ def _simpson_consistency(dither, qmap, ctrl, states, nodes=20001):
     wq = np.ones(nodes)
     wq[1:-1:2], wq[2:-1:2] = 4.0, 2.0
     wq *= dither.period / (nodes - 1) / 3.0
-    S, M = eval_S(dither, ts), eval_M(dither, ts)
+    S, M = eval_S_M(dither, ts)
     laws = loop_laws(qmap, ctrl, qmap.q_star)
     worst = 0.0
     for tt in np.atleast_2d(states):
@@ -347,8 +348,9 @@ def _fine_trapezoid_consistency(dither, qmap, ctrl, tt, nodes=2_000_001, chunk=1
     for start in range(0, nodes, chunk):
         j = np.arange(start, min(start + chunk, nodes))
         w = np.where((j == 0) | (j == nodes - 1), 0.5 * h, h)
-        theta = tt + qmap.theta_star + eval_S(dither, j * h)
-        total += w @ laws.control(laws.estimate(theta, eval_M(dither, j * h)), theta)
+        S, M = eval_S_M(dither, j * h)
+        theta = tt + qmap.theta_star + S
+        total += w @ laws.control(laws.estimate(theta, M), theta)
     model = laws.control(laws.average_estimate(tt), tt + qmap.theta_star)
     return float(np.linalg.norm(total / dither.period - model) / np.linalg.norm(model))
 

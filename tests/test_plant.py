@@ -12,7 +12,7 @@ from esc_sat.plant import (
     perturbation_terms,
     saturate,
 )
-from esc_sat.signals import DitherSpec, eval_M, eval_M_dot, eval_S, eval_S_dot
+from esc_sat.signals import DitherSpec, eval_S_M, eval_S_M_dot
 
 
 @pytest.fixture
@@ -231,7 +231,8 @@ def test_mean_free_delta_matches_dither_product(dither, qmap):
     # (I + Delta(t)) must equal M(t) S(t)^T exactly; the literal diagonal
     # misses this identity by the constant offset
     for t in (0.0, 0.123, 0.31, 0.57):
-        prod = np.outer(eval_M(dither, t), eval_S(dither, t))
+        S, M = eval_S_M(dither, t)
+        prod = np.outer(M, S)
         mf = perturbation_terms(dither, qmap, t, np.zeros(2)).delta
         assert np.allclose(np.eye(2) + mf, prod, atol=1e-12)
 
@@ -293,7 +294,8 @@ def _delta_dot_loop(spec, t):
 def _perturbation_loop(spec, qmap, t, tt, convention):
     H = qmap.hessian
     n = spec.dim
-    S, M = eval_S(spec, t), eval_M(spec, t)
+    S, M = eval_S_M(spec, t)
+    S_dot, M_dot = eval_S_M_dot(spec, t)
     delta = _delta_loop(spec, t, convention)
     psi = deadzone(tt + qmap.theta_star + S, qmap.input_bounds)
     w = (
@@ -306,11 +308,11 @@ def _perturbation_loop(spec, qmap, t, tt, convention):
     ddot = _delta_dot_loop(spec, t)
     delta_mf = delta if convention == "mean_free" else delta - np.eye(n)
     varsigma = (
-        eval_M_dot(spec, t) * qmap.q_star
+        M_dot * qmap.q_star
         + ddot @ H @ tt
-        + 0.5 * H @ eval_S_dot(spec, t)
+        + 0.5 * H @ S_dot
         + 0.5 * ddot @ H @ S
-        + 0.5 * delta_mf @ H @ eval_S_dot(spec, t)
+        + 0.5 * delta_mf @ H @ S_dot
     )
     return delta, w, varsigma
 
@@ -374,8 +376,8 @@ def test_varsigma_is_the_time_derivative_of_the_demodulated_output(case):
     H = qmap.hessian
 
     def demodulated(t):
-        S = eval_S(spec, t)
-        return eval_M(spec, t) * (qmap.q_star + S @ H @ tt + 0.5 * S @ H @ S)
+        S, M = eval_S_M(spec, t)
+        return M * (qmap.q_star + S @ H @ tt + 0.5 * S @ H @ S)
 
     h = 1e-6
     ts = spec.period * np.array([0.1, 0.37, 0.61, 0.9])

@@ -8,14 +8,8 @@ import pytest
 from esc_sat.analysis import _period_grid
 from esc_sat.signals import (
     DitherSpec,
-    _eval_S_M,
-    _eval_S_M_dot,
-    _harmonics,
-    common_period,
-    eval_M,
-    eval_M_dot,
-    eval_S,
-    eval_S_dot,
+    eval_S_M,
+    eval_S_M_dot,
     validate_frequencies,
 )
 
@@ -136,13 +130,13 @@ def lcm_pair_oracle(a: Fraction, b: Fraction) -> Fraction:
 
 
 def test_period_examples():
-    assert common_period([10, 70], 1.0) == pytest.approx(2 * math.pi / 10)
-    assert common_period([10], 1.0) == pytest.approx(2 * math.pi / 10)
-    assert common_period([10, 30, 70], 1.0) == pytest.approx(2 * math.pi / 10)
+    assert DitherSpec([0.1] * 2, [10, 70], 1.0).period == pytest.approx(2 * math.pi / 10)
+    assert DitherSpec([0.1], [10], 1.0).period == pytest.approx(2 * math.pi / 10)
+    assert DitherSpec([0.1] * 3, [10, 30, 70], 1.0).period == pytest.approx(2 * math.pi / 10)
 
 
 def test_period_scales_with_base_omega():
-    assert common_period([10, 70], 2.0) == pytest.approx(math.pi / 10)
+    assert DitherSpec([0.1] * 2, [10, 70], 2.0).period == pytest.approx(math.pi / 10)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -156,12 +150,13 @@ def test_period_against_rational_oracle(seed):
     acc = Fraction(1, 1) / mults[0]
     for m in mults[1:]:
         acc = lcm_pair_oracle(acc, 1 / m)
-    assert common_period(mults, 1.0) == pytest.approx(2 * math.pi * float(acc))
+    period = DitherSpec([0.1] * len(mults), mults, 1.0).period
+    assert period == pytest.approx(2 * math.pi * float(acc))
 
 
 def test_period_overflow_reports_pair():
     with pytest.raises(OverflowError, match="multiplier 1"):
-        common_period([Fraction(1, 2**40), Fraction(1, 3**30)], 1.0)
+        DitherSpec([0.1] * 2, [Fraction(1, 2**40), Fraction(1, 3**30)], 1.0)
 
 
 def test_period_is_a_common_period_of_products():
@@ -170,8 +165,10 @@ def test_period_is_a_common_period_of_products():
     T = spec.period
     ts = np.linspace(0.0, 1.0, 11)
     for t in ts:
-        m0 = np.outer(eval_M(spec, t), eval_S(spec, t))
-        m1 = np.outer(eval_M(spec, t + T), eval_S(spec, t + T))
+        S0, M0 = eval_S_M(spec, t)
+        S1, M1 = eval_S_M(spec, t + T)
+        m0 = np.outer(M0, S0)
+        m1 = np.outer(M1, S1)
         assert np.allclose(m0, m1, atol=1e-8)
 
 
@@ -181,27 +178,27 @@ def test_period_is_a_common_period_of_products():
 
 def test_S_and_M_at_zero_and_period():
     spec = DitherSpec([0.1, 0.1], (10, 70), 1.0)
-    assert np.allclose(eval_S(spec, 0.0), 0.0)
-    assert np.allclose(eval_M(spec, 0.0), 0.0)
-    assert np.allclose(eval_S(spec, spec.period), 0.0, atol=1e-9)
+    S, M = eval_S_M(spec, 0.0)
+    assert np.allclose(S, 0.0)
+    assert np.allclose(M, 0.0)
+    assert np.allclose(eval_S_M(spec, spec.period)[0], 0.0, atol=1e-9)
 
 
 def test_S_example_values():
     spec = DitherSpec([0.1, 0.1], (10, 70), 1.0)
-    s = eval_S(spec, math.pi / 20)
+    s, _ = eval_S_M(spec, math.pi / 20)
     assert s == pytest.approx([0.1, -0.1])
 
 
 def test_M_example_value():
     spec = DitherSpec([0.1], (10,), 1.0)
-    assert eval_M(spec, math.pi / 20) == pytest.approx([20.0])
+    assert eval_S_M(spec, math.pi / 20)[1] == pytest.approx([20.0])
 
 
 def test_M_S_componentwise_identity():
     spec = DitherSpec([0.1, 0.25], (10, 70), 1.0)
     ts = np.linspace(0.0, spec.period, 57)
-    S = eval_S(spec, ts)
-    M = eval_M(spec, ts)
+    S, M = eval_S_M(spec, ts)
     assert np.allclose(M * spec.amplitudes**2 / 2.0, S, atol=1e-14)
 
 
@@ -209,41 +206,35 @@ def test_dither_derivatives_match_finite_differences():
     spec = DitherSpec([0.1, 0.2], (10, 70), 1.0)
     h = 1e-7
     for t in (0.13, 0.37, 0.55):
-        fd_s = (eval_S(spec, t + h) - eval_S(spec, t - h)) / (2 * h)
-        fd_m = (eval_M(spec, t + h) - eval_M(spec, t - h)) / (2 * h)
-        assert np.allclose(eval_S_dot(spec, t), fd_s, atol=1e-5)
-        assert np.allclose(eval_M_dot(spec, t), fd_m, atol=1e-3)
+        (S_plus, M_plus), (S_minus, M_minus) = eval_S_M(spec, t + h), eval_S_M(spec, t - h)
+        fd_s = (S_plus - S_minus) / (2 * h)
+        fd_m = (M_plus - M_minus) / (2 * h)
+        S_dot, M_dot = eval_S_M_dot(spec, t)
+        assert np.allclose(S_dot, fd_s, atol=1e-5)
+        assert np.allclose(M_dot, fd_m, atol=1e-3)
 
 
-@pytest.mark.parametrize("t", [0.37, np.linspace(0.0, 2.0, 101)], ids=["scalar", "vector"])
-def test_one_trig_call_gives_both_dithers_bitwise(t):
-    # the private evaluators share one sine or one cosine between S and M
-    spec = DitherSpec([0.1, 0.25, 0.4], (10, 30, 70), 1.3)
-    S, M = _eval_S_M(spec, t)
-    S_dot, M_dot = _eval_S_M_dot(spec, t)
-    assert np.array_equal(S, eval_S(spec, t))
-    assert np.array_equal(M, eval_M(spec, t))
-    assert np.array_equal(S_dot, eval_S_dot(spec, t))
-    assert np.array_equal(M_dot, eval_M_dot(spec, t))
-
-
-@pytest.mark.parametrize("evaluate", [eval_S, eval_M, eval_S_dot, eval_M_dot])
-def test_dither_rejects_a_time_grid(evaluate):
+@pytest.mark.parametrize(
+    "evaluate, part",
+    [(eval_S_M, 0), (eval_S_M, 1), (eval_S_M_dot, 0), (eval_S_M_dot, 1)],
+    ids=["eval_S", "eval_M", "eval_S_dot", "eval_M_dot"],
+)
+def test_dither_rejects_a_time_grid(evaluate, part):
     # a 2-D t used to be flattened into one long time vector
     spec = DitherSpec([0.1, 0.2], (10, 70), 1.0)
     with pytest.raises(ValueError, match="1-D"):
         evaluate(spec, np.zeros((2, 3)))
-    assert evaluate(spec, np.zeros(3)).shape == (3, 2)
-    assert evaluate(spec, 0.5).shape == (2,)
+    assert evaluate(spec, np.zeros(3))[part].shape == (3, 2)
+    assert evaluate(spec, 0.5)[part].shape == (2,)
 
 
 def test_zero_mean_by_quadrature():
     # S and M have degree max h = 7 in the period's fundamental, so the
     # periodic trapezoid rule on 8 distinct points gives their means exactly
     spec = DitherSpec([0.1, 0.1], (10, 70), 1.0)
-    assert _harmonics(spec.freq_multipliers) == (1, 7)
-    assert _harmonics((10, 30, 70)) == (1, 3, 7)
-    assert _harmonics(("1/100", 100)) == (1, 10_000)
+    assert spec.harmonics == (1, 7)
+    assert DitherSpec([0.1] * 3, (10, 30, 70), 1.0).harmonics == (1, 3, 7)
+    assert DitherSpec([0.1] * 2, ("1/100", 100), 1.0).harmonics == (1, 10_000)
     wq, S, M, _ = _period_grid(spec, 7 + 2)
     assert np.all(np.abs(wq @ S) / spec.period <= 1e-12 * np.max(np.abs(S), axis=0))
     assert np.all(np.abs(wq @ M) / spec.period <= 1e-12 * np.max(np.abs(M), axis=0))

@@ -12,7 +12,7 @@ from esc_sat.plant import (
     SaturationBounds,
     loop_laws,
 )
-from esc_sat.signals import DitherSpec, eval_M, eval_S
+from esc_sat.signals import DitherSpec, eval_S_M
 from esc_sat.sim import (
     SCENARIOS,
     SimConfig,
@@ -82,6 +82,28 @@ def test_config_validation():
         ex1_config(dt=1.0)  # coarser than period/200
     with pytest.raises(ValueError):
         ex1_config(theta0=np.array([1.0]))
+    # a non-finite input is refused by its field's name
+    for kwargs, field in (
+        ({"t_end": np.inf}, "t_end"),
+        ({"t_end": np.nan}, "t_end"),
+        ({"dt": np.nan}, "dt"),
+        ({"theta0": np.array([np.nan, 4.0])}, "theta0"),
+        ({"theta0": np.array([2.0, -np.inf])}, "theta0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            ex1_config(**kwargs)
+    # the messages the front end can reach, verbatim
+    for kwargs, message in (
+        ({"t_end": 0.0}, "t_end must be positive"),
+        ({"t_end": -np.inf}, "t_end must be positive"),
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"dt": 1.0}, "dt = 1.0 is coarser than period/200"),
+        ({"dt": np.inf}, "dt = inf is coarser than period/200"),
+        ({"t_end": 1e-6}, "t_end = 1e-06 rounds to no step of dt = 0.000628319"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            ex1_config(**kwargs)
+        assert str(exc.value) == message
 
 
 def test_step_reads_the_fastest_dither_cycle():
@@ -117,7 +139,7 @@ def test_trajectory_bookkeeping():
     cfg = ex1_config(t_end=1.0)
     traj = simulate(cfg)
     # theta = theta_hat + S and theta_tilde = theta_hat - theta* sample-wise
-    S = eval_S(cfg.dither, traj.times)
+    S, _ = eval_S_M(cfg.dither, traj.times)
     theta_hat = traj.theta - S
     assert np.allclose(theta_hat - [2.0, 4.0], traj.theta_tilde, atol=1e-12)
     assert traj.times[0] == 0.0
@@ -237,7 +259,7 @@ def _composed_run(cfg):
 
         return _lone_rk4_run(rhs, cfg.theta0 - th_star, nstep, cfg.dt)
     half_times = np.arange(2 * nstep + 1) * (0.5 * cfg.dt)
-    S, M = eval_S(cfg.dither, half_times), eval_M(cfg.dither, half_times)
+    S, M = eval_S_M(cfg.dither, half_times)
 
     def rhs(k, th_hat):
         theta = th_hat + S[k]
@@ -356,6 +378,25 @@ def test_batch_blowup_stays_in_its_slot():
         want = simulate(members[b])
         for field in TRAJECTORY_FIELDS:
             assert np.array_equal(getattr(got[b], field), getattr(want, field)), field
+
+
+def test_batch_lone_tail_blowup_keeps_its_lone_time():
+    # the shorter member finishes in the stack, which hands the longer one to
+    # the lone row; it blows up there at t = 9.734 s, as it does alone
+    ctrl = AwController(EX1_K, -np.eye(2))
+    members = [
+        ex1_config(controller=ctrl, t_end=t_end, dt=0.002, dither=DitherSpec([a, a], (10, 70), 1.0))
+        for a, t_end in ((0.05, 12.0), (0.1, 1.0))
+    ]
+    got = simulate_batch(members)
+    with pytest.raises(SimulationBlowUp) as exc:
+        simulate(members[0])
+    assert isinstance(got[0], SimulationBlowUp)
+    assert (got[0].time, str(got[0])) == (exc.value.time, str(exc.value))
+    assert got[0].time == pytest.approx(9.734, abs=1e-12)
+    want = simulate(members[1])
+    for field in TRAJECTORY_FIELDS:
+        assert np.array_equal(getattr(got[1], field), getattr(want, field)), field
 
 
 def test_batch_needs_one_loop():
