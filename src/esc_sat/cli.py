@@ -235,7 +235,8 @@ def _sweep_member(sim_cfg: SimConfig, param: str, value: float) -> SimConfig:
     dither = sim_cfg.dither
     if param == "omega-scale":
         # the frequencies change, so each value runs at its own automatic
-        # step, the smaller of period/1000 and fastest dither cycle/100
+        # step, 100 steps per cycle of the fastest dither component (at
+        # least 10 cycles per period)
         dither = replace(dither, base_omega=dither.base_omega * value)
         return replace(sim_cfg, dither=dither, dt=None)
     # amplitude values are absolute and apply to every channel; the
@@ -264,6 +265,11 @@ def _cmd_sweep(args) -> None:
         raise ValueError("sweep needs at least two values")
     cfg = load_config(args.config)
     sim_cfg = _load_sim_config(cfg, args.design)
+    if np.array_equal(sim_cfg.theta0, sim_cfg.qmap.theta_star):
+        raise ValueError(
+            f"{cfg.name}: [sim] theta0 = {cfg.get('sim', 'theta0')!r} is the optimum "
+            "theta*, where the averaged loop rests, so a sweep has no decay to fit"
+        )
     # every member is built, and so checked, before the first run
     members = []
     for v in values:

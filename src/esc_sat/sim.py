@@ -13,9 +13,9 @@ by the reference laws.
 
 ``simulate_batch`` runs configs that share one loop (scenario, map,
 controller, ``demod_remove_offset``) as one (B, n) stack with a (B, 1) step
-column, so B runs pay Python's per-call cost once per stage.  Members are
-ordered by step count; each leaves the stack when it finishes or blows up,
-and the last one left runs on as a lone row.  ``simulate`` is the batch of
+column, so B runs pay Python's per-call cost once per stage.  Members step
+in input order; each leaves the stack when it finishes or blows up, and the
+last one left runs on as a lone row.  ``simulate`` is the batch of
 one.  Each member gets its own ``Trajectory`` or ``SimulationBlowUp``.
 Elementwise operations, row-wise dot products and the clip act on each row
 as on a lone row; only matrix products such as ``(B, n) @ H`` may round a
@@ -70,12 +70,11 @@ SCENARIOS = {
 _CONTROLLERS = {"aw": AwController, "gradsat": GradSatController}
 
 BLOWUP_FACTOR = 1e6
-# The automatic and the coarsest allowed step divide the common period by
-# the larger of a count per period and a count per cycle of the fastest
-# dither component.  The cycle counts bind only when that component makes
-# more than 10 cycles per period; on the bundled fixtures it makes 7.
-DEFAULT_STEPS_PER_PERIOD = 1000
-MIN_STEPS_PER_PERIOD = 200
+# The automatic and the coarsest allowed step divide each cycle of the
+# fastest dither component into a count of steps, where that component is
+# counted as making at least MIN_CYCLES_PER_PERIOD cycles per common period.
+# On the bundled fixtures it makes 7, so they step at period/1000.
+MIN_CYCLES_PER_PERIOD = 10
 DEFAULT_STEPS_PER_CYCLE = 100
 MIN_STEPS_PER_CYCLE = 20
 
@@ -120,14 +119,13 @@ class SimConfig:
             raise ValueError("t_end must be positive")
         if not np.isfinite(self.t_end):
             raise ValueError("t_end must be finite")
-        cycles = max(self.dither.harmonics)
+        cycles = max(MIN_CYCLES_PER_PERIOD, *self.dither.harmonics)
         dt = self.dt
         if dt is None:
-            steps = max(DEFAULT_STEPS_PER_PERIOD, DEFAULT_STEPS_PER_CYCLE * cycles)
-            dt = self.dither.period / steps
+            dt = self.dither.period / (DEFAULT_STEPS_PER_CYCLE * cycles)
         if dt <= 0:
             raise ValueError("dt must be positive")
-        steps = max(MIN_STEPS_PER_PERIOD, MIN_STEPS_PER_CYCLE * cycles)
+        steps = MIN_STEPS_PER_CYCLE * cycles
         if dt > self.dither.period / steps:
             raise ValueError(f"dt = {dt} is coarser than period/{steps}")
         if np.isnan(dt):
@@ -156,71 +154,56 @@ class Trajectory:
         return self.theta.shape[1]
 
 
-def _rk4_steps(stage, x, xs, sel, i0: int, i1: int, dt, limit, sq):
-    """Step x = xs[i0, sel] towards xs[i1, sel], storing each state, until
-    step i1 or a row whose squared norm ``sq(x)`` exceeds its limit.
-
-    Returns the last step taken, its state and each row's test.  A stack
-    passes a (B, 1) dt column and its rows ``sel``; a lone row passes its
-    float dt and its int ``sel``.
-    """
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for i in range(i0, i1):
-        k = 2 * i
-        k1 = stage(k, x)
-        k2 = stage(k + 1, x + half * k1)
-        k3 = stage(k + 1, x + half * k2)
-        k4 = stage(k + 2, x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        xs[i + 1, sel] = x
-        ok = sq(x) <= limit
-        # a lone row's np.bool_ is tested as it is: its .all() costs 2 us
-        if not (ok.all() if ok.ndim else ok):
-            break
-    return i + 1, x, ok
-
-
 def _rk4_run(stage_for, x0: np.ndarray, nsteps: list, dts: list) -> list:
     """Each member's states at its nsteps[b] + 1 grid times, one per row, or
     its ``SimulationBlowUp``.
 
-    Row b of the (B, n) array x0 starts member b, and nsteps must not
-    increase along the rows.  The members step together as one stack with a
-    (B, 1) step column, each row taking a lone run's operations.  A member
-    leaves the stack when it finishes or blows up, and the last one left
-    runs on as a lone 1-D row.  ``stage_for(rows)`` gives the stage law
-    ``stage(k, x)`` of the members at ``rows``, a slice or an index array of
-    x0's rows, or one int for a lone row; k is the half-step index, that is
-    the time k * dt / 2.
+    Row b of the (B, n) array x0 starts member b.  The members step
+    together, in input order, as one stack with a (B, 1) step column, each
+    row taking a lone run's operations.  Each phase runs until its shortest
+    member finishes or a row blows up, and the member left alone runs on as
+    a lone 1-D row.  ``stage_for(rows)`` gives the stage law ``stage(k, x)``
+    of the members at ``rows``, a slice or an index array of x0's rows,
+    or one int for a lone row; k is the half-step index, that is the time
+    k * dt / 2.
     """
-    xs = np.empty((nsteps[0] + 1, *x0.shape))  # time-major, as the stack steps
+    xs = np.empty((max(nsteps) + 1, *x0.shape))  # time-major, as the stack steps
     xs[0] = x0
     # compared as a squared norm, which a NaN or inf also fails
     limit_sq = [(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(x)))) ** 2 for x in x0]
     out = [xs[:nstep + 1, b] for b, nstep in enumerate(nsteps)]
     rows, x, done = np.arange(len(nsteps)), x0, 0
-    while rows.size > 1:
-        # the stack runs until its shortest member finishes or a row blows up
-        sel = slice(0, rows.size) if rows[-1] == rows.size - 1 else rows
-        done, x, ok = _rk4_steps(
-            stage_for(sel), x, xs, sel, done, nsteps[rows[-1]],
-            np.array(dts)[sel][:, None], np.array(limit_sq)[sel],
-            # each row's x @ x, bitwise the lone row's
-            lambda v: (v[:, None, :] @ v[:, :, None])[:, 0, 0],
-        )
+    while rows.size:
+        lone = rows.size == 1
+        if lone:  # a lone row keeps a float dt and limit and an int row
+            sel = int(rows[0])
+            x, dt, limit = x[0], dts[sel], limit_sq[sel]
+        else:  # all rows as a slice, so that the stage reads views of its tables
+            sel = slice(None) if rows.size == len(nsteps) else rows
+            dt, limit = np.array(dts)[sel][:, None], np.array(limit_sq)[sel]
+        stage = stage_for(sel)
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        for i in range(done, min(nsteps[b] for b in rows)):
+            k = 2 * i
+            k1 = stage(k, x)
+            k2 = stage(k + 1, x + half * k1)
+            k3 = stage(k + 1, x + half * k2)
+            k4 = stage(k + 2, x + dt * k3)
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            xs[i + 1, sel] = x
+            # each stacked row's x @ x is bitwise the lone row's; a lone
+            # row's np.bool_ is tested as it is, since its .all() costs 2 us
+            ok = (x @ x if lone else (x[:, None, :] @ x[:, :, None])[:, 0, 0]) <= limit
+            if not (ok if lone else ok.all()):
+                break
+        done = i + 1
+        # a lone row's np.bool_ and 1-D state take the stack's shapes again
+        ok, x = np.reshape(ok, rows.size), np.reshape(x, (rows.size, -1))
         for b in rows[~ok]:
             out[b] = SimulationBlowUp(done * dts[b])
         keep = ok & (done < np.array(nsteps)[rows])
         rows, x = rows[keep], x[keep]
-    if rows.size:
-        b = int(rows[0])
-        done, _, ok = _rk4_steps(
-            stage_for(b), x[0], xs, b, done, nsteps[b], dts[b], limit_sq[b],
-            lambda v: v @ v,
-        )
-        if not ok:
-            out[b] = SimulationBlowUp(done * dts[b])
     return out
 
 
@@ -257,59 +240,64 @@ def _run(cfgs: list) -> list:
     laws = loop_laws(qmap, first.controller, offset)
     th_star = qmap.theta_star
     nsteps = [int(round(cfg.t_end / cfg.dt)) for cfg in cfgs]
-    order = sorted(range(len(cfgs)), key=lambda b: -nsteps[b])
-    runs = [cfgs[b] for b in order]
-    nsteps = [nsteps[b] for b in order]
-    dts = [cfg.dt for cfg in runs]
+    dts = [cfg.dt for cfg in cfgs]
     dithered = first.scenario != SCENARIOS[first.scenario][1]
+    n_max = max(nsteps)
+    try:
+        if dithered:
+            # S and M K' at each member's 2N+1 half-step times, time-major so
+            # that one index gives the stack's rows; zero past a member's end
+            shape = (2 * n_max + 1, len(cfgs), qmap.dim)
+            S, MK = np.zeros(shape), np.zeros(shape)
+        else:
+            # the tables are twice the state record that _rk4_run fills, so
+            # they fail first; an averaged loop has none, so the record itself
+            # is tried here, untouched
+            np.empty((n_max + 1, len(cfgs), qmap.dim))
+    except (MemoryError, ValueError) as exc:
+        cfg = cfgs[nsteps.index(n_max)]
+        raise ValueError(
+            f"t_end = {cfg.t_end:g} at dt = {cfg.dt:.6g} takes {n_max:.4g} steps, "
+            "too many to allocate"
+        ) from exc
     if dithered:
-        # S and M K' at each member's 2N+1 half-step times, time-major so
-        # that one index gives the stack's rows; zero past a member's end
-        shape = (2 * nsteps[0] + 1, len(runs), qmap.dim)
-        S, MK, M = np.zeros(shape), np.zeros(shape), []
-        for p, cfg in enumerate(runs):
-            S_p, M_p = eval_S_M(cfg.dither, np.arange(2 * nsteps[p] + 1) * (0.5 * cfg.dt))
-            S[:len(S_p), p], MK[:len(M_p), p] = S_p, laws.demod_gain(M_p)
-            M.append(M_p[::2].copy())  # read again only for g_hat at the grid times
+        for b, cfg in enumerate(cfgs):
+            S_b, M_b = eval_S_M(cfg.dither, np.arange(2 * nsteps[b] + 1) * (0.5 * cfg.dt))
+            S[:len(S_b), b], MK[:len(M_b), b] = S_b, laws.demod_gain(M_b)
         rhs = laws.rhs
 
         def stage_for(rows):
             S_r, MK_r = S[:, rows], MK[:, rows]
             return lambda k, th_hat: rhs(th_hat + S_r[k], MK_r[k])
 
-        x0 = np.array([cfg.theta0 for cfg in runs])
+        x0 = np.array([cfg.theta0 for cfg in cfgs])
     else:  # an averaged loop, on theta_tilde alone
         average_rhs = laws.average_rhs
 
         def stage_for(rows):
             return lambda k, tt: average_rhs(tt)
 
-        x0 = np.array([cfg.theta0 - th_star for cfg in runs])
+        x0 = np.array([cfg.theta0 - th_star for cfg in cfgs])
     states = _rk4_run(stage_for, x0, nsteps, dts)
     if dithered:
-        # theta = th_hat + S at the grid times; the tables are dropped before
-        # the records are built
-        thetas = [
-            xs if isinstance(xs, SimulationBlowUp) else xs + S[:len(xs) * 2 - 1:2, p]
-            for p, xs in enumerate(states)
-        ]
-        del S, MK
-    results: list = [None] * len(cfgs)
-    for p, b in enumerate(order):
-        xs = states[p]
-        if isinstance(xs, SimulationBlowUp):
-            results[b] = xs
+        del S, MK  # dropped before the records are built
+    results = list(states)  # a blow-up is its member's result
+    for b, x in enumerate(states):
+        if isinstance(x, SimulationBlowUp):
             continue
+        times = np.arange(nsteps[b] + 1) * dts[b]
         if dithered:
-            theta = thetas[p]
-            theta_tilde = xs - th_star
-            g_hat = laws.estimate(theta, M[p])
+            # the tables' even rows bitwise: i * dt is (2 * i) * (0.5 * dt)
+            S_b, M_b = eval_S_M(cfgs[b].dither, times)
+            theta = x + S_b
+            theta_tilde = x - th_star
+            g_hat = laws.estimate(theta, M_b)
         else:
-            theta_tilde = np.ascontiguousarray(xs)  # one member's rows of the record
+            theta_tilde = np.ascontiguousarray(x)  # one member's rows of the record
             theta = theta_tilde + th_star
             g_hat = laws.average_estimate(theta_tilde)
         results[b] = Trajectory(
-            np.arange(nsteps[p] + 1) * dts[p],
+            times,
             theta,
             theta_tilde,
             laws.output(theta),

@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import warnings
 
 import numpy as np
@@ -764,6 +765,77 @@ def test_bad_sweep_value_fails_before_any_run(tmp_path, capsys, monkeypatch, par
     argv = ["sweep", cfg, "--param", param, f"--values={values}", "--out", str(out)]
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {cfg}: --param {param} {what}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, theta_star, param, values",
+    [
+        ("example1.cfg", "2 4", "omega-scale", "0.8,1"),
+        ("example2.cfg", "-1 -2 -3", "amplitude", "0.1,0.2"),
+    ],
+)
+def test_sweep_at_the_optimum_is_refused_before_any_run(
+    tmp_path, capsys, monkeypatch, name, theta_star, param, values
+):
+    # the averaged loop rests at theta_tilde = 0, so no decay could be fitted
+
+    def no_run(sim_cfgs):
+        raise AssertionError("a sweep member was simulated")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    monkeypatch.setattr(cli, "simulate_batch", no_run)
+    text = open(fixture_path(name)).read()
+    path = tmp_path / "optimum.cfg"
+    path.write_text(re.sub(r"(?m)^theta0 = .*$", f"theta0 = {theta_star}", text))
+    out = tmp_path / "out"
+    argv = ["sweep", str(path), "--param", param, "--values", values, "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # frequency warnings may come first; the last line says why the sweep stopped
+    assert captured.err.splitlines()[-1] == (
+        f"error: {path}: [sim] theta0 = {theta_star!r} is the optimum theta*, where "
+        "the averaged loop rests, so a sweep has no decay to fit"
+    )
+    assert not out.exists()
+
+
+# Only horizons that no machine can allocate are run: 1e12 s at the fixture
+# step asks for tens of PiB, and 1e300 s for more elements than numpy can
+# index.  Sizes in between may be allocated lazily and then exhaust memory.
+@pytest.mark.parametrize(
+    "edits, argv, message",
+    [
+        (
+            {"t_end = 5": "t_end = 1e12"}, ["simulate"],
+            "t_end = 1e+12 at dt = 0.000628319 takes 1.592e+15 steps",
+        ),
+        (
+            {"t_end = 5": "t_end = 1e12", "= input-saturation": "= average-aw"}, ["simulate"],
+            "t_end = 1e+12 at dt = 0.000628319 takes 1.592e+15 steps",
+        ),
+        (
+            {"t_end = 5": "t_end = 1e300"}, ["simulate"],
+            "t_end = 1e+300 at dt = 0.000628319 takes 1.592e+303 steps",
+        ),
+        (
+            {}, ["sweep", "--param", "omega-scale", "--values", "1e12,1"],
+            "t_end = 5 at dt = 6.28319e-16 takes 7.958e+15 steps",
+        ),
+    ],
+    ids=["simulate-1e12", "average-1e12", "simulate-1e300", "sweep-omega-1e12"],
+)
+def test_unallocatable_run_is_a_named_error(tmp_path, capsys, edits, argv, message):
+    text = open(fixture_path("example1.cfg")).read()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "huge.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}, too many to allocate\n")
     assert not out.exists()
 
 

@@ -124,6 +124,19 @@ def test_step_reads_the_fastest_dither_cycle():
     assert fixture.dt == fixture.dither.period / 1000
 
 
+@pytest.mark.parametrize("mults, h", [((2, 3), 3), ((1, 10), 10), ((1, 11), 11)])
+def test_step_counts_follow_one_rule(mults, h):
+    # 100 steps, and at the coarsest 20, per cycle of the fastest dither
+    # component, which counts as making at least 10 cycles per period
+    dither = DitherSpec([0.1, 0.1], mults, 1.0)
+    assert max(dither.harmonics) == h
+    cycles = max(10, h)
+    assert ex1_config(dither=dither).dt == dither.period / (100 * cycles)
+    ex1_config(dither=dither, dt=dither.period / (20 * cycles))
+    with pytest.raises(ValueError, match=f"coarser than period/{20 * cycles}$"):
+        ex1_config(dither=dither, dt=dither.period / (19 * cycles))
+
+
 def test_equilibrium_with_vanishing_dither():
     cfg = ex1_config(
         dither=DitherSpec([1e-6, 1e-6], (10, 70), 1.0),
@@ -412,6 +425,22 @@ def test_batch_needs_one_loop():
     ):
         with pytest.raises(ValueError, match="one loop"):
             simulate_batch([cfg, other])
+
+
+# Only horizons that no machine can allocate: 1e12 s at this step asks for
+# tens of PiB, and 1e300 s for more elements than numpy can index.
+@pytest.mark.parametrize("scenario", ["input-saturation", "average-aw"])
+@pytest.mark.parametrize("t_end, steps", [(1e12, "1.592e+15"), (1e300, "1.592e+303")])
+def test_unallocatable_run_is_a_named_error(scenario, t_end, steps):
+    message = f"t_end = {t_end:g} at dt = 0.000628319 takes {steps} steps, too many to allocate"
+    huge = ex1_config(scenario=scenario, t_end=t_end)
+    with pytest.raises(ValueError) as exc:
+        simulate(huge)
+    assert str(exc.value) == message
+    # a batch is refused as a whole, naming its longest member
+    with pytest.raises(ValueError) as exc:
+        simulate_batch([ex1_config(scenario=scenario, t_end=0.1), huge])
+    assert str(exc.value) == message
 
 
 def test_csv_export(tmp_path):
