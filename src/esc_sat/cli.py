@@ -203,17 +203,17 @@ def _cmd_design(args) -> None:
 
 
 def _load_sim_config(cfg: ExperimentConfig, design_path: Optional[str]) -> SimConfig:
-    """The run the config describes, then warnings on its dither frequencies."""
+    """The run the config describes; the caller warns on its dither
+    frequencies once every check has passed."""
     design = load_design(design_path) if design_path else None
     qmap = build_qmap(cfg, resolve_hessian(cfg, build_polytope(cfg)))
     dither = build_dither(cfg)
-    sim_cfg = build_sim_config(cfg, qmap, dither, build_controller(cfg, qmap, design))
-    _warn_frequencies(dither)
-    return sim_cfg
+    return build_sim_config(cfg, qmap, dither, build_controller(cfg, qmap, design))
 
 
 def _cmd_simulate(args) -> None:
     sim_cfg = _load_sim_config(load_config(args.config), args.design)
+    _warn_frequencies(sim_cfg.dither)
     traj = simulate(sim_cfg)
     csv_path = os.path.join(args.out, "trajectory.csv")
     _atomic_write(csv_path, lambda p: export_csv(traj, p, stride=args.stride))
@@ -278,6 +278,7 @@ def _cmd_sweep(args) -> None:
         except ValueError as exc:
             where = f"{cfg.name}: --param {args.param} --values {v:g}"
             raise ValueError(f"{where}: {exc}") from None
+    _warn_frequencies(sim_cfg.dither)
     # the true runs step as one batch; walking the members in value order
     # then reports the first failure as running them one by one would
     runs = simulate_batch(members)

@@ -164,8 +164,8 @@ def loop_laws(
     v = sat(theta) and psi is the dead-zone of theta, both on the map's
     ``input_bounds``, which this loop requires.  A
     ``GradSatController`` closes the rate-saturation loop: v = theta and
-    psi = 0.  The returned callables take one sample (vectors of the loop
-    dimension) or a stack of samples (one per row) and check nothing
+    psi = 0.  The returned callables take one sample (numpy vectors of the
+    loop dimension) or a stack of samples (one per row) and check nothing
     themselves:
 
     - ``output(theta)``: y = q* + (v - theta*)' H (v - theta*) / 2;
@@ -188,6 +188,13 @@ def loop_laws(
     - ``average_rhs(theta_tilde)``: the averaged loop's right-hand side,
       bitwise ``control(average_estimate(theta_tilde), theta_tilde +
       theta*)``.
+
+    Products are taken with ``ndarray.dot``, not ``@``: on float arrays of
+    these shapes both call the same BLAS routine and give the same bits,
+    but ``dot`` skips the matmul gufunc's dispatch, which costs about as
+    much again on a state of two or three elements.  Only a stack's
+    quadratic form stays a row-wise ``@``, the one form that gives each
+    row a lone dot product's bits on every supported numpy.
     """
     if not isinstance(ctrl, (AwController, GradSatController)):
         raise TypeError("controller must be an AwController or a GradSatController")
@@ -206,15 +213,16 @@ def loop_laws(
     def demodulate(v, m):
         # (y(v) - offset) m.  One row takes its form as a dot product and
         # scales m by a scalar, at a fraction of a stack's per-call cost.  A
-        # stack takes each row's form as a dot product too, so each row
-        # gives the lone row's bits wherever its d @ H does.
+        # stack takes each row's form as a row-wise matmul, whose rows give
+        # the lone dot product's bits, so each row gives the lone row's bits
+        # wherever its d.dot(H) does.
         d = v - th_star
         if d.ndim == 1:
-            return (q_star + 0.5 * (d @ H @ d) - offset) * m
-        return m * (q_star + 0.5 * ((d @ H)[:, None, :] @ d[:, :, None])[:, 0] - offset)
+            return (q_star + 0.5 * d.dot(H).dot(d) - offset) * m
+        return m * (q_star + 0.5 * (d.dot(H)[:, None, :] @ d[:, :, None])[:, 0] - offset)
 
     def demod_gain(m):
-        return m @ kt
+        return m.dot(kt)
 
     if aw:
         kawt = np.ascontiguousarray(ctrl.k_aw.T)
@@ -223,16 +231,16 @@ def loop_laws(
             return _sat(theta, lo, hi)
 
         def control(g_hat, theta):
-            return g_hat @ kt - (theta - _sat(theta, lo, hi)) @ kawt
+            return g_hat.dot(kt) - (theta - _sat(theta, lo, hi)).dot(kawt)
 
         def rhs(theta, mk):
             v = _sat(theta, lo, hi)
-            return demodulate(v, mk) - (theta - v) @ kawt
+            return demodulate(v, mk) - (theta - v).dot(kawt)
 
         def average_rhs(theta_tilde):
             theta = theta_tilde + th_star
             psi = theta - _sat(theta, lo, hi)
-            return (theta_tilde - psi) @ H @ kt - psi @ kawt
+            return (theta_tilde - psi).dot(H).dot(kt) - psi.dot(kawt)
 
     else:
 
@@ -240,25 +248,25 @@ def loop_laws(
             return theta
 
         def control(g_hat, theta=None):
-            return _sat(g_hat @ kt, lo, hi)
+            return _sat(g_hat.dot(kt), lo, hi)
 
         def rhs(theta, mk):
             return _sat(demodulate(theta, mk), lo, hi)
 
         def average_rhs(theta_tilde):
             # psi = theta - theta is exactly zero on a finite state
-            return _sat(theta_tilde @ H @ kt, lo, hi)
+            return _sat(theta_tilde.dot(H).dot(kt), lo, hi)
 
     def output(theta):
         d = map_input(theta) - th_star
-        return q_star + 0.5 * (d @ H * d).sum(-1)
+        return q_star + 0.5 * (d.dot(H) * d).sum(-1)
 
     def estimate(theta, m):
         return demodulate(map_input(theta), m)
 
     def average_estimate(theta_tilde):
         theta = theta_tilde + th_star
-        return (theta_tilde - (theta - map_input(theta))) @ H
+        return (theta_tilde - (theta - map_input(theta))).dot(H)
 
     return _LoopLaws(
         output, estimate, average_estimate, control, demod_gain, rhs, average_rhs

@@ -18,10 +18,14 @@ in input order; each leaves the stack when it finishes or blows up, and the
 last one left runs on as a lone row.  ``simulate`` is the batch of
 one.  Each member gets its own ``Trajectory`` or ``SimulationBlowUp``.
 Elementwise operations, row-wise dot products and the clip act on each row
-as on a lone row; only matrix products such as ``(B, n) @ H`` may round a
-row apart from the lone ``(n,) @ H``.  On numpy 2.4 with OpenBLAS they
+as on a lone row; only matrix products such as ``(B, n)`` times H may round
+a row apart from the lone ``(n,)`` times H.  On numpy 2.4 with OpenBLAS they
 agree at n <= 3, where a member equals its lone run bitwise; at n = 4 ... 8
-a member agrees with it to about 1e-15 of each column's maximum.
+a member agrees with it to about 1e-15 of each column's maximum.  Products
+are taken with ``ndarray.dot``, which calls the same BLAS routine as ``@``
+and gives the same bits at half the per-call cost on these small states.
+A stack's row-wise dot products, its quadratic form in ``plant.loop_laws``
+and its norm test here, stay a row-wise ``@``.
 
 The demodulated gradient estimate is M(t) times the measured output.  By
 default the constant optimum value of the map is removed before demodulation
@@ -130,6 +134,10 @@ class SimConfig:
             raise ValueError(f"dt = {dt} is coarser than period/{steps}")
         if np.isnan(dt):
             raise ValueError("dt must be finite")
+        if not np.isfinite(self.t_end / dt):
+            raise ValueError(
+                f"t_end = {self.t_end:g} at dt = {dt:.6g} takes too many steps to count"
+            )
         if round(self.t_end / dt) < 1:
             raise ValueError(
                 f"t_end = {self.t_end:g} rounds to no step of dt = {dt:.6g}"
@@ -162,10 +170,11 @@ def _rk4_run(stage_for, x0: np.ndarray, nsteps: list, dts: list) -> list:
     together, in input order, as one stack with a (B, 1) step column, each
     row taking a lone run's operations.  Each phase runs until its shortest
     member finishes or a row blows up, and the member left alone runs on as
-    a lone 1-D row.  ``stage_for(rows)`` gives the stage law ``stage(k, x)``
-    of the members at ``rows``, a slice or an index array of x0's rows,
-    or one int for a lone row; k is the half-step index, that is the time
-    k * dt / 2.
+    a lone 1-D row.  ``stage_for(rows, window)`` gives the stage law
+    ``stage(k, x)`` of the members at ``rows``, a slice or an index array of
+    x0's rows, or one int for a lone row, over the phase's ``window``, the
+    slice of half-step indices it steps through; k counts half-steps from
+    the window's start, that is the time (window.start + k) * dt / 2.
     """
     xs = np.empty((max(nsteps) + 1, *x0.shape))  # time-major, as the stack steps
     xs[0] = x0
@@ -181,20 +190,21 @@ def _rk4_run(stage_for, x0: np.ndarray, nsteps: list, dts: list) -> list:
         else:  # all rows as a slice, so that the stage reads views of its tables
             sel = slice(None) if rows.size == len(nsteps) else rows
             dt, limit = np.array(dts)[sel][:, None], np.array(limit_sq)[sel]
-        stage = stage_for(sel)
+        stop = min(nsteps[b] for b in rows)
+        stage = stage_for(sel, slice(2 * done, 2 * stop + 1))
         half = 0.5 * dt
         sixth = dt / 6.0
-        for i in range(done, min(nsteps[b] for b in rows)):
-            k = 2 * i
+        for i in range(done, stop):
+            k = 2 * (i - done)
             k1 = stage(k, x)
             k2 = stage(k + 1, x + half * k1)
             k3 = stage(k + 1, x + half * k2)
             k4 = stage(k + 2, x + dt * k3)
             x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             xs[i + 1, sel] = x
-            # each stacked row's x @ x is bitwise the lone row's; a lone
-            # row's np.bool_ is tested as it is, since its .all() costs 2 us
-            ok = (x @ x if lone else (x[:, None, :] @ x[:, :, None])[:, 0, 0]) <= limit
+            # each stacked row's x @ x is bitwise the lone row's x.dot(x); a
+            # lone row's np.bool_ is tested as it is, since its .all() costs 2 us
+            ok = (x.dot(x) if lone else (x[:, None, :] @ x[:, :, None])[:, 0, 0]) <= limit
             if not (ok if lone else ok.all()):
                 break
         done = i + 1
@@ -266,15 +276,16 @@ def _run(cfgs: list) -> list:
             S[:len(S_b), b], MK[:len(M_b), b] = S_b, laws.demod_gain(M_b)
         rhs = laws.rhs
 
-        def stage_for(rows):
-            S_r, MK_r = S[:, rows], MK[:, rows]
+        def stage_for(rows, window):
+            # views for a slice or an int; an index array gathers the window
+            S_r, MK_r = S[window, rows], MK[window, rows]
             return lambda k, th_hat: rhs(th_hat + S_r[k], MK_r[k])
 
         x0 = np.array([cfg.theta0 for cfg in cfgs])
     else:  # an averaged loop, on theta_tilde alone
         average_rhs = laws.average_rhs
 
-        def stage_for(rows):
+        def stage_for(rows, window):
             return lambda k, tt: average_rhs(tt)
 
         x0 = np.array([cfg.theta0 - th_star for cfg in cfgs])

@@ -791,12 +791,52 @@ def test_sweep_at_the_optimum_is_refused_before_any_run(
     out = tmp_path / "out"
     argv = ["sweep", str(path), "--param", param, "--values", values, "--out", str(out)]
     assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    # frequency warnings may come first; the last line says why the sweep stopped
-    assert captured.err.splitlines()[-1] == (
+    # the error alone: example 2's frequency warnings come only once every
+    # check has passed
+    assert capsys.readouterr() == (
+        "",
         f"error: {path}: [sim] theta0 = {theta_star!r} is the optimum theta*, where "
-        "the averaged loop rests, so a sweep has no decay to fit"
+        "the averaged loop rests, so a sweep has no decay to fit\n",
+    )
+    assert not out.exists()
+
+
+def test_sweep_refused_by_a_member_check_prints_its_error_alone(tmp_path, capsys):
+    cfg = fixture_path("example2.cfg")
+    out = tmp_path / "out"
+    argv = ["sweep", cfg, "--param", "amplitude", "--values", "0.1,-1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {cfg}: --param amplitude --values -1: "
+        "dither amplitudes must be strictly positive\n",
+    )
+    assert not out.exists()
+
+
+def test_sweep_that_passes_its_checks_still_warns(tmp_path, capsys):
+    path = tmp_path / "short.cfg"
+    path.write_text(open(fixture_path("example2.cfg")).read().replace("t_end = 10", "t_end = 0.5"))
+    argv = ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: inadmissible frequency multipliers: "
+        "m[1] = m[0] + 2*m[0] = 30; m[2] = m[0] + 2*m[1] = 70\n"
+        "warning: proceeding anyway; averaged predictions may be distorted\n"
+    )
+
+
+def test_uncountable_horizon_is_a_named_error(tmp_path, capsys):
+    # t_end / dt overflows a float, so the step count is refused in SimConfig
+    text = open(fixture_path("example1.cfg")).read()
+    path = tmp_path / "huge.cfg"
+    path.write_text(text.replace("t_end = 5", "t_end = 1e300").replace("dt = auto", "dt = 1e-10"))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {path}: [sim] theta0, t_end, dt, [map] theta_star, [dither] amplitudes: "
+        "t_end = 1e+300 at dt = 1e-10 takes too many steps to count\n",
     )
     assert not out.exists()
 

@@ -176,14 +176,14 @@ def _stage_law_case(n, aw, offset_at_optimum):
     m = rng.uniform(-1.0, 1.0, (64, n)) * (
         size / np.linalg.norm(k, 2) / np.abs(laws.output(theta) - offset)
     )[:, None]
-    return qmap, laws, theta, m, limits
+    return qmap, ctrl, laws, theta, m, limits
 
 
 @pytest.mark.parametrize("offset_at_optimum", [False, True])
 @pytest.mark.parametrize("aw", [True, False])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_stage_laws_match_the_reference_composition(n, aw, offset_at_optimum):
-    qmap, laws, theta, m, limits = _stage_law_case(n, aw, offset_at_optimum)
+    qmap, _, laws, theta, m, limits = _stage_law_case(n, aw, offset_at_optimum)
     inside = np.all(np.abs(theta) <= limits, axis=1)
     assert 0 < inside.sum() < len(theta)
     # the dithered law against the composition it fuses, on the stack and
@@ -206,6 +206,102 @@ def test_stage_laws_match_the_reference_composition(n, aw, offset_at_optimum):
             laws.average_rhs(tt[i]),
             laws.control(laws.average_estimate(tt[i]), tt[i] + qmap.theta_star),
         )
+
+
+def _matmul_laws(qmap, ctrl, offset):
+    # each loop law written with the @ gufunc, as loop_laws wrote them before
+    # it took its products with ndarray.dot; kept as the reference of the
+    # dot forms
+    q_star, th_star, H = qmap.q_star, qmap.theta_star, qmap.hessian
+    kt = np.ascontiguousarray(ctrl.k.T)
+    aw = isinstance(ctrl, AwController)
+    hi = (qmap.input_bounds if aw else ctrl.bounds).limits
+
+    def sat(v):
+        return np.minimum(np.maximum(v, -hi), hi)
+
+    def map_input(theta):
+        return sat(theta) if aw else theta
+
+    def demodulate(v, m):
+        d = v - th_star
+        if d.ndim == 1:
+            return (q_star + 0.5 * (d @ H @ d) - offset) * m
+        return m * (q_star + 0.5 * ((d @ H)[:, None, :] @ d[:, :, None])[:, 0] - offset)
+
+    if aw:
+        kawt = np.ascontiguousarray(ctrl.k_aw.T)
+
+        def control(g_hat, theta):
+            return g_hat @ kt - (theta - sat(theta)) @ kawt
+
+        def rhs(theta, mk):
+            v = sat(theta)
+            return demodulate(v, mk) - (theta - v) @ kawt
+
+        def average_rhs(theta_tilde):
+            theta = theta_tilde + th_star
+            psi = theta - sat(theta)
+            return (theta_tilde - psi) @ H @ kt - psi @ kawt
+
+    else:
+
+        def control(g_hat, theta):
+            return sat(g_hat @ kt)
+
+        def rhs(theta, mk):
+            return sat(demodulate(theta, mk))
+
+        def average_rhs(theta_tilde):
+            return sat(theta_tilde @ H @ kt)
+
+    def output(theta):
+        d = map_input(theta) - th_star
+        return q_star + 0.5 * (d @ H * d).sum(-1)
+
+    def estimate(theta, m):
+        return demodulate(map_input(theta), m)
+
+    def average_estimate(theta_tilde):
+        theta = theta_tilde + th_star
+        return (theta_tilde - (theta - map_input(theta))) @ H
+
+    def demod_gain(m):
+        return m @ kt
+
+    return dict(
+        output=output, estimate=estimate, average_estimate=average_estimate,
+        control=control, demod_gain=demod_gain, rhs=rhs, average_rhs=average_rhs,
+    )
+
+
+@pytest.mark.parametrize("offset_at_optimum", [False, True])
+@pytest.mark.parametrize("aw", [True, False])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dot_forms_match_the_matmul_forms(n, aw, offset_at_optimum):
+    # ndarray.dot and @ call the same BLAS routine: bitwise at n <= 3, where
+    # the batched runs rely on it, and to 1e-15 of each result's scale above
+    qmap, ctrl, laws, theta, m, limits = _stage_law_case(n, aw, offset_at_optimum)
+    ref = _matmul_laws(qmap, ctrl, qmap.q_star if offset_at_optimum else 0.0)
+    tt = theta - qmap.theta_star
+    g = ref["estimate"](theta, m)
+    mk = ref["demod_gain"](m)
+    calls = [
+        ("output", (theta,)), ("estimate", (theta, m)), ("average_estimate", (tt,)),
+        ("control", (g, theta)), ("demod_gain", (m,)), ("rhs", (theta, mk)),
+        ("average_rhs", (tt,)),
+    ]
+    # lone rows: the first 32 rows lie inside the map's bounds, the rest out
+    # to twice them, and the rate clips on odd rows only
+    lone = (0, 1, 2, 3, 32, 33, 34, 35)
+    cases = calls + [(name, tuple(a[i] for a in args)) for name, args in calls for i in lone]
+    for name, args in cases:
+        got, want = getattr(laws, name)(*args), ref[name](*args)
+        assert np.shape(got) == np.shape(want), name
+        if n <= 3:
+            assert np.array_equal(got, want), name
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
 
 
 def test_controller_shape_validation():

@@ -256,7 +256,7 @@ def test_step_halving_first_order_on_true_loop():
 
 def _lone_rk4_run(rhs, x0, nstep, dt):
     # the integrator's batch of one, whose member runs as a lone 1-D row
-    (xs,) = sim._rk4_run(lambda rows: rhs, x0[None], [nstep], [dt])
+    (xs,) = sim._rk4_run(lambda rows, window: rhs, x0[None], [nstep], [dt])
     return xs
 
 
@@ -412,6 +412,47 @@ def test_batch_lone_tail_blowup_keeps_its_lone_time():
         assert np.array_equal(getattr(got[1], field), getattr(want, field)), field
 
 
+@pytest.mark.parametrize("make", [ex1_config, ex2_config], ids=["n2", "n3"])
+def test_batch_members_leaving_out_of_order_equal_their_lone_runs(make):
+    # horizons long, short, long: the short member leaves first, so the
+    # second phase steps rows [0, 2] from a gathered window of the tables,
+    # and the first member runs on alone
+    n = make().qmap.dim
+    members = [
+        make(t_end=t_end, dither=DitherSpec(np.full(n, a), make().dither.freq_multipliers, 1.0))
+        for a, t_end in ((0.1, 1.0), (0.05, 0.4), (0.2, 0.8))
+    ]
+    for got, member in zip(simulate_batch(members), members):
+        want = simulate(member)
+        for field in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_each_phase_reads_only_its_window_of_half_steps():
+    # nsteps 5, 2, 4: all rows to step 2, rows [0, 2] to step 4, row 0 alone
+    # to step 5; k counts half-steps from each window's start
+    phases = []
+
+    def stage_for(rows, window):
+        ks = []
+        phases.append((rows, window, ks))
+
+        def stage(k, x):
+            ks.append(k)
+            return np.zeros_like(x)
+
+        return stage
+
+    x0 = np.ones((3, 2))
+    states = sim._rk4_run(stage_for, x0, [5, 2, 4], [0.1, 0.2, 0.3])
+    assert [len(x) for x in states] == [6, 3, 5]
+    want = [(slice(None), slice(0, 5)), ([0, 2], slice(4, 9)), (0, slice(8, 11))]
+    for (rows, window, ks), (want_rows, want_window) in zip(phases, want):
+        assert np.array_equal(rows, want_rows) and window == want_window
+        assert min(ks) == 0 and max(ks) == window.stop - window.start - 1
+    assert len(phases) == 3
+
+
 def test_batch_needs_one_loop():
     cfg = ex1_config(t_end=0.1)
     assert simulate_batch([]) == []
@@ -425,6 +466,13 @@ def test_batch_needs_one_loop():
     ):
         with pytest.raises(ValueError, match="one loop"):
             simulate_batch([cfg, other])
+
+
+def test_uncountable_horizon_is_a_named_error():
+    # t_end / dt overflows a float, so no step count can be formed
+    with pytest.raises(ValueError) as exc:
+        ex1_config(t_end=1e300, dt=1e-10)
+    assert str(exc.value) == "t_end = 1e+300 at dt = 1e-10 takes too many steps to count"
 
 
 # Only horizons that no machine can allocate: 1e12 s at this step asks for
