@@ -143,6 +143,11 @@ class GradSatController:
         return self.bounds.dim
 
 
+class _StageLaws(NamedTuple):
+    rhs: Callable
+    average_rhs: Callable
+
+
 class _LoopLaws(NamedTuple):
     output: Callable
     estimate: Callable
@@ -151,6 +156,7 @@ class _LoopLaws(NamedTuple):
     demod_gain: Callable
     rhs: Callable
     average_rhs: Callable
+    bind: Callable
 
 
 def loop_laws(
@@ -189,11 +195,21 @@ def loop_laws(
       bitwise ``control(average_estimate(theta_tilde), theta_tilde +
       theta*)``.
 
+    ``bind(shape)`` gives the same two stage laws for states of one shape,
+    ``(n,)`` or ``(B, n)``, as ``rhs(theta, mk, out)`` and
+    ``average_rhs(theta_tilde, out)``: each writes its value into ``out``
+    and returns it.  Their constants are broadcast to that shape and their
+    temporaries allocated once, in ``bind``, so that every elementwise
+    operation takes operands of one shape, numpy's cheapest per-call path.
+    The two plain forms above are a binding to their argument's shape.  A
+    binding's laws share its temporaries, so one call must end before the
+    next begins.
+
     Products are taken with ``ndarray.dot``, not ``@``: on float arrays of
     these shapes both call the same BLAS routine and give the same bits,
     but ``dot`` skips the matmul gufunc's dispatch, which costs about as
     much again on a state of two or three elements.  Only a stack's
-    quadratic form stays a row-wise ``@``, the one form that gives each
+    quadratic form stays a row-wise matmul, the one form that gives each
     row a lone dot product's bits on every supported numpy.
     """
     if not isinstance(ctrl, (AwController, GradSatController)):
@@ -206,6 +222,7 @@ def loop_laws(
     if aw and qmap.input_bounds is None:
         raise ValueError("the input-saturation loop needs map input bounds")
     kt = np.ascontiguousarray(ctrl.k.T)
+    kawt = np.ascontiguousarray(ctrl.k_aw.T) if aw else None
     hi = (qmap.input_bounds if aw else ctrl.bounds).limits
     lo = -hi
 
@@ -224,23 +241,70 @@ def loop_laws(
     def demod_gain(m):
         return m.dot(kt)
 
+    def bind(shape):
+        lo_s, hi_s, ts = (np.broadcast_to(c, shape).copy() for c in (lo, hi, th_star))
+        v, d, dh, psi = (np.empty(shape) for _ in range(4))
+
+        def sat(x, out):
+            return np.minimum(np.maximum(x, lo_s, out=out), hi_s, out=out)
+
+        if len(shape) == 1:
+
+            def demodulate_into(v, m, out):
+                # demodulate's lone form
+                np.subtract(v, ts, out=d)
+                return np.multiply(
+                    q_star + 0.5 * d.dot(H, out=dh).dot(d) - offset, m, out=out
+                )
+
+        else:
+            # demodulate's stack form, its scalars as (B, 1) columns and the
+            # row-wise matmul through views taken here once
+            form = np.empty((shape[0], 1, 1))
+            y = form[:, 0]
+            dh_rows, d_cols = dh[:, None, :], d[:, :, None]
+            half, q, off = (np.full((shape[0], 1), c) for c in (0.5, q_star, offset))
+
+            def demodulate_into(v, m, out):
+                np.subtract(v, ts, out=d)
+                d.dot(H, out=dh)
+                np.matmul(dh_rows, d_cols, out=form)
+                # y = (q* + 0.5 form) - offset, in demodulate's order
+                np.subtract(np.add(q, np.multiply(half, y, out=y), out=y), off, out=y)
+                return np.multiply(m, y, out=out)
+
+        if aw:
+
+            def rhs(theta, mk, out):
+                sat(theta, v)
+                np.subtract(theta, v, out=psi)
+                demodulate_into(v, mk, out)
+                return np.subtract(out, psi.dot(kawt, out=dh), out=out)
+
+            def average_rhs(theta_tilde, out):
+                sat(np.add(theta_tilde, ts, out=d), v)
+                np.subtract(d, v, out=psi)
+                np.subtract(theta_tilde, psi, out=d).dot(H, out=dh).dot(kt, out=out)
+                return np.subtract(out, psi.dot(kawt, out=dh), out=out)
+
+        else:
+
+            def rhs(theta, mk, out):
+                return sat(demodulate_into(theta, mk, out), out)
+
+            def average_rhs(theta_tilde, out):
+                # psi = theta - theta is exactly zero on a finite state
+                return sat(theta_tilde.dot(H, out=dh).dot(kt, out=out), out)
+
+        return _StageLaws(rhs, average_rhs)
+
     if aw:
-        kawt = np.ascontiguousarray(ctrl.k_aw.T)
 
         def map_input(theta):
             return _sat(theta, lo, hi)
 
         def control(g_hat, theta):
             return g_hat.dot(kt) - (theta - _sat(theta, lo, hi)).dot(kawt)
-
-        def rhs(theta, mk):
-            v = _sat(theta, lo, hi)
-            return demodulate(v, mk) - (theta - v).dot(kawt)
-
-        def average_rhs(theta_tilde):
-            theta = theta_tilde + th_star
-            psi = theta - _sat(theta, lo, hi)
-            return (theta_tilde - psi).dot(H).dot(kt) - psi.dot(kawt)
 
     else:
 
@@ -250,12 +314,11 @@ def loop_laws(
         def control(g_hat, theta=None):
             return _sat(g_hat.dot(kt), lo, hi)
 
-        def rhs(theta, mk):
-            return _sat(demodulate(theta, mk), lo, hi)
+    def rhs(theta, mk):
+        return bind(theta.shape).rhs(theta, mk, np.empty(theta.shape))
 
-        def average_rhs(theta_tilde):
-            # psi = theta - theta is exactly zero on a finite state
-            return _sat(theta_tilde.dot(H).dot(kt), lo, hi)
+    def average_rhs(theta_tilde):
+        return bind(theta_tilde.shape).average_rhs(theta_tilde, np.empty(theta_tilde.shape))
 
     def output(theta):
         d = map_input(theta) - th_star
@@ -269,7 +332,7 @@ def loop_laws(
         return (theta_tilde - (theta - map_input(theta))).dot(H)
 
     return _LoopLaws(
-        output, estimate, average_estimate, control, demod_gain, rhs, average_rhs
+        output, estimate, average_estimate, control, demod_gain, rhs, average_rhs, bind
     )
 
 

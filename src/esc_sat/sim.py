@@ -12,20 +12,27 @@ gradient estimate are derived from the stored states in one pass afterwards
 by the reference laws.
 
 ``simulate_batch`` runs configs that share one loop (scenario, map,
-controller, ``demod_remove_offset``) as one (B, n) stack with a (B, 1) step
-column, so B runs pay Python's per-call cost once per stage.  Members step
-in input order; each leaves the stack when it finishes or blows up, and the
-last one left runs on as a lone row.  ``simulate`` is the batch of
-one.  Each member gets its own ``Trajectory`` or ``SimulationBlowUp``.
-Elementwise operations, row-wise dot products and the clip act on each row
-as on a lone row; only matrix products such as ``(B, n)`` times H may round
-a row apart from the lone ``(n,)`` times H.  On numpy 2.4 with OpenBLAS they
-agree at n <= 3, where a member equals its lone run bitwise; at n = 4 ... 8
-a member agrees with it to about 1e-15 of each column's maximum.  Products
-are taken with ``ndarray.dot``, which calls the same BLAS routine as ``@``
-and gives the same bits at half the per-call cost on these small states.
-A stack's row-wise dot products, its quadratic form in ``plant.loop_laws``
-and its norm test here, stay a row-wise ``@``.
+controller, ``demod_remove_offset``) as one (B, n) stack, so B runs pay
+Python's per-call cost once per stage.  Members step in input order; each
+leaves the stack when it finishes or blows up, and the last one left runs
+on as a lone row.  ``simulate`` is the batch of one.  Each member gets its
+own ``Trajectory`` or ``SimulationBlowUp``.  Each phase of a run, the steps
+between two changes of its rows, binds the stage laws to its state's shape
+(``loop_laws(...).bind``) and broadcasts its step constants to that shape
+once, so every elementwise operation of a step takes operands of one shape
+and writes into a buffer of the phase; numpy's per-call cost is lowest
+there.  Elementwise operations, row-wise dot products and the clip act on
+each row as on a lone row; only matrix products such as ``(B, n)`` times H
+may round a row apart from the lone ``(n,)`` times H.  On numpy 2.4 with
+OpenBLAS they agree at n <= 3, where a member equals its lone run bitwise;
+at n = 4 ... 8 a member agrees with it to about 1e-15 of each column's
+maximum.  Products are taken with ``ndarray.dot``, which calls the same
+BLAS routine as ``@`` and gives the same bits at half the per-call cost on
+these small states.  A stack's row-wise dot products, its quadratic form in
+``plant.loop_laws`` and its norm test here, stay a row-wise matmul.
+
+The ``esc_sat.sim`` logger records one DEBUG line per phase: its rows,
+steps, seconds and microseconds per step.
 
 The demodulated gradient estimate is M(t) times the measured output.  By
 default the constant optimum value of the map is removed before demodulation
@@ -45,6 +52,8 @@ equivalent to simulating in the fast time variable and relabeling.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
@@ -61,6 +70,8 @@ __all__ = [
     "simulate_batch",
     "export_csv",
 ]
+
+log = logging.getLogger(__name__)
 
 # scenario -> (loop kind, the averaged scenario of that loop).  The loop kind
 # is the design kind that closes it: "aw" runs an AwController and "gradsat"
@@ -167,47 +178,79 @@ def _rk4_run(stage_for, x0: np.ndarray, nsteps: list, dts: list) -> list:
     its ``SimulationBlowUp``.
 
     Row b of the (B, n) array x0 starts member b.  The members step
-    together, in input order, as one stack with a (B, 1) step column, each
-    row taking a lone run's operations.  Each phase runs until its shortest
-    member finishes or a row blows up, and the member left alone runs on as
-    a lone 1-D row.  ``stage_for(rows, window)`` gives the stage law
-    ``stage(k, x)`` of the members at ``rows``, a slice or an index array of
-    x0's rows, or one int for a lone row, over the phase's ``window``, the
-    slice of half-step indices it steps through; k counts half-steps from
-    the window's start, that is the time (window.start + k) * dt / 2.
+    together, in input order, as one stack, each row taking a lone run's
+    operations.  Each phase runs until its shortest member finishes or a row
+    blows up, and the member left alone runs on as a lone 1-D row.  A phase
+    allocates its stages, its temporaries and its step constants once, all
+    of its state's shape, and steps the state in place.
+    ``stage_for(rows, window)`` gives the stage law ``stage(k, x, out)`` of
+    the members at ``rows``, a slice or an index array of x0's rows, or one
+    int for a lone row, over the phase's ``window``, the slice of half-step
+    indices it steps through; k counts half-steps from the window's start,
+    that is the time (window.start + k) * dt / 2.  A stage writes its
+    value into ``out``, which it may not alias with x.
     """
     xs = np.empty((max(nsteps) + 1, *x0.shape))  # time-major, as the stack steps
     xs[0] = x0
     # compared as a squared norm, which a NaN or inf also fails
-    limit_sq = [(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(x)))) ** 2 for x in x0]
+    limit_sq = np.array([(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(x)))) ** 2 for x in x0])
     out = [xs[:nstep + 1, b] for b, nstep in enumerate(nsteps)]
     rows, x, done = np.arange(len(nsteps)), x0, 0
     while rows.size:
         lone = rows.size == 1
-        if lone:  # a lone row keeps a float dt and limit and an int row
-            sel = int(rows[0])
-            x, dt, limit = x[0], dts[sel], limit_sq[sel]
-        else:  # all rows as a slice, so that the stage reads views of its tables
-            sel = slice(None) if rows.size == len(nsteps) else rows
-            dt, limit = np.array(dts)[sel][:, None], np.array(limit_sq)[sel]
+        # one int for a lone row, a slice for all rows, else an index array,
+        # so that the stage reads views of its tables where it can
+        sel = int(rows[0]) if lone else slice(None) if rows.size == len(nsteps) else rows
+        x = np.array(x[0] if lone else x)  # this phase's state, stepped in place
         stop = min(nsteps[b] for b in rows)
         stage = stage_for(sel, slice(2 * done, 2 * stop + 1))
-        half = 0.5 * dt
-        sixth = dt / 6.0
-        for i in range(done, stop):
-            k = 2 * (i - done)
-            k1 = stage(k, x)
-            k2 = stage(k + 1, x + half * k1)
-            k3 = stage(k + 1, x + half * k2)
-            k4 = stage(k + 2, x + dt * k3)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            xs[i + 1, sel] = x
-            # each stacked row's x @ x is bitwise the lone row's x.dot(x); a
-            # lone row's np.bool_ is tested as it is, since its .all() costs 2 us
-            ok = (x.dot(x) if lone else (x[:, None, :] @ x[:, :, None])[:, 0, 0]) <= limit
-            if not (ok if lone else ok.all()):
-                break
-        done = i + 1
+        col = np.asarray(dts)[sel][..., None]
+        dt, half, sixth, two = (
+            np.broadcast_to(c, x.shape).copy() for c in (col, 0.5 * col, col / 6.0, 2.0)
+        )
+        k1, k2, k3, k4, y = (np.empty(x.shape) for _ in range(5))
+        limit = limit_sq[sel]
+        if not lone:
+            # each row's x @ x, bitwise the lone row's x.dot(x)
+            sq = np.empty((rows.size, 1, 1))
+            x_rows, x_cols, x_sq = x[:, None, :], x[:, :, None], sq[:, 0, 0]
+            ok = np.empty(rows.size, dtype=bool)
+        # the phase's steps go straight into xs where it has a view of them;
+        # an index array's rows are gathered into a contiguous record instead
+        gathered = isinstance(sel, np.ndarray)
+        record = np.empty((stop - done, *x.shape)) if gathered else xs[done + 1:stop + 1, sel]
+        start = time.perf_counter()
+        for j in range(stop - done):
+            k = 2 * j
+            stage(k, x, k1)
+            stage(k + 1, np.add(x, np.multiply(half, k1, out=y), out=y), k2)
+            stage(k + 1, np.add(x, np.multiply(half, k2, out=y), out=y), k3)
+            stage(k + 2, np.add(x, np.multiply(dt, k3, out=y), out=y), k4)
+            # x + dt / 6 * (k1 + 2 * (k2 + k3) + k4), in that order
+            np.multiply(two, np.add(k2, k3, out=y), out=y)
+            np.add(np.add(k1, y, out=y), k4, out=y)
+            np.add(x, np.multiply(sixth, y, out=y), out=x)
+            record[j] = x
+            if lone:
+                # an np.bool_ is tested as it is, since its .all() costs 2 us
+                ok = x.dot(x) <= limit
+                if not ok:
+                    break
+            else:
+                np.matmul(x_rows, x_cols, out=sq)
+                np.less_equal(x_sq, limit, out=ok)
+                # Python's all() over the list costs a fraction of ok.all()
+                if not all(ok.tolist()):
+                    break
+        steps = j + 1
+        seconds = time.perf_counter() - start
+        if gathered:  # cut at a blow-up
+            xs[done + 1:done + 1 + steps, sel] = record[:steps]
+        log.debug(
+            "phase: %d rows, %d steps, %.6f s, %.2f us/step",
+            rows.size, steps, seconds, 1e6 * seconds / steps,
+        )
+        done += steps
         # a lone row's np.bool_ and 1-D state take the stack's shapes again
         ok, x = np.reshape(ok, rows.size), np.reshape(x, (rows.size, -1))
         for b in rows[~ok]:
@@ -274,19 +317,24 @@ def _run(cfgs: list) -> list:
         for b, cfg in enumerate(cfgs):
             S_b, M_b = eval_S_M(cfg.dither, np.arange(2 * nsteps[b] + 1) * (0.5 * cfg.dt))
             S[:len(S_b), b], MK[:len(M_b), b] = S_b, laws.demod_gain(M_b)
-        rhs = laws.rhs
 
         def stage_for(rows, window):
             # views for a slice or an int; an index array gathers the window
             S_r, MK_r = S[window, rows], MK[window, rows]
-            return lambda k, th_hat: rhs(th_hat + S_r[k], MK_r[k])
+            rhs = laws.bind(S_r.shape[1:]).rhs
+            theta = np.empty(S_r.shape[1:])
+
+            def stage(k, th_hat, out):
+                return rhs(np.add(th_hat, S_r[k], out=theta), MK_r[k], out)
+
+            return stage
 
         x0 = np.array([cfg.theta0 for cfg in cfgs])
     else:  # an averaged loop, on theta_tilde alone
-        average_rhs = laws.average_rhs
 
         def stage_for(rows, window):
-            return lambda k, tt: average_rhs(tt)
+            average_rhs = laws.bind(x0[rows].shape).average_rhs
+            return lambda k, tt, out: average_rhs(tt, out)
 
         x0 = np.array([cfg.theta0 - th_star for cfg in cfgs])
     states = _rk4_run(stage_for, x0, nsteps, dts)

@@ -208,6 +208,52 @@ def test_stage_laws_match_the_reference_composition(n, aw, offset_at_optimum):
         )
 
 
+@pytest.mark.parametrize("aw", [True, False])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bound_stack_laws_match_the_lone_reference_rows(n, aw):
+    # the stage laws bound to a (B, n) stack against the plain laws on each
+    # row alone: bitwise at n <= 3, where a batch member equals its lone
+    # run, and to 1e-12 of each column's maximum above
+    qmap, _, laws, theta, m, limits = _stage_law_case(n, aw, True)
+    inside = np.all(np.abs(theta) <= limits, axis=1)
+    assert 0 < inside.sum() < len(theta)
+    mk = laws.demod_gain(m)
+    tt = theta - qmap.theta_star
+    want = {
+        "rhs": np.array([laws.rhs(theta[i], mk[i]) for i in range(len(theta))]),
+        "average_rhs": np.array([laws.average_rhs(tt[i]) for i in range(len(tt))]),
+    }
+    if not aw:
+        clipped = np.any(np.abs(want["rhs"]) == limits, axis=1)
+        assert 0 < clipped.sum() < len(theta)
+
+    def check(got, ref):
+        if n <= 3:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
+
+    bound = laws.bind(theta.shape)
+    # two calls of each law into two buffers, the second on the rows
+    # reversed: each result stays in its own buffer, and the inputs and the
+    # first result survive the calls after them
+    args = {"rhs": (theta, mk), "average_rhs": (tt,)}
+    kept = [a.copy() for a in (theta, mk, tt)]
+    results = []
+    for name, inputs in args.items():
+        law = getattr(bound, name)
+        # NaN-filled, so that a law that leaves out unwritten fails
+        first, second = np.full(theta.shape, np.nan), np.full(theta.shape, np.nan)
+        assert law(*inputs, first) is first
+        assert law(*(a[::-1].copy() for a in inputs), second) is second
+        results.append((first, want[name]))
+        results.append((second, want[name][::-1]))
+    for got, ref in results:
+        check(got, ref)
+    for a, b in zip(kept, (theta, mk, tt)):
+        assert np.array_equal(a, b)
+
+
 def _matmul_laws(qmap, ctrl, offset):
     # each loop law written with the @ gufunc, as loop_laws wrote them before
     # it took its products with ndarray.dot; kept as the reference of the

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -255,8 +256,12 @@ def test_step_halving_first_order_on_true_loop():
 
 
 def _lone_rk4_run(rhs, x0, nstep, dt):
-    # the integrator's batch of one, whose member runs as a lone 1-D row
-    (xs,) = sim._rk4_run(lambda rows, window: rhs, x0[None], [nstep], [dt])
+    # the integrator's batch of one, whose member runs as a lone 1-D row;
+    # each stage writes rhs(k, x) into its out
+    def stage(k, x, out):
+        out[...] = rhs(k, x)
+
+    (xs,) = sim._rk4_run(lambda rows, window: stage, x0[None], [nstep], [dt])
     return xs
 
 
@@ -428,6 +433,56 @@ def test_batch_members_leaving_out_of_order_equal_their_lone_runs(make):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
+def _phase_records(caplog):
+    # (rows, steps, seconds, us/step) of each phase the esc_sat.sim logger told
+    return [r.args for r in caplog.records if r.name == "esc_sat.sim"]
+
+
+def test_batch_blowup_inside_a_gathered_phase(caplog):
+    # the short middle member finishes first, so rows [0, 2] step on as a
+    # gathered phase, written to its own record; member 0 blows up there at
+    # t = 9.734 s, and member 2 runs on alone to its end
+    ctrl = AwController(EX1_K, -np.eye(2))
+    members = [
+        ex1_config(controller=ctrl, t_end=t_end, dt=0.002, dither=DitherSpec([a, a], (10, 70), 1.0))
+        for a, t_end in ((0.05, 12.0), (0.1, 5.0), (0.2, 11.0))
+    ]
+    with caplog.at_level(logging.DEBUG, logger="esc_sat.sim"):
+        got = simulate_batch(members)
+    assert [(rows, steps) for rows, steps, *_ in _phase_records(caplog)] == [
+        (3, 2500), (2, 2367), (1, 633),
+    ]
+    with pytest.raises(SimulationBlowUp) as exc:
+        simulate(members[0])
+    assert isinstance(got[0], SimulationBlowUp)
+    assert (got[0].time, str(got[0])) == (exc.value.time, str(exc.value))
+    assert got[0].time == pytest.approx(9.734, abs=1e-12)
+    for b in (1, 2):
+        want = simulate(members[b])
+        for field in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(got[b], field), getattr(want, field)), field
+
+
+def test_each_phase_logs_one_debug_record(caplog):
+    # step counts 5, 2, 4: three phases of 3, 2 and 1 rows
+    members = [ex1_config(t_end=t_end, dt=0.002) for t_end in (0.01, 0.004, 0.008)]
+    with caplog.at_level(logging.DEBUG, logger="esc_sat.sim"):
+        simulate_batch(members)
+    records = [r for r in caplog.records if r.name == "esc_sat.sim"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 3
+    assert [(rows, steps) for rows, steps, *_ in _phase_records(caplog)] == [
+        (3, 2), (2, 2), (1, 1),
+    ]
+    for rows, steps, seconds, us_per_step in _phase_records(caplog):
+        assert seconds > 0.0 and us_per_step == 1e6 * seconds / steps
+    assert records[0].getMessage().startswith("phase: 3 rows, 2 steps, ")
+    # nothing at logging's default level, WARNING
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        simulate_batch(members)
+    assert _phase_records(caplog) == []
+
+
 def test_each_phase_reads_only_its_window_of_half_steps():
     # nsteps 5, 2, 4: all rows to step 2, rows [0, 2] to step 4, row 0 alone
     # to step 5; k counts half-steps from each window's start
@@ -437,9 +492,10 @@ def test_each_phase_reads_only_its_window_of_half_steps():
         ks = []
         phases.append((rows, window, ks))
 
-        def stage(k, x):
+        def stage(k, x, out):
             ks.append(k)
-            return np.zeros_like(x)
+            assert out.shape == x.shape and not np.shares_memory(out, x)
+            out.fill(0.0)
 
         return stage
 
