@@ -9,9 +9,11 @@ directory is created only when a result file is written into it.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from typing import Optional
 
@@ -48,6 +50,8 @@ from .synthesis import (
     load_design,
     save_design,
 )
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -244,17 +248,18 @@ def _sweep_member(sim_cfg: SimConfig, param: str, value: float) -> SimConfig:
     return replace(sim_cfg, dither=replace(dither, amplitudes=np.full(dither.dim, value)))
 
 
-def _sweep_row(sim_cfg: SimConfig, traj, averaged: dict):
-    if isinstance(traj, SimulationBlowUp):
-        raise traj
-    # the averaged loop reads no dither: one lone run and decay fit per step
-    if sim_cfg.dt not in averaged:
-        avg = simulate(replace(sim_cfg, scenario=SCENARIOS[sim_cfg.scenario][1]))
-        averaged[sim_cfg.dt] = (avg, analysis.fit_decay(avg, "theta_tilde"))
-    avg, fit = averaged[sim_cfg.dt]
+def _sweep_row(sim_cfg: SimConfig, traj, averaged: dict, fits: dict):
+    # reached in value order, a row raises its true run's blow-up, then that
+    # of its step's averaged run, as running the members one by one would
+    avg = averaged.get(sim_cfg.dt)
+    for run in (traj, avg):
+        if isinstance(run, SimulationBlowUp):
+            raise run
+    if sim_cfg.dt not in fits:
+        fits[sim_cfg.dt] = analysis.fit_decay(avg, "theta_tilde")
     dev = analysis.sup_deviation(traj, avg, "theta_tilde")
     band = analysis.check_convergence_bands(traj, sim_cfg.qmap, sim_cfg.dither)
-    return (dev, band.r_theta, band.r_y, fit.eta_hat)
+    return (dev, band.r_theta, band.r_y, fits[sim_cfg.dt].eta_hat)
 
 
 def _cmd_sweep(args) -> None:
@@ -279,11 +284,26 @@ def _cmd_sweep(args) -> None:
             where = f"{cfg.name}: --param {args.param} --values {v:g}"
             raise ValueError(f"{where}: {exc}") from None
     _warn_frequencies(sim_cfg.dither)
-    # the true runs step as one batch; walking the members in value order
-    # then reports the first failure as running them one by one would
+    # the true runs step as one batch, then the averaged runs as another.
+    # The averaged loop reads no dither, so each step has one averaged run,
+    # that of its first member; only the members before the first true
+    # blow-up in value order are reported, so only their steps run
+    start = time.perf_counter()
     runs = simulate_batch(members)
-    averaged: dict = {}
-    rows = [(v, *_sweep_row(m, r, averaged)) for v, m, r in zip(values, members, runs)]
+    true_s = time.perf_counter() - start
+    failed = next((i for i, r in enumerate(runs) if isinstance(r, SimulationBlowUp)), len(runs))
+    firsts: dict = {}
+    for m in members[:failed]:
+        if m.dt not in firsts:
+            firsts[m.dt] = replace(m, scenario=SCENARIOS[m.scenario][1])
+    start = time.perf_counter()
+    averaged = dict(zip(firsts, simulate_batch(list(firsts.values()))))
+    log.debug(
+        "sweep: %d values, %d averaged runs, true batch %.6f s, averaged batch %.6f s",
+        len(values), len(averaged), true_s, time.perf_counter() - start,
+    )
+    fits: dict = {}
+    rows = [(v, *_sweep_row(m, r, averaged, fits)) for v, m, r in zip(values, members, runs)]
     path = os.path.join(args.out, "sweep.csv")
 
     def write(p):

@@ -1,4 +1,5 @@
 import gc
+import logging
 import os
 import re
 import warnings
@@ -1015,9 +1016,10 @@ def test_failed_commands_leave_no_out_directory(
     assert not out.exists()
 
 
-def test_sweep_blowup_reports_the_first_member_in_value_order(tmp_path, capsys):
+def test_sweep_blowup_reports_the_first_member_in_value_order(tmp_path, capsys, monkeypatch):
     # the member at amplitude 0.05 blows up first in time (t = 9.73 s), the
-    # one at 0.1 first in value order (t = 16.5 s); the sweep reports that one
+    # one at 0.1 first in value order (t = 16.5 s); the sweep reports that
+    # one, and starts no averaged run, since no row before it is reported
     text = open(fixture_path("example1.cfg")).read()
     for old, new in DIVERGE.items():
         text = text.replace(old, new)
@@ -1026,6 +1028,13 @@ def test_sweep_blowup_reports_the_first_member_in_value_order(tmp_path, capsys):
     sim_cfg = cli._load_sim_config(load_config(str(path)), None)
     with pytest.raises(SimulationBlowUp) as first:
         simulate(cli._sweep_member(sim_cfg, "amplitude", 0.1))
+    scenarios = []
+
+    def counted_batch(cfgs):
+        scenarios.extend(cfg.scenario for cfg in cfgs)
+        return simulate_batch(cfgs)
+
+    monkeypatch.setattr(cli, "simulate_batch", counted_batch)
     out = tmp_path / "out"
     argv = ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2,0.05"]
     capsys.readouterr()
@@ -1033,22 +1042,21 @@ def test_sweep_blowup_reports_the_first_member_in_value_order(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"blow-up: simulation state blew up at t = {first.value.time:.6g} s\n"
     )
+    assert scenarios == ["input-saturation"] * 3
     assert not out.exists()
 
 
 def test_sweep_reports_an_earlier_averaged_blowup_first(tmp_path, capsys, monkeypatch):
     # run one by one, the first member's averaged run fails before the
-    # second member's true run; the batch keeps that order
+    # second member's true run; the two batches keep that order
 
-    def blown_average(cfg):
-        assert cfg.scenario == "average-aw"
-        raise SimulationBlowUp(0.25)
+    def by_scenario(cfgs):
+        if cfgs[0].scenario == "average-aw":
+            assert len(cfgs) == 1
+            return [SimulationBlowUp(0.25)]
+        return [*simulate_batch(cfgs[:1]), SimulationBlowUp(0.5)]
 
-    def second_blows_up(cfgs):
-        return [simulate(cfgs[0]), SimulationBlowUp(0.5)]
-
-    monkeypatch.setattr(cli, "simulate", blown_average)
-    monkeypatch.setattr(cli, "simulate_batch", second_blows_up)
+    monkeypatch.setattr(cli, "simulate_batch", by_scenario)
     text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.1")
     path = tmp_path / "short.cfg"
     path.write_text(text)
@@ -1057,6 +1065,42 @@ def test_sweep_reports_an_earlier_averaged_blowup_first(tmp_path, capsys, monkey
     assert cli.main(argv + ["--out", str(out)]) == 3
     assert capsys.readouterr() == ("", "blow-up: simulation state blew up at t = 0.25 s\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "param, values, failing, averaged",
+    [
+        ("amplitude", "0.1,0.2", 0, 0),
+        ("omega-scale", "1,2,0.5", 0, 0),
+        ("omega-scale", "1,2,0.5", 1, 1),
+        ("omega-scale", "1,2,0.5", 2, 2),
+    ],
+)
+def test_sweep_runs_averaged_members_only_before_the_first_true_blowup(
+    tmp_path, capsys, monkeypatch, param, values, failing, averaged
+):
+    # a true run that blows up ends the sweep at its row, so the averaged
+    # batch holds only the steps of the members before it in value order
+    batches = []
+
+    def failing_member(cfgs):
+        batches.append([cfg.scenario for cfg in cfgs])
+        runs = simulate_batch(cfgs)
+        if len(batches) == 1:
+            runs[failing] = SimulationBlowUp(0.125)
+        return runs
+
+    monkeypatch.setattr(cli, "simulate_batch", failing_member)
+    text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.2")
+    path = tmp_path / "short.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = ["sweep", str(path), "--param", param, "--values", values, "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", "blow-up: simulation state blew up at t = 0.125 s\n")
+    assert not out.exists()
+    n = len(values.split(","))
+    assert batches == [["input-saturation"] * n, ["average-aw"] * averaged]
 
 
 def test_cli_sweep(tmp_path):
@@ -1137,26 +1181,45 @@ def test_sweep_runs_the_averaged_loop_once_per_step(
     text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.5")
     path = tmp_path / "short.cfg"
     path.write_text(text)
-    scenarios = []
+    batches = []
 
-    def counted(cfg):
-        scenarios.append(cfg.scenario)
-        return simulate(cfg)
+    def no_lone_run(cfg):
+        raise AssertionError("a sweep ran a member alone")
 
     def counted_batch(cfgs):
-        scenarios.extend(cfg.scenario for cfg in cfgs)
+        batches.append([cfg.scenario for cfg in cfgs])
         return simulate_batch(cfgs)
 
-    monkeypatch.setattr(cli, "simulate", counted)
+    monkeypatch.setattr(cli, "simulate", no_lone_run)
     monkeypatch.setattr(cli, "simulate_batch", counted_batch)
     argv = ["sweep", str(path), "--param", param, "--values", values]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-    # members, not calls: one true run per value, one averaged run per step
-    assert len(scenarios) == runs
-    assert scenarios.count("input-saturation") == len(values.split(","))
+    # two batches, the true runs and then the averaged ones: one true run
+    # per value, one averaged run per step
+    assert len(batches) == 2
+    assert batches[0] == ["input-saturation"] * len(values.split(","))
+    assert batches[1] == ["average-aw"] * (runs - len(batches[0]))
     rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
     eta_hats = {row[4] for row in rows}
     assert len(eta_hats) == (1 if param == "amplitude" else len(rows))
+
+
+def test_sweep_logs_one_debug_record(tmp_path, caplog):
+    text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.2")
+    path = tmp_path / "short.cfg"
+    path.write_text(text)
+    argv = ["sweep", str(path), "--param", "omega-scale", "--values", "1,2,1"]
+    with caplog.at_level(logging.WARNING, logger="esc_sat"):
+        assert cli.main(argv + ["--out", str(tmp_path / "quiet")]) == 0
+    assert not [r for r in caplog.records if r.name == "esc_sat.cli"]
+    with caplog.at_level(logging.DEBUG, logger="esc_sat.cli"):
+        assert cli.main(argv + ["--out", str(tmp_path / "told")]) == 0
+    (record,) = [r for r in caplog.records if r.name == "esc_sat.cli"]
+    assert record.levelno == logging.DEBUG
+    # three values, two steps, then each batch's seconds
+    values, averaged, true_s, averaged_s = record.args
+    assert (values, averaged) == (3, 2)
+    assert true_s > 0.0 and averaged_s > 0.0
 
 
 def test_cli_sweep_needs_two_values(tmp_path):

@@ -336,29 +336,25 @@ def _members(cfg, omega_scales, amplitudes):
     ]
 
 
-@pytest.mark.parametrize("name", ["example1", "example1_no_aw", "example2"])
-def test_batch_members_equal_their_lone_runs(name):
-    # unequal step counts in input order 1.2, 0.8, 1: the stack shrinks
-    # twice and its last member runs on alone; the amplitude members finish
-    # together
-    members = _members(_fixture_config(name, t_end=1.0), (1.2, 0.8, 1.0), (0.05, 0.2))
-    assert len({round(m.t_end / m.dt) for m in members}) == 3
+def _assert_members_equal_lone_runs(members, tol=None):
+    # bitwise, or within tol of each column's maximum
     for got, member in zip(simulate_batch(members), members):
         want = simulate(member)
         for field in TRAJECTORY_FIELDS:
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            a, b = getattr(got, field), getattr(want, field)
+            if tol is None:
+                assert np.array_equal(a, b), field
+            else:
+                assert np.all(np.abs(a - b) <= tol * np.max(np.abs(b), axis=0)), field
 
 
-@pytest.mark.parametrize("scenario", ["input-saturation", "gradient-saturation"])
-@pytest.mark.parametrize("n", range(4, 9))
-def test_batch_members_match_lone_runs_at_higher_dimension(n, scenario):
-    # a stack's d @ H may round apart from a lone row's at n >= 4; each true
-    # member still agrees with its lone run to rounding
+def _random_loop_config(scenario, n, t_end):
+    # a stack's d @ H may round apart from a lone row's at n >= 4
     rng = np.random.default_rng([7, n])
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     bounds = SaturationBounds(np.full(n, 2.0))
     theta0 = rng.uniform(-3.0, 3.0, n)
-    if scenario == "input-saturation":
+    if SCENARIOS[scenario][0] == "aw":
         H = (q * np.linspace(3.0, 6.0, n)) @ q.T
         qmap = QuadraticMap(5.0, rng.uniform(-1.0, 1.0, n), 0.5 * (H + H.T), bounds)
         ctrl = AwController(-0.05 * np.eye(n), 2.0 * np.eye(n))
@@ -367,15 +363,45 @@ def test_batch_members_match_lone_runs_at_higher_dimension(n, scenario):
         qmap = QuadraticMap(5.0, rng.uniform(-1.0, 1.0, n), 0.5 * (H + H.T))
         ctrl = GradSatController(0.5 * np.eye(n), bounds)
     mults = tuple(range(3, 3 + 2 * n, 2))
-    cfg = SimConfig(
-        scenario, qmap, DitherSpec(np.full(n, 0.1), mults, 1.0), ctrl, theta0, t_end=0.5
-    )
-    members = _members(cfg, (1.1, 0.9), (0.05,))
-    for got, member in zip(simulate_batch(members), members):
-        want = simulate(member)
-        for field in TRAJECTORY_FIELDS:
-            a, b = getattr(got, field), getattr(want, field)
-            assert np.all(np.abs(a - b) <= 1e-12 * np.max(np.abs(b), axis=0)), field
+    dither = DitherSpec(np.full(n, 0.1), mults, 1.0)
+    return SimConfig(scenario, qmap, dither, ctrl, theta0, t_end=t_end)
+
+
+@pytest.mark.parametrize("name", ["example1", "example1_no_aw", "example2"])
+def test_batch_members_equal_their_lone_runs(name):
+    # unequal step counts in input order 1.2, 0.8, 1: the stack shrinks
+    # twice and its last member runs on alone; the amplitude members finish
+    # together
+    members = _members(_fixture_config(name, t_end=1.0), (1.2, 0.8, 1.0), (0.05, 0.2))
+    assert len({round(m.t_end / m.dt) for m in members}) == 3
+    _assert_members_equal_lone_runs(members)
+
+
+@pytest.mark.parametrize("name", ["example1", "example1_no_aw", "example2"])
+def test_averaged_batch_members_equal_their_lone_runs(name):
+    # a sweep's averaged runs as one batch, as above
+    cfg = _fixture_config(name, t_end=1.0)
+    cfg = dataclasses.replace(cfg, scenario=SCENARIOS[cfg.scenario][1])
+    members = _members(cfg, (1.2, 0.8, 1.0), (0.05, 0.2))
+    assert len({round(m.t_end / m.dt) for m in members}) == 3
+    _assert_members_equal_lone_runs(members)
+
+
+@pytest.mark.parametrize("scenario", ["input-saturation", "gradient-saturation"])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_batch_members_match_lone_runs_at_higher_dimension(n, scenario):
+    # each true member still agrees with its lone run to rounding
+    cfg = _random_loop_config(scenario, n, t_end=0.5)
+    _assert_members_equal_lone_runs(_members(cfg, (1.1, 0.9), (0.05,)), tol=1e-12)
+
+
+@pytest.mark.parametrize("scenario", ["average-aw", "average-gradsat"])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_averaged_batch_members_match_lone_runs_at_higher_dimension(n, scenario):
+    # each averaged member, over steps of three counts, agrees with its lone
+    # run to rounding
+    cfg = _random_loop_config(scenario, n, t_end=3.0)
+    _assert_members_equal_lone_runs(_members(cfg, (1.2, 0.8, 1.0), (0.05,)), tol=1e-12)
 
 
 def test_batch_blowup_stays_in_its_slot():
