@@ -150,6 +150,12 @@ def _design_polytope(cfg: ExperimentConfig, req):
 
 def _cmd_design(args) -> None:
     eps_candidates = _comma_numbers("--epsilon-sweep", args.epsilon_sweep or "")
+    for cand in eps_candidates:
+        if not 0 < cand < np.inf:
+            raise ValueError(
+                f"--epsilon-sweep {args.epsilon_sweep!r}: candidate {cand:g}: the "
+                "congruence scalar epsilon must be positive and finite"
+            )
     cfg = load_config(args.config)
     dither = build_dither(cfg)
     req = build_synthesis_request(cfg)

@@ -162,6 +162,10 @@ def _integer(text: str) -> int:
     return int(value)
 
 
+def _positive(text: str) -> float:
+    return matio.positive(_number(text))
+
+
 def _bounds(text: str) -> SaturationBounds:
     return SaturationBounds(matio.parse_vector(text))
 
@@ -305,8 +309,8 @@ def build_synthesis_request(cfg: ExperimentConfig) -> SynthesisRequest:
     has_eps = cfg.get("synthesis", "epsilon") is not None
     return SynthesisRequest(
         kind=kind,
-        eta=_read(cfg, "synthesis", "eta"),
-        epsilon=_read(cfg, "synthesis", "epsilon") if has_eps else None,
+        eta=_read(cfg, "synthesis", "eta", _positive),
+        epsilon=_read(cfg, "synthesis", "epsilon", _positive) if has_eps else None,
         bounds=_read(cfg, "synthesis", "bounds", _bounds),
     )
 

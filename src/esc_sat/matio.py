@@ -17,6 +17,7 @@ __all__ = [
     "format_matrix",
     "NotA",
     "parse_number",
+    "positive",
     "parse_vector",
     "parse_matrix",
     "parse_fractions",
@@ -41,6 +42,13 @@ def parse_number(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
         raise NotA("is not a finite number")
+    return value
+
+
+def positive(value: float) -> float:
+    """A parsed scalar that must be positive, such as a decay rate."""
+    if not value > 0:
+        raise NotA("is not positive")
     return value
 
 

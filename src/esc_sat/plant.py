@@ -4,8 +4,8 @@ Two loop variants are covered.  In the input-saturation loop the map sees
 sat(theta) and the controller adds an anti-windup correction driven by the
 dead-zone of theta.  In the gradient-saturation loop the map input is not
 clipped but the parameter update rate sat(K*ghat) is.  ``loop_laws`` is the
-one definition of each loop's map output, gradient estimate and control law,
-and of the stage laws fused from them, that the simulator and the analysis
+one definition of each loop's map output, gradient estimate, control law and
+right-hand sides, true and averaged, that the simulator and the analysis
 oracles share.
 """
 
@@ -48,17 +48,13 @@ class SaturationBounds:
         return self.limits.size
 
 
-def _sat(v, lo, hi):
-    # np.clip's values at a fraction of its per-call cost
-    return np.minimum(np.maximum(v, lo), hi)
-
-
 def saturate(v: np.ndarray, bounds: SaturationBounds) -> np.ndarray:
     """Clamp each component of v to [-limit, +limit]."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != bounds.dim:
         raise ValueError(f"dimension mismatch: {v.shape[-1]} vs {bounds.dim}")
-    return _sat(v, -bounds.limits, bounds.limits)
+    # np.clip's values at a fraction of its per-call cost
+    return np.minimum(np.maximum(v, -bounds.limits), bounds.limits)
 
 
 def deadzone(v: np.ndarray, bounds: SaturationBounds) -> np.ndarray:
@@ -143,19 +139,14 @@ class GradSatController:
         return self.bounds.dim
 
 
-class _StageLaws(NamedTuple):
-    rhs: Callable
-    average_rhs: Callable
-
-
 class _LoopLaws(NamedTuple):
     output: Callable
     estimate: Callable
     average_estimate: Callable
     control: Callable
-    demod_gain: Callable
     rhs: Callable
     average_rhs: Callable
+    demod_gain: Callable
     bind: Callable
 
 
@@ -168,42 +159,35 @@ def loop_laws(
 
     An ``AwController`` closes the input-saturation loop: the map sees
     v = sat(theta) and psi is the dead-zone of theta, both on the map's
-    ``input_bounds``, which this loop requires.  A
-    ``GradSatController`` closes the rate-saturation loop: v = theta and
-    psi = 0.  The returned callables take one sample (numpy vectors of the
-    loop dimension) or a stack of samples (one per row) and check nothing
-    themselves:
+    ``input_bounds``, which this loop requires.  A ``GradSatController``
+    closes the rate-saturation loop: v = theta and psi = 0.  The laws:
 
     - ``output(theta)``: y = q* + (v - theta*)' H (v - theta*) / 2;
     - ``estimate(theta, m)``: the demodulated gradient estimate
       ghat = m (y(theta) - offset);
     - ``average_estimate(theta_tilde)``: its period-averaged model
       H (theta_tilde - psi(theta_tilde + theta*));
-    - ``control(g_hat, theta)``: u = K ghat - K_aw psi(theta) for an
-      ``AwController``; u = sat(K ghat) for a ``GradSatController``, which
-      ignores theta.
-
-    These four are the reference forms, which record a run.  The
-    integrators evaluate two stage laws fused from them, each taking its
-    clip once:
-
-    - ``rhs(theta, mk)``: the dithered loop's right-hand side
-      (y(v) - offset) mk - psi(theta) K_aw' with v = sat(theta), or
-      sat((y(theta) - offset) mk), where mk = ``demod_gain(m)`` = m K' is
-      precomputed; ``control(estimate(theta, m), theta)`` up to rounding;
+    - ``control(g_hat, theta)``: u = K ghat - K_aw psi(theta), or
+      u = sat(K ghat), which ignores theta and may go without it;
+    - ``rhs(theta, mk)``: the dithered loop's right-hand side, with
+      mk = ``demod_gain(m)`` = m K' precomputed, so
+      ``control(estimate(theta, m), theta)`` up to rounding;
     - ``average_rhs(theta_tilde)``: the averaged loop's right-hand side,
       bitwise ``control(average_estimate(theta_tilde), theta_tilde +
       theta*)``.
 
-    ``bind(shape)`` gives the same two stage laws for states of one shape,
-    ``(n,)`` or ``(B, n)``, as ``rhs(theta, mk, out)`` and
-    ``average_rhs(theta_tilde, out)``: each writes its value into ``out``
-    and returns it.  Their constants are broadcast to that shape and their
-    temporaries allocated once, in ``bind``, so that every elementwise
-    operation takes operands of one shape, numpy's cheapest per-call path.
-    The two plain forms above are a binding to their argument's shape.  A
-    binding's laws share its temporaries, so one call must end before the
-    next begins.
+    ``bind(shape)`` is their one implementation, for states of one shape,
+    ``(n,)`` or ``(B, n)``: each bound law takes one more argument,
+    ``out`` (one value per row for ``output``), writes it and returns it.
+    A binding broadcasts its constants to its shape and allocates its
+    temporaries once, so that every elementwise operation takes operands of
+    one shape, numpy's cheapest per-call path; its laws share those
+    temporaries, so one call must end before the next begins.  The plain
+    laws are the same laws at their first argument's shape, one sample
+    (numpy vectors of the loop dimension) or a stack of samples (one per
+    row), whose operations broadcast the constants rather than copy them;
+    they return a new array, or a scalar for a lone ``output``, and check
+    nothing.
 
     Products are taken with ``ndarray.dot``, not ``@``: on float arrays of
     these shapes both call the same BLAS routine and give the same bits,
@@ -224,116 +208,114 @@ def loop_laws(
     kt = np.ascontiguousarray(ctrl.k.T)
     kawt = np.ascontiguousarray(ctrl.k_aw.T) if aw else None
     hi = (qmap.input_bounds if aw else ctrl.bounds).limits
-    lo = -hi
+
+    def demod_gain(m):
+        return m.dot(kt)
 
     # H is exactly symmetric, so a row times H is H times that row
-    def demodulate(v, m):
+    def laws_at(shape, fill):
+        # fill(c, shape) gives the constant c: a copy at the states' shape
+        # for a binding that steps a run, on numpy's cheapest per-call path,
+        # or c itself for a plain law, called once, whose operations then
+        # broadcast c rather than copy it to the argument's size
+        lo_s, hi_s, ts = (fill(c, shape) for c in (-hi, hi, th_star))
+        d, dh = np.empty(shape), np.empty(shape)
+
         # (y(v) - offset) m.  One row takes its form as a dot product and
         # scales m by a scalar, at a fraction of a stack's per-call cost.  A
         # stack takes each row's form as a row-wise matmul, whose rows give
         # the lone dot product's bits, so each row gives the lone row's bits
         # wherever its d.dot(H) does.
-        d = v - th_star
-        if d.ndim == 1:
-            return (q_star + 0.5 * d.dot(H).dot(d) - offset) * m
-        return m * (q_star + 0.5 * (d.dot(H)[:, None, :] @ d[:, :, None])[:, 0] - offset)
-
-    def demod_gain(m):
-        return m.dot(kt)
-
-    def bind(shape):
-        lo_s, hi_s, ts = (np.broadcast_to(c, shape).copy() for c in (lo, hi, th_star))
-        v, d, dh, psi = (np.empty(shape) for _ in range(4))
-
-        def sat(x, out):
-            return np.minimum(np.maximum(x, lo_s, out=out), hi_s, out=out)
-
         if len(shape) == 1:
 
-            def demodulate_into(v, m, out):
-                # demodulate's lone form
+            def demodulate(v, m, out):
                 np.subtract(v, ts, out=d)
-                return np.multiply(
-                    q_star + 0.5 * d.dot(H, out=dh).dot(d) - offset, m, out=out
-                )
+                # in Python floats, which give a numpy scalar's bits at a
+                # fraction of its cost
+                y = q_star + 0.5 * float(d.dot(H, out=dh).dot(d)) - offset
+                return np.multiply(y, m, out=out)
 
         else:
-            # demodulate's stack form, its scalars as (B, 1) columns and the
-            # row-wise matmul through views taken here once
+            # the scalars as (B, 1) columns and the row-wise matmul through
+            # views taken here once
             form = np.empty((shape[0], 1, 1))
             y = form[:, 0]
             dh_rows, d_cols = dh[:, None, :], d[:, :, None]
-            half, q, off = (np.full((shape[0], 1), c) for c in (0.5, q_star, offset))
+            half, q, off = (fill(c, (shape[0], 1)) for c in (0.5, q_star, offset))
 
-            def demodulate_into(v, m, out):
+            def demodulate(v, m, out):
                 np.subtract(v, ts, out=d)
                 d.dot(H, out=dh)
                 np.matmul(dh_rows, d_cols, out=form)
-                # y = (q* + 0.5 form) - offset, in demodulate's order
+                # y = (q* + 0.5 form) - offset, in the lone row's order
                 np.subtract(np.add(q, np.multiply(half, y, out=y), out=y), off, out=y)
                 return np.multiply(m, y, out=out)
 
+        # The loops differ in these pieces alone: the input-saturation loop
+        # clips the map input and feeds its dead-zone back, the
+        # rate-saturation loop clips the rate K ghat.
         if aw:
+            v, psi = np.empty(shape), np.empty(shape)
 
-            def rhs(theta, mk, out):
-                sat(theta, v)
+            def map_input(theta):
+                # v = sat(theta), leaving psi = theta - v for the feedback
+                np.minimum(np.maximum(theta, lo_s, out=v), hi_s, out=v)
                 np.subtract(theta, v, out=psi)
-                demodulate_into(v, mk, out)
-                return np.subtract(out, psi.dot(kawt, out=dh), out=out)
+                return v
 
-            def average_rhs(theta_tilde, out):
-                sat(np.add(theta_tilde, ts, out=d), v)
-                np.subtract(d, v, out=psi)
-                np.subtract(theta_tilde, psi, out=d).dot(H, out=dh).dot(kt, out=out)
-                return np.subtract(out, psi.dot(kawt, out=dh), out=out)
+            def feedback(gk, out):
+                # gk - psi K_aw', with the psi of the last map input
+                return np.subtract(gk, psi.dot(kawt, out=dh), out=out)
 
         else:
 
-            def rhs(theta, mk, out):
-                return sat(demodulate_into(theta, mk, out), out)
+            def feedback(gk, out):
+                # sat(gk)
+                return np.minimum(np.maximum(gk, lo_s, out=out), hi_s, out=out)
 
-            def average_rhs(theta_tilde, out):
-                # psi = theta - theta is exactly zero on a finite state
-                return sat(theta_tilde.dot(H, out=dh).dot(kt, out=out), out)
+        def output(theta, out):
+            np.subtract(map_input(theta) if aw else theta, ts, out=d)
+            np.multiply(d.dot(H, out=dh), d, out=dh).sum(-1, out=out)
+            return np.add(q_star, np.multiply(0.5, out, out=out), out=out)
 
-        return _StageLaws(rhs, average_rhs)
+        def estimate(theta, m, out):
+            return demodulate(map_input(theta) if aw else theta, m, out)
 
-    if aw:
+        def average_estimate(theta_tilde, out):
+            # in rate saturation psi = theta - theta is exactly zero on a
+            # finite state
+            if aw:
+                map_input(np.add(theta_tilde, ts, out=d))
+                theta_tilde = np.subtract(theta_tilde, psi, out=d)
+            return theta_tilde.dot(H, out=out)
 
-        def map_input(theta):
-            return _sat(theta, lo, hi)
+        def control(g_hat, theta=None, out=None):
+            if aw:
+                map_input(theta)
+            return feedback(g_hat.dot(kt, out=out), out)
 
-        def control(g_hat, theta):
-            return g_hat.dot(kt) - (theta - _sat(theta, lo, hi)).dot(kawt)
+        def rhs(theta, mk, out):
+            return feedback(demodulate(map_input(theta) if aw else theta, mk, out), out)
 
-    else:
+        def average_rhs(theta_tilde, out):
+            return feedback(average_estimate(theta_tilde, dh).dot(kt, out=out), out)
 
-        def map_input(theta):
-            return theta
+        laws = (output, estimate, average_estimate, control, rhs, average_rhs)
+        return _LoopLaws(*laws, demod_gain, bind)
 
-        def control(g_hat, theta=None):
-            return _sat(g_hat.dot(kt), lo, hi)
+    def bind(shape):
+        return laws_at(shape, lambda c, shape: np.full(shape, c))
 
-    def rhs(theta, mk):
-        return bind(theta.shape).rhs(theta, mk, np.empty(theta.shape))
+    def plain(name):
+        def law(x, *args):
+            x = np.asarray(x, dtype=float)
+            out = np.empty(x.shape[:-1] if name == "output" else x.shape)
+            got = getattr(laws_at(x.shape, lambda c, shape: c), name)(x, *args, out=out)
+            return got if got.ndim else got[()]
 
-    def average_rhs(theta_tilde):
-        return bind(theta_tilde.shape).average_rhs(theta_tilde, np.empty(theta_tilde.shape))
+        return law
 
-    def output(theta):
-        d = map_input(theta) - th_star
-        return q_star + 0.5 * (d.dot(H) * d).sum(-1)
-
-    def estimate(theta, m):
-        return demodulate(map_input(theta), m)
-
-    def average_estimate(theta_tilde):
-        theta = theta_tilde + th_star
-        return (theta_tilde - (theta - map_input(theta))).dot(H)
-
-    return _LoopLaws(
-        output, estimate, average_estimate, control, demod_gain, rhs, average_rhs, bind
-    )
+    return _LoopLaws(*map(plain, _LoopLaws._fields[:6]), demod_gain, bind)
 
 
 def _delta(M: np.ndarray, S: np.ndarray) -> np.ndarray:

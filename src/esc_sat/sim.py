@@ -9,7 +9,7 @@ The true loops integrate the stage law ``rhs``, which reads S and M K'
 precomputed at the 2N+1 half-step times from one sine evaluation; the
 averaged loops integrate ``average_rhs``.  The recorded output, input and
 gradient estimate are derived from the stored states in one pass afterwards
-by the reference laws.
+by the same laws, each over the whole record.
 
 ``simulate_batch`` runs configs that share one loop (scenario, map,
 controller, ``demod_remove_offset``) as one (B, n) stack, so B runs pay
@@ -17,7 +17,7 @@ Python's per-call cost once per stage.  Members step in input order; each
 leaves the stack when it finishes or blows up, and the last one left runs
 on as a lone row.  ``simulate`` is the batch of one.  Each member gets its
 own ``Trajectory`` or ``SimulationBlowUp``.  Each phase of a run, the steps
-between two changes of its rows, binds the stage laws to its state's shape
+between two changes of its rows, binds the loop's laws to its state's shape
 (``loop_laws(...).bind``) and broadcasts its step constants to that shape
 once, so every elementwise operation of a step takes operands of one shape
 and writes into a buffer of the phase; numpy's per-call cost is lowest
@@ -355,14 +355,8 @@ def _run(cfgs: list) -> list:
             theta_tilde = np.ascontiguousarray(x)  # one member's rows of the record
             theta = theta_tilde + th_star
             g_hat = laws.average_estimate(theta_tilde)
-        results[b] = Trajectory(
-            times,
-            theta,
-            theta_tilde,
-            laws.output(theta),
-            laws.control(g_hat, theta),
-            g_hat,
-        )
+        y, u = laws.output(theta), laws.control(g_hat, theta)
+        results[b] = Trajectory(times, theta, theta_tilde, y, u, g_hat)
     return results
 
 

@@ -599,7 +599,7 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
 # so older files that carry ``y`` or a derived ``kappa``/``kappa_g`` load.
 _FILE_FIELDS = {
     AwDesign: (
-        ("eta", "eta", "float"),
+        ("eta", "eta", "positive"),
         ("bounds", "bounds", "bounds"),
         ("k", "k", "matrix"),
         ("k_aw", "k_aw", "matrix"),
@@ -607,8 +607,8 @@ _FILE_FIELDS = {
         ("lambda", "lam", "matrix"),
     ),
     GradSatDesign: (
-        ("eta", "eta", "float"),
-        ("epsilon", "epsilon", "float"),
+        ("eta", "eta", "positive"),
+        ("epsilon", "epsilon", "positive"),
         ("bounds", "bounds", "bounds"),
         ("k", "k", "matrix"),
         ("l", "l", "matrix"),
@@ -621,7 +621,7 @@ _FILE_FIELDS = {
 
 # value kind -> (format, parse)
 _VALUE_KINDS = {
-    "float": (repr, matio.parse_number),
+    "positive": (repr, lambda text: matio.positive(matio.parse_number(text))),
     "bounds": (
         lambda b: matio.format_vector(b.limits),
         lambda text: SaturationBounds(matio.parse_vector(text)),

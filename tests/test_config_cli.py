@@ -466,14 +466,20 @@ def test_sweep_values_must_be_finite(tmp_path, capsys, param, values):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1", "0"])
 def test_cli_epsilon_sweep_needs_finite_candidates(tmp_path, capsys, bad):
-    argv = ["design", fixture_path("example2.cfg"), "--epsilon-sweep", f"{bad},0.5"]
-    rc = cli.main(argv + ["--out", str(tmp_path)])
-    assert rc == 1
-    assert capsys.readouterr().err.endswith(
-        "error: the congruence scalar epsilon must be positive and finite\n"
+    # every candidate is checked before anything is solved, warned about or
+    # created, so a bad one is refused though it follows a good one
+    out = tmp_path / "out"
+    text = f"0.5,{bad}"
+    argv = ["design", fixture_path("example2.cfg"), "--epsilon-sweep", text]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: --epsilon-sweep {text!r}: candidate {float(bad):g}: the congruence "
+        "scalar epsilon must be positive and finite\n",
     )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -543,6 +549,11 @@ MATRIX_SHAPE = "shape (1, 2), expected ({n}, {n}) from the {n}-row k"
         ),
         pytest.param("eta", "inf", "'inf' is not a finite number", id="eta-inf"),
         pytest.param("epsilon", "nan", "'nan' is not a finite number", id="epsilon-nan"),
+        # a certificate of a non-positive decay rate or congruence scalar
+        # proves no convergence
+        pytest.param("eta", "-1.0", "'-1.0' is not positive", id="eta-negative"),
+        pytest.param("eta", "0", "'0' is not positive", id="eta-zero"),
+        pytest.param("epsilon", "-0.5", "'-0.5' is not positive", id="epsilon-negative"),
         pytest.param(
             "k", "1 2", "shape (1, 2), expected (1, 1) from the 1-row k", id="shape-k"
         ),
@@ -647,6 +658,35 @@ def test_cli_verify_rejects_an_eta_below_the_config(tmp_path, capsys, fixture_de
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "FAILED: design eta 0.25 is below the config's 1.0\n"
+
+
+@pytest.mark.parametrize("command", ["design", "verify"])
+@pytest.mark.parametrize(
+    "old, new",
+    [("eta = 1", "eta = -1"), ("eta = 1", "eta = 0"), ("epsilon = 0.5", "epsilon = -0.5")],
+    ids=["eta-negative", "eta-zero", "epsilon-negative"],
+)
+def test_nonpositive_synthesis_scalars_are_refused(
+    tmp_path, capsys, fixture_designs, command, old, new
+):
+    # a non-positive decay rate certifies growth, not decay: refused with
+    # the config's key before anything is solved or warned about
+    text = open(fixture_path("example2.cfg")).read()
+    assert old in text
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    if command == "design":
+        argv = ["design", str(path), "--out", str(out)]
+    else:
+        argv = ["verify", str(fixture_designs["example2.cfg"]), str(path)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    key, _, value = new.partition(" = ")
+    assert capsys.readouterr() == (
+        "", f"error: {path}: [synthesis] {key} = {value!r} is not positive\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -211,17 +211,26 @@ def test_stage_laws_match_the_reference_composition(n, aw, offset_at_optimum):
 @pytest.mark.parametrize("aw", [True, False])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_bound_stack_laws_match_the_lone_reference_rows(n, aw):
-    # the stage laws bound to a (B, n) stack against the plain laws on each
-    # row alone: bitwise at n <= 3, where a batch member equals its lone
-    # run, and to 1e-12 of each column's maximum above
+    # each law bound to a (B, n) stack against the plain law on each row
+    # alone: bitwise at n <= 3, where a batch member equals its lone run,
+    # and to 1e-12 of each column's maximum above
     qmap, _, laws, theta, m, limits = _stage_law_case(n, aw, True)
     inside = np.all(np.abs(theta) <= limits, axis=1)
     assert 0 < inside.sum() < len(theta)
     mk = laws.demod_gain(m)
     tt = theta - qmap.theta_star
+    g = laws.estimate(theta, m)
+    args = {
+        "output": (theta,),
+        "estimate": (theta, m),
+        "average_estimate": (tt,),
+        "control": (g, theta),
+        "rhs": (theta, mk),
+        "average_rhs": (tt,),
+    }
     want = {
-        "rhs": np.array([laws.rhs(theta[i], mk[i]) for i in range(len(theta))]),
-        "average_rhs": np.array([laws.average_rhs(tt[i]) for i in range(len(tt))]),
+        name: np.array([getattr(laws, name)(*(a[i] for a in inputs)) for i in range(len(theta))])
+        for name, inputs in args.items()
     }
     if not aw:
         clipped = np.any(np.abs(want["rhs"]) == limits, axis=1)
@@ -237,20 +246,21 @@ def test_bound_stack_laws_match_the_lone_reference_rows(n, aw):
     # two calls of each law into two buffers, the second on the rows
     # reversed: each result stays in its own buffer, and the inputs and the
     # first result survive the calls after them
-    args = {"rhs": (theta, mk), "average_rhs": (tt,)}
-    kept = [a.copy() for a in (theta, mk, tt)]
+    kept = [a.copy() for a in (theta, m, mk, tt, g)]
     results = []
     for name, inputs in args.items():
         law = getattr(bound, name)
-        # NaN-filled, so that a law that leaves out unwritten fails
-        first, second = np.full(theta.shape, np.nan), np.full(theta.shape, np.nan)
+        # NaN-filled, so that a law that leaves out unwritten fails; the
+        # output is one value per row
+        shape = theta.shape[:-1] if name == "output" else theta.shape
+        first, second = np.full(shape, np.nan), np.full(shape, np.nan)
         assert law(*inputs, first) is first
         assert law(*(a[::-1].copy() for a in inputs), second) is second
         results.append((first, want[name]))
         results.append((second, want[name][::-1]))
     for got, ref in results:
         check(got, ref)
-    for a, b in zip(kept, (theta, mk, tt)):
+    for a, b in zip(kept, (theta, m, mk, tt, g)):
         assert np.array_equal(a, b)
 
 
