@@ -5,11 +5,15 @@ rule at a fixed step, and take their physics from ``plant.loop_laws``.  The
 dead-zone kink makes the right-hand sides merely Lipschitz, so no step
 adaptation is attempted and identical configurations reproduce
 bitwise-identical trajectories.  Only the states are stored during a run.
-The true loops integrate the stage law ``rhs``, which reads S and M K'
-precomputed at the 2N+1 half-step times from one sine evaluation; the
-averaged loops integrate ``average_rhs``.  The recorded output, input and
-gradient estimate are derived from the stored states in one pass afterwards
-by the same laws, each over the whole record.
+The true loops integrate the stage law ``rhs``, which reads S and M K' at
+the half-step times from one sine evaluation; the averaged loops integrate
+``average_rhs``.  A run steps ``BLOCK_STEPS`` steps at a time: each block
+evaluates the dither tables over its own half-steps only, and its states are
+tested for blow-up together once it ends.  The recorded output, input and
+gradient estimate are derived from the stored states afterwards by the same
+laws, a block at a time, into arrays allocated before the first step.  So
+a run's working memory is the trajectory it returns, its state record and
+one block, at any horizon.
 
 ``simulate_batch`` runs configs that share one loop (scenario, map,
 controller, ``demod_remove_offset``) as one (B, n) stack, so B runs pay
@@ -52,6 +56,7 @@ equivalent to simulating in the fast time variable and relabeling.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, fields, is_dataclass
@@ -85,6 +90,10 @@ SCENARIOS = {
 _CONTROLLERS = {"aw": AwController, "gradsat": GradSatController}
 
 BLOWUP_FACTOR = 1e6
+# A run steps, tests for blow-up, derives its signals and writes its CSV rows
+# this many steps at a time, so that a whole-horizon array it does not
+# return never exists.
+BLOCK_STEPS = 1024
 # The automatic and the coarsest allowed step divide each cycle of the
 # fastest dither component into a count of steps, where that component is
 # counted as making at least MIN_CYCLES_PER_PERIOD cycles per common period.
@@ -173,86 +182,99 @@ class Trajectory:
         return self.theta.shape[1]
 
 
-def _rk4_run(stage_for, x0: np.ndarray, nsteps: list, dts: list) -> list:
+def _rk4_run(stage_for, xs: np.ndarray, nsteps: list, dts: list, timed: bool = True) -> list:
     """Each member's states at its nsteps[b] + 1 grid times, one per row, or
     its ``SimulationBlowUp``.
 
-    Row b of the (B, n) array x0 starts member b.  The members step
-    together, in input order, as one stack, each row taking a lone run's
-    operations.  Each phase runs until its shortest member finishes or a row
-    blows up, and the member left alone runs on as a lone 1-D row.  A phase
-    allocates its stages, its temporaries and its step constants once, all
-    of its state's shape, and steps the state in place.
-    ``stage_for(rows, window)`` gives the stage law ``stage(k, x, out)`` of
-    the members at ``rows``, a slice or an index array of x0's rows, or one
-    int for a lone row, over the phase's ``window``, the slice of half-step
-    indices it steps through; k counts half-steps from the window's start,
-    that is the time (window.start + k) * dt / 2.  A stage writes its
-    value into ``out``, which it may not alias with x.
+    ``xs`` is the run's record, time-major, of shape (max(nsteps) + 1, B,
+    n); row b of ``xs[0]`` starts member b, and the steps are written into
+    the rows after it, so each member's states are a view of ``xs``.  The
+    members step together, in input order, as one stack, each row taking a
+    lone run's operations.  Each phase runs until its shortest member
+    finishes or a row blows up, and the member left alone runs on as a lone
+    1-D row.  A phase allocates its stages, its temporaries and its step
+    constants once, all of its state's shape, and steps the state in place.
+
+    A phase steps in blocks of at most ``BLOCK_STEPS`` steps.  For each
+    block, ``stage_for(rows, window)`` gives the stage law of the members
+    at ``rows``, a slice or an index array of xs's rows, or one int for a
+    lone row, over the block's ``window``, the slice of half-step indices it
+    steps through.  A ``timed`` stage is ``stage(k, x, out)``, where k counts
+    half-steps from the window's start, that is the time (window.start + k)
+    * dt / 2; an autonomous one is ``stage(x, out)``.  A stage writes its
+    value into ``out``, which it may not alias with x.  After each block,
+    every state it recorded is tested at once, and a blow-up ends the phase
+    at its first offending step; the block's later steps are discarded.
+    Overflow is silenced while a block steps, since only those discarded
+    steps can overflow: a kept state lies within the limit, far inside the
+    float range unless the initial state is itself near 1e148.
     """
-    xs = np.empty((max(nsteps) + 1, *x0.shape))  # time-major, as the stack steps
-    xs[0] = x0
     # compared as a squared norm, which a NaN or inf also fails
-    limit_sq = np.array([(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(x)))) ** 2 for x in x0])
+    limit_sq = np.array([(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(x)))) ** 2 for x in xs[0]])
     out = [xs[:nstep + 1, b] for b, nstep in enumerate(nsteps)]
-    rows, x, done = np.arange(len(nsteps)), x0, 0
+    rows, x, done = np.arange(len(nsteps)), xs[0], 0
     while rows.size:
         lone = rows.size == 1
         # one int for a lone row, a slice for all rows, else an index array,
-        # so that the stage reads views of its tables where it can
+        # so that the phase writes into a view of xs where it can
         sel = int(rows[0]) if lone else slice(None) if rows.size == len(nsteps) else rows
         x = np.array(x[0] if lone else x)  # this phase's state, stepped in place
         stop = min(nsteps[b] for b in rows)
-        stage = stage_for(sel, slice(2 * done, 2 * stop + 1))
         col = np.asarray(dts)[sel][..., None]
         dt, half, sixth, two = (
             np.broadcast_to(c, x.shape).copy() for c in (col, 0.5 * col, col / 6.0, 2.0)
         )
         k1, k2, k3, k4, y = (np.empty(x.shape) for _ in range(5))
         limit = limit_sq[sel]
-        if not lone:
-            # each row's x @ x, bitwise the lone row's x.dot(x)
-            sq = np.empty((rows.size, 1, 1))
-            x_rows, x_cols, x_sq = x[:, None, :], x[:, :, None], sq[:, 0, 0]
-            ok = np.empty(rows.size, dtype=bool)
-        # the phase's steps go straight into xs where it has a view of them;
-        # an index array's rows are gathered into a contiguous record instead
+        # a block's steps go straight into xs where the phase has a view of
+        # them; an index array's rows are stepped into a contiguous block and
+        # copied into xs after it
         gathered = isinstance(sel, np.ndarray)
-        record = np.empty((stop - done, *x.shape)) if gathered else xs[done + 1:stop + 1, sel]
+        if gathered:
+            gather = np.empty((min(BLOCK_STEPS, stop - done), *x.shape))
+        ok, first = True, done
         start = time.perf_counter()
-        for j in range(stop - done):
-            k = 2 * j
-            stage(k, x, k1)
-            stage(k + 1, np.add(x, np.multiply(half, k1, out=y), out=y), k2)
-            stage(k + 1, np.add(x, np.multiply(half, k2, out=y), out=y), k3)
-            stage(k + 2, np.add(x, np.multiply(dt, k3, out=y), out=y), k4)
-            # x + dt / 6 * (k1 + 2 * (k2 + k3) + k4), in that order
-            np.multiply(two, np.add(k2, k3, out=y), out=y)
-            np.add(np.add(k1, y, out=y), k4, out=y)
-            np.add(x, np.multiply(sixth, y, out=y), out=x)
-            record[j] = x
-            if lone:
-                # an np.bool_ is tested as it is, since its .all() costs 2 us
-                ok = x.dot(x) <= limit
-                if not ok:
-                    break
-            else:
-                np.matmul(x_rows, x_cols, out=sq)
-                np.less_equal(x_sq, limit, out=ok)
-                # Python's all() over the list costs a fraction of ok.all()
-                if not all(ok.tolist()):
-                    break
-        steps = j + 1
+        while done < stop:
+            m = min(BLOCK_STEPS, stop - done)
+            stage = stage_for(sel, slice(2 * done, 2 * (done + m) + 1))
+            block = gather[:m] if gathered else xs[done + 1:done + m + 1, sel]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(m):
+                    if timed:
+                        k = 2 * j
+                        stage(k, x, k1)
+                        stage(k + 1, np.add(x, np.multiply(half, k1, out=y), out=y), k2)
+                        stage(k + 1, np.add(x, np.multiply(half, k2, out=y), out=y), k3)
+                        stage(k + 2, np.add(x, np.multiply(dt, k3, out=y), out=y), k4)
+                    else:
+                        stage(x, k1)
+                        stage(np.add(x, np.multiply(half, k1, out=y), out=y), k2)
+                        stage(np.add(x, np.multiply(half, k2, out=y), out=y), k3)
+                        stage(np.add(x, np.multiply(dt, k3, out=y), out=y), k4)
+                    # x + dt / 6 * (k1 + 2 * (k2 + k3) + k4), in that order
+                    np.multiply(two, np.add(k2, k3, out=y), out=y)
+                    np.add(np.add(k1, y, out=y), k4, out=y)
+                    np.add(x, np.multiply(sixth, y, out=y), out=x)
+                    block[j] = x
+                # each recorded state's x @ x, row-wise, bitwise the lone
+                # row's x.dot(x)
+                sq = np.matmul(block[..., None, :], block[..., :, None])[..., 0, 0]
+                fits = np.less_equal(sq, limit)
+            if not fits.all():
+                # the phase ends at the first step where a row left the limit
+                m = int(np.argmin(fits.reshape(m, -1).all(axis=1))) + 1
+                ok, x, stop = fits[m - 1], block[m - 1], done + m
+            if gathered:
+                xs[done + 1:done + m + 1, sel] = block[:m]
+            done += m
+        steps = done - first
         seconds = time.perf_counter() - start
-        if gathered:  # cut at a blow-up
-            xs[done + 1:done + 1 + steps, sel] = record[:steps]
         log.debug(
             "phase: %d rows, %d steps, %.6f s, %.2f us/step",
             rows.size, steps, seconds, 1e6 * seconds / steps,
         )
-        done += steps
-        # a lone row's np.bool_ and 1-D state take the stack's shapes again
-        ok, x = np.reshape(ok, rows.size), np.reshape(x, (rows.size, -1))
+        # a lone row's verdict and 1-D state take the stack's shapes again
+        ok, x = np.broadcast_to(ok, rows.size), np.reshape(x, (rows.size, -1))
         for b in rows[~ok]:
             out[b] = SimulationBlowUp(done * dts[b])
         keep = ok & (done < np.array(nsteps)[rows])
@@ -295,68 +317,81 @@ def _run(cfgs: list) -> list:
     nsteps = [int(round(cfg.t_end / cfg.dt)) for cfg in cfgs]
     dts = [cfg.dt for cfg in cfgs]
     dithered = first.scenario != SCENARIOS[first.scenario][1]
-    n_max = max(nsteps)
+    n = qmap.dim
     try:
-        if dithered:
-            # S and M K' at each member's 2N+1 half-step times, time-major so
-            # that one index gives the stack's rows; zero past a member's end
-            shape = (2 * n_max + 1, len(cfgs), qmap.dim)
-            S, MK = np.zeros(shape), np.zeros(shape)
-        else:
-            # the tables are twice the state record that _rk4_run fills, so
-            # they fail first; an averaged loop has none, so the record itself
-            # is tried here, untouched
-            np.empty((n_max + 1, len(cfgs), qmap.dim))
+        # the state record and every output, before the first step; the
+        # outputs in field order: times, theta, theta_tilde, y, u, g_hat
+        xs = np.empty((max(nsteps) + 1, len(cfgs), n))
+        trajs = [
+            Trajectory(*(np.empty((N + 1, *shape)) for shape in ((), (n,), (n,), (), (n,), (n,))))
+            for N in nsteps
+        ]
     except (MemoryError, ValueError) as exc:
-        cfg = cfgs[nsteps.index(n_max)]
+        N = max(nsteps)
+        cfg = cfgs[nsteps.index(N)]
         raise ValueError(
-            f"t_end = {cfg.t_end:g} at dt = {cfg.dt:.6g} takes {n_max:.4g} steps, "
+            f"t_end = {cfg.t_end:g} at dt = {cfg.dt:.6g} takes {N:.4g} steps, "
             "too many to allocate"
         ) from exc
+    # the laws bound once per phase, to its state's shape: a phase has fewer
+    # rows than the one before it, so its shape names it
+    bind = functools.cache(laws.bind)
+
     if dithered:
-        for b, cfg in enumerate(cfgs):
-            S_b, M_b = eval_S_M(cfg.dither, np.arange(2 * nsteps[b] + 1) * (0.5 * cfg.dt))
-            S[:len(S_b), b], MK[:len(M_b), b] = S_b, laws.demod_gain(M_b)
 
         def stage_for(rows, window):
-            # views for a slice or an int; an index array gathers the window
-            S_r, MK_r = S[window, rows], MK[window, rows]
-            rhs = laws.bind(S_r.shape[1:]).rhs
-            theta = np.empty(S_r.shape[1:])
+            # S and M K' of the members at rows over the block's half-steps,
+            # time-major so that one index gives the phase's rows
+            half_steps = np.arange(window.start, window.stop)
+
+            def tables(b):
+                S_b, M_b = eval_S_M(cfgs[b].dither, half_steps * (0.5 * dts[b]))
+                return S_b, laws.demod_gain(M_b)
+
+            if isinstance(rows, int):
+                S, MK = tables(rows)
+            else:
+                members = np.arange(len(cfgs))[rows]
+                S, MK = (np.stack(t, axis=1) for t in zip(*map(tables, members)))
+            rhs = bind(S.shape[1:]).rhs
+            theta = np.empty(S.shape[1:])
 
             def stage(k, th_hat, out):
-                return rhs(np.add(th_hat, S_r[k], out=theta), MK_r[k], out)
+                return rhs(np.add(th_hat, S[k], out=theta), MK[k], out)
 
             return stage
 
-        x0 = np.array([cfg.theta0 for cfg in cfgs])
+        xs[0] = [cfg.theta0 for cfg in cfgs]
     else:  # an averaged loop, on theta_tilde alone
 
         def stage_for(rows, window):
-            average_rhs = laws.bind(x0[rows].shape).average_rhs
-            return lambda k, tt, out: average_rhs(tt, out)
+            return bind(xs[0, rows].shape).average_rhs
 
-        x0 = np.array([cfg.theta0 - th_star for cfg in cfgs])
-    states = _rk4_run(stage_for, x0, nsteps, dts)
-    if dithered:
-        del S, MK  # dropped before the records are built
+        xs[0] = [cfg.theta0 - th_star for cfg in cfgs]
+    states = _rk4_run(stage_for, xs, nsteps, dts, timed=dithered)
     results = list(states)  # a blow-up is its member's result
     for b, x in enumerate(states):
         if isinstance(x, SimulationBlowUp):
             continue
-        times = np.arange(nsteps[b] + 1) * dts[b]
-        if dithered:
-            # the tables' even rows bitwise: i * dt is (2 * i) * (0.5 * dt)
-            S_b, M_b = eval_S_M(cfgs[b].dither, times)
-            theta = x + S_b
-            theta_tilde = x - th_star
-            g_hat = laws.estimate(theta, M_b)
-        else:
-            theta_tilde = np.ascontiguousarray(x)  # one member's rows of the record
-            theta = theta_tilde + th_star
-            g_hat = laws.average_estimate(theta_tilde)
-        y, u = laws.output(theta), laws.control(g_hat, theta)
-        results[b] = Trajectory(times, theta, theta_tilde, y, u, g_hat)
+        # the signals block by block, from the same laws as the steps
+        traj = results[b] = trajs[b]
+        for lo in range(0, nsteps[b] + 1, BLOCK_STEPS):
+            i = slice(lo, lo + BLOCK_STEPS)
+            times, theta, theta_tilde, g_hat = (
+                a[i] for a in (traj.times, traj.theta, traj.theta_tilde, traj.g_hat)
+            )
+            np.multiply(np.arange(lo, lo + times.size), dts[b], out=times)
+            if dithered:
+                S_b, M_b = eval_S_M(cfgs[b].dither, times)
+                np.add(x[i], S_b, out=theta)
+                np.subtract(x[i], th_star, out=theta_tilde)
+                g_hat[...] = laws.estimate(theta, M_b)
+            else:
+                theta_tilde[...] = x[i]
+                np.add(theta_tilde, th_star, out=theta)
+                g_hat[...] = laws.average_estimate(theta_tilde)
+            traj.y[i] = laws.output(theta)
+            traj.u[i] = laws.control(g_hat, theta)
     return results
 
 
@@ -387,9 +422,12 @@ def export_csv(traj: Trajectory, path: str, stride: int = 1) -> None:
     theta, u, ghat = (
         [f"{col}_{i + 1}" for i in range(traj.dim)] for col in ("theta", "u", "ghat")
     )
-    rows = np.column_stack([traj.times, traj.theta, traj.y, traj.u, traj.g_hat])
     with open(path, "w") as fh:
         fh.write(",".join(["t", *theta, "y", *u, *ghat]) + "\n")
-        # one row at a time: a whole-array tolist() would hold every row's floats
-        for row in rows[::stride]:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        # a block of rows at a time, so that no whole-trajectory table exists
+        for lo in range(0, traj.times.size, BLOCK_STEPS * stride):
+            i = slice(lo, lo + BLOCK_STEPS * stride, stride)
+            rows = np.column_stack(
+                [traj.times[i], traj.theta[i], traj.y[i], traj.u[i], traj.g_hat[i]]
+            )
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())

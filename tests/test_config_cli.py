@@ -3,6 +3,7 @@ import logging
 import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,7 +328,7 @@ def test_cli_verify_rejects_bounds_that_differ_from_the_config(tmp_path, capsys)
     ],
 )
 def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, new, what):
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     assert old in text
     path = tmp_path / "bad.cfg"
     path.write_text(text.replace(old, new))
@@ -410,7 +411,7 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
 def test_config_errors_across_keys_name_the_config(
     tmp_path, capsys, command, name, old, new, what
 ):
-    text = open(fixture_path(name)).read()
+    text = Path(fixture_path(name)).read_text()
     assert text.count(old) == 1
     path = tmp_path / "bad.cfg"
     path.write_text(text.replace(old, new))
@@ -444,7 +445,7 @@ def test_cli_stride_is_checked_before_anything_runs(tmp_path, capsys, stride):
 def test_removed_config_knobs_fail_with_their_position(tmp_path, capsys, old, bad, what):
     # the design file and the output shape are chosen on the command line;
     # every parse error names the file, as typed reads do
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     edited = text.replace(f"{old}\n", f"{old}\n{bad}\n")
     line = edited.splitlines().index(bad.strip().splitlines()[0]) + 1
     path = tmp_path / "old.cfg"
@@ -634,7 +635,7 @@ def test_design_file_comments_are_ignored(tmp_path, capsys, fixture_designs):
 def test_cli_verify_rejects_a_design_of_the_other_kind(tmp_path, capsys, fixture_designs):
     # a gradsat design on the example-1 polytope has the config's dimension
     cfg = tmp_path / "gradsat.cfg"
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     cfg.write_text(text.replace("kind = aw", "kind = gradsat\nepsilon = 0.5"))
     assert cli.main(["design", str(cfg), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -671,7 +672,7 @@ def test_nonpositive_synthesis_scalars_are_refused(
 ):
     # a non-positive decay rate certifies growth, not decay: refused with
     # the config's key before anything is solved or warned about
-    text = open(fixture_path("example2.cfg")).read()
+    text = Path(fixture_path("example2.cfg")).read_text()
     assert old in text
     path = tmp_path / "bad.cfg"
     path.write_text(text.replace(old, new))
@@ -698,7 +699,7 @@ def test_designed_controller_needs_the_scenario_kind(
     tmp_path, capsys, command, scenario, design_kind
 ):
     # both designs live on the example-1 polytope, so the dimensions agree
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     design_cfg = tmp_path / "design.cfg"
     design_cfg.write_text(
         text.replace("kind = aw", "kind = gradsat\nepsilon = 0.5")
@@ -724,7 +725,7 @@ def test_designed_controller_needs_the_map_dimension(
     tmp_path, capsys, fixture_designs, command
 ):
     # the example-2 design is a three-dimensional rate-saturation design
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     run_cfg = tmp_path / "run.cfg"
     run_cfg.write_text(
         text.replace("scenario = input-saturation", "scenario = gradient-saturation")
@@ -773,7 +774,7 @@ def test_refused_sweep_leaves_no_out_directory(tmp_path, capsys, fixture_designs
         argv += ["--values", "1e-300,1"]
     else:
         bad = tmp_path / "bad.cfg"
-        bad.write_text(open(cfg).read().replace("t_end = ", "t_end = x"))
+        bad.write_text(Path(cfg).read_text().replace("t_end = ", "t_end = x"))
         argv[1] = str(bad)
     out = tmp_path / "r2"
     assert cli.main(argv + ["--out", str(out)]) == 1
@@ -826,7 +827,7 @@ def test_sweep_at_the_optimum_is_refused_before_any_run(
 
     monkeypatch.setattr(cli, "simulate", no_run)
     monkeypatch.setattr(cli, "simulate_batch", no_run)
-    text = open(fixture_path(name)).read()
+    text = Path(fixture_path(name)).read_text()
     path = tmp_path / "optimum.cfg"
     path.write_text(re.sub(r"(?m)^theta0 = .*$", f"theta0 = {theta_star}", text))
     out = tmp_path / "out"
@@ -857,7 +858,8 @@ def test_sweep_refused_by_a_member_check_prints_its_error_alone(tmp_path, capsys
 
 def test_sweep_that_passes_its_checks_still_warns(tmp_path, capsys):
     path = tmp_path / "short.cfg"
-    path.write_text(open(fixture_path("example2.cfg")).read().replace("t_end = 10", "t_end = 0.5"))
+    text = Path(fixture_path("example2.cfg")).read_text()
+    path.write_text(text.replace("t_end = 10", "t_end = 0.5"))
     argv = ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2"]
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == (
@@ -869,7 +871,7 @@ def test_sweep_that_passes_its_checks_still_warns(tmp_path, capsys):
 
 def test_uncountable_horizon_is_a_named_error(tmp_path, capsys):
     # t_end / dt overflows a float, so the step count is refused in SimConfig
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     path = tmp_path / "huge.cfg"
     path.write_text(text.replace("t_end = 5", "t_end = 1e300").replace("dt = auto", "dt = 1e-10"))
     out = tmp_path / "out"
@@ -908,7 +910,7 @@ def test_uncountable_horizon_is_a_named_error(tmp_path, capsys):
     ids=["simulate-1e12", "average-1e12", "simulate-1e300", "sweep-omega-1e12"],
 )
 def test_unallocatable_run_is_a_named_error(tmp_path, capsys, edits, argv, message):
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     for old, new in edits.items():
         assert old in text
         text = text.replace(old, new)
@@ -921,7 +923,7 @@ def test_unallocatable_run_is_a_named_error(tmp_path, capsys, edits, argv, messa
 
 
 def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_designs):
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     path = tmp_path / "bad.cfg"
     path.write_text(text.replace("theta_star = 2 4", "theta_star = 2 x"))
     capsys.readouterr()
@@ -954,7 +956,7 @@ def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_
 def test_aw_config_states_one_set_of_input_bounds(
     tmp_path, capsys, fixture_designs, command, old, new, what
 ):
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     assert text.count(f"\n{old}\n") == 1
     path = tmp_path / "bad.cfg"
     path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
@@ -1012,7 +1014,7 @@ def test_cli_simulate_parse_error(tmp_path):
 
 def test_cli_simulate_blowup(tmp_path):
     text = (fixture_path("example1.cfg"), )
-    cfg = open(text[0]).read().replace(
+    cfg = Path(text[0]).read_text().replace(
         "k_aw = 2.2794 0.0824; -0.0865 2.2804", "k_aw = -1 0; 0 -1"
     ).replace("t_end = 5", "t_end = 60")
     path = tmp_path / "diverge.cfg"
@@ -1038,7 +1040,7 @@ DIVERGE = {
 def test_failed_commands_leave_no_out_directory(
     tmp_path, capsys, command, name, edits, rc, prefix
 ):
-    text = open(fixture_path(name)).read()
+    text = Path(fixture_path(name)).read_text()
     for old, new in edits.items():
         assert old in text
         text = text.replace(old, new)
@@ -1060,7 +1062,7 @@ def test_sweep_blowup_reports_the_first_member_in_value_order(tmp_path, capsys, 
     # the member at amplitude 0.05 blows up first in time (t = 9.73 s), the
     # one at 0.1 first in value order (t = 16.5 s); the sweep reports that
     # one, and starts no averaged run, since no row before it is reported
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     for old, new in DIVERGE.items():
         text = text.replace(old, new)
     path = tmp_path / "diverge.cfg"
@@ -1097,7 +1099,7 @@ def test_sweep_reports_an_earlier_averaged_blowup_first(tmp_path, capsys, monkey
         return [*simulate_batch(cfgs[:1]), SimulationBlowUp(0.5)]
 
     monkeypatch.setattr(cli, "simulate_batch", by_scenario)
-    text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.1")
+    text = Path(fixture_path("example1.cfg")).read_text().replace("t_end = 5", "t_end = 0.1")
     path = tmp_path / "short.cfg"
     path.write_text(text)
     out = tmp_path / "out"
@@ -1131,7 +1133,7 @@ def test_sweep_runs_averaged_members_only_before_the_first_true_blowup(
         return runs
 
     monkeypatch.setattr(cli, "simulate_batch", failing_member)
-    text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.2")
+    text = Path(fixture_path("example1.cfg")).read_text().replace("t_end = 5", "t_end = 0.2")
     path = tmp_path / "short.cfg"
     path.write_text(text)
     out = tmp_path / "out"
@@ -1197,7 +1199,7 @@ def test_cli_sweep_amplitude_scales_tail_r_y(tmp_path):
 
 def test_amplitude_sweep_keeps_the_config_step(tmp_path):
     # the row at the config's own amplitude is the config's run: same dt
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     text = text.replace("dt = auto", "dt = 0.0005").replace("t_end = 5", "t_end = 1.5")
     path = tmp_path / "dt.cfg"
     path.write_text(text)
@@ -1218,7 +1220,7 @@ def test_sweep_runs_the_averaged_loop_once_per_step(
 ):
     # the averaged loop reads no dither: an amplitude sweep keeps one step,
     # so one averaged run serves every row; an omega-scale value has its own
-    text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.5")
+    text = Path(fixture_path("example1.cfg")).read_text().replace("t_end = 5", "t_end = 0.5")
     path = tmp_path / "short.cfg"
     path.write_text(text)
     batches = []
@@ -1245,7 +1247,7 @@ def test_sweep_runs_the_averaged_loop_once_per_step(
 
 
 def test_sweep_logs_one_debug_record(tmp_path, caplog):
-    text = open(fixture_path("example1.cfg")).read().replace("t_end = 5", "t_end = 0.2")
+    text = Path(fixture_path("example1.cfg")).read_text().replace("t_end = 5", "t_end = 0.2")
     path = tmp_path / "short.cfg"
     path.write_text(text)
     argv = ["sweep", str(path), "--param", "omega-scale", "--values", "1,2,1"]
@@ -1285,7 +1287,7 @@ def test_cli_usage_error():
 
 @pytest.mark.parametrize("command", ["design", "simulate", "sweep"])
 def test_inadmissible_frequencies_warn_once(tmp_path, capsys, command):
-    text = open(fixture_path("example1.cfg")).read()
+    text = Path(fixture_path("example1.cfg")).read_text()
     text = text.replace("multipliers = 10 70", "multipliers = 10 20")
     path = tmp_path / "bad.cfg"
     path.write_text(text.replace("t_end = 5", "t_end = 0.5"))

@@ -1,5 +1,7 @@
 import dataclasses
 import logging
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -257,12 +259,18 @@ def test_step_halving_first_order_on_true_loop():
 
 def _lone_rk4_run(rhs, x0, nstep, dt):
     # the integrator's batch of one, whose member runs as a lone 1-D row;
-    # each stage writes rhs(k, x) into its out
-    def stage(k, x, out):
-        out[...] = rhs(k, x)
+    # each stage writes rhs(k, x) into its out, k counting half-steps from
+    # the run's start
+    def stage_for(rows, window):
+        def stage(k, x, out):
+            out[...] = rhs(window.start + k, x)
 
-    (xs,) = sim._rk4_run(lambda rows, window: stage, x0[None], [nstep], [dt])
-    return xs
+        return stage
+
+    xs = np.empty((nstep + 1, 1, x0.size))
+    xs[0] = x0
+    (states,) = sim._rk4_run(stage_for, xs, [nstep], [dt])
+    return states
 
 
 def _composed_run(cfg):
@@ -509,30 +517,191 @@ def test_each_phase_logs_one_debug_record(caplog):
     assert _phase_records(caplog) == []
 
 
-def test_each_phase_reads_only_its_window_of_half_steps():
+def test_each_phase_reads_only_its_window_of_half_steps(monkeypatch):
     # nsteps 5, 2, 4: all rows to step 2, rows [0, 2] to step 4, row 0 alone
-    # to step 5; k counts half-steps from each window's start
-    phases = []
+    # to step 5; each phase asks for its stages block by block, and k counts
+    # half-steps from each block's window's start
+    for block_steps in (sim.BLOCK_STEPS, 1, 2):
+        monkeypatch.setattr(sim, "BLOCK_STEPS", block_steps)
+        blocks = []
 
+        def stage_for(rows, window):
+            ks = []
+            blocks.append((rows, window, ks))
+
+            def stage(k, x, out):
+                ks.append(k)
+                assert out.shape == x.shape and not np.shares_memory(out, x)
+                out.fill(0.0)
+
+            return stage
+
+        xs = np.ones((6, 3, 2))
+        states = sim._rk4_run(stage_for, xs, [5, 2, 4], [0.1, 0.2, 0.3])
+        assert [len(x) for x in states] == [6, 3, 5]
+        for rows, window, ks in blocks:
+            assert min(ks) == 0 and max(ks) == window.stop - window.start - 1
+            assert window.stop - window.start <= 2 * block_steps + 1
+        # consecutive blocks of one rows selection form a phase, whose
+        # windows tile its half-steps, each block starting at the half-step
+        # where the one before it ended
+        phases = []
+        for rows, window, ks in blocks:
+            if phases and np.array_equal(rows, phases[-1][0]):
+                assert window.start == phases[-1][1][-1].stop - 1
+                phases[-1][1].append(window)
+            else:
+                phases.append((rows, [window]))
+        want = [(slice(None), slice(0, 5)), ([0, 2], slice(4, 9)), (0, slice(8, 11))]
+        for (rows, windows), (want_rows, want_window) in zip(phases, want):
+            assert np.array_equal(rows, want_rows)
+            assert slice(windows[0].start, windows[-1].stop) == want_window
+            if block_steps >= 5:  # one block per phase
+                assert windows == [want_window]
+        assert len(phases) == 3
+
+
+def _per_step_rk4_run(stage_for, x0, nsteps, dts):
+    """The integrator as it was before it stepped in blocks: one stage law
+    per phase, over the phase's whole window, and a blow-up test after every
+    step.  The reference for the block-by-block test."""
+    xs = np.empty((max(nsteps) + 1, *x0.shape))
+    xs[0] = x0
+    limit_sq = np.array([(sim.BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(x)))) ** 2 for x in x0])
+    out = [xs[:nstep + 1, b] for b, nstep in enumerate(nsteps)]
+    rows, x, done = np.arange(len(nsteps)), x0, 0
+    while rows.size:
+        lone = rows.size == 1
+        sel = int(rows[0]) if lone else slice(None) if rows.size == len(nsteps) else rows
+        x = np.array(x[0] if lone else x)
+        stop = min(nsteps[b] for b in rows)
+        stage = stage_for(sel, slice(2 * done, 2 * stop + 1))
+        col = np.asarray(dts)[sel][..., None]
+        dt, half, sixth, two = (
+            np.broadcast_to(c, x.shape).copy() for c in (col, 0.5 * col, col / 6.0, 2.0)
+        )
+        k1, k2, k3, k4, y = (np.empty(x.shape) for _ in range(5))
+        limit = limit_sq[sel]
+        if not lone:
+            sq = np.empty((rows.size, 1, 1))
+            x_rows, x_cols, x_sq = x[:, None, :], x[:, :, None], sq[:, 0, 0]
+            ok = np.empty(rows.size, dtype=bool)
+        gathered = isinstance(sel, np.ndarray)
+        record = np.empty((stop - done, *x.shape)) if gathered else xs[done + 1:stop + 1, sel]
+        for j in range(stop - done):
+            k = 2 * j
+            stage(k, x, k1)
+            stage(k + 1, np.add(x, np.multiply(half, k1, out=y), out=y), k2)
+            stage(k + 1, np.add(x, np.multiply(half, k2, out=y), out=y), k3)
+            stage(k + 2, np.add(x, np.multiply(dt, k3, out=y), out=y), k4)
+            np.multiply(two, np.add(k2, k3, out=y), out=y)
+            np.add(np.add(k1, y, out=y), k4, out=y)
+            np.add(x, np.multiply(sixth, y, out=y), out=x)
+            record[j] = x
+            if lone:
+                ok = x.dot(x) <= limit
+                if not ok:
+                    break
+            else:
+                np.matmul(x_rows, x_cols, out=sq)
+                np.less_equal(x_sq, limit, out=ok)
+                if not all(ok.tolist()):
+                    break
+        steps = j + 1
+        if gathered:
+            xs[done + 1:done + 1 + steps, sel] = record[:steps]
+        done += steps
+        ok, x = np.reshape(ok, rows.size), np.reshape(x, (rows.size, -1))
+        for b in rows[~ok]:
+            out[b] = SimulationBlowUp(done * dts[b])
+        keep = ok & (done < np.array(nsteps)[rows])
+        rows, x = rows[keep], x[keep]
+    return out
+
+
+def _riccati_stage_for(rates):
+    # x' = r x * x, row by row: from x0 = (1, 0.5) at dt = 0.01 a row of rate
+    # 2, 1.3 or 1 leaves the blow-up limit at step 51, 78 or 101, and the
+    # steps after that overflow
     def stage_for(rows, window):
-        ks = []
-        phases.append((rows, window, ks))
+        r = rates[rows] if isinstance(rows, int) else rates[rows][:, None]
 
         def stage(k, x, out):
-            ks.append(k)
-            assert out.shape == x.shape and not np.shares_memory(out, x)
-            out.fill(0.0)
+            np.multiply(r, np.multiply(x, x, out=out), out=out)
 
         return stage
 
-    x0 = np.ones((3, 2))
-    states = sim._rk4_run(stage_for, x0, [5, 2, 4], [0.1, 0.2, 0.3])
-    assert [len(x) for x in states] == [6, 3, 5]
-    want = [(slice(None), slice(0, 5)), ([0, 2], slice(4, 9)), (0, slice(8, 11))]
-    for (rows, window, ks), (want_rows, want_window) in zip(phases, want):
-        assert np.array_equal(rows, want_rows) and window == want_window
-        assert min(ks) == 0 and max(ks) == window.stop - window.start - 1
-    assert len(phases) == 3
+    return stage_for
+
+
+# (rates, nsteps, block steps, {member: (blow-up step, start of its phase,
+# place of that step among the phase's blocks, 0 for a block's first step)})
+BLOCK_BLOWUPS = {
+    "first step of a block": ([1.0], [150], 4, {0: (101, 0, 0)}),
+    "last step of a block": ([2.0], [150], 3, {0: (51, 0, 2)}),
+    # both rows leave the limit in the first block; the phase ends at the
+    # first, and the second runs on alone from there
+    "two rows in one block": ([2.0, 1.3], [150, 150], 100, {0: (51, 0, 50), 1: (78, 51, 26)}),
+    # the middle member finishes at step 40, so rows [0, 2] step on as a
+    # gathered phase, where member 0 blows up; member 2 runs on alone
+    "gathered phase": ([1.0, 0.1, 0.1], [150, 40, 120], 5, {0: (101, 40, 0)}),
+    # the short member finishes at step 40; the long one blows up alone
+    "lone tail": ([1.0, 0.1], [150, 40], 7, {0: (101, 40, 4)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_BLOWUPS))
+def test_blowup_test_per_block_equals_the_per_step_test(monkeypatch, case):
+    rates, nsteps, block_steps, blowups = BLOCK_BLOWUPS[case]
+    monkeypatch.setattr(sim, "BLOCK_STEPS", block_steps)
+    for step, phase_start, place in blowups.values():
+        assert (step - phase_start - 1) % block_steps == place
+    stage_for = _riccati_stage_for(np.array(rates))
+    x0 = np.tile([1.0, 0.5], (len(rates), 1))
+    dts = [0.01] * len(rates)
+    want = _per_step_rk4_run(stage_for, x0, nsteps, dts)
+    xs = np.empty((max(nsteps) + 1, *x0.shape))
+    xs[0] = x0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the steps after a blow-up stay silent
+        got = sim._rk4_run(stage_for, xs, nsteps, dts)
+    for b, (g, w) in enumerate(zip(got, want)):
+        if b in blowups:
+            assert isinstance(g, SimulationBlowUp) and isinstance(w, SimulationBlowUp)
+            assert (g.time, str(g)) == (w.time, str(w))
+            assert g.time == blowups[b][0] * dts[b]
+        else:
+            assert np.array_equal(g, w)
+
+
+def _traced_peak(run):
+    # the tracemalloc peak of run() over what was traced before it
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_working_memory_is_the_trajectory_and_one_block(members):
+    # the peak is the returned arrays, the state record and one block's
+    # tables and signals, at most 64 doubles per member and step of a block,
+    # at any horizon
+    budget = 64 * 8 * members * sim.BLOCK_STEPS
+    for t_end in (3.0, 12.0):
+        cfg = _fixture_config("example2", t_end=t_end)
+        d = cfg.dither
+        cfgs = [
+            dataclasses.replace(cfg, dither=dataclasses.replace(d, amplitudes=np.full(d.dim, a)))
+            for a in (0.1, 0.05, 0.2)[:members]
+        ]
+        runs, peak = _traced_peak(lambda: simulate_batch(cfgs))
+        returned = sum(getattr(r, f).nbytes for r in runs for f in TRAJECTORY_FIELDS)
+        record = (round(t_end / cfg.dt) + 1) * members * cfg.qmap.dim * 8
+        assert peak <= returned + record + budget, (t_end, peak - returned - record)
 
 
 def test_batch_needs_one_loop():
