@@ -16,9 +16,12 @@ S_k(z) = t*I - sign_k F^k(x) = L_k L_k', with sign_k = +1 for strict blocks
 and -1 for psd ones.  The factors give the point's barrier value, on which
 the line search accepts or rejects it, and, once it is accepted, its Newton
 system in Schur-complement form (Vandenberghe & Boyd, "Semidefinite
-Programming", SIAM Review 1996): each coefficient stack is scaled to
-A_j = L^-1 C_j L^-T in one batched product, and the barrier Hessian
-<A_i, A_j> is one matrix product over the flattened stack.
+Programming", SIAM Review 1996): each block's own coefficient stack is
+scaled to A_j = L^-1 C_j L^-T in one batched product into a buffer of the
+block's size, and the barrier Hessian <A_i, A_j> is one matrix product over
+that buffer, flattened.  The solver keeps no copy of the problem's data, so
+a solve's working memory is its problem plus a few copies of its largest
+block.
 
 The solver never trusts its own barrier state: a candidate is accepted only
 once an eigendecomposition of every assembled block meets the margins.  That
@@ -29,6 +32,8 @@ slack are taken from it.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +46,8 @@ __all__ = [
     "solve_feasibility",
     "check_solution",
 ]
+
+log = logging.getLogger(__name__)
 
 _SYM_TOL = 1e-9
 # barrier-gap tolerance below which an unmet problem is declared infeasible,
@@ -71,10 +78,13 @@ class LmiBlock:
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.ndim != 3 or coeffs.shape[1:] != base.shape:
             raise ValueError(f"block {self.name!r} coefficient stack has bad shape")
-        # slice 0 is the base, slice j + 1 coefficient j
+        # slice 0 is the base, slice j + 1 coefficient j; ``work`` holds |S - S'|,
+        # then |S|, then the symmetrized stack the block keeps
         stack = np.concatenate([base[None], coeffs])
-        skew = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2), initial=0.0)
-        scale = np.max(np.abs(stack), axis=(1, 2), initial=1.0)
+        stack_t = stack.swapaxes(1, 2)
+        work = np.subtract(stack, stack_t)
+        skew = np.max(np.abs(work, out=work), axis=(1, 2), initial=0.0)
+        scale = np.max(np.abs(stack, out=work), axis=(1, 2), initial=1.0)
         bad = np.flatnonzero(skew > _SYM_TOL * scale)
         if bad.size:
             j = bad[0]
@@ -82,14 +92,17 @@ class LmiBlock:
             raise ValueError(
                 f"block {self.name!r} {what} is not symmetric (skew {skew[j]:.3e})"
             )
-        stack = 0.5 * (stack + stack.swapaxes(1, 2))
-        base, coeffs = stack[0], stack[1:]
+        np.add(stack, stack_t, out=work)
+        work *= 0.5
         if self.sense not in ("strict", "psd"):
             raise ValueError(f"unknown block sense {self.sense!r}")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coeffs", coeffs)
+        if not 0 <= self.margin < np.inf:
+            raise ValueError(
+                f"block {self.name!r} margin {self.margin!r} must be finite and "
+                "nonnegative"
+            )
+        object.__setattr__(self, "base", work[0])
+        object.__setattr__(self, "coeffs", work[1:])
 
     @property
     def dim(self) -> int:
@@ -203,18 +216,30 @@ def _barrier_value(z: np.ndarray, factors: list[np.ndarray], mu: float) -> float
     return val - float(np.sum(np.log(BOX_BOUND - x) + np.log(BOX_BOUND + x)))
 
 
-def _barrier_terms(L: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of -log det S(z), S(z) = sum_j z_j C_j + const,
-    from the factor S = L L'.
+def _barrier_terms(L: np.ndarray, block: LmiBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian in z = (x, t) of -log det S(z), S(z) = t*I -
+    sign F(x) for one block, from the factor S = L L'.
 
-    With the scaled stack A_j = L^-1 C_j L^-T the gradient is -tr(A_j) and
-    the Hessian is the Gram matrix <A_j, A_k> = tr(S^-1 C_j S^-1 C_k): one
-    GEMM over the flattened stack (the Schur-complement form of the Newton
-    system).
+    S's coefficient matrices are C_j = -sign coeffs[j] and C_m = I.  With the
+    scaled matrices A_j = L^-1 C_j L^-T, built in one (m+1, d, d) buffer
+    straight from ``block.coeffs`` (rows :m negated in place for strict
+    blocks, which is exact; row m is L^-1 L^-T), the gradient is -tr(A_j)
+    and the Hessian is the Gram matrix <A_j, A_k> = tr(S^-1 C_j S^-1 C_k):
+    one GEMM over the flattened buffer (the Schur-complement form of the
+    Newton system).
+
+    Row m multiplies a copy of L^-1 by L^-T: numpy sends an operand times
+    its own transpose to SYRK, which rounds differently from the GEMM that
+    gives every other row, so the copy keeps all rows on one kernel.
     """
     Linv = np.linalg.inv(L)
-    A = Linv @ C @ Linv.T
-    flat = A.reshape(A.shape[0], -1)
+    m = block.coeffs.shape[0]
+    A = np.empty((m + 1,) + L.shape)
+    np.matmul(Linv @ block.coeffs, Linv.T, out=A[:m])
+    if block.sense == "strict":
+        np.negative(A[:m], out=A[:m])
+    np.matmul(Linv.copy(), Linv.T, out=A[m])
+    flat = A.reshape(m + 1, -1)
     return -np.trace(A, axis1=1, axis2=2), flat @ flat.T
 
 
@@ -231,22 +256,20 @@ def solve_feasibility(problem: LmiProblem) -> SdpSolution:
     point of the line search is accepted or rejected on the barrier value
     of its factors, and an accepted point's factors give the next Newton
     system, H_ij = sum_k <L_k^-1 C_i L_k^-T, L_k^-1 C_j L_k^-T> with one
-    GEMM per block over the scaled coefficient stack, and the barrier value
-    at which its line search starts.
+    GEMM per block over its scaled coefficients (``_barrier_terms``, which
+    reads each block's ``coeffs`` in place), and the barrier value at which
+    its line search starts.
 
     Every accepted point gets one eigendecomposition pass over the assembled
     blocks (``check_solution``); the returned per-block checks and slack come
     from that pass, and the first point passing all contracts is returned as
     feasible.  If the barrier gap closes below TOL first, the problem is
     declared infeasible with the residual slack.  Newton breakdowns and
-    iteration exhaustion give numerical-failure.
+    iteration exhaustion give numerical-failure.  Each solve logs one DEBUG
+    record under ``esc_sat.sdp`` with its outcome, time and problem size.
     """
+    start = time.perf_counter()
     m = problem.num_vars
-    # coefficients of S_k in z = (x, t); the last one is the identity
-    stacks = [
-        np.concatenate([-_sign(b) * b.coeffs, np.eye(b.dim)[None]])
-        for b in problem.blocks
-    ]
     checks = check_solution(problem, np.zeros(m))
     t0 = max(c.slack for c in checks) + 1.0
     z = np.concatenate([np.zeros(m), [t0]])
@@ -256,9 +279,17 @@ def solve_feasibility(problem: LmiProblem) -> SdpSolution:
 
     def finish(status: str, message: str = "") -> SdpSolution:
         # ``checks`` always belongs to the current z
+        slack = max(c.slack for c in checks)
+        log.debug(
+            "solve: %s, %d iterations, slack %.3e, %.6f s; %d variables, "
+            "blocks of order %s, %d coefficient bytes",
+            status, iterations, slack, time.perf_counter() - start, m,
+            [b.dim for b in problem.blocks],
+            sum(b.coeffs.nbytes for b in problem.blocks),
+        )
         return SdpSolution(
             x=z[:m].copy(),
-            slack=max(c.slack for c in checks),
+            slack=slack,
             status=status,
             iterations=iterations,
             blocks=checks,
@@ -284,8 +315,8 @@ def solve_feasibility(problem: LmiProblem) -> SdpSolution:
             grad = np.zeros(m + 1)
             hess = np.zeros((m + 1, m + 1))
             grad[m] = 1.0 / mu
-            for L, C in zip(factors, stacks):
-                g, h = _barrier_terms(L, C)
+            for L, b in zip(factors, problem.blocks):
+                g, h = _barrier_terms(L, b)
                 grad += g
                 hess += h
             lo, hi = 1.0 / (BOX_BOUND - x), 1.0 / (BOX_BOUND + x)

@@ -133,9 +133,13 @@ def _block(name: str, kind: str, values: np.ndarray) -> LmiBlock:
     unit vector j, which splits it into base and coefficient stack.  ``kind``
     is "strict" (negative definite, by a margin scaled to the block's data),
     "psd" (positive semidefinite) or "floor" (at least SHAPING_EPS * I).
+
+    The coefficients are formed in place: ``values`` belongs to ``_assemble``,
+    which drops it once the block is built.
     """
     base = values[0]
-    coeffs = values[1:] - base
+    coeffs = values[1:]
+    coeffs -= base
     if kind == "strict":
         scale = max(
             1.0,
@@ -153,13 +157,19 @@ def _assemble(n: int, kinds: dict, conditions) -> tuple[LmiProblem, _VarLayout]:
 
     ``conditions`` is called once, with every matrix variable unpacked from
     the stack of the origin followed by every unit vector, and returns
-    ``(name, kind, values)`` entries; each becomes one ``_block``.
+    ``(name, kind, values)`` entries; each becomes one ``_block``, and is
+    dropped before the next one is built, so the entries and the blocks made
+    from them together hold about one problem's data.
     """
     layout = _VarLayout(n, kinds)
     x = np.vstack([np.zeros(layout.size), np.eye(layout.size)])
-    v = {name: layout.unpack(x, name) for name in kinds}
-    blocks = tuple(_block(*entry) for entry in conditions(v))
-    return LmiProblem(num_vars=layout.size, blocks=blocks), layout
+    entries = conditions({name: layout.unpack(x, name) for name in kinds})
+    del x  # no entry is a view of the unit-vector stack
+    entries.reverse()
+    blocks = []
+    while entries:
+        blocks.append(_block(*entries.pop()))
+    return LmiProblem(num_vars=layout.size, blocks=tuple(blocks)), layout
 
 
 class _Design:

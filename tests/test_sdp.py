@@ -1,3 +1,6 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,7 +160,7 @@ def test_schur_terms_match_einsum_reference(family, n):
             assert np.max(np.abs(L @ L.T - S)) <= 1e-12 * np.max(np.abs(S))
             S_of_stack = np.tensordot(z, C, axes=(0, 0)) - s * b.base
             assert np.max(np.abs(S_of_stack - S)) <= 1e-12 * np.max(np.abs(S))
-            grad, hess = _barrier_terms(L, C)
+            grad, hess = _barrier_terms(L, b)
             grad_ref, hess_ref = einsum_barrier_terms(S, C)
             assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
             assert np.max(np.abs(hess - hess_ref)) <= 1e-12 * np.max(np.abs(hess_ref))
@@ -282,3 +285,112 @@ def test_block_validation():
         LmiBlock(np.zeros((1, 1)), np.zeros((1, 1, 1)), sense="weird")
     with pytest.raises(ValueError):
         LmiProblem(num_vars=2, blocks=(block([[0.0]], [[[1.0]]]),))
+    for margin in (np.nan, np.inf, -np.inf, -1e-9):
+        with pytest.raises(ValueError, match=r"block 'lyap' margin .* finite and nonnegative"):
+            block([[-1.0]], [[[0.0]]], "strict", margin, "lyap")
+
+
+def stacked_barrier_terms(L, block):
+    """The replaced per-block terms: a copy of the block's coefficient stack,
+    negated for strict blocks, with the identity of t appended, scaled by
+    L^-1 on both sides in one batched product."""
+    sign = 1.0 if block.sense == "strict" else -1.0
+    C = np.concatenate([-sign * block.coeffs, np.eye(block.dim)[None]])
+    Linv = np.linalg.inv(L)
+    A = Linv @ C @ Linv.T
+    flat = A.reshape(A.shape[0], -1)
+    return -np.trace(A, axis1=1, axis2=2), flat @ flat.T
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("family", ["aw", "gradsat"])
+def test_barrier_terms_equal_the_stacked_form_bitwise(family, n):
+    # every row, the t row included: a row of L^-1 L^-T taken by SYRK in
+    # place of GEMM would differ in its last bits
+    problem = design_problem(family, n, seed=5, spread=0.5)
+    signs = [1.0 if b.sense == "strict" else -1.0 for b in problem.blocks]
+    rng = np.random.default_rng([13, n])
+    for _ in range(2):
+        x = rng.standard_normal(problem.num_vars)
+        t = max(np.linalg.eigvalsh(s * problem.assemble(b, x))[-1]
+                for s, b in zip(signs, problem.blocks)) + 1.0
+        factors = _factors(problem, np.append(x, t))
+        for b, L in zip(problem.blocks, factors):
+            got, want = _barrier_terms(L, b), stacked_barrier_terms(L, b)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(g, w), b.name
+
+
+# Infeasible rate-saturation runs at n >= 6 take 150-390 Newton iterations
+# and 1-5 s each, so the infeasible cases stop at n = 5 for that family.
+CROSS_CHECK_CASES = [
+    (family, n, spread)
+    for family in ("aw", "gradsat")
+    for n in range(2, 9)
+    for spread in (0.5, 3.5)
+    if not (family == "gradsat" and spread == 3.5 and n > 5)
+]
+
+
+@pytest.mark.parametrize("case", CROSS_CHECK_CASES, ids=str)
+def test_solve_equals_the_stacked_form_bitwise(case, monkeypatch):
+    family, n, spread = case
+    problem = design_problem(family, n, seed=1, spread=spread)
+    want = solve_feasibility(problem)
+    monkeypatch.setattr(sdp, "_barrier_terms", stacked_barrier_terms)
+    got = solve_feasibility(problem)
+    assert want.status == ("feasible" if spread == 0.5 else "infeasible")
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert np.array_equal(got.x, want.x)
+    assert got.slack == want.slack
+
+
+def assemble_gradsat_n6(vertices: int) -> LmiProblem:
+    # n = 6 rate-saturation vertices, three per seed
+    poly = random_polytope("gradsat", 6, 1, 0.5)
+    if vertices == 6:
+        poly = HessianPolytope(poly.vertices + random_polytope("gradsat", 6, 2, 0.5).vertices)
+    return _assemble_gradsat_problem(poly, 1.0, 0.5, SaturationBounds([2.0] * 6))[0]
+
+
+@pytest.mark.parametrize("vertices", [3, 6])
+def test_working_memory_is_the_problem_and_a_block_budget(vertices, monkeypatch):
+    # the largest block's (m + 1, d, d) doubles, four times over, bound what
+    # assembly and a solve hold beyond the problem at any number of blocks;
+    # an untraced first round makes the imports and caches of a first call
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
+    solve_feasibility(assemble_gradsat_n6(vertices))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        problem = assemble_gradsat_n6(vertices)
+        assembly_peak = tracemalloc.get_traced_memory()[1] - before
+        nbytes = sum(b.base.nbytes + b.coeffs.nbytes for b in problem.blocks)
+        budget = 4 * max((problem.num_vars + 1) * b.dim**2 * 8 for b in problem.blocks)
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        sol = solve_feasibility(problem)
+        solve_excess = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert len(problem.blocks) == vertices + 6 + 3
+    assert sol.iterations >= 1
+    assert assembly_peak <= nbytes + budget
+    assert solve_excess <= budget
+
+
+def test_each_solve_logs_one_debug_record(caplog):
+    problem = design_problem("gradsat", 3, 2, 3.5)
+    with caplog.at_level(logging.DEBUG, logger="esc_sat.sdp"):
+        sol = solve_feasibility(problem)
+        solve_feasibility(scalar_lyapunov_problem(-1.0))
+    records = [r for r in caplog.records if r.name == "esc_sat.sdp"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 2
+    status, iterations, slack, seconds, num_vars, dims, nbytes = records[0].args
+    assert (status, iterations, slack) == (sol.status, sol.iterations, sol.slack)
+    assert seconds > 0
+    assert num_vars == problem.num_vars
+    assert dims == [b.dim for b in problem.blocks]
+    assert nbytes == sum(b.coeffs.nbytes for b in problem.blocks)
+    assert records[1].args[0] == "feasible"
