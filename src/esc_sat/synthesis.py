@@ -23,8 +23,9 @@ the region where the dead-zone sector bound with slope L is valid.
 Both systems are homogeneous (fully for anti-windup, partially for rate
 saturation), so small shaping blocks P >= eps*I etc. pin the scale away from
 zero.  Each design kind lists its blocks once, in one conditions function
-mapping matrix variables to ``(name, kind, matrix)`` entries.  The solver's
-problem evaluates it on the unit vectors of the decision vector; ``certify``,
+that yields ``(name, kind, matrix)`` entries of the matrix variables.  The
+solver's problem evaluates it on the unit vectors of the decision vector,
+turning each entry into its block before the next is built; ``certify``,
 which every returned design passes, evaluates it on the recovered gains and
 checks the blocks by eigendecomposition, independent of the solver's state.
 """
@@ -33,7 +34,9 @@ from __future__ import annotations
 
 import functools
 import logging
+import time
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Optional
 
@@ -135,7 +138,9 @@ def _block(name: str, kind: str, values: np.ndarray) -> LmiBlock:
     "psd" (positive semidefinite) or "floor" (at least SHAPING_EPS * I).
 
     The coefficients are formed in place: ``values`` belongs to ``_assemble``,
-    which drops it once the block is built.
+    which drops it once the block is built.  A floor's ``values`` may be a
+    variable's own stack, whose origin row is exactly zero, so the
+    subtraction leaves it bit for bit as it was.
     """
     base = values[0]
     coeffs = values[1:]
@@ -156,20 +161,29 @@ def _assemble(n: int, kinds: dict, conditions) -> tuple[LmiProblem, _VarLayout]:
     """LmiProblem of the entries ``conditions`` maps the variables ``kinds`` to.
 
     ``conditions`` is called once, with every matrix variable unpacked from
-    the stack of the origin followed by every unit vector, and returns
-    ``(name, kind, values)`` entries; each becomes one ``_block``, and is
-    dropped before the next one is built, so the entries and the blocks made
-    from them together hold about one problem's data.
+    the stack of the origin followed by every unit vector, and yields
+    ``(name, kind, values)`` entries.  Each entry becomes one ``_block`` and
+    is dropped before the next one is built, so assembly holds the blocks
+    built so far, the variables' stacks and about one entry's work.  Each
+    assembly logs one DEBUG record under ``esc_sat.synthesis``: blocks,
+    variables, coefficient bytes and seconds.
     """
+    start = time.perf_counter()
     layout = _VarLayout(n, kinds)
     x = np.vstack([np.zeros(layout.size), np.eye(layout.size)])
     entries = conditions({name: layout.unpack(x, name) for name in kinds})
-    del x  # no entry is a view of the unit-vector stack
-    entries.reverse()
+    del x  # the "full" variables alone keep views of it
     blocks = []
-    while entries:
-        blocks.append(_block(*entries.pop()))
-    return LmiProblem(num_vars=layout.size, blocks=tuple(blocks)), layout
+    for entry in entries:
+        blocks.append(_block(*entry))
+        del entry  # before the next entry is built
+    problem = LmiProblem(num_vars=layout.size, blocks=tuple(blocks))
+    log.debug(
+        "assembly: %d blocks, %d variables, %d coefficient bytes, %.6f s",
+        len(blocks), layout.size, sum(b.coeffs.nbytes for b in blocks),
+        time.perf_counter() - start,
+    )
+    return problem, layout
 
 
 class _Design:
@@ -246,6 +260,13 @@ def _solve(what: str, assembled, recover, poly: HessianPolytope):
     return design
 
 
+def _symmetrized(M: np.ndarray) -> np.ndarray:
+    """M replaced in place by (M + M')/2, of a matrix or of each in a stack."""
+    M += _t(M)
+    M *= 0.5
+    return M
+
+
 def _kappa_of(P: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(P)
     return float(np.sqrt(eigs[-1] / eigs[0]))
@@ -272,28 +293,35 @@ class AwDesign(_Design):
     eta: float
     bounds: SaturationBounds
 
-    def _conditions(self, poly: HessianPolytope) -> list:
+    def _conditions(self, poly: HessianPolytope) -> Iterator[tuple]:
         """This design's entries of ``_aw_conditions``: Z = P K, Z_aw = P K_aw."""
         v = {"p": self.p, "lam": self.lam}
         v.update(z=self.p @ self.k, z_aw=self.p @ self.k_aw)
         return _aw_conditions(v, poly, self.eta)
 
 
-def _aw_conditions(v: dict, poly: HessianPolytope, eta: float) -> list:
-    """(name, kind, matrix) entries of the anti-windup design over ``poly``.
+def _aw_conditions(v: dict, poly: HessianPolytope, eta: float) -> Iterator[tuple]:
+    """Yield the (name, kind, matrix) entries of the anti-windup design over
+    ``poly``, one vertex block per vertex and then the floors.
 
     ``v`` holds P ("p"), Lambda ("lam"), Z = P K ("z") and Z_aw = P K_aw
-    ("z_aw"), as matrices or as equal-length stacks of them.
+    ("z_aw"), as matrices or as equal-length stacks of them.  Each vertex
+    matrix is built when its entry is asked for, and none is kept after it
+    is yielded.
     """
     P, Lam, Z, Zaw = v["p"], v["lam"], v["z"], v["z_aw"]
-    entries = []
     for i, Hi in enumerate(poly.vertices):
-        b11 = Z @ Hi + Hi @ _t(Z) + 2.0 * eta * P
-        b21 = Lam - _t(Zaw) - Hi @ _t(Z)
-        b22 = -2.0 * Lam
-        M = np.block([[b11, _t(b21)], [b21, b22]])
-        entries.append((f"vertex[{i}]", "strict", 0.5 * (M + _t(M))))
-    return entries + [("p_floor", "floor", P), ("lam_floor", "floor", Lam)]
+        yield f"vertex[{i}]", "strict", _aw_vertex(P, Lam, Z, Zaw, Hi, eta)
+    yield "p_floor", "floor", P
+    yield "lam_floor", "floor", Lam
+
+
+def _aw_vertex(P, Lam, Z, Zaw, Hi: np.ndarray, eta: float) -> np.ndarray:
+    """The anti-windup vertex block at vertex Hi, symmetrized."""
+    b11 = Z @ Hi + Hi @ _t(Z) + 2.0 * eta * P
+    b21 = Lam - _t(Zaw) - Hi @ _t(Z)
+    b22 = -2.0 * Lam
+    return _symmetrized(np.block([[b11, _t(b21)], [b21, b22]]))
 
 
 def _assemble_aw_problem(
@@ -385,7 +413,7 @@ class GradSatDesign(_Design):
     epsilon: float
     bounds: SaturationBounds
 
-    def _conditions(self, poly: HessianPolytope) -> list:
+    def _conditions(self, poly: HessianPolytope) -> Iterator[tuple]:
         """This design's entries of ``_gradsat_conditions``: Y = L X, Z = K X."""
         v = {
             "w": self.w, "ut": self.upsilon_tilde, "x": self.x,
@@ -396,30 +424,22 @@ class GradSatDesign(_Design):
 
 def _gradsat_conditions(
     v: dict, poly: HessianPolytope, eta: float, epsilon: float, limits: np.ndarray
-) -> list:
-    """(name, kind, matrix) entries of the rate-saturation design over ``poly``.
+) -> Iterator[tuple]:
+    """Yield the (name, kind, matrix) entries of the rate-saturation design
+    over ``poly``: one vertex block per vertex, one row-coupling block per
+    row, then the floors.
 
     ``v`` holds W ("w"), the multiplier ("ut"), X ("x"), Y = L X ("y") and
     Z = K X ("z"), as matrices or as equal-length stacks of them; ``limits``
-    are the rate bounds ubar.
+    are the rate bounds ubar.  Each vertex matrix is built when its entry is
+    asked for, and none is kept after it is yielded.
     """
     W, Ut, X, Y, Z = v["w"], v["ut"], v["x"], v["y"], v["z"]
-    entries = []
     for i, Hi in enumerate(poly.vertices):
-        b11 = Hi @ Z + _t(Z) @ Hi + 2.0 * eta * W
-        b21 = W - _t(X) + epsilon * Hi @ Z
-        b22 = -epsilon * (_t(X) + X)
-        b31 = Y - Ut @ Hi
-        b32 = -epsilon * Ut @ Hi
-        b33 = -2.0 * Ut
-        M = np.block(
-            [
-                [b11, _t(b21), _t(b31)],
-                [b21, b22, _t(b32)],
-                [b31, b32, b33],
-            ]
+        yield (
+            f"vertex[{i}]", "strict",
+            _gradsat_vertex(W, Ut, X, Y, Z, Hi, eta, epsilon),
         )
-        entries.append((f"vertex[{i}]", "strict", 0.5 * (M + _t(M))))
     n = W.shape[-1]
     for ell, ubar in enumerate(limits):
         M = np.zeros(W.shape[:-2] + (n + 1, n + 1))
@@ -427,12 +447,29 @@ def _gradsat_conditions(
         M[..., :n, n] = Z[..., ell, :] - Y[..., ell, :]
         M[..., n, :n] = M[..., :n, n]
         M[..., n, n] = ubar**2
-        entries.append((f"row[{ell}]", "psd", M))
-    return entries + [
-        ("w_floor", "floor", W),
-        ("ut_floor", "floor", Ut),
-        ("x_sym_floor", "floor", X + _t(X)),
-    ]
+        yield f"row[{ell}]", "psd", M
+    yield "w_floor", "floor", W
+    yield "ut_floor", "floor", Ut
+    yield "x_sym_floor", "floor", X + _t(X)
+
+
+def _gradsat_vertex(
+    W, Ut, X, Y, Z, Hi: np.ndarray, eta: float, epsilon: float
+) -> np.ndarray:
+    """The rate-saturation vertex block at vertex Hi, symmetrized."""
+    b11 = Hi @ Z + _t(Z) @ Hi + 2.0 * eta * W
+    b21 = W - _t(X) + epsilon * Hi @ Z
+    b22 = -epsilon * (_t(X) + X)
+    b31 = Y - Ut @ Hi
+    b32 = -epsilon * Ut @ Hi
+    b33 = -2.0 * Ut
+    return _symmetrized(np.block(
+        [
+            [b11, _t(b21), _t(b31)],
+            [b21, b22, _t(b32)],
+            [b31, b32, b33],
+        ]
+    ))
 
 
 def _assemble_gradsat_problem(

@@ -56,6 +56,14 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def full_coeffs(block) -> np.ndarray:
+    """A block's stack of one coefficient matrix per variable of its problem:
+    ``block.coeffs`` at ``block.support`` and exact zeros elsewhere."""
+    full = np.zeros((block.num_vars,) + block.base.shape)
+    full[block.support] = block.coeffs
+    return full
+
+
 def lyapunov(traj, p: np.ndarray, kind: str) -> np.ndarray:
     """V(t) = x'Px of a design's certificate along a recorded averaged run:
     x is theta_tilde for an anti-windup ("aw") design and the gradient state

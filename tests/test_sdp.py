@@ -18,6 +18,7 @@ from esc_sat.sdp import (
     solve_feasibility,
 )
 from esc_sat.synthesis import _assemble_aw_problem, _assemble_gradsat_problem
+from conftest import full_coeffs
 
 
 def block(base, coeffs, sense="strict", margin=0.0, name=""):
@@ -128,6 +129,14 @@ def test_determinism():
         assert np.array_equal(a.x, b.x)
 
 
+def block_terms(L, block):
+    """Gradient and Hessian terms of one block: what ``_barrier_terms`` adds
+    to zeros."""
+    grad, hess = np.zeros(block.num_vars + 1), np.zeros((block.num_vars + 1,) * 2)
+    _barrier_terms(L, block, grad, hess)
+    return grad, hess
+
+
 def einsum_barrier_terms(S, C):
     """Gradient and Hessian of -log det S(z) by the replaced path: an explicit
     S^-1 and unblocked contractions over the coefficient stack."""
@@ -143,7 +152,7 @@ def test_schur_terms_match_einsum_reference(family, n):
     signs = [1.0 if b.sense == "strict" else -1.0 for b in problem.blocks]
     # S_k(z) = sum_j z_j C_j - sign_k F0^k with z = (x, t): C_m is the identity
     stacks = [
-        np.concatenate([-s * b.coeffs, np.eye(b.dim)[None]])
+        np.concatenate([-s * full_coeffs(b), np.eye(b.dim)[None]])
         for s, b in zip(signs, problem.blocks)
     ]
     rng = np.random.default_rng([11, n])
@@ -160,7 +169,7 @@ def test_schur_terms_match_einsum_reference(family, n):
             assert np.max(np.abs(L @ L.T - S)) <= 1e-12 * np.max(np.abs(S))
             S_of_stack = np.tensordot(z, C, axes=(0, 0)) - s * b.base
             assert np.max(np.abs(S_of_stack - S)) <= 1e-12 * np.max(np.abs(S))
-            grad, hess = _barrier_terms(L, b)
+            grad, hess = block_terms(L, b)
             grad_ref, hess_ref = einsum_barrier_terms(S, C)
             assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
             assert np.max(np.abs(hess - hess_ref)) <= 1e-12 * np.max(np.abs(hess_ref))
@@ -206,15 +215,11 @@ def test_infeasible_message_names_the_most_violated_block():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["base", "coeff"])
 def test_non_finite_data_fail_at_the_initial_point(bad, where):
-    base, coeff = [[-1.0]], [[1.0]]
-    if where == "base":
-        base = [[bad]]
-    else:
-        coeff = [[bad]]
-    prob = LmiProblem(
-        num_vars=1,
-        blocks=(block(base, [coeff], "strict", 0.0, "a"), block([[1.0]], [[[1.0]]], "psd")),
-    )
+    # the solver's own guard: LmiBlock refuses non-finite data when it is
+    # built (test_block_validation), so the value is written into a built block
+    a = block([[-1.0]], [[[1.0]]], "strict", 0.0, "a")
+    (a.base if where == "base" else a.coeffs[0])[0, 0] = bad
+    prob = LmiProblem(num_vars=1, blocks=(a, block([[1.0]], [[[1.0]]], "psd")))
     sol = solve_feasibility(prob)
     assert (sol.status, sol.iterations) == ("numerical-failure", 0)
     assert sol.message == "barrier is not finite at the initial point"
@@ -288,6 +293,67 @@ def test_block_validation():
     for margin in (np.nan, np.inf, -np.inf, -1e-9):
         with pytest.raises(ValueError, match=r"block 'lyap' margin .* finite and nonnegative"):
             block([[-1.0]], [[[0.0]]], "strict", margin, "lyap")
+    # non-finite data are refused before the skew check, where an infinite
+    # coefficient would pass (inf - inf is NaN, and NaN > tol is false)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"^block 'f' base is not finite$"):
+            block(np.diag([-1.0, bad]), [np.eye(2)], name="f")
+        with pytest.raises(ValueError, match=r"^block 'f' coeff 1 is not finite$"):
+            block(-np.eye(2), [np.eye(2), np.full((2, 2), bad), np.eye(2)], name="f")
+
+
+def test_support_keeps_the_matrices_that_are_not_exactly_zero():
+    # coeff 1 is skew (to within the symmetry tolerance of its scale 1)
+    # and symmetrizes to exact zeros; coeff 2 is zero with negative zeros
+    skew = np.array([[0.0, 1e-10], [-1e-10, 0.0]])
+    b = block(-np.eye(2), [np.eye(2), skew, -0.0 * np.eye(2), np.diag([0.0, 1.0])])
+    assert b.num_vars == 4
+    assert b.support.tolist() == [0, 3]
+    assert np.array_equal(b.coeffs, [np.eye(2), np.diag([0.0, 1.0])])
+    assert b.coeffs.nbytes == 2 * 4 * 8
+
+
+def test_constant_block_and_unused_variable_solve():
+    # "c" involves no variable (empty support) and no block involves x_1
+    prob = LmiProblem(
+        num_vars=3,
+        blocks=(
+            block([[-1.0]], [[[0.0]]] * 3, "strict", 1e-7, "c"),
+            block(np.diag([-1.0, 2.0]), [np.diag([1.0, -1.0]), np.zeros((2, 2)),
+                                         np.diag([1.0, 0.0])], "psd", 1e-9, "box"),
+        ),
+    )
+    assert [b.support.tolist() for b in prob.blocks] == [[], [0, 2]]
+    assert prob.blocks[0].coeffs.shape == (0, 1, 1)
+    sol = solve_feasibility(prob)
+    assert sol.status == "feasible"
+    assert all(c.ok for c in check_solution(prob, sol.x))
+    # x_1 has only its box terms, which vanish at 0, so it never moves
+    assert sol.x[1] == 0.0
+    # the constant block adds to t's terms alone, and no block to x_1's
+    c, box = (
+        block_terms(L, b) for b, L in zip(prob.blocks, _factors(prob, np.append(sol.x, 1.0)))
+    )
+    assert not c[0][:3].any() and not c[1][:3].any() and c[1][3, 3] > 0
+    assert not box[0][1] and not box[1][1].any() and not box[1][:, 1].any()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("family", ["aw", "gradsat"])
+def test_assemble_equals_the_full_tensordot_bitwise(family, n):
+    problem = design_problem(family, n, seed=3, spread=0.5)
+    rng = np.random.default_rng([17, n])
+    partial = 0
+    for b in problem.blocks:
+        partial += b.support.size < problem.num_vars
+        for _ in range(3):
+            x = rng.standard_normal(problem.num_vars)
+            F = b.base + np.tensordot(x, full_coeffs(b), axes=(0, 0))
+            want = 0.5 * (F + F.T)
+            assert problem.assemble(b, x).tobytes() == want.tobytes(), b.name
+    # every floor involves only its own variable, and every rate-saturation
+    # row block only W and one row of Y and Z
+    assert partial == (2 if family == "aw" else n + 3)
 
 
 def stacked_barrier_terms(L, block):
@@ -295,7 +361,7 @@ def stacked_barrier_terms(L, block):
     negated for strict blocks, with the identity of t appended, scaled by
     L^-1 on both sides in one batched product."""
     sign = 1.0 if block.sense == "strict" else -1.0
-    C = np.concatenate([-sign * block.coeffs, np.eye(block.dim)[None]])
+    C = np.concatenate([-sign * full_coeffs(block), np.eye(block.dim)[None]])
     Linv = np.linalg.inv(L)
     A = Linv @ C @ Linv.T
     flat = A.reshape(A.shape[0], -1)
@@ -316,7 +382,7 @@ def test_barrier_terms_equal_the_stacked_form_bitwise(family, n):
                 for s, b in zip(signs, problem.blocks)) + 1.0
         factors = _factors(problem, np.append(x, t))
         for b, L in zip(problem.blocks, factors):
-            got, want = _barrier_terms(L, b), stacked_barrier_terms(L, b)
+            got, want = block_terms(L, b), stacked_barrier_terms(L, b)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert np.array_equal(g, w), b.name
@@ -338,7 +404,13 @@ def test_solve_equals_the_stacked_form_bitwise(case, monkeypatch):
     family, n, spread = case
     problem = design_problem(family, n, seed=1, spread=spread)
     want = solve_feasibility(problem)
-    monkeypatch.setattr(sdp, "_barrier_terms", stacked_barrier_terms)
+
+    def add_stacked_barrier_terms(L, block, grad, hess):
+        g, h = stacked_barrier_terms(L, block)
+        grad += g
+        hess += h
+
+    monkeypatch.setattr(sdp, "_barrier_terms", add_stacked_barrier_terms)
     got = solve_feasibility(problem)
     assert want.status == ("feasible" if spread == 0.5 else "infeasible")
     assert (got.status, got.iterations) == (want.status, want.iterations)
@@ -356,7 +428,7 @@ def assemble_gradsat_n6(vertices: int) -> LmiProblem:
 
 @pytest.mark.parametrize("vertices", [3, 6])
 def test_working_memory_is_the_problem_and_a_block_budget(vertices, monkeypatch):
-    # the largest block's (m + 1, d, d) doubles, four times over, bound what
+    # the largest block's (m + 1, d, d) doubles, three times over, bound what
     # assembly and a solve hold beyond the problem at any number of blocks;
     # an untraced first round makes the imports and caches of a first call
     monkeypatch.setattr(sdp, "MAX_ITER", 2)
@@ -367,7 +439,7 @@ def test_working_memory_is_the_problem_and_a_block_budget(vertices, monkeypatch)
         problem = assemble_gradsat_n6(vertices)
         assembly_peak = tracemalloc.get_traced_memory()[1] - before
         nbytes = sum(b.base.nbytes + b.coeffs.nbytes for b in problem.blocks)
-        budget = 4 * max((problem.num_vars + 1) * b.dim**2 * 8 for b in problem.blocks)
+        budget = 3 * max((problem.num_vars + 1) * b.dim**2 * 8 for b in problem.blocks)
         tracemalloc.reset_peak()
         live = tracemalloc.get_traced_memory()[0]
         sol = solve_feasibility(problem)
@@ -375,6 +447,8 @@ def test_working_memory_is_the_problem_and_a_block_budget(vertices, monkeypatch)
     finally:
         tracemalloc.stop()
     assert len(problem.blocks) == vertices + 6 + 3
+    # each block holds its base and the matrices of its support only
+    assert nbytes == sum((b.support.size + 1) * b.dim**2 * 8 for b in problem.blocks)
     assert sol.iterations >= 1
     assert assembly_peak <= nbytes + budget
     assert solve_excess <= budget
@@ -387,10 +461,18 @@ def test_each_solve_logs_one_debug_record(caplog):
         solve_feasibility(scalar_lyapunov_problem(-1.0))
     records = [r for r in caplog.records if r.name == "esc_sat.sdp"]
     assert [r.levelno for r in records] == [logging.DEBUG] * 2
-    status, iterations, slack, seconds, num_vars, dims, nbytes = records[0].args
+    (
+        status, iterations, slack, seconds, num_vars, dims, nbytes,
+        supports, steps, values,
+    ) = records[0].args
     assert (status, iterations, slack) == (sol.status, sol.iterations, sol.slack)
     assert seconds > 0
     assert num_vars == problem.num_vars
     assert dims == [b.dim for b in problem.blocks]
     assert nbytes == sum(b.coeffs.nbytes for b in problem.blocks)
     assert records[1].args[0] == "feasible"
+    assert supports == [b.support.size for b in problem.blocks]
+    # one step length and barrier value per accepted iteration
+    assert len(steps) == len(values) == iterations
+    assert all(0 < a <= 1 for a in steps)
+    assert all(np.isfinite(values))

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from esc_sat.synthesis import (
     verify_ellipsoid_inclusion,
     verify_gradsat_design,
 )
-from conftest import EX1_K, EX1_KAW, lyapunov
+from conftest import EX1_K, EX1_KAW, full_coeffs, lyapunov
 
 
 def test_aw_design_reference_polytope(ex1_polytope, ex1_bounds):
@@ -93,7 +94,7 @@ def _coeffs_by_variable(layout, conditions):
     """Coefficient stack of every entry of ``conditions``, by name, from one
     call per unit vector on reference-unpacked variables."""
     def entries(x):
-        return conditions({nm: _unpack_reference(layout, x, nm) for nm in layout._slices})
+        return list(conditions({nm: _unpack_reference(layout, x, nm) for nm in layout._slices}))
 
     base = entries(np.zeros(layout.size))
     per_var = [entries(e) for e in np.eye(layout.size)]
@@ -124,7 +125,19 @@ def test_batched_assembly_matches_per_variable_build(ex1_polytope, ex2_polytope,
         ref = _coeffs_by_variable(layout, conditions)
         assert [blk.name for blk in problem.blocks] == list(ref)
         for blk in problem.blocks:
-            assert np.array_equal(blk.coeffs, ref[blk.name])
+            assert np.array_equal(full_coeffs(blk), ref[blk.name])
+
+
+def test_each_assembly_logs_one_debug_record(ex2_polytope, ex2_bounds, caplog):
+    with caplog.at_level(logging.DEBUG, logger="esc_sat.synthesis"):
+        problem, layout = _assemble_gradsat_problem(ex2_polytope, 1.0, 0.5, ex2_bounds)
+    (record,) = [r for r in caplog.records if r.name == "esc_sat.synthesis"]
+    assert record.levelno == logging.DEBUG
+    blocks, num_vars, nbytes, seconds = record.args
+    assert blocks == len(problem.blocks) == len(ex2_polytope.vertices) + 3 + 3
+    assert num_vars == problem.num_vars == layout.size
+    assert nbytes == sum(b.coeffs.nbytes for b in problem.blocks)
+    assert seconds > 0
 
 
 def test_aw_design_singleton_stable():
