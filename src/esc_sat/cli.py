@@ -29,7 +29,6 @@ from .config import (
     build_qmap,
     build_sim_config,
     build_synthesis_request,
-    build_theta_star,
     load_config,
     resolve_hessian,
 )
@@ -135,16 +134,11 @@ def _warn_frequencies(dither: DitherSpec) -> None:
         )
 
 
-def _design_polytope(cfg: ExperimentConfig, req):
-    """The config's polytope, which a design needs, with [synthesis] bounds to match."""
+def _design_polytope(cfg: ExperimentConfig):
+    """The config's polytope, which a design needs."""
     poly = build_polytope(cfg)
     if poly is None:
-        raise ConfigError(f"{cfg.name}: [map] must define a polytope for gain design")
-    if req.bounds.dim != poly.dim:
-        raise ConfigError(
-            f"{cfg.name}: [synthesis] bounds = {cfg.get('synthesis', 'bounds')!r} has "
-            f"{req.bounds.dim} bounds for a [map] polytope of dimension {poly.dim}"
-        )
+        raise ConfigError(cfg.name, "[map] must define a polytope for gain design")
     return poly
 
 
@@ -161,7 +155,7 @@ def _cmd_design(args) -> None:
     req = build_synthesis_request(cfg)
     if req.kind == "aw" and args.epsilon_sweep is not None:
         raise ValueError("--epsilon-sweep applies to gradsat designs only")
-    poly = _design_polytope(cfg, req)
+    poly = _design_polytope(cfg)
     _warn_frequencies(dither)
     lines = []
     if req.kind == "aw":
@@ -278,7 +272,7 @@ def _cmd_sweep(args) -> None:
     sim_cfg = _load_sim_config(cfg, args.design)
     if np.array_equal(sim_cfg.theta0, sim_cfg.qmap.theta_star):
         raise ValueError(
-            f"{cfg.name}: [sim] theta0 = {cfg.get('sim', 'theta0')!r} is the optimum "
+            f"{cfg.name}: [sim] theta0 = {cfg.where['sim', 'theta0'][2]!r} is the optimum "
             "theta*, where the averaged loop rests, so a sweep has no decay to fit"
         )
     # every member is built, and so checked, before the first run
@@ -331,7 +325,7 @@ def _cmd_verify(args) -> None:
     design = load_design(args.design)
     cfg = load_config(args.config)
     req = build_synthesis_request(cfg)
-    poly = _design_polytope(cfg, req)
+    poly = _design_polytope(cfg)
     if design.dim != poly.dim:
         raise ValueError(
             f"the design has dimension {design.dim} but the config's polytope "
@@ -350,19 +344,21 @@ def _cmd_verify(args) -> None:
         failures.append(f"design eta {design.eta!r} is below the config's {req.eta!r}")
     if failures:
         raise _CertificateFailed(failures)
-    report = synthesis.certify(design, poly)
-    print(f"vertex inequalities: lambda_max = {np.max(report.values('vertex')):.6e}")
+    # an anti-windup design's sector is sampled around theta*, which is read
+    # before any line is printed
     if isinstance(design, AwDesign):
         sample = analysis.sample_deadzone_sector_global
-        # build_synthesis_request has read theta* of this anti-windup config
-        sample_args = (design.bounds, build_theta_star(cfg))
+        sample_args = (design.bounds, cfg["map", "theta_star"])
     else:
+        sample, sample_args = analysis.sample_deadzone_sector_regional, (design,)
+    report = synthesis.certify(design, poly)
+    print(f"vertex inequalities: lambda_max = {np.max(report.values('vertex')):.6e}")
+    if not isinstance(design, AwDesign):
         print(f"row-coupling blocks: lambda_min = {np.min(report.values('row')):.6e}")
         print(
             "ellipsoid inclusion residuals: "
             + " ".join(f"{r:.6e}" for r in report.values("inclusion"))
         )
-        sample, sample_args = analysis.sample_deadzone_sector_regional, (design,)
     failures = report.failures()
     try:
         slack = sample(*sample_args, trials=10_000, seed=args.seed)

@@ -2,16 +2,18 @@
 
 A config is a sequence of ``[section]`` headers and ``key = value`` lines;
 ``#`` starts a comment.  Matrix values keep rows separated by semicolons so
-numeric content stays auditable in diffs.  A malformed line, an unknown
-section or key and a repeated one are rejected with the file name and the
-offending line and column.  A config describes the map, dither, design
-request, explicit gains and run; which design file to run and how to write
-the results are chosen on the command line only.
+numeric content stays auditable in diffs.  ``parse_config`` types each
+value by its kind in ``_KEYS``, then runs the checks across keys that need
+no command.  An error about a key reads ``path:line:col: [section] key =
+'raw': reason``; one across keys names them and points at the last of them
+in the file.  A config describes the map, dither, design request, explicit
+gains and run; which design file to run and how to write the results are
+chosen on the command line only.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,7 +38,6 @@ __all__ = [
     "build_dither",
     "build_polytope",
     "resolve_hessian",
-    "build_theta_star",
     "build_qmap",
     "build_controller",
     "build_sim_config",
@@ -46,96 +47,156 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Parse or validation failure with source position."""
+    """A config that does not parse or does not fit, at its position if it has one."""
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
+    def __init__(self, name: str, message: str, line: int = 0, col: int = 0):
         self.line = line
         self.col = col
-        where = f" (line {line}, col {col})" if line else ""
-        super().__init__(message + where)
+        super().__init__(f"{name}:{line}:{col}: {message}" if line else f"{name}: {message}")
 
 
-_SCHEMA: dict[str, set[str]] = {
-    "map": {
-        "q_star", "theta_star", "input_bounds", "hessian", "alpha",
-        "polytope", "h0", "delta_bar", "lambda1", "lambda2", "dim",
-        "gamma0", "delta_bars",
-    },
-    "dither": {"amplitudes", "multipliers", "base_omega"},
-    "synthesis": {"kind", "eta", "epsilon", "bounds"},
-    "controller": {"k", "k_aw"},
-    "sim": {"scenario", "theta0", "t_end", "dt", "demod"},
+class _Missing(ConfigError):
+    """A key that a builder needs is not in the config."""
+
+
+# polytope kind -> (its [map] keys, its numbered family, constructor)
+_POLYTOPES = {
+    "scaled_nominal": (("h0", "delta_bar"), None, from_scaled_nominal),
+    "eigen_interval": (("lambda1", "lambda2", "dim"), None, from_eigen_interval),
+    "affine": (
+        ("gamma0", "delta_bars"),
+        "gamma",
+        lambda gamma0, bars, *gammas: from_affine(gamma0, list(gammas), bars.tolist()),
+    ),
+    "vertices": ((), "vertex", lambda *vertices: HessianPolytope(vertices)),
 }
 
+# The value kind of every key: a kind of matio.KINDS, "step" (auto or a
+# number) or the tuple of words it takes.  "<i>" stands for 1, 2, ...: a
+# numbered family starts at 1 and has no gaps.
+_KEYS = {
+    "map": {
+        "q_star": "number", "theta_star": "vector", "input_bounds": "bounds",
+        "hessian": "matrix", "alpha": "vector", "polytope": tuple(_POLYTOPES),
+        "h0": "matrix", "delta_bar": "number", "lambda1": "number",
+        "lambda2": "number", "dim": "integer", "gamma0": "matrix",
+        "delta_bars": "vector", "gamma<i>": "matrix", "vertex<i>": "matrix",
+    },
+    "dither": {"amplitudes": "vector", "multipliers": "rationals", "base_omega": "number"},
+    "synthesis": {
+        "kind": ("aw", "gradsat"), "eta": "positive", "epsilon": "positive",
+        "bounds": "bounds",
+    },
+    "controller": {"k": "matrix", "k_aw": "matrix"},
+    "sim": {
+        "scenario": tuple(SCENARIOS), "theta0": "vector", "t_end": "number",
+        "dt": "step", "demod": ("deviation", "raw"),
+    },
+}
 
-def _key_allowed(section: str, key: str) -> bool:
-    allowed = _SCHEMA[section]
-    if key in allowed:
-        return True
-    if section == "map":
-        # affine families and explicit vertex lists use numbered keys
-        for prefix in ("gamma", "vertex"):
-            if key.startswith(prefix) and key[len(prefix):].isdigit():
-                return True
-    return False
+# The keys whose values have the loop's dimension, as the polytope has, in
+# the order the first present one sets it; constructors check the others.
+_DIMENSIONED = (
+    ("map", "theta_star"), ("synthesis", "bounds"), ("dither", "amplitudes"), ("sim", "theta0"),
+)
+
+
+def _numbered(key: str) -> tuple[str, int]:
+    """(family, i) of a key ``family<i>``, else (key, -1)."""
+    family = key.rstrip("0123456789")
+    digits = key[len(family):]
+    if not digits or digits != str(int(digits)):
+        return key, -1
+    return family, int(digits)
+
+
+def _kind(section: str, key: str):
+    kinds = _KEYS[section]
+    family, i = _numbered(key)
+    if "<" in key or key not in kinds and i < 0:
+        return None
+    return kinds.get(key, kinds.get(f"{family}<i>"))
+
+
+def _typed(kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"not one of {', '.join(kind)}")
+        return text
+    if kind == "step":
+        return None if text == "auto" else matio.parse_number(text)
+    return matio.KINDS[kind](text)
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed configuration: ordered sections of raw string values."""
+    """A loaded config: each present key's typed value and where it stands."""
 
-    sections: dict[str, dict[str, str]] = field(default_factory=dict)
     name: str = "<config>"
+    # (section, key) -> typed value, and -> (line, col, raw text), in file order
+    values: dict = field(default_factory=dict)
+    where: dict = field(default_factory=dict)
 
-    def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self.sections.get(section, {}).get(key, default)
+    def __contains__(self, key: tuple[str, str]) -> bool:
+        return key in self.values
 
-    def require(self, section: str, key: str) -> str:
-        value = self.get(section, key)
-        if value is None:
-            raise ConfigError(f"{self.name}: missing [{section}] {key}")
-        return value
+    def __getitem__(self, key: tuple[str, str]):
+        """The typed value of a key that the caller needs."""
+        if key not in self.values:
+            raise _Missing(self.name, f"missing [{key[0]}] {key[1]}")
+        return self.values[key]
+
+    def error(self, keys, reason: str) -> ConfigError:
+        """An error about present keys, at the last of them in the file; a
+        lone key is quoted with its text."""
+        line, col, raw = max(self.where[key] for key in keys)
+        if len(keys) == 1:
+            what = "[{}] {} = {!r}".format(*keys[0], raw)
+        else:
+            names = [
+                key if i and section == keys[i - 1][0] else f"[{section}] {key}"
+                for i, (section, key) in enumerate(keys)
+            ]
+            what = ", ".join(names)
+        return ConfigError(self.name, f"{what}: {reason}", line, col)
 
 
 def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
-    sections: dict[str, dict[str, str]] = {}
-    current: Optional[str] = None
-
-    def fail(message: str):
-        raise ConfigError(f"{name}: {message}", lineno, col)
-
+    cfg = ExperimentConfig(name)
+    seen: set[str] = set()
+    section: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        stripped = line.strip()
-        col = raw.index(stripped[0]) + 1
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                fail("unterminated section header")
-            sec = stripped[1:-1].strip()
-            if sec not in _SCHEMA:
-                fail(f"unknown section [{sec}]")
-            if sec in sections:
-                fail(f"duplicate section [{sec}]")
-            sections[sec] = {}
-            current = sec
+        at = (lineno, raw.index(line[0]) + 1)
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ConfigError(name, "unterminated section header", *at)
+            section = line[1:-1].strip()
+            if section not in _KEYS:
+                raise ConfigError(name, f"unknown section [{section}]", *at)
+            if section in seen:
+                raise ConfigError(name, f"duplicate section [{section}]", *at)
+            seen.add(section)
             continue
-        if current is None:
-            fail("key outside any section")
-        if "=" not in stripped:
-            fail("expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not _key_allowed(current, key):
-            fail(f"unknown key {key!r} in [{current}]")
-        if key in sections[current]:
-            fail(f"duplicate key {key!r} in [{current}]")
-        if not value:
-            fail(f"empty value for {key!r}")
-        sections[current][key] = value
-    return ExperimentConfig(sections=sections, name=name)
+        if section is None:
+            raise ConfigError(name, "key outside any section", *at)
+        if "=" not in line:
+            raise ConfigError(name, "expected 'key = value'", *at)
+        key, _, value = (part.strip() for part in line.partition("="))
+        kind = _kind(section, key)
+        if kind is None:
+            raise ConfigError(name, f"unknown key {key!r} in [{section}]", *at)
+        if (section, key) in cfg.where:
+            raise ConfigError(name, f"duplicate key {key!r} in [{section}]", *at)
+        cfg.where[section, key] = (*at, value)
+        try:
+            cfg.values[section, key] = _typed(kind, value)
+        except ValueError as exc:
+            raise cfg.error([(section, key)], str(exc)) from None
+    _check(cfg)
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -144,151 +205,101 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# typed builders
+# checks at load
 
-def _number(text: str) -> float:
+
+def _check(cfg: ExperimentConfig) -> None:
+    """The checks that need no command: numbered families, the loop's one
+    dimension and one set of anti-windup bounds, then each object the config
+    describes, built where the keys it needs are present."""
+    for section, key in cfg.where:
+        family, i = _numbered(key)
+        if key not in _KEYS[section] and i != 1 and (section, f"{family}{i - 1}") not in cfg:
+            gap = f"{family}{i - 1} is missing" if i else f"{family} keys start at 1"
+            raise cfg.error([(section, key)], gap)
+    poly = None
+    with suppress(_Missing):
+        poly = build_polytope(cfg)
+    sized = [(key, cfg.values[key]) for key in _DIMENSIONED if key in cfg]
+    if poly is not None:
+        sized.append((("map", "polytope"), poly))
+    dims = [(key, v.dim if hasattr(v, "dim") else v.size) for key, v in sized]
+    for key, dim in dims[1:]:
+        if dim != dims[0][1]:
+            first, n = dims[0]
+            raise cfg.error([first, key], f"{key[1]} has dimension {dim}, {first[1]} {n}")
+    bounds = ("synthesis", "bounds")
+    if cfg.values.get(("synthesis", "kind")) == "aw" and bounds in cfg:
+        limits = cfg.values[bounds].limits
+        inputs, theta_star = ("map", "input_bounds"), ("map", "theta_star")
+        if inputs in cfg and not np.array_equal(cfg.values[inputs].limits, limits):
+            raise cfg.error(
+                [inputs, bounds], "an anti-windup loop has one set of input bounds"
+            )
+        if theta_star in cfg and np.any(np.abs(cfg.values[theta_star]) >= limits):
+            raise cfg.error(
+                [theta_star, bounds], "theta_star must lie strictly inside the input bounds"
+            )
+    dither = None
+    with suppress(_Missing):
+        dither = build_dither(cfg)
+    with suppress(_Missing):
+        qmap = build_qmap(cfg, resolve_hessian(cfg, poly))
+        ctrl = build_controller(cfg, qmap)
+        if dither is not None:
+            build_sim_config(cfg, qmap, dither, ctrl)
+
+
+def _construct(cfg: ExperimentConfig, keys, make, *args, **kwargs):
+    """make(*args, **kwargs), whose ValueError is an error about ``keys``."""
     try:
-        return matio.parse_number(text)
-    except matio.NotA:
-        raise
-    except ValueError:
-        raise matio.NotA("is not a number") from None
-
-
-def _integer(text: str) -> int:
-    value = _number(text)
-    if not value.is_integer():
-        raise matio.NotA("is not an integer")
-    return int(value)
-
-
-def _positive(text: str) -> float:
-    return matio.positive(_number(text))
-
-
-def _bounds(text: str) -> SaturationBounds:
-    return SaturationBounds(matio.parse_vector(text))
-
-
-def _read(cfg: ExperimentConfig, section: str, key: str, parse=_number):
-    """The value of a required key through ``parse``, which every typed read
-    uses, so that a bad value is reported with file, section and key."""
-    raw = cfg.require(section, key)
-    with _about(cfg, f"[{section}] {key} = {raw!r}"):
-        return parse(raw)
-
-
-@contextmanager
-def _about(cfg: ExperimentConfig, keys: str):
-    """Re-raise a ValueError or OverflowError of a value built from ``keys``
-    ("[section] key, ...") as a ConfigError naming the config and them;
-    ConfigErrors pass."""
-    try:
-        yield
-    except ConfigError:
-        raise
+        return make(*args, **kwargs)
     except (ValueError, OverflowError) as exc:
-        sep = " " if isinstance(exc, matio.NotA) else ": "
-        raise ConfigError(f"{cfg.name}: {keys}{sep}{exc}") from None
+        raise cfg.error(keys, str(exc)) from None
+
+
+# ---------------------------------------------------------------------------
+# builders
 
 
 def build_dither(cfg: ExperimentConfig) -> DitherSpec:
-    amps = _read(cfg, "dither", "amplitudes", matio.parse_vector)
-    mults = _read(cfg, "dither", "multipliers", matio.parse_fractions)
-    with _about(cfg, "[dither] amplitudes, multipliers, base_omega"):
-        return DitherSpec(amps, tuple(mults), _read(cfg, "dither", "base_omega"))
+    keys = [("dither", key) for key in ("amplitudes", "multipliers", "base_omega")]
+    amps, mults, omega = (cfg[key] for key in keys)
+    return _construct(cfg, keys, DitherSpec, amps, tuple(mults), omega)
 
 
 def build_polytope(cfg: ExperimentConfig) -> Optional[HessianPolytope]:
-    kind = cfg.get("map", "polytope")
-    if kind is None:
+    """The [map] polytope, or None where the config names none."""
+    if ("map", "polytope") not in cfg:
         return None
-    with _about(cfg, f"[map] polytope = {kind!r}"):
-        if kind == "scaled_nominal":
-            h0 = _read(cfg, "map", "h0", matio.parse_matrix)
-            return from_scaled_nominal(h0, _read(cfg, "map", "delta_bar"))
-        if kind == "eigen_interval":
-            return from_eigen_interval(
-                _read(cfg, "map", "lambda1"),
-                _read(cfg, "map", "lambda2"),
-                _read(cfg, "map", "dim", _integer),
-            )
-        if kind == "affine":
-            gamma0 = _read(cfg, "map", "gamma0", matio.parse_matrix)
-            bars = _read(cfg, "map", "delta_bars", matio.parse_vector)
-            gammas = [
-                _read(cfg, "map", f"gamma{i}", matio.parse_matrix)
-                for i in range(1, bars.size + 1)
-            ]
-            return from_affine(gamma0, gammas, bars.tolist())
-        if kind == "vertices":
-            verts = []
-            i = 1
-            while cfg.get("map", f"vertex{i}") is not None:
-                verts.append(_read(cfg, "map", f"vertex{i}", matio.parse_matrix))
-                i += 1
-            if not verts:
-                raise ConfigError(f"{cfg.name}: polytope kind 'vertices' lists none")
-            return HessianPolytope(tuple(verts))
-        raise ConfigError(f"{cfg.name}: unknown polytope kind {kind!r}")
+    named, family, make = _POLYTOPES[cfg["map", "polytope"]]
+    members = []
+    while family and ("map", f"{family}{len(members) + 1}") in cfg:
+        members.append(f"{family}{len(members) + 1}")
+    keys = [("map", key) for key in ("polytope", *named, *members)]
+    return _construct(cfg, keys, make, *(cfg[key] for key in keys[1:]))
 
 
 def resolve_hessian(cfg: ExperimentConfig, poly: Optional[HessianPolytope]) -> np.ndarray:
     """True curvature for simulation: explicit, or a polytope mix by alpha."""
-    if cfg.get("map", "hessian") is not None:
-        return _read(cfg, "map", "hessian", matio.parse_matrix)
+    if ("map", "hessian") in cfg:
+        return cfg["map", "hessian"]
     if poly is None:
-        raise ConfigError(
-            f"{cfg.name}: [map] needs either 'hessian' or a polytope"
-        )
-    if cfg.get("map", "alpha") is None:
-        raise ConfigError(
-            f"{cfg.name}: simulating from a polytope needs [map] alpha weights"
-        )
-    with _about(cfg, "[map] alpha, polytope"):
-        return evaluate(poly, _read(cfg, "map", "alpha", matio.parse_vector))
-
-
-def build_theta_star(cfg: ExperimentConfig) -> np.ndarray:
-    """[map] theta_star, the map's optimizer."""
-    return _read(cfg, "map", "theta_star", matio.parse_vector)
-
-
-def _check_input_bounds(cfg: ExperimentConfig) -> None:
-    """The map input saturates at one set of bounds, with the optimizer
-    strictly inside: [map] input_bounds and, in an anti-windup config
-    ([synthesis] kind = aw), [synthesis] bounds must agree where both are
-    given, and [map] theta_star must lie strictly inside them."""
-    keys = [("map", "input_bounds")] if cfg.get("map", "input_bounds") is not None else []
-    if cfg.get("synthesis", "kind") == "aw":
-        keys.append(("synthesis", "bounds"))
-    if not keys:
-        return
-    stated = [f"[{section}] {key} = {cfg.get(section, key)!r}" for section, key in keys]
-    limits = [_read(cfg, section, key, _bounds).limits for section, key in keys]
-    if len(limits) == 2 and not np.array_equal(*limits):
-        raise ConfigError(
-            f"{cfg.name}: {stated[0]} and {stated[1]} differ; an anti-windup "
-            "loop has one set of input bounds"
-        )
-    theta_star = build_theta_star(cfg)
-    if theta_star.shape == limits[0].shape and np.any(np.abs(theta_star) >= limits[0]):
-        raise ConfigError(
-            f"{cfg.name}: [map] theta_star = {cfg.get('map', 'theta_star')!r} must "
-            f"lie strictly inside {stated[0]}"
-        )
+        raise _Missing(cfg.name, "[map] needs either 'hessian' or a polytope")
+    if ("map", "alpha") not in cfg:
+        raise _Missing(cfg.name, "simulating from a polytope needs [map] alpha weights")
+    keys = [("map", "alpha"), ("map", "polytope")]
+    return _construct(cfg, keys, evaluate, poly, cfg["map", "alpha"])
 
 
 def build_qmap(cfg: ExperimentConfig, hessian: np.ndarray) -> QuadraticMap:
     """The simulated map with the given (``resolve_hessian``) curvature."""
-    _check_input_bounds(cfg)
-    has_bounds = cfg.get("map", "input_bounds") is not None
-    q_star = _read(cfg, "map", "q_star")
-    theta_star = build_theta_star(cfg)
-    bounds = _read(cfg, "map", "input_bounds", _bounds) if has_bounds else None
-    curvature = "hessian" if cfg.get("map", "hessian") is not None else "polytope"
-    with _about(cfg, f"[map] theta_star, {curvature}"):
-        return QuadraticMap(q_star, theta_star, 0.5 * (hessian + hessian.T), bounds)
+    curvature = "hessian" if ("map", "hessian") in cfg else "polytope"
+    keys = [("map", k) for k in ("theta_star", curvature, "input_bounds") if ("map", k) in cfg]
+    return _construct(
+        cfg, keys, QuadraticMap, cfg["map", "q_star"], cfg["map", "theta_star"],
+        0.5 * (hessian + hessian.T), cfg.values.get(("map", "input_bounds")),
+    )
 
 
 @dataclass(frozen=True)
@@ -300,62 +311,40 @@ class SynthesisRequest:
 
 
 def build_synthesis_request(cfg: ExperimentConfig) -> SynthesisRequest:
-    if "synthesis" not in cfg.sections:
-        raise ConfigError(f"{cfg.name}: missing [synthesis] section")
-    kind = cfg.require("synthesis", "kind")
-    if kind not in ("aw", "gradsat"):
-        raise ConfigError(f"{cfg.name}: unknown synthesis kind {kind!r}")
-    _check_input_bounds(cfg)
-    has_eps = cfg.get("synthesis", "epsilon") is not None
     return SynthesisRequest(
-        kind=kind,
-        eta=_read(cfg, "synthesis", "eta", _positive),
-        epsilon=_read(cfg, "synthesis", "epsilon", _positive) if has_eps else None,
-        bounds=_read(cfg, "synthesis", "bounds", _bounds),
+        kind=cfg["synthesis", "kind"],
+        eta=cfg["synthesis", "eta"],
+        epsilon=cfg.values.get(("synthesis", "epsilon")),
+        bounds=cfg["synthesis", "bounds"],
     )
-
-
-def _scenario(cfg: ExperimentConfig) -> str:
-    scenario = cfg.require("sim", "scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"{cfg.name}: unknown scenario {scenario!r}")
-    return scenario
 
 
 def build_controller(cfg: ExperimentConfig, qmap: QuadraticMap, design=None):
     """Controller running a loaded design's gains when one is given, else the
     config's [controller] k (and k_aw for the anti-windup loop), of the map's
     dimension."""
-    scenario = _scenario(cfg)
+    scenario = cfg["sim", "scenario"]
     kind = SCENARIOS[scenario][0]
     if design is not None and design.kind != kind:
         raise ConfigError(
-            f"{cfg.name}: scenario {scenario!r} cannot run a design of kind "
-            f"{design.kind!r}"
+            cfg.name, f"scenario {scenario!r} cannot run a design of kind {design.kind!r}"
         )
     if kind == "aw" and qmap.input_bounds is None:
-        raise ConfigError(f"{cfg.name}: [map] input_bounds required")
-    if design is not None:
-        source = "the design"
-        if kind == "aw":
-            ctrl = AwController(design.k, design.k_aw)
-        else:
-            ctrl = GradSatController(design.k, design.bounds)
+        raise _Missing(cfg.name, "missing [map] input_bounds")
+    # a design has the gains under the names of the config's keys
+    if kind == "aw":
+        make, keys = AwController, [("controller", "k"), ("controller", "k_aw")]
     else:
-        source = "[controller] k"
-        k = _read(cfg, "controller", "k", matio.parse_matrix)
-        keys = "[controller] k, " + ("k_aw" if kind == "aw" else "[synthesis] bounds")
-        with _about(cfg, keys):
-            if kind == "aw":
-                k_aw = _read(cfg, "controller", "k_aw", matio.parse_matrix)
-                ctrl = AwController(k, k_aw)
-            else:
-                ctrl = GradSatController(k, build_synthesis_request(cfg).bounds)
+        make, keys = GradSatController, [("controller", "k"), ("synthesis", "bounds")]
+    if design is None:
+        ctrl = _construct(cfg, keys, make, *(cfg[key] for key in keys))
+    else:
+        ctrl = make(*(getattr(design, key) for _, key in keys))
     if ctrl.dim != qmap.dim:
-        raise ConfigError(
-            f"{cfg.name}: {source} gives a controller of dimension {ctrl.dim} "
-            f"for a map of dimension {qmap.dim}"
-        )
+        reason = f"a controller of dimension {ctrl.dim} for a map of dimension {qmap.dim}"
+        if design is None:
+            raise cfg.error(keys, reason)
+        raise ConfigError(cfg.name, f"the design gives {reason}")
     return ctrl
 
 
@@ -365,16 +354,10 @@ def build_sim_config(
     dither: DitherSpec,
     controller,
 ) -> SimConfig:
-    scenario = _scenario(cfg)
-    auto_dt = cfg.get("sim", "dt", "auto") == "auto"
-    dt = None if auto_dt else _read(cfg, "sim", "dt")
-    demod = cfg.get("sim", "demod", "deviation")
-    if demod not in ("deviation", "raw"):
-        raise ConfigError(f"{cfg.name}: [sim] demod must be deviation or raw")
-    theta0 = _read(cfg, "sim", "theta0", matio.parse_vector)
-    with _about(cfg, "[sim] theta0, t_end, dt, [map] theta_star, [dither] amplitudes"):
-        return SimConfig(
-            scenario, qmap, dither, controller, theta0, _read(cfg, "sim", "t_end"), dt,
-            demod_remove_offset=(demod == "deviation"),
-        )
-
+    keys = [("sim", key) for key in ("t_end", "dt") if ("sim", key) in cfg]
+    return _construct(
+        cfg, keys, SimConfig,
+        cfg["sim", "scenario"], qmap, dither, controller, cfg["sim", "theta0"],
+        cfg["sim", "t_end"], cfg.values.get(("sim", "dt")),
+        demod_remove_offset=cfg.values.get(("sim", "demod"), "deviation") == "deviation",
+    )

@@ -666,14 +666,11 @@ _FILE_FIELDS = {
     ),
 }
 
-# value kind -> (format, parse)
-_VALUE_KINDS = {
-    "positive": (repr, lambda text: matio.positive(matio.parse_number(text))),
-    "bounds": (
-        lambda b: matio.format_vector(b.limits),
-        lambda text: SaturationBounds(matio.parse_vector(text)),
-    ),
-    "matrix": (matio.format_matrix, matio.parse_matrix),
+# value kind -> format; each kind parses by matio.KINDS
+_FORMATS = {
+    "positive": repr,
+    "bounds": lambda b: matio.format_vector(b.limits),
+    "matrix": matio.format_matrix,
 }
 
 
@@ -683,7 +680,7 @@ def save_design(design, path: str) -> None:
         raise TypeError(f"not a design: {type(design).__name__}")
     lines = [f"kind = {design.kind}"]
     for key, attr, vkind in _FILE_FIELDS[type(design)]:
-        lines.append(f"{key} = {_VALUE_KINDS[vkind][0](getattr(design, attr))}")
+        lines.append(f"{key} = {_FORMATS[vkind](getattr(design, attr))}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -692,7 +689,8 @@ def load_design(path: str):
     """Read back a design file written by save_design; ``#`` starts a comment.
 
     A repeated field, a malformed value, or a matrix or bound list whose
-    size does not match the n-by-n gain k fails as ``path:line: field: reason``.
+    size does not match the n-by-n gain k fails as ``path:line: key =
+    'raw': reason``.
     """
     entries: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
@@ -705,7 +703,7 @@ def load_design(path: str):
             key, _, value = (part.strip() for part in line.partition("="))
             if key in entries:
                 reason = f"duplicate field (first on line {entries[key][1]})"
-                raise ValueError(f"{path}:{lineno}: {key}: {reason}")
+                raise ValueError(f"{path}:{lineno}: {key} = {value!r}: {reason}")
             entries[key] = (value, lineno)
     kind = entries.pop("kind", (None, 0))[0]
     cls = next((c for c in _FILE_FIELDS if c.kind == kind), None)
@@ -713,16 +711,15 @@ def load_design(path: str):
         raise ValueError(f"design file {path} has unknown kind {kind!r}")
 
     def fail(key: str, reason) -> None:
-        raise ValueError(f"{path}:{entries[key][1]}: {key}: {reason}") from None
+        value, lineno = entries[key]
+        raise ValueError(f"{path}:{lineno}: {key} = {value!r}: {reason}") from None
 
     values = {}
     for key, attr, vkind in _FILE_FIELDS[cls]:
         if key not in entries:
             raise ValueError(f"design file {path} is missing field {key!r}")
         try:
-            values[attr] = _VALUE_KINDS[vkind][1](entries[key][0])
-        except matio.NotA as exc:
-            fail(key, f"{entries[key][0]!r} {exc}")
+            values[attr] = matio.KINDS[vkind](entries[key][0])
         except ValueError as exc:
             fail(key, exc)
     n = values["k"].shape[0]

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import logging
 import os
 import re
@@ -272,52 +273,53 @@ def test_cli_verify_rejects_bounds_that_differ_from_the_config(tmp_path, capsys)
 @pytest.mark.parametrize(
     "command, old, new, what",
     [
-        ("simulate", "dt = auto", "dt = fast", "[sim] dt = 'fast' is not a number"),
+        ("simulate", "dt = auto", "dt = fast", "31:1: [sim] dt = 'fast': not a number"),
         ("design", "kind = aw", "kind = aw\nepsilon = big",
-         "[synthesis] epsilon = 'big' is not a number"),
+         "20:1: [synthesis] epsilon = 'big': not a number"),
         (
             "design",
             "polytope = scaled_nominal",
             "polytope = eigen_interval\nlambda1 = 10\nlambda2 = 100\ndim = 2.5",
-            "[map] dim = '2.5' is not an integer",
+            "11:1: [map] dim = '2.5': not an integer",
         ),
         (
             "simulate", "theta_star = 2 4", "theta_star = 2 x",
-            "[map] theta_star = '2 x': bad vector literal '2 x': "
-            "could not convert string to float: 'x'",
+            "6:1: [map] theta_star = '2 x': could not convert string to float: 'x'",
         ),
         (
             "simulate", "input_bounds = 5 5", "input_bounds = 5 -5",
-            "[map] input_bounds = '5 -5': saturation limits must be strictly positive",
+            "7:1: [map] input_bounds = '5 -5': saturation limits must be strictly positive",
         ),
         (
             "simulate", "k = -0.0270 0.0361; 0.0456 -0.1492", "k = 1 2; 3",
-            "[controller] k = '1 2; 3': ragged matrix literal '1 2; 3'",
+            "24:1: [controller] k = '1 2; 3': rows of unequal length",
         ),
         (
             "simulate", "multipliers = 10 70", "multipliers = 10 7/0",
-            "[dither] multipliers = '10 7/0': bad rational '7/0': Fraction(7, 0)",
+            "15:1: [dither] multipliers = '10 7/0': bad rational '7/0': Fraction(7, 0)",
         ),
-        ("simulate", "t_end = 5", "t_end = inf", "[sim] t_end = 'inf' is not a finite number"),
-        ("simulate", "t_end = 5", "t_end = nan", "[sim] t_end = 'nan' is not a finite number"),
+        ("simulate", "t_end = 5", "t_end = inf", "30:1: [sim] t_end = 'inf': not a finite number"),
+        ("simulate", "t_end = 5", "t_end = nan", "30:1: [sim] t_end = 'nan': not a finite number"),
         (
             "simulate", "base_omega = 1", "base_omega = nan",
-            "[dither] base_omega = 'nan' is not a finite number",
+            "16:1: [dither] base_omega = 'nan': not a finite number",
         ),
-        ("simulate", "dt = auto", "dt = nan", "[sim] dt = 'nan' is not a finite number"),
+        ("simulate", "dt = auto", "dt = nan", "31:1: [sim] dt = 'nan': not a finite number"),
         (
             "simulate", "amplitudes = 0.1 0.1", "amplitudes = nan 0.1",
-            "[dither] amplitudes = 'nan 0.1': bad vector literal 'nan 0.1': "
-            "values must be finite",
+            "14:1: [dither] amplitudes = 'nan 0.1': values must be finite",
         ),
         (
             "simulate", "theta0 = 2.5 6", "theta0 = 2.5 inf",
-            "[sim] theta0 = '2.5 inf': bad vector literal '2.5 inf': values must be finite",
+            "29:1: [sim] theta0 = '2.5 inf': values must be finite",
         ),
-        ("simulate", "q_star = 10", "q_star = -inf", "[map] q_star = '-inf' is not a finite number"),
+        (
+            "simulate", "q_star = 10", "q_star = -inf",
+            "5:1: [map] q_star = '-inf': not a finite number",
+        ),
         (
             "design", "h0 = 100 30; 30 20", "h0 = 100 30; 30 nan",
-            "[map] h0 = '100 30; 30 nan': bad vector literal '30 nan': values must be finite",
+            "9:1: [map] h0 = '100 30; 30 nan': values must be finite",
         ),
     ],
     ids=[
@@ -334,7 +336,7 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
     path.write_text(text.replace(old, new))
     rc = cli.main([command, str(path), "--out", str(tmp_path)])
     assert rc == 1
-    assert capsys.readouterr().err.endswith(f"error: {path}: {what}\n")
+    assert capsys.readouterr().err.endswith(f"error: {path}:{what}\n")
 
 
 @pytest.mark.parametrize(
@@ -342,55 +344,54 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
     [
         (
             "simulate", "example1.cfg", "theta0 = 2.5 6", "theta0 = 2.5",
-            "[sim] theta0, t_end, dt, [map] theta_star, [dither] amplitudes: "
-            "theta0 dimension mismatch",
+            "29:1: [map] theta_star, [sim] theta0: theta0 has dimension 1, theta_star 2",
         ),
         (
             "simulate", "example2.cfg", "alpha = 0.25 0.25 0.25 0.25", "alpha = 0.5 0.5",
-            "[map] alpha, polytope: alpha has 2 weights for 4 vertices",
+            "12:1: [map] alpha, polytope: alpha has 2 weights for 4 vertices",
         ),
         (
             "simulate", "example2.cfg", "alpha = 0.25 0.25 0.25 0.25",
             "alpha = 0.5 0.2 0.2 0.05",
-            "[map] alpha, polytope: alpha weights sum to 0.95, not 1",
+            "12:1: [map] alpha, polytope: alpha weights sum to 0.95, not 1",
         ),
         *[
             (
                 command, "example2.cfg",
                 "amplitudes = 0.1 0.1 0.1", "amplitudes = 0.1 0.1",
-                "[dither] amplitudes, multipliers, base_omega: "
-                "amplitudes and freq_multipliers disagree in length",
+                "15:1: [map] theta_star, [dither] amplitudes: "
+                "amplitudes has dimension 2, theta_star 3",
             )
             for command in ("simulate", "design")
         ],
         (
             "simulate", "example1.cfg", "k = -0.0270 0.0361; 0.0456 -0.1492",
             "k = 1 0 0; 0 1 0",
-            "[controller] k, k_aw: controller gains must be square and of one shape",
+            "25:1: [controller] k, k_aw: controller gains must be square and of one shape",
         ),
         (
             "simulate", "example1.cfg", "h0 = 100 30; 30 20", "h0 = 100",
-            "[map] theta_star, polytope: hessian shape does not match theta_star",
+            "8:1: [map] theta_star, polytope: polytope has dimension 1, theta_star 2",
         ),
         (
             "design", "example1.cfg", "h0 = 100 30; 30 20", "h0 = 100",
-            "[synthesis] bounds = '5 5' has 2 bounds for a [map] polytope of dimension 1",
+            "8:1: [map] theta_star, polytope: polytope has dimension 1, theta_star 2",
         ),
         (
             "design", "example2.cfg", "polytope = vertices\n", "",
-            "[map] must define a polytope for gain design",
+            " [map] must define a polytope for gain design",
         ),
         (
             "simulate", "example1.cfg",
             "k = -0.0270 0.0361; 0.0456 -0.1492\nk_aw = 2.2794 0.0824; -0.0865 2.2804",
             "k = 1 0 0; 0 1 0; 0 0 1\nk_aw = 1 0 0; 0 1 0; 0 0 1",
-            "[controller] k gives a controller of dimension 3 for a map of dimension 2",
+            "25:1: [controller] k, k_aw: a controller of dimension 3 for a map of dimension 2",
         ),
         *[
             (
                 command, "example2.cfg", "multipliers = 10 30 70",
                 "multipliers = 1/100000007 1/100000037 1/100000039",
-                "[dither] amplitudes, multipliers, base_omega: common-period LCM "
+                "17:1: [dither] amplitudes, multipliers, base_omega: common-period LCM "
                 "exceeds exact integer range while combining multiplier 2 "
                 "(reciprocal 100000039) with the running value 10000004400000259",
             )
@@ -398,8 +399,7 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
         ],
         (
             "simulate", "example1.cfg", "t_end = 5", "t_end = 0.0001",
-            "[sim] theta0, t_end, dt, [map] theta_star, [dither] amplitudes: "
-            "t_end = 0.0001 rounds to no step of dt = 0.000628319",
+            "31:1: [sim] t_end, dt: t_end = 0.0001 rounds to no step of dt = 0.000628319",
         ),
     ],
     ids=[
@@ -417,7 +417,7 @@ def test_config_errors_across_keys_name_the_config(
     path.write_text(text.replace(old, new))
     out = tmp_path / "out"
     assert cli.main([command, str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: {path}: {what}\n")
+    assert capsys.readouterr() == ("", f"error: {path}:{what}\n")
     assert not out.exists()
 
 
@@ -452,7 +452,7 @@ def test_removed_config_knobs_fail_with_their_position(tmp_path, capsys, old, ba
     path.write_text(edited)
     out = tmp_path / "out"
     assert cli.main(["simulate", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: {path}: {what} (line {line}, col 1)\n")
+    assert capsys.readouterr() == ("", f"error: {path}:{line}:1: {what}\n")
     assert not out.exists()
 
 
@@ -525,7 +525,7 @@ def test_cli_epsilon_sweep_is_refused_on_an_aw_config(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def fixture_designs(tmp_path_factory):
     """Design file of each bundled fixture with a design, keyed by config."""
     out = tmp_path_factory.mktemp("designs")
@@ -542,19 +542,16 @@ MATRIX_SHAPE = "shape (1, 2), expected ({n}, {n}) from the {n}-row k"
 @pytest.mark.parametrize(
     "field, value, reason",
     [
-        ("eta", "abc", "could not convert string to float: 'abc'"),
-        ("k", "1 2; 3", "ragged matrix literal '1 2; 3'"),
-        pytest.param(
-            "p", "nan 0; 0 1", "bad vector literal 'nan 0': values must be finite",
-            id="p-nan",
-        ),
-        pytest.param("eta", "inf", "'inf' is not a finite number", id="eta-inf"),
-        pytest.param("epsilon", "nan", "'nan' is not a finite number", id="epsilon-nan"),
+        pytest.param("eta", "abc", "not a number", id="eta-abc"),
+        pytest.param("k", "1 2; 3", "rows of unequal length", id="k-ragged"),
+        pytest.param("p", "nan 0; 0 1", "values must be finite", id="p-nan"),
+        pytest.param("eta", "inf", "not a finite number", id="eta-inf"),
+        pytest.param("epsilon", "nan", "not a finite number", id="epsilon-nan"),
         # a certificate of a non-positive decay rate or congruence scalar
         # proves no convergence
-        pytest.param("eta", "-1.0", "'-1.0' is not positive", id="eta-negative"),
-        pytest.param("eta", "0", "'0' is not positive", id="eta-zero"),
-        pytest.param("epsilon", "-0.5", "'-0.5' is not positive", id="epsilon-negative"),
+        pytest.param("eta", "-1.0", "not positive", id="eta-negative"),
+        pytest.param("eta", "0", "not positive", id="eta-zero"),
+        pytest.param("epsilon", "-0.5", "not positive", id="epsilon-negative"),
         pytest.param(
             "k", "1 2", "shape (1, 2), expected (1, 1) from the 1-row k", id="shape-k"
         ),
@@ -587,18 +584,19 @@ def test_design_file_errors_name_line_and_field(
             continue
         tried += 1
         first = 1 + keys.index(field)
-        expected = reason.format(n=load_design(str(good)).dim, first=first)
+        raw = value.rpartition("= ")[2]
+        expected = f"{field} = {raw!r}: " + reason.format(n=load_design(str(good)).dim, first=first)
         bad = tmp_path / "bad.txt"
         _edit_design_file(good, bad, **{field: value})
         # the error names the field's last line: a repeat, if there is one
         lineno = first + value.count("\n")
         with pytest.raises(ValueError) as exc:
             load_design(str(bad))
-        assert str(exc.value) == f"{bad}:{lineno}: {field}: {expected}"
+        assert str(exc.value) == f"{bad}:{lineno}: {expected}"
         capsys.readouterr()
         rc = cli.main(["verify", str(bad), fixture_path(cfg)])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {bad}:{lineno}: {field}: {expected}\n"
+        assert capsys.readouterr().err == f"error: {bad}:{lineno}: {expected}\n"
     assert tried
 
 
@@ -684,8 +682,9 @@ def test_nonpositive_synthesis_scalars_are_refused(
     capsys.readouterr()
     assert cli.main(argv) == 1
     key, _, value = new.partition(" = ")
+    line = 1 + text.splitlines().index(old)
     assert capsys.readouterr() == (
-        "", f"error: {path}: [synthesis] {key} = {value!r} is not positive\n"
+        "", f"error: {path}:{line}:1: [synthesis] {key} = {value!r}: not positive\n"
     )
     assert not out.exists()
 
@@ -748,7 +747,7 @@ def test_design_option_alone_runs_the_design_gains(tmp_path, fixture_designs, na
     cfg_path = fixture_path(name)
     design = load_design(str(fixture_designs[name]))
     cfg = load_config(cfg_path)
-    assert not np.array_equal(design.k, matio.parse_matrix(cfg.require("controller", "k")))
+    assert not np.array_equal(design.k, cfg["controller", "k"])
     argv = ["simulate", cfg_path, "--design", str(fixture_designs[name])]
     assert cli.main(argv + ["--out", str(tmp_path / "cli")]) == 0
     qmap = build_qmap(cfg, resolve_hessian(cfg, build_polytope(cfg)))
@@ -878,7 +877,7 @@ def test_uncountable_horizon_is_a_named_error(tmp_path, capsys):
     assert cli.main(["simulate", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr() == (
         "",
-        f"error: {path}: [sim] theta0, t_end, dt, [map] theta_star, [dither] amplitudes: "
+        f"error: {path}:31:1: [sim] t_end, dt: "
         "t_end = 1e+300 at dt = 1e-10 takes too many steps to count\n",
     )
     assert not out.exists()
@@ -932,7 +931,7 @@ def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_
     assert rc == 1
     assert captured.out == ""
     assert captured.err.endswith(
-        f"error: {path}: [map] theta_star = '2 x': bad vector literal '2 x': "
+        f"error: {path}:6:1: [map] theta_star = '2 x': "
         "could not convert string to float: 'x'\n"
     )
 
@@ -943,12 +942,13 @@ def test_cli_verify_bad_theta_star_names_file_and_key(tmp_path, capsys, fixture_
     [
         (
             "bounds = 5 5", "bounds = 4 4",
-            "[map] input_bounds = '5 5' and [synthesis] bounds = '4 4' differ; "
+            "21:1: [map] input_bounds, [synthesis] bounds: "
             "an anti-windup loop has one set of input bounds",
         ),
         (
             "theta_star = 2 4", "theta_star = 2 6",
-            "[map] theta_star = '2 6' must lie strictly inside [map] input_bounds = '5 5'",
+            "21:1: [map] theta_star, [synthesis] bounds: "
+            "theta_star must lie strictly inside the input bounds",
         ),
     ],
     ids=["bounds-differ", "theta-star-outside"],
@@ -970,8 +970,228 @@ def test_aw_config_states_one_set_of_input_bounds(
     }[command]
     capsys.readouterr()
     assert cli.main(argv) == 1
-    assert capsys.readouterr() == ("", f"error: {path}: {what}\n")
+    assert capsys.readouterr() == ("", f"error: {path}:{what}\n")
     assert not out.exists()
+
+
+def _malformed_keys():
+    """(fixture, line, section, key, value) for each key of the fixtures with
+    a design, given a value of its shape that does not parse, and for the
+    synthesis scalars that parse but are not positive."""
+    cases = []
+    for name in ("example1.cfg", "example2.cfg"):
+        lines = Path(fixture_path(name)).read_text().splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            if line.startswith("["):
+                section = line[1:-1]
+            key, eq, value = line.partition(" = ")
+            if not eq or line.startswith("#"):
+                continue
+            bad = "1 2; 3" if ";" in value else "1 x" if " " in value else "abc"
+            fixture = name.removesuffix(".cfg")
+            cases.append(pytest.param(name, lineno, section, key, bad, id=f"{fixture}-{key}"))
+            nonpositive = {"eta": "-1" if fixture == "example1" else "0", "epsilon": "-0.5"}
+            if key in nonpositive:
+                bad = nonpositive[key]
+                cases.append(
+                    pytest.param(name, lineno, section, key, bad, id=f"{fixture}-{key}={bad}")
+                )
+    return cases
+
+
+@pytest.mark.parametrize("name, lineno, section, key, bad", _malformed_keys())
+def test_a_malformed_key_is_refused_alike_by_every_command(
+    tmp_path, capsys, fixture_designs, name, lineno, section, key, bad
+):
+    # typed at load, a bad value stops every command with the same line,
+    # before it prints, creates or runs anything
+    text = Path(fixture_path(name)).read_text()
+    lines = re.sub(r"(?m)^t_end = .*$", "t_end = 0.05", text).splitlines()
+    lines[lineno - 1] = f"{key} = {bad}"
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    design = str(fixture_designs[name])
+    forms = [
+        ["design", str(path), "--out", str(out)],
+        ["verify", design, str(path)],
+        ["simulate", str(path), "--out", str(out)],
+        ["simulate", str(path), "--design", design, "--out", str(out)],
+        ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2", "--out", str(out)],
+    ]
+    refusals = []
+    for argv in forms:
+        capsys.readouterr()
+        refusals.append((cli.main(argv), *capsys.readouterr()))
+        assert not out.exists(), argv
+    rc, stdout, stderr = refusals[0]
+    assert refusals == [(1, "", stderr)] * len(forms)
+    assert stderr.startswith(f"error: {path}:{lineno}:1: [{section}] {key} = {bad!r}: ")
+    assert stderr.count("\n") == 1
+
+
+AFFINE = """polytope = affine
+gamma0 = -5 0 0; 0 -5 0; 0 0 -4
+delta_bars = 1 1
+gamma1 = 1 0 0; 0 0 0; 0 0 0
+gamma2 = 0 0 0; 0 1 0; 0 0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "polytope, old, new, key, reason",
+    [
+        ("vertices", "vertex4 = ", "vertex5 = ", "vertex5", "vertex4 is missing"),
+        ("vertices", "vertex1 = ", "vertex0 = ", "vertex0", "vertex keys start at 1"),
+        ("affine", "gamma2 = ", "gamma3 = ", "gamma3", "gamma2 is missing"),
+        (
+            "affine", "gamma2 = 0 0 0; 0 1 0; 0 0 0\n",
+            "gamma2 = 0 0 0; 0 1 0; 0 0 0\ngamma3 = 0 0 0; 0 0 0; 0 0 1\n",
+            "[map] polytope, gamma0, delta_bars, gamma1, gamma2, gamma3",
+            "gammas and delta_bars disagree in length",
+        ),
+        (
+            "affine", "gamma2 = 0 0 0; 0 1 0; 0 0 0\n", "",
+            "[map] polytope, gamma0, delta_bars, gamma1",
+            "gammas and delta_bars disagree in length",
+        ),
+    ],
+    ids=["vertex-gap", "vertex0", "gamma-gap", "gamma-beyond", "gamma-missing"],
+)
+def test_a_numbered_family_is_read_whole(
+    tmp_path, capsys, fixture_designs, polytope, old, new, key, reason
+):
+    # a polytope whose numbered keys have a gap, or do not match the count
+    # of delta_bars, is refused at load: a certificate over part of the
+    # listed vertices certifies another polytope
+    text = Path(fixture_path("example2.cfg")).read_text()
+    if polytope == "affine":
+        text = re.sub(r"(?m)^polytope = vertices\n(vertex\d = .*\n)+", AFFINE, text)
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    path = tmp_path / "gap.cfg"
+    path.write_text(text)
+    # a lone key is quoted at its line, a check across keys at the last of them
+    lines = text.splitlines()
+    if key.startswith("["):
+        at = max(i for i, ln in enumerate(lines, 1) if ln.startswith("gamma"))
+        what = f"{key}: {reason}"
+    else:
+        at = next(i for i, ln in enumerate(lines, 1) if ln.startswith(f"{key} = "))
+        what = f"[map] {key} = {lines[at - 1].partition(' = ')[2]!r}: {reason}"
+    out = tmp_path / "out"
+    for argv in (
+        ["design", str(path), "--out", str(out)],
+        ["verify", str(fixture_designs["example2.cfg"]), str(path)],
+        ["simulate", str(path), "--out", str(out)],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {path}:{at}:1: {what}\n")
+        assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Each refusal that README lists as command-specific: its stderr line, with
+# <config> and <path> for the paths, -> (fixture, {old: new} edits, argv
+# after the command, with {cfg} the edited fixture and {aw} and {gradsat}
+# the fixture designs).
+COMMAND_REFUSALS = {
+    "error: <config>: missing [sim] theta0": (
+        "example1.cfg", {"theta0 = 2.5 6\n": ""}, ["simulate", "{cfg}"]
+    ),
+    "error: <config>: [map] must define a polytope for gain design": (
+        "example2.cfg", {"polytope = vertices\n": ""}, ["design", "{cfg}"]
+    ),
+    "error: <config>: [map] needs either 'hessian' or a polytope": (
+        "example2.cfg", {"polytope = vertices\n": ""}, ["simulate", "{cfg}"]
+    ),
+    "error: <config>: simulating from a polytope needs [map] alpha weights": (
+        "example1.cfg", {"alpha = 0.6822 0.3178\n": ""}, ["simulate", "{cfg}"]
+    ),
+    "error: <config>: scenario 'gradient-saturation' cannot run a design of kind 'aw'": (
+        "example1.cfg", {"= input-saturation": "= gradient-saturation"},
+        ["simulate", "{cfg}", "--design", "{aw}"],
+    ),
+    "error: <config>: the design gives a controller of dimension 3 for a map of dimension 2": (
+        "example1.cfg", {"= input-saturation": "= gradient-saturation"},
+        ["sweep", "{cfg}", "--design", "{gradsat}", "--param", "amplitude", "--values", "1,2"],
+    ),
+    "error: the design has dimension 2 but the config's polytope has dimension 3": (
+        "example2.cfg", {}, ["verify", "{aw}", "{cfg}"]
+    ),
+    "error: the design is of kind 'aw' but the config's [synthesis] kind is 'gradsat'": (
+        "example1.cfg", {"kind = aw": "kind = gradsat\nepsilon = 0.5"},
+        ["verify", "{aw}", "{cfg}"],
+    ),
+    "error: --epsilon-sweep applies to gradsat designs only": (
+        "example1.cfg", {}, ["design", "{cfg}", "--epsilon-sweep", "0.25,0.5"]
+    ),
+    "error: --epsilon-sweep '0.5,-1': candidate -1: the congruence scalar epsilon must "
+    "be positive and finite": (
+        "example2.cfg", {}, ["design", "{cfg}", "--epsilon-sweep", "0.5,-1"]
+    ),
+    "error: --values '0.1,abc': could not convert string to float: 'abc'": (
+        "example1.cfg", {}, ["sweep", "{cfg}", "--param", "amplitude", "--values", "0.1,abc"]
+    ),
+    "error: sweep needs at least two values": (
+        "example1.cfg", {}, ["sweep", "{cfg}", "--param", "amplitude", "--values", "0.1"]
+    ),
+    "error: sweep values must be finite: '0.1,nan'": (
+        "example1.cfg", {}, ["sweep", "{cfg}", "--param", "amplitude", "--values", "0.1,nan"]
+    ),
+    "error: <config>: [sim] theta0 = '2 4' is the optimum theta*, where the averaged loop "
+    "rests, so a sweep has no decay to fit": (
+        "example1.cfg", {"theta0 = 2.5 6": "theta0 = 2 4"},
+        ["sweep", "{cfg}", "--param", "omega-scale", "--values", "0.8,1"],
+    ),
+    "error: <config>: --param omega-scale --values 1e-06: t_end = 5 rounds to no step of "
+    "dt = 628.319": (
+        "example1.cfg", {}, ["sweep", "{cfg}", "--param", "omega-scale", "--values", "1e-6,1"]
+    ),
+    "error: t_end = 1e+12 at dt = 0.000628319 takes 1.592e+15 steps, too many to allocate": (
+        "example1.cfg", {"t_end = 5": "t_end = 1e12"}, ["simulate", "{cfg}"]
+    ),
+    "error: [Errno 2] No such file or directory: '<path>'": (
+        "example1.cfg", {}, ["verify", "<path>", "{cfg}"]
+    ),
+    "usage error: argument --stride: expected at least 1, got '0'": (
+        "example1.cfg", {}, ["simulate", "{cfg}", "--stride", "0"]
+    ),
+}
+
+
+def test_readme_lists_the_refusals_each_command_makes(tmp_path, capsys, fixture_designs):
+    text = README.read_text()
+    rows = text[text.index("| refusal | command | stderr line |"):].splitlines()[2:]
+    listed = [
+        row.rstrip(" |").rpartition("| `")[2].rstrip("`")
+        for row in itertools.takewhile(lambda row: row.startswith("|"), rows)
+    ]
+    assert listed == list(COMMAND_REFUSALS)
+    missing = str(tmp_path / "nope.txt")
+    for line, (name, edits, argv) in COMMAND_REFUSALS.items():
+        cfg_text = Path(fixture_path(name)).read_text()
+        for old, new in edits.items():
+            assert cfg_text.count(old) == 1
+            cfg_text = cfg_text.replace(old, new)
+        cfg = tmp_path / name
+        cfg.write_text(cfg_text)
+        paths = {
+            "{cfg}": str(cfg), "<path>": missing,
+            "{aw}": str(fixture_designs["example1.cfg"]),
+            "{gradsat}": str(fixture_designs["example2.cfg"]),
+        }
+        argv = [paths.get(arg, arg) for arg in argv]
+        out = tmp_path / "out"
+        if argv[0] != "verify":
+            argv += ["--out", str(out)]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        expected = line.replace("<config>", str(cfg)).replace("<path>", missing)
+        assert capsys.readouterr() == ("", expected + "\n"), argv
+        assert not out.exists()
 
 
 def test_cli_verify_missing_file(tmp_path, capsys, fixture_designs):
