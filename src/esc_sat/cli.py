@@ -15,23 +15,12 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
-from typing import Optional
+from pathlib import Path
 
 import numpy as np
 
 from . import analysis, synthesis
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    build_controller,
-    build_dither,
-    build_polytope,
-    build_qmap,
-    build_sim_config,
-    build_synthesis_request,
-    load_config,
-    resolve_hessian,
-)
+from .config import load_config
 from .signals import DitherSpec, validate_frequencies
 from .sim import (
     SCENARIOS,
@@ -134,14 +123,6 @@ def _warn_frequencies(dither: DitherSpec) -> None:
         )
 
 
-def _design_polytope(cfg: ExperimentConfig):
-    """The config's polytope, which a design needs."""
-    poly = build_polytope(cfg)
-    if poly is None:
-        raise ConfigError(cfg.name, "[map] must define a polytope for gain design")
-    return poly
-
-
 def _cmd_design(args) -> None:
     eps_candidates = _comma_numbers("--epsilon-sweep", args.epsilon_sweep or "")
     for cand in eps_candidates:
@@ -151,11 +132,11 @@ def _cmd_design(args) -> None:
                 "congruence scalar epsilon must be positive and finite"
             )
     cfg = load_config(args.config)
-    dither = build_dither(cfg)
-    req = build_synthesis_request(cfg)
+    dither = cfg.built("dither")
+    req = cfg.built("request")
     if req.kind == "aw" and args.epsilon_sweep is not None:
         raise ValueError("--epsilon-sweep applies to gradsat designs only")
-    poly = _design_polytope(cfg)
+    poly = cfg.built("polytope")
     _warn_frequencies(dither)
     lines = []
     if req.kind == "aw":
@@ -196,27 +177,14 @@ def _cmd_design(args) -> None:
     _atomic_write(design_path, lambda p: save_design(design, p))
     report_path = os.path.join(args.out, "design_report.txt")
     text = "\n".join(lines) + "\n"
-
-    def write_report(p):
-        with open(p, "w") as fh:
-            fh.write(text)
-
-    _atomic_write(report_path, write_report)
+    _atomic_write(report_path, lambda p: Path(p).write_text(text))
     print(text, end="")
     print(f"design written to {design_path}")
 
 
-def _load_sim_config(cfg: ExperimentConfig, design_path: Optional[str]) -> SimConfig:
-    """The run the config describes; the caller warns on its dither
-    frequencies once every check has passed."""
-    design = load_design(design_path) if design_path else None
-    qmap = build_qmap(cfg, resolve_hessian(cfg, build_polytope(cfg)))
-    dither = build_dither(cfg)
-    return build_sim_config(cfg, qmap, dither, build_controller(cfg, qmap, design))
-
-
 def _cmd_simulate(args) -> None:
-    sim_cfg = _load_sim_config(load_config(args.config), args.design)
+    cfg = load_config(args.config)
+    sim_cfg = cfg.run(load_design(args.design) if args.design else None)
     _warn_frequencies(sim_cfg.dither)
     traj = simulate(sim_cfg)
     csv_path = os.path.join(args.out, "trajectory.csv")
@@ -269,7 +237,7 @@ def _cmd_sweep(args) -> None:
     if len(values) < 2:
         raise ValueError("sweep needs at least two values")
     cfg = load_config(args.config)
-    sim_cfg = _load_sim_config(cfg, args.design)
+    sim_cfg = cfg.run(load_design(args.design) if args.design else None)
     if np.array_equal(sim_cfg.theta0, sim_cfg.qmap.theta_star):
         raise ValueError(
             f"{cfg.name}: [sim] theta0 = {cfg.where['sim', 'theta0'][2]!r} is the optimum "
@@ -305,14 +273,10 @@ def _cmd_sweep(args) -> None:
     fits: dict = {}
     rows = [(v, *_sweep_row(m, r, averaged, fits)) for v, m, r in zip(values, members, runs)]
     path = os.path.join(args.out, "sweep.csv")
-
-    def write(p):
-        with open(p, "w") as fh:
-            fh.write("value,sup_deviation,tail_r_theta,tail_r_y,eta_hat\n")
-            for row in rows:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-    _atomic_write(path, write)
+    text = "value,sup_deviation,tail_r_theta,tail_r_y,eta_hat\n" + "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in rows
+    )
+    _atomic_write(path, lambda p: Path(p).write_text(text))
     for row in rows:
         print(
             f"{args.param} = {row[0]:g}: sup|tt - tt_av| = {row[1]:.4g}, "
@@ -324,8 +288,8 @@ def _cmd_sweep(args) -> None:
 def _cmd_verify(args) -> None:
     design = load_design(args.design)
     cfg = load_config(args.config)
-    req = build_synthesis_request(cfg)
-    poly = _design_polytope(cfg)
+    req = cfg.built("request")
+    poly = cfg.built("polytope")
     if design.dim != poly.dim:
         raise ValueError(
             f"the design has dimension {design.dim} but the config's polytope "

@@ -4,16 +4,16 @@ A config is a sequence of ``[section]`` headers and ``key = value`` lines;
 ``#`` starts a comment.  Matrix values keep rows separated by semicolons so
 numeric content stays auditable in diffs.  ``parse_config`` types each
 value by its kind in ``_KEYS``, then runs the checks across keys that need
-no command.  An error about a key reads ``path:line:col: [section] key =
-'raw': reason``; one across keys names them and points at the last of them
-in the file.  A config describes the map, dither, design request, explicit
-gains and run; which design file to run and how to write the results are
-chosen on the command line only.
+no command and builds, once, each object the config describes; the commands
+run those objects.  An error about a key reads ``path:line:col: [section]
+key = 'raw': reason``; one across keys names them and points at the last of
+them in the file.  A config describes the map, dither, design request,
+explicit gains and run; which design file to run and how to write the
+results are chosen on the command line only.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,6 +35,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
+    "load_config",
     "build_dither",
     "build_polytope",
     "resolve_hessian",
@@ -130,12 +131,16 @@ def _typed(kind, text: str):
 
 @dataclass
 class ExperimentConfig:
-    """A loaded config: each present key's typed value and where it stands."""
+    """A loaded config: each present key's typed value and where it stands,
+    and each object that the load built from them."""
 
     name: str = "<config>"
     # (section, key) -> typed value, and -> (line, col, raw text), in file order
     values: dict = field(default_factory=dict)
     where: dict = field(default_factory=dict)
+    # polytope, request, dither, map, controller, run -> the object, or the
+    # _Missing that stopped its build
+    objects: dict = field(default_factory=dict)
 
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self.values
@@ -159,6 +164,22 @@ class ExperimentConfig:
             ]
             what = ", ".join(names)
         return ConfigError(self.name, f"{what}: {reason}", line, col)
+
+    def built(self, what: str):
+        """The object the load built; a command that needs one the load
+        could not build gets the error that stopped it."""
+        obj = self.objects[what]
+        if isinstance(obj, _Missing):
+            raise obj
+        return obj
+
+    def run(self, design=None) -> SimConfig:
+        """The config's run, or the run of a loaded design's gains on the
+        config's map and dither."""
+        if design is None:
+            return self.built("run")
+        qmap, dither = self.built("map"), self.built("dither")
+        return build_sim_config(self, qmap, dither, build_controller(self, qmap, design))
 
 
 def parse_config(text: str, name: str = "<config>") -> ExperimentConfig:
@@ -211,17 +232,15 @@ def load_config(path: str) -> ExperimentConfig:
 def _check(cfg: ExperimentConfig) -> None:
     """The checks that need no command: numbered families, the loop's one
     dimension and one set of anti-windup bounds, then each object the config
-    describes, built where the keys it needs are present."""
+    describes, built and kept where the keys it needs are present."""
     for section, key in cfg.where:
         family, i = _numbered(key)
         if key not in _KEYS[section] and i != 1 and (section, f"{family}{i - 1}") not in cfg:
             gap = f"{family}{i - 1} is missing" if i else f"{family} keys start at 1"
             raise cfg.error([(section, key)], gap)
-    poly = None
-    with suppress(_Missing):
-        poly = build_polytope(cfg)
+    poly = _kept(build_polytope, cfg)
     sized = [(key, cfg.values[key]) for key in _DIMENSIONED if key in cfg]
-    if poly is not None:
+    if isinstance(poly, HessianPolytope):
         sized.append((("map", "polytope"), poly))
     dims = [(key, v.dim if hasattr(v, "dim") else v.size) for key, v in sized]
     for key, dim in dims[1:]:
@@ -240,14 +259,29 @@ def _check(cfg: ExperimentConfig) -> None:
             raise cfg.error(
                 [theta_star, bounds], "theta_star must lie strictly inside the input bounds"
             )
-    dither = None
-    with suppress(_Missing):
-        dither = build_dither(cfg)
-    with suppress(_Missing):
-        qmap = build_qmap(cfg, resolve_hessian(cfg, poly))
-        ctrl = build_controller(cfg, qmap)
-        if dither is not None:
-            build_sim_config(cfg, qmap, dither, ctrl)
+    dither = _kept(build_dither, cfg)
+    # beside a hessian the map is checked, yet a run still needs the polytope's keys
+    stop = poly if isinstance(poly, _Missing) else None
+    qmap = _kept(build_qmap, cfg, _kept(resolve_hessian, cfg, None if stop else poly))
+    ctrl = _kept(build_controller, cfg, qmap)
+    cfg.objects = dict(
+        polytope=poly or _Missing(cfg.name, "[map] must define a polytope for gain design"),
+        request=_kept(build_synthesis_request, cfg), dither=dither,
+        map=stop or qmap, controller=stop or ctrl,
+        run=stop or _kept(build_sim_config, cfg, qmap, dither, ctrl),
+    )
+
+
+def _kept(make, *args):
+    """make(*args), or the _Missing that stops it: the first among its
+    arguments, else its own."""
+    for arg in args:
+        if isinstance(arg, _Missing):
+            return arg
+    try:
+        return make(*args)
+    except _Missing as exc:
+        return exc
 
 
 def _construct(cfg: ExperimentConfig, keys, make, *args, **kwargs):

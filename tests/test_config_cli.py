@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import logging
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esc_sat import analysis, cli, matio
+from esc_sat import analysis, cli, config, matio
 from esc_sat.plant import AwController, GradSatController
 from esc_sat.sim import SimulationBlowUp, export_csv, simulate, simulate_batch
 from esc_sat.config import (
@@ -761,6 +762,106 @@ def test_design_option_alone_runs_the_design_gains(tmp_path, fixture_designs, na
     assert written == (tmp_path / "library.csv").read_bytes()
 
 
+# the public builders, each of which builds one object a config describes
+BUILDERS = (
+    "build_polytope", "build_synthesis_request", "build_dither", "resolve_hessian",
+    "build_qmap", "build_controller", "build_sim_config",
+)
+COMMAND_FORMS = {
+    "design": ["design", "{cfg}"],
+    "verify": ["verify", "{design}", "{cfg}"],
+    "simulate": ["simulate", "{cfg}", "--plot"],
+    "simulate-design": ["simulate", "{cfg}", "--design", "{design}"],
+    "sweep": ["sweep", "{cfg}", "--param", "omega-scale", "--values", "0.8,1"],
+    "sweep-design": [
+        "sweep", "{cfg}", "--design", "{design}", "--param", "amplitude", "--values", "0.05,0.1"
+    ],
+}
+
+
+@pytest.mark.parametrize("form", list(COMMAND_FORMS))
+@pytest.mark.parametrize("name", ["example1.cfg", "example2.cfg", "example1_no_aw.cfg"])
+def test_each_object_is_built_once_per_command(
+    tmp_path, capsys, monkeypatch, fixture_designs, name, form
+):
+    # the load builds each object the config describes and the command runs
+    # those; a --design file's gains go into a controller, and so a run, of
+    # their own, built from the loaded map and dither
+    text = Path(fixture_path(name)).read_text()
+    path = tmp_path / name
+    path.write_text(re.sub(r"(?m)^t_end = .*$", "t_end = 0.5", text))
+    design = fixture_designs["example2.cfg" if name == "example2.cfg" else "example1.cfg"]
+    calls = collections.Counter()
+    designed = []  # the controllers that run a design's gains
+
+    def counted(builder, make):
+        def wrapped(*args):
+            gains = builder == "build_controller" and len(args) > 2 and args[2] is not None
+            gains = gains or builder == "build_sim_config" and any(
+                args[3] is ctrl for ctrl in designed
+            )
+            calls[builder, "design" if gains else "config"] += 1
+            obj = make(*args)
+            if gains and builder == "build_controller":
+                designed.append(obj)
+            return obj
+
+        return wrapped
+
+    # wherever a module binds a builder, its calls are counted
+    for builder in BUILDERS:
+        for module in (config, cli):
+            if hasattr(module, builder):
+                monkeypatch.setattr(module, builder, counted(builder, getattr(config, builder)))
+    paths = {"{cfg}": str(path), "{design}": str(design)}
+    argv = [paths.get(arg, arg) for arg in COMMAND_FORMS[form]]
+    if form != "verify":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert set(calls.values()) == {1}, calls
+    assert len(calls) == len(BUILDERS) + 2 * form.endswith("-design"), calls
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_design_option_runs_without_a_controller_section(
+    tmp_path, capsys, fixture_designs, command
+):
+    # a --design file's gains go into a run of their own, so a config with
+    # no [controller] section runs them
+    text = Path(fixture_path("example2.cfg")).read_text()
+    text = re.sub(r"(?m)^\[controller\]\nk = .*\n\n", "", text)
+    assert "[controller]" not in text
+    path = tmp_path / "no-controller.cfg"
+    path.write_text(re.sub(r"(?m)^t_end = .*$", "t_end = 0.5", text))
+    argv = [command, str(path), "--design", str(fixture_designs["example2.cfg"])]
+    if command == "sweep":
+        argv += ["--param", "amplitude", "--values", "0.05,0.1"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    if command == "simulate":
+        assert "(797 samples)" in capsys.readouterr().out
+
+
+def test_verify_refuses_a_controller_that_does_not_fit_the_map(
+    tmp_path, capsys, fixture_designs
+):
+    # verify reads no dither and no controller; the controller is checked
+    # against the map at load all the same
+    text = Path(fixture_path("example1.cfg")).read_text()
+    text = re.sub(r"(?m)^\[dither\]\n(.+\n)+\n", "", text)
+    text = re.sub(r"(?m)^(k|k_aw) = .*$", r"\1 = 1 0 0; 0 1 0; 0 0 1", text)
+    assert "[dither]" not in text
+    path = tmp_path / "no-dither.cfg"
+    path.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["verify", str(fixture_designs["example1.cfg"]), str(path)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {path}:20:1: [controller] k, k_aw: a controller of dimension 3 for a map "
+        "of dimension 2\n",
+    )
+
+
 @pytest.mark.parametrize("refusal", ["other-kind", "bad-config", "under-one-step"])
 def test_refused_sweep_leaves_no_out_directory(tmp_path, capsys, fixture_designs, refusal):
     cfg = fixture_path("example2.cfg")
@@ -1287,7 +1388,7 @@ def test_sweep_blowup_reports_the_first_member_in_value_order(tmp_path, capsys, 
         text = text.replace(old, new)
     path = tmp_path / "diverge.cfg"
     path.write_text(text)
-    sim_cfg = cli._load_sim_config(load_config(str(path)), None)
+    sim_cfg = load_config(str(path)).run()
     with pytest.raises(SimulationBlowUp) as first:
         simulate(cli._sweep_member(sim_cfg, "amplitude", 0.1))
     scenarios = []
@@ -1426,7 +1527,7 @@ def test_amplitude_sweep_keeps_the_config_step(tmp_path):
     argv = ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2"]
     assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
-    sim_cfg = cli._load_sim_config(load_config(str(path)), None)
+    sim_cfg = load_config(str(path)).run()
     assert sim_cfg.dt == 0.0005
     band = analysis.check_convergence_bands(simulate(sim_cfg), sim_cfg.qmap, sim_cfg.dither)
     assert (float(row[0]), float(row[2]), float(row[3])) == (0.1, band.r_theta, band.r_y)
