@@ -230,14 +230,18 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _check(cfg: ExperimentConfig) -> None:
-    """The checks that need no command: numbered families, the loop's one
-    dimension and one set of anti-windup bounds, then each object the config
-    describes, built and kept where the keys it needs are present."""
+    """The checks that need no command: numbered families, keys that the
+    config's own choices read, the loop's one dimension and one set of
+    anti-windup bounds, then each object the config describes, built and
+    kept where the keys it needs are present."""
     for section, key in cfg.where:
         family, i = _numbered(key)
         if key not in _KEYS[section] and i != 1 and (section, f"{family}{i - 1}") not in cfg:
             gap = f"{family}{i - 1} is missing" if i else f"{family} keys start at 1"
             raise cfg.error([(section, key)], gap)
+        unread = _unread(cfg, section, key)
+        if unread:
+            raise cfg.error([(section, key)], unread)
     poly = _kept(build_polytope, cfg)
     sized = [(key, cfg.values[key]) for key in _DIMENSIONED if key in cfg]
     if isinstance(poly, HessianPolytope):
@@ -270,6 +274,23 @@ def _check(cfg: ExperimentConfig) -> None:
         map=stop or qmap, controller=stop or ctrl,
         run=stop or _kept(build_sim_config, cfg, qmap, dither, ctrl),
     )
+
+
+def _unread(cfg: ExperimentConfig, section: str, key: str) -> Optional[str]:
+    """Why the config's own choices read no value of a present key, if they read none."""
+    if (section, key) == ("map", "alpha") and ("map", "hessian") in cfg:
+        return "not read beside [map] hessian"
+    if (section, key) == ("synthesis", "epsilon") and cfg.values.get((section, "kind")) == "aw":
+        return "not read under kind = aw"
+    chosen = cfg.values.get(("map", "polytope"))
+    family = _numbered(key)[0]
+    if section == "map" and chosen and any(
+        key in named or family == numbered
+        for kind, (named, numbered, _) in _POLYTOPES.items()
+        if kind != chosen
+    ):
+        return f"not read under polytope = {chosen}"
+    return None
 
 
 def _kept(make, *args):

@@ -68,6 +68,7 @@ from .plant import AwController, GradSatController, QuadraticMap, loop_laws
 from .signals import DitherSpec, eval_S_M
 
 __all__ = [
+    "SCENARIOS",
     "SimConfig",
     "Trajectory",
     "SimulationBlowUp",

@@ -1194,6 +1194,62 @@ def test_a_numbered_family_is_read_whole(
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+
+@pytest.mark.parametrize(
+    "name, old, new, key, reason",
+    [
+        (
+            "example1.cfg", "delta_bar = 0.1\n", "delta_bar = 0.1\nvertex1 = 1 0; 0 1\n",
+            "vertex1", "not read under polytope = scaled_nominal",
+        ),
+        (
+            "example2.cfg", "polytope = vertices\n",
+            "polytope = vertices\nh0 = -5 0 0; 0 -5 0; 0 0 -4\n",
+            "h0", "not read under polytope = vertices",
+        ),
+        (
+            "example1.cfg", "alpha = 0.6822 0.3178\n",
+            "alpha = 0.6822 0.3178\nhessian = 100 30; 30 20\n",
+            "alpha", "not read beside [map] hessian",
+        ),
+        (
+            "example1.cfg", "kind = aw\n", "kind = aw\nepsilon = 0.5\n",
+            "epsilon", "not read under kind = aw",
+        ),
+    ],
+    ids=["vertex-under-scaled-nominal", "h0-under-vertices", "alpha-beside-hessian",
+         "epsilon-under-aw"],
+)
+def test_a_key_that_nothing_reads_is_refused(
+    tmp_path, capsys, fixture_designs, name, old, new, key, reason
+):
+    # a key that the config's own choices do not read is a statement the
+    # user believes is in force, so every command refuses it at its line
+    text = Path(fixture_path(name)).read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    path = tmp_path / "stray.cfg"
+    path.write_text(text)
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = "))
+    section = "synthesis" if key == "epsilon" else "map"
+    raw = lines[at - 1].partition(" = ")[2]
+    out = tmp_path / "out"
+    for argv in (
+        ["design", str(path), "--out", str(out)],
+        ["verify", str(fixture_designs[name]), str(path)],
+        ["simulate", str(path), "--out", str(out)],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}:{at}:1: [{section}] {key} = {raw!r}: {reason}\n"
+        )
+        assert not out.exists()
+    assert f"{key} = {raw!r}: {reason}`" in README.read_text()
+
+
+
 # Each refusal that README lists as command-specific: its stderr line, with
 # <config> and <path> for the paths, -> (fixture, {old: new} edits, argv
 # after the command, with {cfg} the edited fixture and {aw} and {gradsat}

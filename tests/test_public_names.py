@@ -1,5 +1,6 @@
 """The package's public names: each ``__all__`` lists what its module defines,
-the package re-exports only listed names, and no module reaches into a
+the package re-exports only listed names, every public name a module
+imports from a sibling is listed there, and no module reaches into a
 sibling's private names."""
 
 import ast
@@ -35,6 +36,17 @@ def test_every_all_entry_exists(module):
 def test_package_imports_only_listed_names():
     for sibling, name in _imports_from_siblings("__init__"):
         assert name in importlib.import_module(f"esc_sat.{sibling}").__all__, (sibling, name)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_sibling_import_is_listed(module):
+    unlisted = [
+        f"{sibling}.{name}"
+        for sibling, name in _imports_from_siblings(module)
+        if not name.startswith("_")
+        and name not in getattr(importlib.import_module(f"esc_sat.{sibling}"), "__all__", ())
+    ]
+    assert unlisted == []
 
 
 @pytest.mark.parametrize("module", MODULES)
