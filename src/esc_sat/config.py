@@ -264,9 +264,11 @@ def _check(cfg: ExperimentConfig) -> None:
                 [theta_star, bounds], "theta_star must lie strictly inside the input bounds"
             )
     dither = _kept(build_dither, cfg)
-    # beside a hessian the map is checked, yet a run still needs the polytope's keys
-    stop = poly if isinstance(poly, _Missing) else None
-    qmap = _kept(build_qmap, cfg, _kept(resolve_hessian, cfg, None if stop else poly))
+    # a run from [map] hessian reads no polytope, so only a run from the
+    # alpha mix stops at a polytope key that is missing
+    missing = isinstance(poly, _Missing)
+    stop = poly if missing and ("map", "hessian") not in cfg else None
+    qmap = _kept(build_qmap, cfg, _kept(resolve_hessian, cfg, None if missing else poly))
     ctrl = _kept(build_controller, cfg, qmap)
     cfg.objects = dict(
         polytope=poly or _Missing(cfg.name, "[map] must define a polytope for gain design"),

@@ -25,9 +25,12 @@ saturation), so small shaping blocks P >= eps*I etc. pin the scale away from
 zero.  Each design kind lists its blocks once, in one conditions function
 that yields ``(name, kind, matrix)`` entries of the matrix variables.  The
 solver's problem evaluates it on the unit vectors of the decision vector,
-turning each entry into its block before the next is built; ``certify``,
-which every returned design passes, evaluates it on the recovered gains and
-checks the blocks by eigendecomposition, independent of the solver's state.
+turning each entry into its block before the next is built: a vertex
+matrix is written block by block into one dense stack, and its block
+stores only the nonzero entries of its coefficient matrices, which come
+from unit vectors and are mostly exact zeros.  ``certify``, which every
+returned design passes, evaluates it on the recovered gains and checks the
+blocks by eigendecomposition, independent of the solver's state.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ PSD_MARGIN = 1e-9
 COND_WARN = 1e10
 # relative Frobenius mismatch allowed between a stored P and X^-T W X^-1
 CONGRUENCE_RTOL = 1e-6
+# doubles of coefficient matrices a strict margin's norms are taken over at once
+_NORM_CHUNK = 1 << 14
 
 
 class InfeasibleDesignError(Exception):
@@ -108,12 +113,13 @@ class _VarLayout:
             self.size += length
 
     def unpack(self, x: np.ndarray, name: str) -> np.ndarray:
-        """Matrix variable ``name`` of x, or of each row of a stack of x."""
+        """Matrix variable ``name`` of x, or of each row of a stack of x, in
+        an array of its own (never a view of x)."""
         kind, sl = self._slices[name]
         v = np.asarray(x)[..., sl]
         n = self.n
         if kind == "full":
-            return v.reshape(v.shape[:-1] + (n, n))
+            return v.reshape(v.shape[:-1] + (n, n)).copy()
         out = np.zeros(v.shape[:-1] + (n, n))
         if kind == "diag":
             out[..., range(n), range(n)] = v
@@ -140,17 +146,19 @@ def _block(name: str, kind: str, values: np.ndarray) -> LmiBlock:
     The coefficients are formed in place: ``values`` belongs to ``_assemble``,
     which drops it once the block is built.  A floor's ``values`` may be a
     variable's own stack, whose origin row is exactly zero, so the
-    subtraction leaves it bit for bit as it was.
+    subtraction leaves it bit for bit as it was.  A strict margin's largest
+    coefficient norm is taken _NORM_CHUNK doubles of matrices at a time.
     """
     base = values[0]
     coeffs = values[1:]
     coeffs -= base
     if kind == "strict":
-        scale = max(
-            1.0,
-            float(np.linalg.norm(base)),
-            float(np.max(np.linalg.norm(coeffs, axis=(1, 2)))),
+        step = max(1, _NORM_CHUNK // base.size)
+        norms = (
+            np.linalg.norm(coeffs[lo:lo + step], axis=(1, 2))
+            for lo in range(0, len(coeffs), step)
         )
+        scale = max(1.0, float(np.linalg.norm(base)), *(float(np.max(c)) for c in norms))
         return LmiBlock(base, coeffs, "strict", STRICT_MARGIN_SCALE * scale, name)
     if kind == "floor":
         base = base - SHAPING_EPS * np.eye(base.shape[0])
@@ -164,24 +172,26 @@ def _assemble(n: int, kinds: dict, conditions) -> tuple[LmiProblem, _VarLayout]:
     the stack of the origin followed by every unit vector, and yields
     ``(name, kind, values)`` entries.  Each entry becomes one ``_block`` and
     is dropped before the next one is built, so assembly holds the blocks
-    built so far, the variables' stacks and about one entry's work.  Each
-    assembly logs one DEBUG record under ``esc_sat.synthesis``: blocks,
-    variables, coefficient bytes and seconds.
+    built so far, stored sparse, the variables' stacks and one entry's dense
+    matrix with a few bounded chunks of work.  Each assembly logs one DEBUG
+    record under ``esc_sat.synthesis``: blocks, variables, stored nonzeros,
+    stored bytes and seconds.
     """
     start = time.perf_counter()
     layout = _VarLayout(n, kinds)
     x = np.vstack([np.zeros(layout.size), np.eye(layout.size)])
     entries = conditions({name: layout.unpack(x, name) for name in kinds})
-    del x  # the "full" variables alone keep views of it
+    del x  # every variable is an array of its own
     blocks = []
     for entry in entries:
         blocks.append(_block(*entry))
         del entry  # before the next entry is built
     problem = LmiProblem(num_vars=layout.size, blocks=tuple(blocks))
     log.debug(
-        "assembly: %d blocks, %d variables, %d coefficient bytes, %.6f s",
-        len(blocks), layout.size, sum(b.coeffs.nbytes for b in blocks),
-        time.perf_counter() - start,
+        "assembly: %d blocks, %d variables, %d stored nonzeros, %d stored bytes, "
+        "%.6f s",
+        len(blocks), layout.size, sum(b.values.size for b in blocks),
+        sum(b.nbytes for b in blocks), time.perf_counter() - start,
     )
     return problem, layout
 
@@ -267,6 +277,27 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _block_matrix(like: np.ndarray, k: int) -> np.ndarray:
+    """An empty k-by-k block matrix of blocks shaped as ``like``'s matrices,
+    or a stack of them as long as ``like``'s."""
+    n = like.shape[-1]
+    return np.empty(like.shape[:-2] + (k * n, k * n))
+
+
+def _place(M: np.ndarray, i: int, j: int, b: np.ndarray) -> None:
+    """Write block (i, j), i >= j, of a symmetric block matrix M, and its
+    mirror, as ``_symmetrized`` of the whole matrix would leave them: a
+    diagonal block symmetrized, an off-diagonal one as b below and b' above,
+    since fl((a + a) * 0.5) = a."""
+    n = b.shape[-1]
+    rows, cols = slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
+    M[..., rows, cols] = b
+    if i == j:
+        _symmetrized(M[..., rows, cols])
+    else:
+        M[..., cols, rows] = _t(b)
+
+
 def _kappa_of(P: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(P)
     return float(np.sqrt(eigs[-1] / eigs[0]))
@@ -317,11 +348,13 @@ def _aw_conditions(v: dict, poly: HessianPolytope, eta: float) -> Iterator[tuple
 
 
 def _aw_vertex(P, Lam, Z, Zaw, Hi: np.ndarray, eta: float) -> np.ndarray:
-    """The anti-windup vertex block at vertex Hi, symmetrized."""
-    b11 = Z @ Hi + Hi @ _t(Z) + 2.0 * eta * P
-    b21 = Lam - _t(Zaw) - Hi @ _t(Z)
-    b22 = -2.0 * Lam
-    return _symmetrized(np.block([[b11, _t(b21)], [b21, b22]]))
+    """The anti-windup vertex block at vertex Hi, symmetrized, each block
+    written into the matrix as soon as it is formed."""
+    M = _block_matrix(P, 2)
+    _place(M, 0, 0, Z @ Hi + Hi @ _t(Z) + 2.0 * eta * P)
+    _place(M, 1, 0, Lam - _t(Zaw) - Hi @ _t(Z))
+    _place(M, 1, 1, -2.0 * Lam)
+    return M
 
 
 def _assemble_aw_problem(
@@ -456,20 +489,16 @@ def _gradsat_conditions(
 def _gradsat_vertex(
     W, Ut, X, Y, Z, Hi: np.ndarray, eta: float, epsilon: float
 ) -> np.ndarray:
-    """The rate-saturation vertex block at vertex Hi, symmetrized."""
-    b11 = Hi @ Z + _t(Z) @ Hi + 2.0 * eta * W
-    b21 = W - _t(X) + epsilon * Hi @ Z
-    b22 = -epsilon * (_t(X) + X)
-    b31 = Y - Ut @ Hi
-    b32 = -epsilon * Ut @ Hi
-    b33 = -2.0 * Ut
-    return _symmetrized(np.block(
-        [
-            [b11, _t(b21), _t(b31)],
-            [b21, b22, _t(b32)],
-            [b31, b32, b33],
-        ]
-    ))
+    """The rate-saturation vertex block at vertex Hi, symmetrized, each
+    block written into the matrix as soon as it is formed."""
+    M = _block_matrix(W, 3)
+    _place(M, 0, 0, Hi @ Z + _t(Z) @ Hi + 2.0 * eta * W)
+    _place(M, 1, 0, W - _t(X) + epsilon * Hi @ Z)
+    _place(M, 1, 1, -epsilon * (_t(X) + X))
+    _place(M, 2, 0, Y - Ut @ Hi)
+    _place(M, 2, 1, -epsilon * Ut @ Hi)
+    _place(M, 2, 2, -2.0 * Ut)
+    return M
 
 
 def _assemble_gradsat_problem(

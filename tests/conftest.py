@@ -56,11 +56,18 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def support_coeffs(block) -> np.ndarray:
+    """A block's support matrices, densified: C_{support[k]} at row k."""
+    k = block.support.size
+    return block.densify(0, k, np.zeros((k,) + block.base.shape))
+
+
 def full_coeffs(block) -> np.ndarray:
     """A block's stack of one coefficient matrix per variable of its problem:
-    ``block.coeffs`` at ``block.support`` and exact zeros elsewhere."""
+    its densified support matrices at ``block.support`` and exact zeros
+    elsewhere."""
     full = np.zeros((block.num_vars,) + block.base.shape)
-    full[block.support] = block.coeffs
+    full[block.support] = support_coeffs(block)
     return full
 
 

@@ -1249,6 +1249,36 @@ def test_a_key_that_nothing_reads_is_refused(
     assert f"{key} = {raw!r}: {reason}`" in README.read_text()
 
 
+def test_a_run_from_hessian_reads_no_polytope_key(tmp_path, capsys, fixture_designs):
+    # simulate and sweep run [map] hessian, so a polytope key that is missing
+    # stops only design and verify, which certify the polytope
+    complete = Path(fixture_path("example1.cfg")).read_text().replace(
+        "alpha = 0.6822 0.3178\n", "hessian = 100 30; 30 20\n"
+    )
+    runs = {}
+    for name, text in (
+        ("complete", complete), ("lacking", complete.replace("delta_bar = 0.1\n", ""))
+    ):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        assert np.array_equal(load_config(str(path)).built("map").hessian, EX1_H0)
+        out = tmp_path / f"sim-{name}"
+        assert cli.main(["simulate", str(path), "--out", str(out), "--stride", "100"]) == 0
+        runs[name] = (out / "trajectory.csv").read_bytes()
+        sweep = ["sweep", str(path), "--param", "amplitude", "--values", "0.1,0.2"]
+        assert cli.main([*sweep, "--out", str(tmp_path / f"sweep-{name}")]) == 0
+    assert runs["lacking"] == runs["complete"]
+    out = tmp_path / "out"
+    for argv in (
+        ["design", str(path), "--out", str(out)],
+        ["verify", str(fixture_designs["example1.cfg"]), str(path)],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: missing [map] delta_bar\n")
+        assert not out.exists()
+
+
 
 # Each refusal that README lists as command-specific: its stderr line, with
 # <config> and <path> for the paths, -> (fixture, {old: new} edits, argv
@@ -1266,6 +1296,11 @@ COMMAND_REFUSALS = {
     ),
     "error: <config>: simulating from a polytope needs [map] alpha weights": (
         "example1.cfg", {"alpha = 0.6822 0.3178\n": ""}, ["simulate", "{cfg}"]
+    ),
+    "error: <config>: missing [map] delta_bar": (
+        "example1.cfg",
+        {"delta_bar = 0.1\n": "hessian = 100 30; 30 20\n", "alpha = 0.6822 0.3178\n": ""},
+        ["verify", "{aw}", "{cfg}"],
     ),
     "error: <config>: scenario 'gradient-saturation' cannot run a design of kind 'aw'": (
         "example1.cfg", {"= input-saturation": "= gradient-saturation"},

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from esc_sat import sdp
+from esc_sat import sdp, synthesis
 from esc_sat.plant import SaturationBounds
 from esc_sat.polytope import HessianPolytope
 from esc_sat.sdp import (
@@ -17,8 +17,12 @@ from esc_sat.sdp import (
     check_solution,
     solve_feasibility,
 )
-from esc_sat.synthesis import _assemble_aw_problem, _assemble_gradsat_problem
-from conftest import full_coeffs
+from esc_sat.synthesis import (
+    _assemble_aw_problem,
+    _assemble_gradsat_problem,
+    design_gradsat_gain,
+)
+from conftest import full_coeffs, support_coeffs
 
 
 def block(base, coeffs, sense="strict", margin=0.0, name=""):
@@ -162,7 +166,7 @@ def test_schur_terms_match_einsum_reference(family, n):
         G = [s * problem.assemble(b, x) for s, b in zip(signs, problem.blocks)]
         t = max(np.linalg.eigvalsh(g)[-1] for g in G) + 1.0
         z = np.append(x, t)
-        factors = _factors(problem, z)
+        factors = _factors(problem, z)[0]
         logdet = 0.0
         for s, b, g, C, L in zip(signs, problem.blocks, G, stacks, factors):
             S = t * np.eye(g.shape[0]) - g
@@ -183,7 +187,7 @@ def test_schur_terms_match_einsum_reference(family, n):
 def test_barrier_value_outside_the_box_is_infinite():
     problem = scalar_lyapunov_problem(-1.0)
     z = np.array([sdp.BOX_BOUND, 1.0])
-    factors = _factors(problem, np.array([0.0, 2.0]))
+    factors = _factors(problem, np.array([0.0, 2.0]))[0]
     assert _barrier_value(z, factors, 1.0) == np.inf
 
 
@@ -216,9 +220,10 @@ def test_infeasible_message_names_the_most_violated_block():
 @pytest.mark.parametrize("where", ["base", "coeff"])
 def test_non_finite_data_fail_at_the_initial_point(bad, where):
     # the solver's own guard: LmiBlock refuses non-finite data when it is
-    # built (test_block_validation), so the value is written into a built block
+    # built (test_block_validation), so the value is written into a built
+    # block: its base, or the stored value of its one nonzero coefficient
     a = block([[-1.0]], [[[1.0]]], "strict", 0.0, "a")
-    (a.base if where == "base" else a.coeffs[0])[0, 0] = bad
+    (a.base[0] if where == "base" else a.values)[0] = bad
     prob = LmiProblem(num_vars=1, blocks=(a, block([[1.0]], [[[1.0]]], "psd")))
     sol = solve_feasibility(prob)
     assert (sol.status, sol.iterations) == ("numerical-failure", 0)
@@ -260,7 +265,7 @@ def test_scaling_preserves_verdict():
             blocks=tuple(
                 LmiBlock(
                     base=1e3 * b.base,
-                    coeffs=1e3 * b.coeffs,
+                    coeffs=1e3 * full_coeffs(b),
                     sense=b.sense,
                     margin=b.margin,
                     name=b.name,
@@ -309,8 +314,13 @@ def test_support_keeps_the_matrices_that_are_not_exactly_zero():
     b = block(-np.eye(2), [np.eye(2), skew, -0.0 * np.eye(2), np.diag([0.0, 1.0])])
     assert b.num_vars == 4
     assert b.support.tolist() == [0, 3]
-    assert np.array_equal(b.coeffs, [np.eye(2), np.diag([0.0, 1.0])])
-    assert b.coeffs.nbytes == 2 * 4 * 8
+    assert np.array_equal(support_coeffs(b), [np.eye(2), np.diag([0.0, 1.0])])
+    # three nonzero entries: C_0's at flat positions 0 and 3, and C_3's at
+    # position 3 of the second support matrix, 4 + 3
+    assert b.offsets.tolist() == [0, 2, 3]
+    assert b.index.tolist() == [0, 3, 7]
+    assert b.values.tolist() == [1.0, 1.0, 1.0]
+    assert b.nbytes == b.base.nbytes + (2 + 3 + 3) * 8 + 3 * 8
 
 
 def test_constant_block_and_unused_variable_solve():
@@ -324,7 +334,9 @@ def test_constant_block_and_unused_variable_solve():
         ),
     )
     assert [b.support.tolist() for b in prob.blocks] == [[], [0, 2]]
-    assert prob.blocks[0].coeffs.shape == (0, 1, 1)
+    assert support_coeffs(prob.blocks[0]).shape == (0, 1, 1)
+    assert prob.blocks[0].offsets.tolist() == [0]
+    assert prob.blocks[0].index.size == prob.blocks[0].values.size == 0
     sol = solve_feasibility(prob)
     assert sol.status == "feasible"
     assert all(c.ok for c in check_solution(prob, sol.x))
@@ -332,7 +344,7 @@ def test_constant_block_and_unused_variable_solve():
     assert sol.x[1] == 0.0
     # the constant block adds to t's terms alone, and no block to x_1's
     c, box = (
-        block_terms(L, b) for b, L in zip(prob.blocks, _factors(prob, np.append(sol.x, 1.0)))
+        block_terms(L, b) for b, L in zip(prob.blocks, _factors(prob, np.append(sol.x, 1.0))[0])
     )
     assert not c[0][:3].any() and not c[1][:3].any() and c[1][3, 3] > 0
     assert not box[0][1] and not box[1][1].any() and not box[1][:, 1].any()
@@ -354,6 +366,82 @@ def test_assemble_equals_the_full_tensordot_bitwise(family, n):
     # every floor involves only its own variable, and every rate-saturation
     # row block only W and one row of Y and Z
     assert partial == (2 if family == "aw" else n + 3)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("family", ["aw", "gradsat"])
+def test_densified_coefficients_are_the_symmetric_part_bitwise(family, n, monkeypatch):
+    # every block of a design densifies to the symmetric part of the stack
+    # its conditions gave, at the support, bit for bit (these stacks hold no
+    # -0.0 there; one would densify as +0.0, see the test below), and that
+    # part is exact zeros off the support
+    given = {}
+
+    def recording_block(base, coeffs, *args):
+        given[args[-1]] = sdp._symmetric_part(args[-1], "coeff {}", coeffs)
+        return LmiBlock(base, coeffs, *args)
+
+    monkeypatch.setattr(synthesis, "LmiBlock", recording_block)
+    problem = design_problem(family, n, seed=3, spread=0.5)
+    assert list(given) == [b.name for b in problem.blocks]
+    for b in problem.blocks:
+        sym = given[b.name]
+        assert support_coeffs(b).tobytes() == sym[b.support].tobytes(), b.name
+        assert not np.delete(sym, b.support, axis=0).any(), b.name
+
+
+def test_chunk_edges_inside_a_run_change_no_stored_or_scaled_bits(monkeypatch):
+    # chunks of 5 vertex matrices put chunk edges inside the vertex blocks'
+    # one run of consecutive variables, both when a block is stored and
+    # when its support is densified and scaled
+    problem = design_problem("gradsat", 3, seed=3, spread=0.5)
+    x = np.random.default_rng(19).standard_normal(problem.num_vars)
+    t = max(np.linalg.eigvalsh(sdp._sign(b) * problem.assemble(b, x))[-1]
+            for b in problem.blocks) + 1.0
+    factors = _factors(problem, np.append(x, t))[0]
+    want = [block_terms(L, b) for L, b in zip(factors, problem.blocks)]
+    vertex = problem.blocks[0]
+    assert vertex.dim == 9 and vertex.support.tolist() == list(range(problem.num_vars))
+    monkeypatch.setattr(sdp, "_CHUNK", 5 * 81)
+    for b, L, (grad, hess) in zip(problem.blocks, factors, want):
+        rebuilt = LmiBlock(b.base, full_coeffs(b), b.sense, b.margin, b.name)
+        for field in ("support", "offsets", "index", "values"):
+            assert getattr(rebuilt, field).tobytes() == getattr(b, field).tobytes()
+        got = block_terms(L, b)
+        assert got[0].tobytes() == grad.tobytes() and got[1].tobytes() == hess.tobytes()
+    # densified in two pieces split inside the run, as in one
+    k = vertex.support.size
+    pieces = [vertex.densify(lo, hi, np.zeros((hi - lo, 9, 9))) for lo, hi in ((0, 7), (7, k))]
+    assert np.concatenate(pieces).tobytes() == support_coeffs(vertex).tobytes()
+
+
+def test_negative_zero_is_stored_as_absent_and_densifies_as_positive_zero():
+    # -0.0 is a zero: the block stores no entry for it, so it densifies as
+    # +0.0, where the symmetric part of the given stack keeps -0.0; a matrix
+    # of zeros and negative zeros leaves the support, and a block of only
+    # such matrices has an empty support
+    c = np.array([[1.0, -0.0], [-0.0, 2.0]])
+    assert np.signbit(sdp._symmetric_part("b", "coeff {}", c[None])[0, 0, 1])
+    b = block(np.zeros((2, 2)), [-0.0 * np.eye(2), c])
+    assert b.support.tolist() == [1]
+    assert b.offsets.tolist() == [0, 2]
+    assert (b.index.tolist(), b.values.tolist()) == ([0, 3], [1.0, 2.0])
+    dense = support_coeffs(b)
+    assert np.array_equal(dense, [c]) and not np.signbit(dense).any()
+    empty = block(np.eye(2), [-0.0 * np.eye(2), np.zeros((2, 2))])
+    assert empty.support.size == empty.values.size == 0
+    assert support_coeffs(empty).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("family", ["aw", "gradsat"])
+def test_solve_checks_are_check_solution_of_its_point(family, n):
+    # the solve's eigen pass reads the blocks its factors were formed from;
+    # six seeded problems per family and dimension, as the benchmark's pool
+    for seed in range(6):
+        problem = design_problem(family, n, seed, 0.5)
+        sol = solve_feasibility(problem)
+        assert sol.blocks == check_solution(problem, sol.x)
 
 
 def stacked_barrier_terms(L, block):
@@ -380,7 +468,7 @@ def test_barrier_terms_equal_the_stacked_form_bitwise(family, n):
         x = rng.standard_normal(problem.num_vars)
         t = max(np.linalg.eigvalsh(s * problem.assemble(b, x))[-1]
                 for s, b in zip(signs, problem.blocks)) + 1.0
-        factors = _factors(problem, np.append(x, t))
+        factors = _factors(problem, np.append(x, t))[0]
         for b, L in zip(problem.blocks, factors):
             got, want = block_terms(L, b), stacked_barrier_terms(L, b)
             for g, w in zip(got, want):
@@ -438,7 +526,7 @@ def test_working_memory_is_the_problem_and_a_block_budget(vertices, monkeypatch)
         before = tracemalloc.get_traced_memory()[0]
         problem = assemble_gradsat_n6(vertices)
         assembly_peak = tracemalloc.get_traced_memory()[1] - before
-        nbytes = sum(b.base.nbytes + b.coeffs.nbytes for b in problem.blocks)
+        nbytes = sum(b.nbytes for b in problem.blocks)
         budget = 3 * max((problem.num_vars + 1) * b.dim**2 * 8 for b in problem.blocks)
         tracemalloc.reset_peak()
         live = tracemalloc.get_traced_memory()[0]
@@ -447,11 +535,38 @@ def test_working_memory_is_the_problem_and_a_block_budget(vertices, monkeypatch)
     finally:
         tracemalloc.stop()
     assert len(problem.blocks) == vertices + 6 + 3
-    # each block holds its base and the matrices of its support only
-    assert nbytes == sum((b.support.size + 1) * b.dim**2 * 8 for b in problem.blocks)
+    # each block holds its base, its support and offsets, and the position
+    # and value of each nonzero entry of its support matrices only
+    for b in problem.blocks:
+        assert b.offsets.size == b.support.size + 1
+        assert b.index.size == b.values.size == b.offsets[-1]
+        assert b.nbytes == b.base.nbytes + sum(
+            a.nbytes for a in (b.support, b.offsets, b.index, b.values)
+        )
+    # under an eighth of the base and dense support matrices of every block
+    dense = sum((b.support.size + 1) * b.dim**2 * 8 for b in problem.blocks)
+    assert 8 * nbytes < dense
     assert sol.iterations >= 1
     assert assembly_peak <= nbytes + budget
     assert solve_excess <= budget
+
+
+def test_rate_saturation_design_at_n8_traced_peak():
+    # the stored blocks, one dense vertex matrix at assembly and one block's
+    # scaled buffer in the solve stay under 3.5 MB (5.86 MB when each block
+    # stored its dense support matrices); a first design makes the imports
+    # and caches
+    poly = random_polytope("gradsat", 8, 0, 0.5)
+    bounds = SaturationBounds([2.0] * 8)
+    design_gradsat_gain(poly, 1.0, 0.5, bounds)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        design_gradsat_gain(poly, 1.0, 0.5, bounds)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_each_solve_logs_one_debug_record(caplog):
@@ -462,14 +577,15 @@ def test_each_solve_logs_one_debug_record(caplog):
     records = [r for r in caplog.records if r.name == "esc_sat.sdp"]
     assert [r.levelno for r in records] == [logging.DEBUG] * 2
     (
-        status, iterations, slack, seconds, num_vars, dims, nbytes,
+        status, iterations, slack, seconds, num_vars, dims, nonzeros, nbytes,
         supports, steps, values,
     ) = records[0].args
     assert (status, iterations, slack) == (sol.status, sol.iterations, sol.slack)
     assert seconds > 0
     assert num_vars == problem.num_vars
     assert dims == [b.dim for b in problem.blocks]
-    assert nbytes == sum(b.coeffs.nbytes for b in problem.blocks)
+    assert nonzeros == sum(b.values.size for b in problem.blocks)
+    assert nbytes == sum(b.nbytes for b in problem.blocks)
     assert records[1].args[0] == "feasible"
     assert supports == [b.support.size for b in problem.blocks]
     # one step length and barrier value per accepted iteration

@@ -133,10 +133,11 @@ def test_each_assembly_logs_one_debug_record(ex2_polytope, ex2_bounds, caplog):
         problem, layout = _assemble_gradsat_problem(ex2_polytope, 1.0, 0.5, ex2_bounds)
     (record,) = [r for r in caplog.records if r.name == "esc_sat.synthesis"]
     assert record.levelno == logging.DEBUG
-    blocks, num_vars, nbytes, seconds = record.args
+    blocks, num_vars, nonzeros, nbytes, seconds = record.args
     assert blocks == len(problem.blocks) == len(ex2_polytope.vertices) + 3 + 3
     assert num_vars == problem.num_vars == layout.size
-    assert nbytes == sum(b.coeffs.nbytes for b in problem.blocks)
+    assert nonzeros == sum(b.values.size for b in problem.blocks)
+    assert nbytes == sum(b.nbytes for b in problem.blocks)
     assert seconds > 0
 
 
