@@ -4,16 +4,19 @@ The four scenarios share one integrator, the classical 4th-order Runge-Kutta
 rule at a fixed step, and take their physics from ``plant.loop_laws``.  The
 dead-zone kink makes the right-hand sides merely Lipschitz, so no step
 adaptation is attempted and identical configurations reproduce
-bitwise-identical trajectories.  Only the states are stored during a run.
-The true loops integrate the stage law ``rhs``, which reads S and M K' at
-the half-step times from one sine evaluation; the averaged loops integrate
-``average_rhs``.  A run steps ``BLOCK_STEPS`` steps at a time: each block
-evaluates the dither tables over its own half-steps only, and its states are
-tested for blow-up together once it ends.  The recorded output, input and
-gradient estimate are derived from the stored states afterwards by the same
-laws, a block at a time, into arrays allocated before the first step.  So
-a run's working memory is the trajectory it returns, its state record and
-one block, at any horizon.
+bitwise-identical trajectories.  A run allocates the trajectory it returns
+before the first step and steps its states straight into the rows of
+``theta_tilde``: an averaged loop's states are its theta_tilde, and a
+dithered loop's estimate theta_hat is converted there in place once it has
+run.  The true loops integrate the stage law ``rhs``, which reads S and M K'
+at the half-step times from one sine evaluation; the averaged loops
+integrate ``average_rhs``.  A run steps ``BLOCK_STEPS`` steps at a time into
+one block of its own: each block evaluates the dither tables over its own
+half-steps only, its states are tested for blow-up together once it ends,
+and the kept steps are copied into each member's rows.  The recorded map
+input, output, control and gradient estimate are derived from the states
+afterwards by the same laws, a block at a time.  So a run's working memory
+is the trajectory it returns and one block, at any horizon.
 
 ``simulate_batch`` runs configs that share one loop (scenario, map,
 controller, ``demod_remove_offset``) as one (B, n) stack, so B runs pay
@@ -183,42 +186,42 @@ class Trajectory:
         return self.theta.shape[1]
 
 
-def _rk4_run(stage_for, xs: np.ndarray, nsteps: list, dts: list, timed: bool = True) -> list:
-    """Each member's states at its nsteps[b] + 1 grid times, one per row, or
-    its ``SimulationBlowUp``.
+def _rk4_run(stage_for, records: list, dts: list, timed: bool = True) -> list:
+    """Steps each member into its record; returns each member's
+    ``SimulationBlowUp``, or None for a member that ran to its end.
 
-    ``xs`` is the run's record, time-major, of shape (max(nsteps) + 1, B,
-    n); row b of ``xs[0]`` starts member b, and the steps are written into
-    the rows after it, so each member's states are a view of ``xs``.  The
-    members step together, in input order, as one stack, each row taking a
-    lone run's operations.  Each phase runs until its shortest member
-    finishes or a row blows up, and the member left alone runs on as a lone
-    1-D row.  A phase allocates its stages, its temporaries and its step
-    constants once, all of its state's shape, and steps the state in place.
+    ``records[b]`` holds member b's states at its ``len(records[b])`` grid
+    times, one per row: row 0 starts the member and the steps are written
+    into the rows after it.  The members step together, in input order, as
+    one stack, each row taking a lone run's operations.  Each phase runs
+    until its shortest member finishes or a row blows up, and the member
+    left alone runs on as a lone 1-D row.  A phase allocates its stages,
+    its temporaries, its step constants and one block of steps once, all of
+    its state's shape, and steps the state in place.
 
     A phase steps in blocks of at most ``BLOCK_STEPS`` steps.  For each
-    block, ``stage_for(rows, window)`` gives the stage law of the members
-    at ``rows``, a slice or an index array of xs's rows, or one int for a
-    lone row, over the block's ``window``, the slice of half-step indices it
-    steps through.  A ``timed`` stage is ``stage(k, x, out)``, where k counts
-    half-steps from the window's start, that is the time (window.start + k)
-    * dt / 2; an autonomous one is ``stage(x, out)``.  A stage writes its
-    value into ``out``, which it may not alias with x.  After each block,
-    every state it recorded is tested at once, and a blow-up ends the phase
-    at its first offending step; the block's later steps are discarded.
-    Overflow is silenced while a block steps, since only those discarded
-    steps can overflow: a kept state lies within the limit, far inside the
-    float range unless the initial state is itself near 1e148.
+    block, ``stage_for(rows, window)`` gives the stage law of the members at
+    ``rows``, an index array of the members, or one int for a lone row, over
+    the block's ``window``, the slice of half-step indices it steps through.
+    A ``timed`` stage is ``stage(k, x, out)``, where k counts half-steps from
+    the window's start, that is the time (window.start + k) * dt / 2; an
+    autonomous one is ``stage(x, out)``.  A stage writes its value into
+    ``out``, which it may not alias with x.  After each block, every state
+    it stepped is tested at once, and a blow-up ends the phase at its first
+    offending step; the block's later steps are discarded, and the kept ones
+    are copied into each member's record.  Overflow is silenced while a
+    block steps, since only those discarded steps can overflow: a kept
+    state lies within the limit, far inside the float range unless the
+    initial state is itself near 1e148.
     """
+    nsteps = [len(record) - 1 for record in records]
     # compared as a squared norm, which a NaN or inf also fails
-    limit_sq = np.array([(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(x)))) ** 2 for x in xs[0]])
-    out = [xs[:nstep + 1, b] for b, nstep in enumerate(nsteps)]
-    rows, x, done = np.arange(len(nsteps)), xs[0], 0
+    limit_sq = np.array([(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(r[0])))) ** 2 for r in records])
+    out = [None] * len(records)
+    rows, x, done = np.arange(len(records)), np.array([r[0] for r in records]), 0
     while rows.size:
         lone = rows.size == 1
-        # one int for a lone row, a slice for all rows, else an index array,
-        # so that the phase writes into a view of xs where it can
-        sel = int(rows[0]) if lone else slice(None) if rows.size == len(nsteps) else rows
+        sel = int(rows[0]) if lone else rows  # one int for a lone row
         x = np.array(x[0] if lone else x)  # this phase's state, stepped in place
         stop = min(nsteps[b] for b in rows)
         col = np.asarray(dts)[sel][..., None]
@@ -227,18 +230,13 @@ def _rk4_run(stage_for, xs: np.ndarray, nsteps: list, dts: list, timed: bool = T
         )
         k1, k2, k3, k4, y = (np.empty(x.shape) for _ in range(5))
         limit = limit_sq[sel]
-        # a block's steps go straight into xs where the phase has a view of
-        # them; an index array's rows are stepped into a contiguous block and
-        # copied into xs after it
-        gathered = isinstance(sel, np.ndarray)
-        if gathered:
-            gather = np.empty((min(BLOCK_STEPS, stop - done), *x.shape))
+        steps = np.empty((min(BLOCK_STEPS, stop - done), *x.shape))
         ok, first = True, done
         start = time.perf_counter()
         while done < stop:
             m = min(BLOCK_STEPS, stop - done)
             stage = stage_for(sel, slice(2 * done, 2 * (done + m) + 1))
-            block = gather[:m] if gathered else xs[done + 1:done + m + 1, sel]
+            block = steps[:m]
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(m):
                     if timed:
@@ -257,7 +255,7 @@ def _rk4_run(stage_for, xs: np.ndarray, nsteps: list, dts: list, timed: bool = T
                     np.add(np.add(k1, y, out=y), k4, out=y)
                     np.add(x, np.multiply(sixth, y, out=y), out=x)
                     block[j] = x
-                # each recorded state's x @ x, row-wise, bitwise the lone
+                # each stepped state's x @ x, row-wise, bitwise the lone
                 # row's x.dot(x)
                 sq = np.matmul(block[..., None, :], block[..., :, None])[..., 0, 0]
                 fits = np.less_equal(sq, limit)
@@ -265,14 +263,14 @@ def _rk4_run(stage_for, xs: np.ndarray, nsteps: list, dts: list, timed: bool = T
                 # the phase ends at the first step where a row left the limit
                 m = int(np.argmin(fits.reshape(m, -1).all(axis=1))) + 1
                 ok, x, stop = fits[m - 1], block[m - 1], done + m
-            if gathered:
-                xs[done + 1:done + m + 1, sel] = block[:m]
+            kept = block[:m].reshape(m, rows.size, -1)
+            for i, b in enumerate(rows):
+                records[b][done + 1:done + m + 1] = kept[:, i]
             done += m
-        steps = done - first
         seconds = time.perf_counter() - start
         log.debug(
             "phase: %d rows, %d steps, %.6f s, %.2f us/step",
-            rows.size, steps, seconds, 1e6 * seconds / steps,
+            rows.size, done - first, seconds, 1e6 * seconds / (done - first),
         )
         # a lone row's verdict and 1-D state take the stack's shapes again
         ok, x = np.broadcast_to(ok, rows.size), np.reshape(x, (rows.size, -1))
@@ -296,7 +294,8 @@ def _same(a, b) -> bool:
 
 def _run(cfgs: list) -> list:
     """The run of each config, in input order: its ``Trajectory`` or its
-    ``SimulationBlowUp``.  The configs share one loop and step as one batch."""
+    ``SimulationBlowUp``.  The configs share one loop and step as one batch,
+    each member straight into the ``theta_tilde`` rows of its trajectory."""
     if not cfgs:
         return []
     first = cfgs[0]
@@ -320,9 +319,8 @@ def _run(cfgs: list) -> list:
     dithered = first.scenario != SCENARIOS[first.scenario][1]
     n = qmap.dim
     try:
-        # the state record and every output, before the first step; the
-        # outputs in field order: times, theta, theta_tilde, y, u, g_hat
-        xs = np.empty((max(nsteps) + 1, len(cfgs), n))
+        # every output before the first step, in field order: times, theta,
+        # theta_tilde, y, u, g_hat
         trajs = [
             Trajectory(*(np.empty((N + 1, *shape)) for shape in ((), (n,), (n,), (), (n,), (n,))))
             for N in nsteps
@@ -352,8 +350,7 @@ def _run(cfgs: list) -> list:
             if isinstance(rows, int):
                 S, MK = tables(rows)
             else:
-                members = np.arange(len(cfgs))[rows]
-                S, MK = (np.stack(t, axis=1) for t in zip(*map(tables, members)))
+                S, MK = (np.stack(t, axis=1) for t in zip(*map(tables, rows)))
             rhs = bind(S.shape[1:]).rhs
             theta = np.empty(S.shape[1:])
 
@@ -362,20 +359,19 @@ def _run(cfgs: list) -> list:
 
             return stage
 
-        xs[0] = [cfg.theta0 for cfg in cfgs]
     else:  # an averaged loop, on theta_tilde alone
 
         def stage_for(rows, window):
-            return bind(xs[0, rows].shape).average_rhs
+            return bind((*np.shape(rows), n)).average_rhs
 
-        xs[0] = [cfg.theta0 - th_star for cfg in cfgs]
-    states = _rk4_run(stage_for, xs, nsteps, dts, timed=dithered)
-    results = list(states)  # a blow-up is its member's result
-    for b, x in enumerate(states):
-        if isinstance(x, SimulationBlowUp):
+    # a dithered loop steps theta_hat in theta_tilde's rows, converted below
+    for cfg, traj in zip(cfgs, trajs):
+        traj.theta_tilde[0] = cfg.theta0 if dithered else cfg.theta0 - th_star
+    blowups = _rk4_run(stage_for, [traj.theta_tilde for traj in trajs], dts, timed=dithered)
+    for b, traj in enumerate(trajs):
+        if blowups[b]:
             continue
         # the signals block by block, from the same laws as the steps
-        traj = results[b] = trajs[b]
         for lo in range(0, nsteps[b] + 1, BLOCK_STEPS):
             i = slice(lo, lo + BLOCK_STEPS)
             times, theta, theta_tilde, g_hat = (
@@ -384,17 +380,16 @@ def _run(cfgs: list) -> list:
             np.multiply(np.arange(lo, lo + times.size), dts[b], out=times)
             if dithered:
                 S_b, M_b = eval_S_M(cfgs[b].dither, times)
-                np.add(x[i], S_b, out=theta)
-                np.subtract(x[i], th_star, out=theta_tilde)
+                np.add(theta_tilde, S_b, out=theta)
+                np.subtract(theta_tilde, th_star, out=theta_tilde)
                 g_hat[...] = laws.estimate(theta, M_b)
             else:
-                theta_tilde[...] = x[i]
                 np.add(theta_tilde, th_star, out=theta)
                 g_hat[...] = laws.average_estimate(theta_tilde)
             traj.y[i] = laws.output(theta)
             traj.u[i] = laws.control(g_hat, theta)
-    return results
-
+    # a blow-up is its member's result
+    return [blowup or traj for blowup, traj in zip(blowups, trajs)]
 
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the scenario named in the config."""
