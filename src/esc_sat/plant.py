@@ -41,6 +41,8 @@ class SaturationBounds:
         lim = np.atleast_1d(np.asarray(self.limits, dtype=float))
         if np.any(lim <= 0):
             raise ValueError("saturation limits must be strictly positive")
+        if not np.all(np.isfinite(lim)):
+            raise ValueError("saturation limits must be finite")
         object.__setattr__(self, "limits", lim)
 
     @property
@@ -83,6 +85,9 @@ class QuadraticMap:
         hess = np.asarray(self.hessian, dtype=float)
         if hess.shape != (theta.size, theta.size):
             raise ValueError("hessian shape does not match theta_star")
+        for name, value in (("q_star", self.q_star), ("theta_star", theta), ("hessian", hess)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if np.max(np.abs(hess - hess.T)) != 0.0:
             raise ValueError("hessian must be exactly symmetric")
         if self.input_bounds is not None:
@@ -112,6 +117,9 @@ class AwController:
         k_aw = np.asarray(self.k_aw, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k_aw.shape != k.shape:
             raise ValueError("controller gains must be square and of one shape")
+        for name, value in (("k", k), ("k_aw", k_aw)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"controller gain {name} must be finite")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "k_aw", k_aw)
 
@@ -132,6 +140,8 @@ class GradSatController:
         n = self.bounds.dim
         if k.shape != (n, n):
             raise ValueError("controller gain must be square of the loop dimension")
+        if not np.all(np.isfinite(k)):
+            raise ValueError("controller gain k must be finite")
         object.__setattr__(self, "k", k)
 
     @property

@@ -30,6 +30,8 @@ def _check_symmetric(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} must be finite")
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
         raise ValueError(f"{what} must be symmetric")
     return 0.5 * (mat + mat.T)

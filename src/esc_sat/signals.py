@@ -165,6 +165,8 @@ class DitherSpec:
             raise ValueError("amplitudes must be a non-empty vector")
         if np.any(amps <= 0):
             raise ValueError("dither amplitudes must be strictly positive")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         mults = _coerce_multipliers(self.freq_multipliers)
         if len(mults) != amps.size:
             raise ValueError("amplitudes and freq_multipliers disagree in length")
@@ -172,6 +174,8 @@ class DitherSpec:
             raise ValueError("frequency multipliers must be pairwise distinct")
         if self.base_omega <= 0:
             raise ValueError("base_omega must be positive")
+        if not np.isfinite(self.base_omega):
+            raise ValueError("base_omega must be finite")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "freq_multipliers", mults)
         lcm = _lcm_fractions([1 / m for m in mults])

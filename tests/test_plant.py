@@ -367,6 +367,41 @@ def test_controller_shape_validation():
         GradSatController(np.eye(3), SaturationBounds([2.0, 2.0]))
 
 
+def _with(value, i, j=None):
+    # -I with value at [i] of a vector or at [i, j] and [j, i] of a matrix
+    if j is None:
+        return np.where(np.arange(2) == i, value, 0.0)
+    out = -np.eye(2)
+    out[i, j] = out[j, i] = value
+    return out
+
+
+# constructor field: (the object with `value` in that field, the message)
+NON_FINITE_FIELDS = {
+    "SaturationBounds.limits": (lambda v: SaturationBounds([v, 1.0]), "saturation limits must be finite"),
+    "QuadraticMap.q_star": (lambda v: QuadraticMap(v, [0.0, 0.0], -np.eye(2)), "q_star must be finite"),
+    "QuadraticMap.theta_star": (lambda v: QuadraticMap(1.0, _with(v, 0), -np.eye(2)), "theta_star must be finite"),
+    # NaN and inf were refused here, but as "hessian must be exactly symmetric"
+    "QuadraticMap.hessian": (lambda v: QuadraticMap(1.0, [0.0, 0.0], _with(v, 0, 1)), "hessian must be finite"),
+    "AwController.k": (lambda v: AwController(_with(v, 1, 1), np.eye(2)), "controller gain k must be finite"),
+    "AwController.k_aw": (lambda v: AwController(np.eye(2), _with(v, 0, 1)), "controller gain k_aw must be finite"),
+    "GradSatController.k": (
+        lambda v: GradSatController(_with(v, 0, 0), SaturationBounds([1.0, 1.0])),
+        "controller gain k must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_constructors_refuse_a_non_finite_field_by_name(field, value):
+    build, message = NON_FINITE_FIELDS[field]
+    with pytest.raises(ValueError) as exc:
+        build(value)
+    assert str(exc.value) == message
+    build(0.5)  # the same object with a finite value builds
+
+
 # ---------------------------------------------------------------------------
 # dither perturbation terms
 

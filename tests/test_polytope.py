@@ -45,6 +45,18 @@ def test_scaled_nominal_rejects_asymmetric():
         from_scaled_nominal(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_vertices_refuse_non_finite_entries_by_name(value):
+    # refused at the parent too, but as "vertex 1 must be symmetric"
+    bad = np.array([[-2.0, value], [value, -1.0]])
+    with pytest.raises(ValueError) as exc:
+        HessianPolytope((-np.eye(2), bad))
+    assert str(exc.value) == "vertex 1 must be finite"
+    with pytest.raises(ValueError) as exc:
+        from_scaled_nominal(bad, 0.1)
+    assert str(exc.value) == "nominal hessian must be finite"
+
+
 def test_affine_vertex_count_and_order():
     g1 = np.diag([1.0, 0.0])
     g2 = np.array([[0.0, 1.0], [1.0, 0.0]])

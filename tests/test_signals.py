@@ -251,6 +251,19 @@ def test_spec_validation():
         DitherSpec([0.1], (10, 70), 1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_spec_refuses_a_non_finite_field_by_name(value):
+    # each built at the parent: a NaN amplitude blew up its run's first
+    # step, a NaN base_omega gave period nan and an infinite one period 0
+    for build, message in (
+        (lambda: DitherSpec([value, 0.1], (10, 70), 1.0), "amplitudes must be finite"),
+        (lambda: DitherSpec([0.1, 0.1], (10, 70), value), "base_omega must be finite"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_period_is_derived_not_given():
     # a period passed in would be silently replaced by the derived one
     with pytest.raises(TypeError):
