@@ -15,8 +15,9 @@ one block of its own: each block evaluates the dither tables over its own
 half-steps only, its states are tested for blow-up together once it ends,
 and the kept steps are copied into each member's rows.  The recorded map
 input, output, control and gradient estimate are derived from the states
-afterwards by the same laws, a block at a time.  So a run's working memory
-is the trajectory it returns and one block, at any horizon.
+afterwards by the same laws, a block at a time, and the first sample at
+which one of them is not finite ends its member as a blow-up.  So a run's
+working memory is the trajectory it returns and one block, at any horizon.
 
 ``simulate_batch`` runs configs that share one loop (scenario, map,
 controller, ``demod_remove_offset``) as one (B, n) stack, so B runs pay
@@ -108,10 +109,12 @@ MIN_STEPS_PER_CYCLE = 20
 
 
 class SimulationBlowUp(RuntimeError):
-    """State left the admissible region; carries the time of blow-up."""
+    """State left the admissible region, or the recorded ``signal`` (a
+    ``Trajectory`` field) is not finite; carries the time of blow-up."""
 
-    def __init__(self, time: float):
-        super().__init__(f"simulation state blew up at t = {time:.6g} s")
+    def __init__(self, time: float, signal: Optional[str] = None):
+        what = "state blew up" if signal is None else f"signal {signal} is not finite"
+        super().__init__(f"simulation {what} at t = {time:.6g} s")
         self.time = time
 
 
@@ -216,7 +219,10 @@ def _rk4_run(stage_for, records: list, dts: list, timed: bool = True) -> list:
     """
     nsteps = [len(record) - 1 for record in records]
     # compared as a squared norm, which a NaN or inf also fails
-    limit_sq = np.array([(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(r[0])))) ** 2 for r in records])
+    with np.errstate(over="ignore"):
+        limit_sq = np.array(
+            [(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(r[0])))) ** 2 for r in records]
+        )
     out = [None] * len(records)
     rows, x, done = np.arange(len(records)), np.array([r[0] for r in records]), 0
     while rows.size:
@@ -371,25 +377,35 @@ def _run(cfgs: list) -> list:
     for b, traj in enumerate(trajs):
         if blowups[b]:
             continue
-        # the signals block by block, from the same laws as the steps
+        # the signals block by block, from the same laws as the steps.  A
+        # finite state can still give a signal that overflows, so overflow
+        # is silenced and the first sample at which a recorded signal is not
+        # finite ends the member as a blow-up at its time
         for lo in range(0, nsteps[b] + 1, BLOCK_STEPS):
             i = slice(lo, lo + BLOCK_STEPS)
-            times, theta, theta_tilde, g_hat = (
-                a[i] for a in (traj.times, traj.theta, traj.theta_tilde, traj.g_hat)
-            )
+            times, theta, theta_tilde, y, u, g_hat = (getattr(traj, f.name)[i] for f in fields(traj))
             np.multiply(np.arange(lo, lo + times.size), dts[b], out=times)
-            if dithered:
-                S_b, M_b = eval_S_M(cfgs[b].dither, times)
-                np.add(theta_tilde, S_b, out=theta)
-                np.subtract(theta_tilde, th_star, out=theta_tilde)
-                g_hat[...] = laws.estimate(theta, M_b)
-            else:
-                np.add(theta_tilde, th_star, out=theta)
-                g_hat[...] = laws.average_estimate(theta_tilde)
-            traj.y[i] = laws.output(theta)
-            traj.u[i] = laws.control(g_hat, theta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if dithered:
+                    S_b, M_b = eval_S_M(cfgs[b].dither, times)
+                    np.add(theta_tilde, S_b, out=theta)
+                    np.subtract(theta_tilde, th_star, out=theta_tilde)
+                    g_hat[...] = laws.estimate(theta, M_b)
+                else:
+                    np.add(theta_tilde, th_star, out=theta)
+                    g_hat[...] = laws.average_estimate(theta_tilde)
+                y[...] = laws.output(theta)
+                u[...] = laws.control(g_hat, theta)
+            signals = {"theta": theta, "y": y, "u": u, "g_hat": g_hat}
+            finite = np.stack([np.isfinite(a).reshape(times.size, -1).all(axis=1) for a in signals.values()])
+            if not finite.all():
+                j = int(np.argmin(finite.all(axis=0)))
+                signal = list(signals)[int(np.argmin(finite[:, j]))]
+                blowups[b] = SimulationBlowUp(float(times[j]), signal)
+                break
     # a blow-up is its member's result
     return [blowup or traj for blowup, traj in zip(blowups, trajs)]
+
 
 def simulate(cfg: SimConfig) -> Trajectory:
     """Run the scenario named in the config."""

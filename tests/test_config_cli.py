@@ -1470,6 +1470,47 @@ def test_failed_commands_leave_no_out_directory(
     assert not out.exists()
 
 
+# example 2 runs whose map output or initial norm overflows: (command, edits
+# of the config, further arguments, the last line on stderr).  At the parent
+# the first two exited 0 with inf and nan residuals, and numpy's
+# RuntimeWarnings reached stderr in all three.
+OVERFLOWS = {
+    "simulate-amplitudes": (
+        "simulate", {"amplitudes = 0.1 0.1 0.1": "amplitudes = 1e160 1e160 1e160"}, [],
+        "blow-up: simulation signal y is not finite at t = 0.000628319 s",
+    ),
+    "sweep-amplitude": (
+        "sweep", {}, ["--param", "amplitude", "--values", "1e300,0.1"],
+        "blow-up: simulation signal y is not finite at t = 0.000628319 s",
+    ),
+    "simulate-theta0": (
+        "simulate", {"theta0 = 2.5 5 6": "theta0 = 1e160 1e160 1e160"}, [],
+        "blow-up: simulation state blew up at t = 0.000628319 s",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(OVERFLOWS))
+def test_overflowing_run_is_a_named_blowup_without_warnings(tmp_path, capsys, probe):
+    command, edits, extra, line = OVERFLOWS[probe]
+    text = Path(fixture_path("example2.cfg")).read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "overflow.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, str(path), "--out", str(out), *extra]) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == line
+    assert "RuntimeWarning" not in captured.err
+    assert not out.exists()
+
+
 def test_sweep_blowup_reports_the_first_member_in_value_order(tmp_path, capsys, monkeypatch):
     # the member at amplitude 0.05 blows up first in time (t = 9.73 s), the
     # one at 0.1 first in value order (t = 16.5 s); the sweep reports that

@@ -703,6 +703,29 @@ def test_working_memory_is_the_trajectory_and_one_block(members):
         assert peak <= returned + budget, (t_end, peak - returned)
 
 
+@pytest.mark.parametrize("scenario", ["gradient-saturation", "average-gradsat"])
+def test_only_the_member_whose_signals_overflow_fails(scenario):
+    # the rate clip keeps the states finite, so they pass the blow-up test,
+    # but the map output of member 1 overflows: with amplitudes 1e160 from
+    # the first step on, with theta0 1e155 (averaged, which reads no
+    # dither) at t = 0.  At the parent it returned y = inf and nan.
+    cfg = _fixture_config("example2", scenario=scenario, t_end=0.5)
+    if scenario == "gradient-saturation":
+        cfgs, t = _members(cfg, [], [0.1, 1e160, 0.2]), cfg.dt
+    else:
+        theta0s = (cfg.theta0, np.full(3, 1e155), 2.0 * cfg.theta0)
+        cfgs, t = [dataclasses.replace(cfg, theta0=th) for th in theta0s], 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow stays silent
+        got = simulate_batch(cfgs)
+    assert isinstance(got[1], SimulationBlowUp) and got[1].time == t
+    assert str(got[1]) == f"simulation signal y is not finite at t = {t:.6g} s"
+    for b in (0, 2):
+        want = simulate(cfgs[b])
+        for field in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(got[b], field), getattr(want, field)), field
+
+
 def test_batch_needs_one_loop():
     cfg = ex1_config(t_end=0.1)
     assert simulate_batch([]) == []
