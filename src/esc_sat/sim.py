@@ -236,13 +236,13 @@ def _rk4_run(stage_for, records: list, dts: list, timed: bool = True) -> list:
         )
         k1, k2, k3, k4, y = (np.empty(x.shape) for _ in range(5))
         limit = limit_sq[sel]
-        steps = np.empty((min(BLOCK_STEPS, stop - done), *x.shape))
+        buf = np.empty((min(BLOCK_STEPS, stop - done), *x.shape))
         ok, first = True, done
         start = time.perf_counter()
         while done < stop:
             m = min(BLOCK_STEPS, stop - done)
             stage = stage_for(sel, slice(2 * done, 2 * (done + m) + 1))
-            block = steps[:m]
+            block = buf[:m]
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(m):
                     if timed:
@@ -273,10 +273,11 @@ def _rk4_run(stage_for, records: list, dts: list, timed: bool = True) -> list:
             for i, b in enumerate(rows):
                 records[b][done + 1:done + m + 1] = kept[:, i]
             done += m
+        steps = done - first
         seconds = time.perf_counter() - start
         log.debug(
             "phase: %d rows, %d steps, %.6f s, %.2f us/step",
-            rows.size, done - first, seconds, 1e6 * seconds / (done - first),
+            rows.size, steps, seconds, 1e6 * seconds / steps,
         )
         # a lone row's verdict and 1-D state take the stack's shapes again
         ok, x = np.broadcast_to(ok, rows.size), np.reshape(x, (rows.size, -1))
@@ -383,7 +384,9 @@ def _run(cfgs: list) -> list:
         # finite ends the member as a blow-up at its time
         for lo in range(0, nsteps[b] + 1, BLOCK_STEPS):
             i = slice(lo, lo + BLOCK_STEPS)
-            times, theta, theta_tilde, y, u, g_hat = (getattr(traj, f.name)[i] for f in fields(traj))
+            times, theta, theta_tilde, y, u, g_hat = (
+                getattr(traj, f.name)[i] for f in fields(traj)
+            )
             np.multiply(np.arange(lo, lo + times.size), dts[b], out=times)
             with np.errstate(over="ignore", invalid="ignore"):
                 if dithered:
@@ -396,8 +399,11 @@ def _run(cfgs: list) -> list:
                     g_hat[...] = laws.average_estimate(theta_tilde)
                 y[...] = laws.output(theta)
                 u[...] = laws.control(g_hat, theta)
+            # finite[s, j]: recorded signal s is finite at the block's sample j
             signals = {"theta": theta, "y": y, "u": u, "g_hat": g_hat}
-            finite = np.stack([np.isfinite(a).reshape(times.size, -1).all(axis=1) for a in signals.values()])
+            finite = np.stack(
+                [np.isfinite(a).reshape(times.size, -1).all(axis=1) for a in signals.values()]
+            )
             if not finite.all():
                 j = int(np.argmin(finite.all(axis=0)))
                 signal = list(signals)[int(np.argmin(finite[:, j]))]
