@@ -215,14 +215,14 @@ def _rk4_run(stage_for, records: list, dts: list, timed: bool = True) -> list:
     are copied into each member's record.  Overflow is silenced while a
     block steps, since only those discarded steps can overflow: a kept
     state lies within the limit, far inside the float range unless the
-    initial state is itself near 1e148.
+    initial state is itself near 1e148; from about 1e148 on the squared
+    limit is infinite, and only a NaN state fails it.
     """
     nsteps = [len(record) - 1 for record in records]
-    # compared as a squared norm, which a NaN or inf also fails
+    # compared as a squared norm, which a NaN or inf also fails; a float64
+    # limit, whose square overflows to inf where a float's would raise
     with np.errstate(over="ignore"):
-        limit_sq = np.array(
-            [(BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(r[0])))) ** 2 for r in records]
-        )
+        limit_sq = np.array([(BLOWUP_FACTOR * (1.0 + np.linalg.norm(r[0]))) ** 2 for r in records])
     out = [None] * len(records)
     rows, x, done = np.arange(len(records)), np.array([r[0] for r in records]), 0
     while rows.size:

@@ -726,6 +726,17 @@ def test_only_the_member_whose_signals_overflow_fails(scenario):
             assert np.array_equal(getattr(got[b], field), getattr(want, field)), field
 
 
+def test_a_huge_initial_state_runs_under_an_infinite_limit():
+    # the limit's square overflows at |theta0| near 1e150; squared as a
+    # float, it raised OverflowError there at the parent
+    cfg = _fixture_config("example2", theta0=np.full(3, 1e150), t_end=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(cfg)
+    for field in TRAJECTORY_FIELDS:
+        assert np.all(np.isfinite(getattr(traj, field))), field
+
+
 def test_batch_needs_one_loop():
     cfg = ex1_config(t_end=0.1)
     assert simulate_batch([]) == []
