@@ -215,8 +215,7 @@ def _rk4_run(stage_for, records: list, dts: list, timed: bool = True) -> list:
     are copied into each member's record.  Overflow is silenced while a
     block steps, since only those discarded steps can overflow: a kept
     state lies within the limit, far inside the float range unless the
-    initial state is itself near 1e148; from about 1e148 on the squared
-    limit is infinite, and only a NaN state fails it.
+    initial state is itself near 1e148.
     """
     nsteps = [len(record) - 1 for record in records]
     # compared as a squared norm, which a NaN or inf also fails; a float64
