@@ -7,7 +7,8 @@ quadrature for the zero-mean terms the averaging step discards.
 
 The two sector samplers, property tests of ``plant.deadzone``, evaluate one
 form on plain blocks of uniform draws; the two period-mean oracles share
-one periodic trapezoid rule over the dither period.
+one periodic trapezoid rule over the dither period, summed one block of
+nodes at a time.
 """
 
 from __future__ import annotations
@@ -60,18 +61,28 @@ SATURATING_NODES = 20001
 # ---------------------------------------------------------------------------
 # quadrature
 
-def _period_grid(dither: DitherSpec, nodes: int):
-    """Trapezoid weights over [0, T], S and M at its nodes, and the nodes:
-    the periodic rule on nodes - 1 points, exact on trigonometric
-    polynomials of degree below nodes - 1 (Trefethen & Weideman, 2014)."""
-    ts = np.linspace(0.0, dither.period, nodes)
-    wq = np.full(nodes, dither.period / (nodes - 1))
-    wq[[0, -1]] *= 0.5
-    return (wq, *eval_S_M(dither, ts), ts)
+# Rows per block of the sector samplers' draws and of the period-mean
+# quadrature nodes: the memory of each is bounded by this, not by the trial
+# or node count.
+_BLOCK = 1024
 
 
-def _period_mean(values: np.ndarray, weights: np.ndarray, period: float):
-    return np.tensordot(weights, values, axes=(0, 0)) / period
+def _period_blocks(dither: DitherSpec, nodes: int):
+    """Consecutive blocks of at most _BLOCK nodes of the periodic trapezoid
+    rule over [0, T] on nodes - 1 points, exact on trigonometric polynomials
+    of degree below nodes - 1 (Trefethen & Weideman, 2014): each block's
+    weights and its slice of np.linspace(0, T, nodes), bit for bit."""
+    step = dither.period / (nodes - 1)
+    for start in range(0, nodes, _BLOCK):
+        stop = min(start + _BLOCK, nodes)
+        ts = np.arange(start, stop, dtype=float) * step
+        wq = np.full(stop - start, step)
+        if start == 0:
+            wq[0] *= 0.5
+        if stop == nodes:
+            ts[-1] = dither.period
+            wq[-1] *= 0.5
+        yield wq, ts
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +214,6 @@ def check_convergence_bands(
 # ---------------------------------------------------------------------------
 # sector-condition sampling
 
-# Rows of random draws per block of the sector samplers; their memory is
-# bounded by this, not by the trial count.
-_SAMPLER_BLOCK = 1024
-
-
 def _check_trials(trials: int) -> None:
     # a maximum over no samples is -inf, which would pass any slack test
     if trials < 1:
@@ -239,8 +245,8 @@ def sample_deadzone_sector_global(
         raise ValueError("theta_star must lie strictly inside the bounds")
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for start in range(0, trials, _SAMPLER_BLOCK):
-        shape = (min(_SAMPLER_BLOCK, trials - start), bounds.dim)
+    for start in range(0, trials, _BLOCK):
+        shape = (min(_BLOCK, trials - start), bounds.dim)
         theta_av = rng.uniform(-3.0, 3.0, size=shape) * bounds.limits
         lam = rng.uniform(0.1, 10.0, size=shape)
         psi = deadzone(theta_av, bounds)
@@ -272,8 +278,8 @@ def sample_deadzone_sector_regional(
     while accepted < trials:
         if drawn >= 1000 * trials:
             raise RuntimeError("admissible set rejected more than 99.9% of samples")
-        cand = rng.uniform(-box, box, size=(_SAMPLER_BLOCK, design.dim))
-        drawn += _SAMPLER_BLOCK
+        cand = rng.uniform(-box, box, size=(_BLOCK, design.dim))
+        drawn += _BLOCK
         g = cand[np.all(np.abs(cand @ diff.T) <= limits, axis=1)]
         g = g[: trials - accepted]
         if not len(g):
@@ -323,26 +329,31 @@ def zero_mean_report(
 
     Both diagonal conventions of the multiplicative perturbation are
     measured: the mean-free form averages to zero, the literal form to one.
-    Every term is evaluated on all quadrature nodes in one call.  The
-    consistency check in ``average_rhs_consistency`` pins the mean-free
-    convention as the one reproducing the averaged loop.
+    Every term is evaluated one block of quadrature nodes at a time, and
+    each term's weighted sum and largest magnitude are carried from block
+    to block.  The consistency check in ``average_rhs_consistency`` pins
+    the mean-free convention as the one reproducing the averaged loop.
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
-    wq, S, M, ts = _period_grid(dither, nodes)
-    pt = perturbation_terms(dither, qmap, ts, theta_tilde)
-    # term name pattern (indexed by the entry's position) -> values per node
-    series = {
-        "S[{0}]": S,
-        "M[{0}]": M,
-        "delta_mean_free[{0},{1}]": pt.delta,
-        "delta_literal[{0},{0}]": np.diagonal(pt.delta, axis1=1, axis2=2) + 1.0,
-        "w[{0}]": pt.w,
-        "varsigma[{0}]": pt.varsigma,
-    }
+    sums: dict[str, np.ndarray] = {}
+    peaks: dict[str, np.ndarray] = {}
+    for wq, ts in _period_blocks(dither, nodes):
+        pt = perturbation_terms(dither, qmap, ts, theta_tilde)
+        # term name pattern (indexed by the entry's position) -> values per node
+        series = {
+            "S[{0}]": pt.S,
+            "M[{0}]": pt.M,
+            "delta_mean_free[{0},{1}]": pt.delta,
+            "delta_literal[{0},{0}]": np.diagonal(pt.delta, axis1=1, axis2=2) + 1.0,
+            "w[{0}]": pt.w,
+            "varsigma[{0}]": pt.varsigma,
+        }
+        for pattern, values in series.items():
+            sums[pattern] = sums.get(pattern, 0.0) + np.tensordot(wq, values, axes=(0, 0))
+            peaks[pattern] = np.maximum(peaks.get(pattern, 0.0), np.max(np.abs(values), axis=0))
     terms: dict[str, TermMean] = {}
-    for pattern, values in series.items():
-        means = _period_mean(values, wq, dither.period)
-        linf = np.max(np.abs(values), axis=0)
+    for pattern, total in sums.items():
+        means, linf = total / dither.period, peaks[pattern]
         for idx in np.ndindex(means.shape):
             terms[pattern.format(*idx)] = TermMean(float(means[idx]), float(linf[idx]))
     return ZeroMeanReport(terms=terms)
@@ -382,7 +393,9 @@ def average_rhs_consistency(
     the dead-zone on the map's input bounds; on unsaturated states, K H tt.
     This binding check fixes the mean-free perturbation convention.  With
     whole harmonics h_i, a path strictly inside the bounds has an integrand
-    of degree 3 max h_i, averaged exactly, all such states as one stack.
+    of degree 3 max h_i, averaged exactly, all such states as one stack;
+    each other state is averaged on SATURATING_NODES nodes.  Both rules run
+    one block of nodes at a time.
     """
     if not isinstance(ctrl, AwController):
         raise TypeError("the consistency check closes the input-saturation loop")
@@ -390,20 +403,25 @@ def average_rhs_consistency(
     laws = loop_laws(qmap, ctrl, qmap.q_star if demod_remove_offset else 0.0)
     theta = states + qmap.theta_star
 
-    def mean_rhs(grid, rows):
-        wq, S, M, _ = grid
-        path = (S[:, None] + rows).reshape(-1, qmap.dim)
-        rhs = laws.rhs(path, np.repeat(laws.demod_gain(M), len(rows), axis=0))
-        return _period_mean(rhs.reshape(len(S), *rows.shape), wq, dither.period)
+    def mean_rhs(nodes, stacks):
+        # the period mean of rhs along each stack of states, from one S and M
+        # per block of nodes
+        sums = [0.0] * len(stacks)
+        for wq, ts in _period_blocks(dither, nodes):
+            S, M = eval_S_M(dither, ts)
+            mk = laws.demod_gain(M)
+            for k, rows in enumerate(stacks):
+                path = (S[:, None] + rows).reshape(-1, qmap.dim)
+                rhs = laws.rhs(path, np.repeat(mk, len(rows), axis=0))
+                sums[k] = sums[k] + np.tensordot(wq, rhs.reshape(len(S), *rows.shape), (0, 0))
+        return np.vstack(sums) / dither.period
 
     inside = np.all(np.abs(theta) + dither.amplitudes < qmap.input_bounds.limits, 1)
-    exact = _period_grid(dither, 3 * max(dither.harmonics) + 2)
     means = np.empty_like(theta)
-    means[inside] = mean_rhs(exact, theta[inside])
-    if not np.all(inside):
-        fine = _period_grid(dither, SATURATING_NODES)
-        for i in np.flatnonzero(~inside):
-            means[i] = mean_rhs(fine, theta[i : i + 1])[0]
+    means[inside] = mean_rhs(3 * max(dither.harmonics) + 2, [theta[inside]])
+    saturating = np.flatnonzero(~inside)
+    if saturating.size:
+        means[saturating] = mean_rhs(SATURATING_NODES, [theta[i : i + 1] for i in saturating])
     model = laws.average_rhs(states)
     denom = np.maximum(np.linalg.norm(model, axis=1), 1e-12)
     return float(np.max(np.linalg.norm(means - model, axis=1) / denom, initial=0.0))

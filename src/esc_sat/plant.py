@@ -343,12 +343,16 @@ class PerturbationTerms:
     (analysis.zero_mean_report measures both).
 
     At a scalar time the fields have shapes (n, n) and (n,); at a time vector
-    of length N each gains a leading axis N.
+    of length N each gains a leading axis N.  ``S`` and ``M`` are the dithers
+    the terms were formed from, so a caller reads them without evaluating
+    the dither again.
     """
 
     delta: np.ndarray       # Delta(t)
     w: np.ndarray           # additive residual of the input-saturation loop
     varsigma: np.ndarray    # additive residual of the gradient-estimate dynamics
+    S: np.ndarray           # probing dither S(t)
+    M: np.ndarray           # demodulation dither M(t)
 
 
 def perturbation_terms(
@@ -393,4 +397,4 @@ def perturbation_terms(
         M_dot * (qmap.q_star + form(S, theta_tilde) + half_shs)
         + M * form(S_dot, theta_tilde + S)
     )
-    return PerturbationTerms(delta=_delta(M, S), w=w, varsigma=varsigma)
+    return PerturbationTerms(delta=_delta(M, S), w=w, varsigma=varsigma, S=S, M=M)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,15 +14,16 @@ from esc_sat.analysis import (
     sup_deviation,
     zero_mean_report,
 )
-from esc_sat import analysis
+from esc_sat import analysis, config
 from esc_sat.plant import (
     AwController, GradSatController, QuadraticMap, SaturationBounds, deadzone, loop_laws,
+    perturbation_terms,
 )
 from esc_sat.signals import DitherSpec, eval_S_M
 from esc_sat.sim import Trajectory
 from esc_sat.synthesis import GradSatDesign, design_gradsat_gain
 from esc_sat.polytope import HessianPolytope
-from conftest import EX1_ALPHA, EX1_H0, EX1_K, EX1_KAW, EX2_VERTICES
+from conftest import EX1_ALPHA, EX1_H0, EX1_K, EX1_KAW, EX2_VERTICES, fixture_path
 
 
 def synthetic_trajectory(times, norms, direction=(1.0, 0.0)):
@@ -249,6 +251,73 @@ def test_zero_mean_report(ex1_setup):
     assert rep.terms["delta_mean_free[0,0]"].mean == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.fixture
+def ex2_setup():
+    cfg = config.load_config(fixture_path("example2.cfg"))
+    return cfg.built("map"), cfg.built("dither")
+
+
+def _one_shot_report(dither, qmap, tt, nodes):
+    # zero_mean_report as one tensordot over every node: the reference for
+    # the block sums
+    wq, ts = _one_shot_grid(dither, nodes)
+    S, M = eval_S_M(dither, ts)
+    pt = perturbation_terms(dither, qmap, ts, tt)
+    series = {
+        "S[{0}]": S,
+        "M[{0}]": M,
+        "delta_mean_free[{0},{1}]": pt.delta,
+        "delta_literal[{0},{0}]": np.diagonal(pt.delta, axis1=1, axis2=2) + 1.0,
+        "w[{0}]": pt.w,
+        "varsigma[{0}]": pt.varsigma,
+    }
+    terms = {}
+    for pattern, values in series.items():
+        means = np.tensordot(wq, values, axes=(0, 0)) / dither.period
+        linf = np.max(np.abs(values), axis=0)
+        for idx in np.ndindex(means.shape):
+            terms[pattern.format(*idx)] = (float(means[idx]), float(linf[idx]))
+    return terms
+
+
+@pytest.mark.parametrize("nodes", [2, 1023, 1024, 1025, 5001, 20001])
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_zero_mean_block_sums_match_one_tensordot(ex1_setup, ex2_setup, example, nodes):
+    # a grid of one block is the same sum; over more blocks the sums are
+    # added in another order, within 1e-14 of each term's largest magnitude
+    qmap, dither = ex1_setup[:2] if example == "example1" else ex2_setup
+    tt = np.linspace(0.3, -0.2, qmap.dim)
+    got = zero_mean_report(dither, qmap, tt, nodes=nodes).terms
+    ref = _one_shot_report(dither, qmap, tt, nodes)
+    assert list(got) == list(ref)
+    for name, (mean, linf) in ref.items():
+        assert np.float64(got[name].linf).tobytes() == np.float64(linf).tobytes(), name
+        if nodes <= analysis._BLOCK:
+            assert np.float64(got[name].mean).tobytes() == np.float64(mean).tobytes(), name
+        else:
+            assert abs(got[name].mean - mean) <= 1e-14 * linf, name
+
+
+def test_zero_mean_report_holds_one_block_of_nodes(ex2_setup):
+    # the peak is one block's arrays at any node count: Delta, its outer
+    # product and their magnitudes take 3 n^2 doubles per node, and the
+    # dithers, their derivatives, the forms and the residuals about 20 n;
+    # the whole-period arrays took 7.75 MB here
+    qmap, dither = ex2_setup
+    n = qmap.dim
+    budget = 8 * analysis._BLOCK * (4 * n * n + 24 * n)
+    tt = np.array([0.3, -0.2, 0.1])
+    zero_mean_report(dither, qmap, tt, nodes=20001)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        zero_mean_report(dither, qmap, tt, nodes=20001)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, peak
+
+
 def test_interior_state_sampler(ex1_setup):
     qmap, dither, _ = ex1_setup
     states = draw_interior_states(qmap, dither, 50, seed=2)
@@ -265,6 +334,30 @@ def test_average_rhs_matches_model(ex1_setup):
     rate = GradSatController(ctrl.k, qmap.input_bounds)
     with pytest.raises(TypeError, match="input-saturation"):
         average_rhs_consistency(dither, qmap, rate, states)
+
+
+def _one_shot_interior_consistency(dither, qmap, ctrl, states):
+    # average_rhs_consistency on interior states over the whole exact grid at
+    # once: the reference for the block form
+    laws = loop_laws(qmap, ctrl, qmap.q_star)
+    wq, ts = _one_shot_grid(dither, 3 * max(dither.harmonics) + 2)
+    S, M = eval_S_M(dither, ts)
+    theta = states + qmap.theta_star
+    path = (S[:, None] + theta).reshape(-1, qmap.dim)
+    rhs = laws.rhs(path, np.repeat(laws.demod_gain(M), len(theta), axis=0))
+    means = np.tensordot(wq, rhs.reshape(len(S), *theta.shape), axes=(0, 0)) / dither.period
+    model = laws.average_rhs(states)
+    denom = np.maximum(np.linalg.norm(model, axis=1), 1e-12)
+    return float(np.max(np.linalg.norm(means - model, axis=1) / denom))
+
+
+def test_average_rhs_on_interior_states_is_one_block(ex1_setup):
+    qmap, dither, ctrl = ex1_setup
+    for seed in range(8):
+        states = draw_interior_states(qmap, dither, 100, seed=seed)
+        got = average_rhs_consistency(dither, qmap, ctrl, states)
+        ref = _one_shot_interior_consistency(dither, qmap, ctrl, states)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes(), seed
 
 
 def test_average_rhs_offset_is_immaterial(ex1_setup):
@@ -291,6 +384,19 @@ def test_average_rhs_literal_convention_fails(ex1_setup):
     assert err <= 1e-6
 
 
+def _one_shot_grid(dither, nodes):
+    # the whole-period weights and nodes that the block helper replaced
+    wq = np.full(nodes, dither.period / (nodes - 1))
+    wq[[0, -1]] *= 0.5
+    return wq, np.linspace(0.0, dither.period, nodes)
+
+
+def _concatenated_blocks(dither, nodes):
+    blocks = list(analysis._period_blocks(dither, nodes))
+    assert all(len(wq) == len(ts) <= analysis._BLOCK for wq, ts in blocks)
+    return np.concatenate([wq for wq, _ in blocks]), np.concatenate([ts for _, ts in blocks])
+
+
 def test_period_grid_is_exact_below_its_degree():
     # a trigonometric polynomial of degree below the count of distinct nodes
     # (nodes - 1) has its constant term as the rule's mean; at degree equal
@@ -300,7 +406,7 @@ def test_period_grid_is_exact_below_its_degree():
     for nodes in (2, 3, 9, 23, 64):
         degree = nodes - 2
         a, b = rng.normal(size=(2, degree + 2))
-        wq, _, _, ts = analysis._period_grid(dither, nodes)
+        wq, ts = _concatenated_blocks(dither, nodes)
         k = np.arange(degree + 2)
         phase = np.outer(ts, k) * (2.0 * np.pi / dither.period)
         below = np.cos(phase[:, :-1]) @ a[:-1] + np.sin(phase[:, :-1]) @ b[:-1]
@@ -310,15 +416,31 @@ def test_period_grid_is_exact_below_its_degree():
         assert aliased - a[0] == pytest.approx(a[-1], rel=1e-12)
 
 
+@pytest.mark.parametrize("nodes", [2, 23, 1023, 1024, 1025, 2049, 5001, 20001])
+def test_period_blocks_concatenate_to_the_one_shot_grid(nodes):
+    dither = DitherSpec([0.1, 0.3, 0.05], (3, 7, 11), 1.3)
+    wq, ts = _concatenated_blocks(dither, nodes)
+    ref_wq, ref_ts = _one_shot_grid(dither, nodes)
+    assert wq.tobytes() == ref_wq.tobytes()
+    assert ts.tobytes() == ref_ts.tobytes()
+
+
 def test_period_grid_scales_one_sine_into_both_dithers():
-    for dither in (
-        DitherSpec([0.1, 0.1], (10, 70), 1.0),
-        DitherSpec([0.1, 0.3, 0.05], (3, 7, 11), 1.3),
+    # the terms on each block carry the S and M they were formed from: the
+    # dithers at the block's nodes
+    for dither, nodes in (
+        (DitherSpec([0.1, 0.1], (10, 70), 1.0), 23),
+        (DitherSpec([0.1, 0.3, 0.05], (3, 7, 11), 1.3), 2049),
     ):
-        _, S, M, ts = analysis._period_grid(dither, 23)
-        S_ref, M_ref = eval_S_M(dither, ts)
-        assert np.array_equal(S, S_ref)
-        assert np.array_equal(M, M_ref)
+        qmap = QuadraticMap(1.0, np.zeros(dither.dim), -np.eye(dither.dim))
+        tt = np.full(dither.dim, 0.1)
+        terms = [
+            perturbation_terms(dither, qmap, ts, tt)
+            for _, ts in analysis._period_blocks(dither, nodes)
+        ]
+        S_ref, M_ref = eval_S_M(dither, _one_shot_grid(dither, nodes)[1])
+        assert np.concatenate([pt.S for pt in terms]).tobytes() == S_ref.tobytes()
+        assert np.concatenate([pt.M for pt in terms]).tobytes() == M_ref.tobytes()
 
 
 def _simpson_consistency(dither, qmap, ctrl, states, nodes=20001):
@@ -369,8 +491,8 @@ def test_average_rhs_aliases_below_the_degree_bound(ex1_setup, monkeypatch):
     qmap, dither, ctrl = ex1_setup
     states = draw_interior_states(qmap, dither, 100, seed=0)
     assert average_rhs_consistency(dither, qmap, ctrl, states) <= 1e-12
-    grid = analysis._period_grid
-    monkeypatch.setattr(analysis, "_period_grid", lambda d, nodes: grid(d, 14 + 1))
+    blocks = analysis._period_blocks
+    monkeypatch.setattr(analysis, "_period_blocks", lambda d, nodes: blocks(d, 14 + 1))
     assert average_rhs_consistency(dither, qmap, ctrl, states) > 1.0
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esc_sat.analysis import _period_grid
+from esc_sat.analysis import _period_blocks
 from esc_sat.plant import (
     AwController,
     GradSatController,
@@ -436,7 +436,7 @@ def test_residuals_have_zero_period_mean(dither, qmap):
     # degree 3 max h = 21, and the periodic trapezoid rule on 22 distinct
     # points gives their means exactly
     tt = np.array([0.3, -0.2])
-    wq, _, _, ts = _period_grid(dither, 3 * 7 + 2)
+    [(wq, ts)] = _period_blocks(dither, 3 * 7 + 2)
     pt = perturbation_terms(dither, qmap, ts, tt)
     for values in (pt.w, pt.varsigma):
         rel = np.abs(wq @ values) / dither.period / np.max(np.abs(values), axis=0)
