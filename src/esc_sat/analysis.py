@@ -8,7 +8,8 @@ quadrature for the zero-mean terms the averaging step discards.
 The two sector samplers, property tests of ``plant.deadzone``, evaluate one
 form on plain blocks of uniform draws; the two period-mean oracles share
 one periodic trapezoid rule over the dither period, summed one block of
-nodes at a time.
+nodes at a time, and ``sup_deviation`` resamples one block of samples at a
+time, so the working memory of these three is one block.
 """
 
 from __future__ import annotations
@@ -150,21 +151,34 @@ def fit_decay(
 def sup_deviation(a: Trajectory, b: Trajectory, signal: str = "theta_tilde") -> float:
     """max over a's samples of the norm of the signal difference.
 
-    b is resampled onto a's time base by linear interpolation; the time spans
-    must overlap.
+    b is resampled onto a's time base by linear interpolation, one block of
+    a's samples at a time; the time spans must overlap.
     """
+    if signal not in _SIGNALS:
+        raise ValueError(f"unknown signal selector {signal!r}")
+    sa_full, sb_full = getattr(a, signal), getattr(b, signal)
+    if sa_full.shape[1] != sb_full.shape[1]:
+        raise ValueError(
+            f"trajectories differ in dimension: {sa_full.shape[1]} and {sb_full.shape[1]}"
+        )
     lo = max(a.times[0], b.times[0])
     hi = min(a.times[-1], b.times[-1])
     if lo >= hi:
         raise ValueError("trajectories cover disjoint time spans")
-    mask = (a.times >= lo) & (a.times <= hi)
-    ta = a.times[mask]
-    sa = getattr(a, signal)[mask]
-    sb_full = getattr(b, signal)
-    sb = np.vstack(
-        [np.interp(ta, b.times, sb_full[:, j]) for j in range(sb_full.shape[1])]
-    ).T
-    return float(np.max(np.linalg.norm(sa - sb, axis=1)))
+    # np.interp copies a strided column on every call, so b's columns are
+    # made contiguous once
+    columns = sb_full.T.copy()
+    worst = -np.inf
+    for start in range(0, len(a.times), _BLOCK):
+        t = a.times[start : start + _BLOCK]
+        mask = (t >= lo) & (t <= hi)
+        ta = t[mask]
+        sa = sa_full[start : start + _BLOCK][mask]
+        sb = np.vstack([np.interp(ta, b.times, column) for column in columns]).T
+        worst = np.max(np.linalg.norm(sa - sb, axis=1), initial=worst)
+    if worst == -np.inf:
+        raise ValueError("no sample of a lies where the time spans overlap")
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +349,10 @@ def zero_mean_report(
     the mean-free convention as the one reproducing the averaged loop.
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
+    if theta_tilde.shape != (qmap.dim,):
+        raise ValueError(f"theta_tilde must have shape ({qmap.dim},), got {theta_tilde.shape}")
+    if nodes < 2:
+        raise ValueError(f"nodes must be at least 2, got {nodes}")
     sums: dict[str, np.ndarray] = {}
     peaks: dict[str, np.ndarray] = {}
     for wq, ts in _period_blocks(dither, nodes):
@@ -400,6 +418,15 @@ def average_rhs_consistency(
     if not isinstance(ctrl, AwController):
         raise TypeError("the consistency check closes the input-saturation loop")
     states = np.atleast_2d(np.asarray(theta_tilde_states, dtype=float))
+    if states.ndim != 2 or states.shape[1] != qmap.dim:
+        raise ValueError(
+            f"theta_tilde_states must have shape (count, {qmap.dim}), got {states.shape}"
+        )
+    if not len(states):
+        # a maximum over no states is 0, which would pass any tolerance
+        raise ValueError("theta_tilde_states must hold at least one state")
+    if not np.all(np.isfinite(states)):
+        raise ValueError("theta_tilde_states must be finite")
     laws = loop_laws(qmap, ctrl, qmap.q_star if demod_remove_offset else 0.0)
     theta = states + qmap.theta_star
 
@@ -424,4 +451,4 @@ def average_rhs_consistency(
         means[saturating] = mean_rhs(SATURATING_NODES, [theta[i : i + 1] for i in saturating])
     model = laws.average_rhs(states)
     denom = np.maximum(np.linalg.norm(model, axis=1), 1e-12)
-    return float(np.max(np.linalg.norm(means - model, axis=1) / denom, initial=0.0))
+    return float(np.max(np.linalg.norm(means - model, axis=1) / denom))

@@ -101,6 +101,57 @@ def test_sup_deviation_resamples_and_rejects_disjoint():
         sup_deviation(a, c)
 
 
+def _one_shot_sup_deviation(a, b, signal):
+    # sup_deviation resampling every sample at once: the reference for the
+    # block form
+    lo = max(a.times[0], b.times[0])
+    hi = min(a.times[-1], b.times[-1])
+    mask = (a.times >= lo) & (a.times <= hi)
+    ta = a.times[mask]
+    sa = getattr(a, signal)[mask]
+    sb_full = getattr(b, signal)
+    sb = np.vstack(
+        [np.interp(ta, b.times, sb_full[:, j]) for j in range(sb_full.shape[1])]
+    ).T
+    return float(np.max(np.linalg.norm(sa - sb, axis=1)))
+
+
+def _random_trajectory(rng, times, dim):
+    signals = {f: rng.normal(size=(len(times), dim)) for f in ("theta", "theta_tilde", "u", "g_hat")}
+    return Trajectory(times=np.asarray(times, dtype=float), y=rng.normal(size=len(times)), **signals)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 9])
+def test_sup_deviation_blocks_match_one_resampling(dim):
+    # a's samples span several blocks, the last of one sample, and the
+    # spans overlap in part, so some blocks keep no sample
+    rng = np.random.default_rng(dim)
+    a = _random_trajectory(rng, np.linspace(0.0, 4.0, 2 * analysis._BLOCK + 1), dim)
+    for tb in (np.linspace(0.0, 4.0, 777), np.linspace(1.3, 2.1, 3001), np.linspace(-1.0, 3.0, 50)):
+        b = _random_trajectory(rng, tb, dim)
+        for signal in analysis._SIGNALS:
+            for x, y in ((a, b), (b, a)):
+                got = sup_deviation(x, y, signal)
+                assert np.float64(got).tobytes() == np.float64(
+                    _one_shot_sup_deviation(x, y, signal)).tobytes()
+
+
+@pytest.mark.parametrize("signal", ["y", "times", "nope"])
+def test_sup_deviation_refuses_an_unknown_signal(signal):
+    t = np.linspace(0.0, 1.0, 50)
+    a = synthetic_trajectory(t, 1.0 + t)
+    with pytest.raises(ValueError, match=f"unknown signal selector '{signal}'"):
+        sup_deviation(a, a, signal)
+
+
+def test_sup_deviation_refuses_trajectories_of_different_dimension():
+    t = np.linspace(0.0, 1.0, 50)
+    a = synthetic_trajectory(t, 1.0 + t)
+    b = synthetic_trajectory(t, 1.0 + t, direction=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="differ in dimension: 2 and 3"):
+        sup_deviation(a, b)
+
+
 def test_band_report_fields(monkeypatch):
     t = np.linspace(0.0, 10.0, 200)
     qmap = QuadraticMap(0.0, [0.0], [[2.0]])
@@ -318,6 +369,20 @@ def test_zero_mean_report_holds_one_block_of_nodes(ex2_setup):
     assert peak <= budget, peak
 
 
+@pytest.mark.parametrize("nodes", [0, 1, -4])
+def test_zero_mean_report_refuses_fewer_than_two_nodes(ex1_setup, nodes):
+    qmap, dither, _ = ex1_setup
+    with pytest.raises(ValueError, match=f"nodes must be at least 2, got {nodes}"):
+        zero_mean_report(dither, qmap, np.array([0.3, -0.2]), nodes=nodes)
+
+
+@pytest.mark.parametrize("tt", [[0.3], [0.3, -0.2, 0.1]], ids=["1", "3"])
+def test_zero_mean_report_refuses_a_state_of_another_dimension(ex1_setup, tt):
+    qmap, dither, _ = ex1_setup
+    with pytest.raises(ValueError, match=r"theta_tilde must have shape \(2,\)"):
+        zero_mean_report(dither, qmap, tt, nodes=101)
+
+
 def test_interior_state_sampler(ex1_setup):
     qmap, dither, _ = ex1_setup
     states = draw_interior_states(qmap, dither, 50, seed=2)
@@ -358,6 +423,23 @@ def test_average_rhs_on_interior_states_is_one_block(ex1_setup):
         got = average_rhs_consistency(dither, qmap, ctrl, states)
         ref = _one_shot_interior_consistency(dither, qmap, ctrl, states)
         assert np.float64(got).tobytes() == np.float64(ref).tobytes(), seed
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        (np.zeros((0, 2)), "theta_tilde_states must hold at least one state"),
+        (np.zeros((1, 1)), r"theta_tilde_states must have shape \(count, 2\), got \(1, 1\)"),
+        (np.zeros((1, 3)), r"theta_tilde_states must have shape \(count, 2\), got \(1, 3\)"),
+        (np.zeros((2, 1, 2)), r"theta_tilde_states must have shape \(count, 2\), got \(2, 1, 2\)"),
+        (np.array([[0.1, np.nan]]), "theta_tilde_states must be finite"),
+    ],
+    ids=["none", "dim-1", "dim-3", "3-d", "nan"],
+)
+def test_average_rhs_refuses_bad_states(ex1_setup, states, message):
+    qmap, dither, ctrl = ex1_setup
+    with pytest.raises(ValueError, match=message):
+        average_rhs_consistency(dither, qmap, ctrl, states)
 
 
 def test_average_rhs_offset_is_immaterial(ex1_setup):
