@@ -9,7 +9,7 @@ The two sector samplers, property tests of ``plant.deadzone``, evaluate one
 form on plain blocks of uniform draws; the two period-mean oracles share
 one periodic trapezoid rule over the dither period, summed one block of
 nodes at a time, and ``sup_deviation`` resamples one block of samples at a
-time, so the working memory of these three is one block.
+time.
 """
 
 from __future__ import annotations
@@ -353,8 +353,7 @@ def zero_mean_report(
         raise ValueError(f"theta_tilde must have shape ({qmap.dim},), got {theta_tilde.shape}")
     if nodes < 2:
         raise ValueError(f"nodes must be at least 2, got {nodes}")
-    sums: dict[str, np.ndarray] = {}
-    peaks: dict[str, np.ndarray] = {}
+    sums, peaks = {}, {}
     for wq, ts in _period_blocks(dither, nodes):
         pt = perturbation_terms(dither, qmap, ts, theta_tilde)
         # term name pattern (indexed by the entry's position) -> values per node
