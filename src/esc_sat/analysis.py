@@ -348,9 +348,6 @@ def zero_mean_report(
     to block.  The consistency check in ``average_rhs_consistency`` pins
     the mean-free convention as the one reproducing the averaged loop.
     """
-    theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
-    if theta_tilde.shape != (qmap.dim,):
-        raise ValueError(f"theta_tilde must have shape ({qmap.dim},), got {theta_tilde.shape}")
     if nodes < 2:
         raise ValueError(f"nodes must be at least 2, got {nodes}")
     sums, peaks = {}, {}

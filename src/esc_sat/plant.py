@@ -373,9 +373,12 @@ def perturbation_terms(
         varsigma = d/dt [M (q* + S'H theta_tilde + S'HS/2)]
                  = M_dot (q* + S'H theta_tilde + S'HS/2) + M S_dot'H (theta_tilde + S).
 
-    ``t`` is a scalar or a 1-D time vector (see ``PerturbationTerms``).
+    ``t`` is a scalar or a 1-D time vector (see ``PerturbationTerms``); a
+    ``theta_tilde`` of any shape but (n,) is a ValueError.
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
+    if theta_tilde.shape != (qmap.dim,):
+        raise ValueError(f"theta_tilde must have shape ({qmap.dim},), got {theta_tilde.shape}")
     H = qmap.hessian
     S, M = eval_S_M(spec, t)
 

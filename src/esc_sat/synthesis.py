@@ -40,7 +40,7 @@ import logging
 import time
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
@@ -74,8 +74,6 @@ SHAPING_EPS = 1e-4
 STRICT_MARGIN_SCALE = 1e-7
 PSD_MARGIN = 1e-9
 COND_WARN = 1e10
-# relative Frobenius mismatch allowed between a stored P and X^-T W X^-1
-CONGRUENCE_RTOL = 1e-6
 # doubles of coefficient matrices a strict margin's norms are taken over at once
 _NORM_CHUNK = 1 << 14
 
@@ -210,11 +208,6 @@ class _Design:
         """Decay prefactor sqrt(lambda_max(P)/lambda_min(P)) of the certificate."""
         return _kappa_of(self.p)
 
-    @property
-    def ill_conditioned(self) -> bool:
-        """cond(P) above COND_WARN: the recovered gains may be inaccurate."""
-        return bool(np.linalg.cond(self.p) > COND_WARN)
-
 
 def _check_request(
     poly: HessianPolytope, eta: float, bounds: SaturationBounds, **gains: np.ndarray
@@ -255,7 +248,7 @@ def _solve(what: str, assembled, recover, poly: HessianPolytope):
     design = recover(functools.partial(layout.unpack, sol.x))
     cond = float(np.linalg.cond(design.p))
     log.debug("%s: cond(P) = %.3e", what, cond)
-    if design.ill_conditioned:
+    if cond > COND_WARN:
         warnings.warn(
             f"recovered P is ill-conditioned (cond {cond:.2e}); gains may be "
             "inaccurate",
@@ -441,10 +434,23 @@ class GradSatDesign(_Design):
     w: np.ndarray
     x: np.ndarray
     upsilon_tilde: np.ndarray
-    p: np.ndarray
     eta: float
     epsilon: float
     bounds: SaturationBounds
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        """P = X^-T W X^-1, derived from W and X when first read, so a design
+        that is only loaded or simulated solves nothing against X."""
+        singular = "x is singular or too near it for a finite P = X^-T W X^-1"
+        try:
+            # P = X^-T W X^-1 = (X^-T W) X^-1
+            P = _over_x(np.linalg.solve(self.x.T, self.w), self.x)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(singular) from None
+        if not np.all(np.isfinite(P)):
+            raise np.linalg.LinAlgError(singular)
+        return 0.5 * (P + P.T)
 
     def _conditions(self, poly: HessianPolytope) -> Iterator[tuple]:
         """This design's entries of ``_gradsat_conditions``: Y = L X, Z = K X."""
@@ -522,12 +528,9 @@ def _gradsat_design(
         raise SynthesisNumericalError(
             f"recovered X is numerically singular (cond {cond_x:.2e})"
         )
-    # P = X^-T W X^-1 = (X^-T W) X^-1
-    P = _over_x(np.linalg.solve(X.T, W), X)
-    P = 0.5 * (P + P.T)
     return GradSatDesign(
         k=_over_x(var("z"), X), l=_over_x(var("y"), X), w=W, x=X,
-        upsilon_tilde=var("ut"), p=P, eta=eta, epsilon=epsilon, bounds=bounds,
+        upsilon_tilde=var("ut"), eta=eta, epsilon=epsilon, bounds=bounds,
     )
 
 
@@ -612,13 +615,13 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
 
     In reporting order: ``p``, lambda_min(P) > 0 (the vertex blocks are
     homogeneous, so a negated P with matching gains passes them); ``lambda``
-    (``upsilon_tilde``), a positive diagonal; ``congruence``, P = X^-T W X^-1
-    to CONGRUENCE_RTOL; ``vertex[i]``, lambda_max < 0 of each vertex block
-    rebuilt from the stored gains (convex in H, so the vertices cover the
-    polytope); ``row[l]`` and ``inclusion[l]``, lambda_min of each
-    row-coupling block and each ellipsoid-inclusion residual at least
-    -PSD_MARGIN.  ``congruence``, ``row`` and ``inclusion`` exist for rate
-    saturation only.  kappa is derived from P, so it needs no check.
+    (``upsilon_tilde``), a positive diagonal; ``vertex[i]``, lambda_max < 0
+    of each vertex block rebuilt from the stored gains (convex in H, so the
+    vertices cover the polytope); ``row[l]`` and ``inclusion[l]``,
+    lambda_min of each row-coupling block and each ellipsoid-inclusion
+    residual at least -PSD_MARGIN.  ``row`` and ``inclusion`` exist for rate
+    saturation only.  kappa is derived from P and a rate-saturation P from
+    W and X, so neither needs a check.
     """
     checks = []
 
@@ -636,18 +639,6 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
         name, np.min(np.diag(mult)), _positive_diagonal(mult),
         f"{label} not a positive diagonal",
     )
-    if not aw:
-        try:
-            rebuilt = _over_x(np.linalg.solve(design.x.T, design.w), design.x)
-            mismatch = np.linalg.norm(rebuilt - design.p)
-        except np.linalg.LinAlgError:
-            check("congruence", np.inf, False, "X is singular")
-        else:
-            scale = np.linalg.norm(design.p)
-            check(
-                "congruence", mismatch / scale, mismatch <= CONGRUENCE_RTOL * scale,
-                "P differs from X^-T W X^-1",
-            )
     for name, kind, M in design._conditions(poly):
         if kind == "strict":
             lmax = np.linalg.eigvalsh(M)[-1]
@@ -673,6 +664,8 @@ def certify(design, poly: HessianPolytope) -> CertificateReport:
 # One line per field, in file order after the kind line: (file key,
 # attribute, value kind).  Keys a table does not list are ignored on load,
 # so older files that carry ``y`` or a derived ``kappa``/``kappa_g`` load.
+# A rate-saturation P is written for readers and parsed on load, but the
+# loaded design derives it from W and X.
 _FILE_FIELDS = {
     AwDesign: (
         ("eta", "eta", "positive"),
@@ -758,4 +751,4 @@ def load_design(path: str):
         want = {"matrix": (n, n), "bounds": (n,)}.get(vkind, shape)
         if shape != want:
             fail(key, f"shape {shape}, expected {want} from the {n}-row k")
-    return cls(**values)
+    return cls(**{f.name: values[f.name] for f in fields(cls)})

@@ -242,7 +242,7 @@ def _saturating_design(eps, n=3):
     k = np.diag(np.arange(1.0, n + 1.0)) + 0.3
     eye = np.eye(n)
     return GradSatDesign(
-        k=k, l=k - eps * eye, w=eye, x=eye, upsilon_tilde=eye, p=eye,
+        k=k, l=k - eps * eye, w=eye, x=eye, upsilon_tilde=eye,
         eta=1.0, epsilon=0.5, bounds=SaturationBounds(np.full(n, 2.0)),
     )
 
@@ -381,6 +381,9 @@ def test_zero_mean_report_refuses_a_state_of_another_dimension(ex1_setup, tt):
     qmap, dither, _ = ex1_setup
     with pytest.raises(ValueError, match=r"theta_tilde must have shape \(2,\)"):
         zero_mean_report(dither, qmap, tt, nodes=101)
+    # the terms themselves refuse it, where numpy would broadcast it
+    with pytest.raises(ValueError, match=r"theta_tilde must have shape \(2,\)"):
+        perturbation_terms(dither, qmap, 0.1, tt)
 
 
 def test_interior_state_sampler(ex1_setup):

@@ -30,7 +30,6 @@ from esc_sat.synthesis import (
 from conftest import fixture_path
 
 P_INDEFINITE = "P not positive definite"
-CONGRUENCE = "P differs from X^-T W X^-1"
 VERTEX = "vertex inequalities not negative definite"
 ROW = "row-coupling blocks not positive semidefinite"
 INCLUSION = "certified region leaves the sector-validity set"
@@ -64,12 +63,18 @@ def _off_diagonal(m: np.ndarray) -> np.ndarray:
     return m + 1e-9 * np.max(np.abs(m)) * (1.0 - np.eye(len(m)))
 
 
+def _scaled_p(d, factor: float) -> dict:
+    # P scaled exactly, through the field it is stored in (anti-windup) or
+    # derived from (rate saturation, P = X^-T W X^-1)
+    return {"p": factor * d.p} if isinstance(d, AwDesign) else {"w": factor * d.w}
+
+
 # tamper -> (edit of the design, failure lines for aw, for gradsat); an
 # absent family means the tamper is not defined for it
 TAMPERS = {
     "p-negated": (
-        lambda d: {"p": -d.p},
-        {"aw": [P_INDEFINITE, VERTEX], "gradsat": [P_INDEFINITE, CONGRUENCE, INCLUSION]},
+        lambda d: _scaled_p(d, -1.0),
+        {"aw": [P_INDEFINITE, VERTEX], "gradsat": [P_INDEFINITE, VERTEX, ROW, INCLUSION]},
     ),
     "multiplier-offdiagonal": (
         lambda d: (
@@ -82,7 +87,7 @@ TAMPERS = {
             "gradsat": ["upsilon_tilde not a positive diagonal"],
         },
     ),
-    "p-doubled": (lambda d: {"p": 2.0 * d.p}, {"gradsat": [CONGRUENCE]}),
+    "p-doubled": (lambda d: _scaled_p(d, 2.0), {"gradsat": [VERTEX]}),
     "k-shifted": (
         lambda d: {"k": d.k + 1e3},
         {"aw": [VERTEX], "gradsat": [VERTEX, ROW, INCLUSION]},
@@ -150,7 +155,7 @@ def test_cli_verify_reports_a_sector_sampling_failure(tmp_path, capsys):
     n = 12
     eye = np.eye(n)
     design = synthesis.GradSatDesign(
-        k=eye, l=0 * eye, w=eye, x=eye, upsilon_tilde=eye, p=eye, eta=1.0,
+        k=eye, l=0 * eye, w=eye, x=eye, upsilon_tilde=eye, eta=1.0,
         epsilon=0.5, bounds=SaturationBounds(np.ones(n)),
     )
     save_design(design, str(tmp_path / "design.txt"))

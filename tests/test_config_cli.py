@@ -192,8 +192,9 @@ def test_cli_verify_rejects_forged_aw_certificate(tmp_path, capsys):
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (lambda d: {"p": 2.0 * d.p}, "P differs from X^-T W X^-1"),
-        (lambda d: {"p": -d.p, "w": -d.w}, "P not positive definite"),
+        # P = X^-T W X^-1 is derived, so it is scaled through W
+        (lambda d: {"w": 2.0 * d.w}, "vertex inequalities not negative definite"),
+        (lambda d: {"w": -d.w}, "P not positive definite"),
         (
             lambda d: {"upsilon_tilde": d.upsilon_tilde + 1e-3 * (1.0 - np.eye(3))},
             "upsilon_tilde not a positive diagonal",
@@ -229,6 +230,23 @@ def test_cli_verify_ignores_an_edited_kappa_line(tmp_path, capsys, fixture_desig
         capsys.readouterr()
         assert cli.main(["verify", str(edited), fixture_path(cfg)]) == 0
         assert capsys.readouterr().out.endswith("all certificates pass\n")
+
+
+def test_cli_verify_ignores_an_edited_gradsat_p_line(tmp_path, capsys, fixture_designs):
+    # a rate-saturation P is derived from W and X; its line is not read back
+    good = fixture_designs["example2.cfg"]
+    design = load_design(str(good))
+    edited = tmp_path / "edited.txt"
+    _edit_design_file(good, edited, p=matio.format_matrix(-design.p))
+    assert edited.read_text() != good.read_text()
+    assert np.array_equal(load_design(str(edited)).p, design.p)
+    outputs = []
+    for path in (good, edited):
+        capsys.readouterr()
+        assert cli.main(["verify", str(path), fixture_path("example2.cfg")]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[1].out.endswith("all certificates pass\n")
 
 
 def test_cli_verify_rejects_negative_seed_before_any_check(tmp_path, capsys):
@@ -1282,8 +1300,8 @@ def test_a_run_from_hessian_reads_no_polytope_key(tmp_path, capsys, fixture_desi
 
 # Each refusal that README lists as command-specific: its stderr line, with
 # <config> and <path> for the paths, -> (fixture, {old: new} edits, argv
-# after the command, with {cfg} the edited fixture and {aw} and {gradsat}
-# the fixture designs).
+# after the command, with {cfg} the edited fixture, {aw} and {gradsat} the
+# fixture designs and {singular} the latter with x zeroed).
 COMMAND_REFUSALS = {
     "error: <config>: missing [sim] theta0": (
         "example1.cfg", {"theta0 = 2.5 6\n": ""}, ["simulate", "{cfg}"]
@@ -1316,6 +1334,9 @@ COMMAND_REFUSALS = {
     "error: the design is of kind 'aw' but the config's [synthesis] kind is 'gradsat'": (
         "example1.cfg", {"kind = aw": "kind = gradsat\nepsilon = 0.5"},
         ["verify", "{aw}", "{cfg}"],
+    ),
+    "error: x is singular or too near it for a finite P = X^-T W X^-1": (
+        "example2.cfg", {}, ["verify", "{singular}", "{cfg}"]
     ),
     "error: --epsilon-sweep applies to gradsat designs only": (
         "example1.cfg", {}, ["design", "{cfg}", "--epsilon-sweep", "0.25,0.5"]
@@ -1363,6 +1384,8 @@ def test_readme_lists_the_refusals_each_command_makes(tmp_path, capsys, fixture_
     ]
     assert listed == list(COMMAND_REFUSALS)
     missing = str(tmp_path / "nope.txt")
+    singular = str(tmp_path / "singular.txt")
+    _edit_design_file(fixture_designs["example2.cfg"], Path(singular), x="0 0 0; 0 0 0; 0 0 0")
     for line, (name, edits, argv) in COMMAND_REFUSALS.items():
         cfg_text = Path(fixture_path(name)).read_text()
         for old, new in edits.items():
@@ -1373,7 +1396,7 @@ def test_readme_lists_the_refusals_each_command_makes(tmp_path, capsys, fixture_
         paths = {
             "{cfg}": str(cfg), "<path>": missing,
             "{aw}": str(fixture_designs["example1.cfg"]),
-            "{gradsat}": str(fixture_designs["example2.cfg"]),
+            "{gradsat}": str(fixture_designs["example2.cfg"]), "{singular}": singular,
         }
         argv = [paths.get(arg, arg) for arg in argv]
         out = tmp_path / "out"

@@ -4,12 +4,16 @@ import logging
 import numpy as np
 import pytest
 
+from esc_sat import synthesis
 from esc_sat.plant import SaturationBounds
 from esc_sat.polytope import HessianPolytope, from_scaled_nominal
-from esc_sat.sdp import check_solution, solve_feasibility
+from esc_sat.sdp import SdpSolution, check_solution, solve_feasibility
 from esc_sat.synthesis import (
+    COND_WARN,
     AwDesign,
+    GradSatDesign,
     InfeasibleDesignError,
+    SynthesisNumericalError,
     _assemble_aw_problem,
     _assemble_gradsat_problem,
     _aw_conditions,
@@ -298,21 +302,90 @@ def test_design_file_roundtrip(tmp_path, ex1_polytope, ex1_bounds, ex2_polytope,
                 stored, loaded = stored.limits, loaded.limits
             assert np.array_equal(loaded, stored), f.name
             assert np.asarray(loaded).dtype == np.asarray(stored).dtype, f.name
+        assert np.array_equal(back.p, design.p)
 
 
-def test_ill_conditioning_survives_a_design_file(
-    tmp_path, ex1_polytope, ex1_bounds, ex2_polytope, ex2_bounds
+def test_ill_conditioning_survives_a_design_file(tmp_path, ex1_polytope, ex1_bounds):
+    # an anti-windup design stores P; a rate-saturation one derives it
+    design = design_aw_gains(ex1_polytope, 1.0, ex1_bounds)
+    assert np.linalg.cond(design.p) <= COND_WARN
+    p = np.diag(np.concatenate([[1.0], np.full(design.dim - 1, 1e-11)]))
+    path = tmp_path / "ill.txt"
+    save_design(dataclasses.replace(design, p=p), str(path))
+    back = load_design(str(path))
+    assert np.linalg.cond(back.p) == pytest.approx(1e11)
+    assert np.linalg.cond(back.p) > COND_WARN
+
+
+def test_gradsat_p_is_derived_from_w_and_x():
+    eye = np.eye(3)
+    parts = dict(
+        k=eye, l=eye, w=np.diag([2.0, 3.0, 4.0]), x=np.diag([1.0, 2.0, 4.0]),
+        upsilon_tilde=eye, eta=1.0, epsilon=0.5, bounds=SaturationBounds(np.ones(3)),
+    )
+    assert np.array_equal(GradSatDesign(**parts).p, np.diag([2.0, 0.75, 0.25]))
+    with pytest.raises(TypeError, match="'p'"):
+        GradSatDesign(**parts, p=eye)
+    # a singular x, or one so near it that P overflows, builds a design
+    # whose P is refused by name when it is read
+    singular = r"^x is singular or too near it for a finite P = X\^-T W X\^-1$"
+    for x_last in (0.0, 1e-300):
+        design = GradSatDesign(**{**parts, "x": np.diag([1.0, 2.0, x_last])})
+        with pytest.raises(np.linalg.LinAlgError, match=singular):
+            design.p
+
+
+def _failed_solve(problem):
+    return SdpSolution(
+        x=np.zeros(problem.num_vars), slack=1.0, status="numerical-failure",
+        iterations=500, message="iteration limit",
+    )
+
+
+def test_solver_failure_is_a_numerical_error(
+    monkeypatch, ex1_polytope, ex1_bounds, ex2_polytope, ex2_bounds
+):
+    monkeypatch.setattr(synthesis, "solve_feasibility", _failed_solve)
+    failed = "solver failed after 500 iterations: iteration limit"
+    with pytest.raises(SynthesisNumericalError, match=f"^anti-windup design: {failed}$"):
+        design_aw_gains(ex1_polytope, 1.0, ex1_bounds)
+    with pytest.raises(SynthesisNumericalError, match=f"^rate-saturation design: {failed}$"):
+        design_gradsat_gain(ex2_polytope, 1.0, 0.5, ex2_bounds)
+
+
+def test_ill_conditioned_p_warns_and_still_returns_the_design(
+    monkeypatch, ex1_polytope, ex1_bounds, ex2_polytope, ex2_bounds
 ):
     aw = design_aw_gains(ex1_polytope, 1.0, ex1_bounds)
     gs = design_gradsat_gain(ex2_polytope, 1.0, 0.5, ex2_bounds)
-    for design in (aw, gs):
-        assert not design.ill_conditioned
-        p = np.diag(np.concatenate([[1.0], np.full(design.dim - 1, 1e-11)]))
-        path = tmp_path / "ill.txt"
-        save_design(dataclasses.replace(design, p=p), str(path))
-        back = load_design(str(path))
-        assert np.linalg.cond(back.p) == pytest.approx(1e11)
-        assert back.ill_conditioned
+    monkeypatch.setattr(synthesis, "COND_WARN", 1.0)
+    for design, again in (
+        (aw, lambda: design_aw_gains(ex1_polytope, 1.0, ex1_bounds)),
+        (gs, lambda: design_gradsat_gain(ex2_polytope, 1.0, 0.5, ex2_bounds)),
+    ):
+        with pytest.warns(RuntimeWarning, match="recovered P is ill-conditioned") as caught:
+            warned = again()
+        # reported at the caller of the design function
+        assert [w.filename for w in caught] == [__file__]
+        assert np.array_equal(warned.k, design.k)
+        assert np.array_equal(warned.p, design.p)
+
+
+def test_gradsat_design_refuses_a_numerically_singular_x(monkeypatch, ex2_polytope, ex2_bounds):
+    _, layout = _assemble_gradsat_problem(ex2_polytope, 1.0, 0.5, ex2_bounds)
+    x_slice = layout._slices["x"][1]
+
+    def nearly_singular_x(problem):
+        # every variable zero but X = diag(1, 1, 1e-13), cond(X) = 1e13
+        x = np.zeros(problem.num_vars)
+        x[x_slice] = np.diag([1.0, 1.0, 1e-13]).ravel()
+        return SdpSolution(x=x, slack=-1.0, status="feasible", iterations=1)
+
+    monkeypatch.setattr(synthesis, "solve_feasibility", nearly_singular_x)
+    with pytest.raises(
+        SynthesisNumericalError, match=r"^recovered X is numerically singular \(cond 1.00e\+13\)$"
+    ):
+        design_gradsat_gain(ex2_polytope, 1.0, 0.5, ex2_bounds)
 
 
 def test_load_design_rejects_garbage(tmp_path):
