@@ -3,12 +3,14 @@
 Exit codes are a stable contract: 0 success, 1 usage or parse problems,
 2 infeasibility or a failed certificate, 3 simulation blow-up.  ``--design``
 alone makes ``simulate`` and ``sweep`` run a design's gains; an ``--out``
-directory is created only when a result file is written into it.
+directory is created only when a result file is written into it, and a
+failed write removes the directories it created.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -100,16 +102,27 @@ def _comma_numbers(option: str, text: str) -> list[float]:
 
 
 def _atomic_write(path: str, writer) -> None:
+    """writer(tmp), then tmp renamed to path.  A failed write removes its
+    temporary file and, innermost first, the directories this call created,
+    each only while it is empty."""
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".esc-sat-")
-    os.close(fd)
+    made, parent = [], d  # the directories this call creates, innermost first
+    while not os.path.isdir(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".esc-sat-")
+        os.close(fd)
         writer(tmp)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
+        for made_dir in made:
+            with contextlib.suppress(OSError):  # a directory that holds a file stays
+                os.rmdir(made_dir)
         raise
 
 

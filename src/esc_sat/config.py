@@ -266,15 +266,15 @@ def _check(cfg: ExperimentConfig) -> None:
     dither = _kept(build_dither, cfg)
     # a run from [map] hessian reads no polytope, so only a run from the
     # alpha mix stops at a polytope key that is missing
-    missing = isinstance(poly, _Missing)
-    stop = poly if missing and ("map", "hessian") not in cfg else None
-    qmap = _kept(build_qmap, cfg, _kept(resolve_hessian, cfg, None if missing else poly))
+    hessian = cfg.values.get(("map", "hessian"))
+    if hessian is None:
+        hessian = _kept(resolve_hessian, cfg, poly)
+    qmap = _kept(build_qmap, cfg, hessian)
     ctrl = _kept(build_controller, cfg, qmap)
     cfg.objects = dict(
         polytope=poly or _Missing(cfg.name, "[map] must define a polytope for gain design"),
-        request=_kept(build_synthesis_request, cfg), dither=dither,
-        map=stop or qmap, controller=stop or ctrl,
-        run=stop or _kept(build_sim_config, cfg, qmap, dither, ctrl),
+        request=_kept(build_synthesis_request, cfg), dither=dither, map=qmap,
+        controller=ctrl, run=_kept(build_sim_config, cfg, qmap, dither, ctrl),
     )
 
 
@@ -284,13 +284,18 @@ def _unread(cfg: ExperimentConfig, section: str, key: str) -> Optional[str]:
         return "not read beside [map] hessian"
     if (section, key) == ("synthesis", "epsilon") and cfg.values.get((section, "kind")) == "aw":
         return "not read under kind = aw"
+    scenario = cfg.values.get(("sim", "scenario"))
+    if (section, key) == ("controller", "k_aw") and scenario and SCENARIOS[scenario][0] != "aw":
+        return f"not read under scenario = {scenario}"
     chosen = cfg.values.get(("map", "polytope"))
     family = _numbered(key)[0]
-    if section == "map" and chosen and any(
+    if section == "map" and any(
         key in named or family == numbered
         for kind, (named, numbered, _) in _POLYTOPES.items()
         if kind != chosen
     ):
+        if chosen is None:
+            return "not read without [map] polytope"
         return f"not read under polytope = {chosen}"
     return None
 

@@ -144,8 +144,8 @@ class LmiBlock:
         base = _symmetric_part(self.name, "base", base[None])[0]
         d2 = base.size
         step = max(1, _CHUNK // d2)
-        # per chunk: its support, and the flat position, value and support
-        # rank of each stored entry
+        # per chunk: its support, and the flat position and value of each
+        # stored entry
         parts = []
         kept = 0
         # one chunk at least, so that an empty stack stores empty arrays
@@ -156,8 +156,7 @@ class LmiBlock:
             keep = np.flatnonzero(nonzero.any(axis=1))
             nonzero = nonzero[keep]
             flat = np.flatnonzero(nonzero)
-            ranks = np.broadcast_to(np.arange(kept, kept + keep.size)[:, None], nonzero.shape)
-            parts.append((lo + keep, kept * d2 + flat, sym[keep].ravel()[flat], ranks[nonzero]))
+            parts.append((lo + keep, kept * d2 + flat, sym[keep].ravel()[flat]))
             kept += keep.size
         if self.sense not in ("strict", "psd"):
             raise ValueError(f"unknown block sense {self.sense!r}")
@@ -166,13 +165,12 @@ class LmiBlock:
                 f"block {self.name!r} margin {self.margin!r} must be finite and "
                 "nonnegative"
             )
-        support, index, values, ranks = (np.concatenate(p) for p in zip(*parts))
-        # every support matrix has an entry, so its first is where the rank changes
-        firsts = np.flatnonzero(np.diff(ranks, prepend=-1))
+        support, index, values = (np.concatenate(p) for p in zip(*parts))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "num_vars", len(coeffs))
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "offsets", np.append(firsts, ranks.size))
+        # index is sorted, and support matrix k's flat positions start at k * d2
+        object.__setattr__(self, "offsets", np.searchsorted(index, d2 * np.arange(kept + 1)))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "values", values)
 

@@ -8,16 +8,18 @@ bitwise-identical trajectories.  A run allocates the trajectory it returns
 before the first step and steps its states straight into the rows of
 ``theta_tilde``: an averaged loop's states are its theta_tilde, and a
 dithered loop's estimate theta_hat is converted there in place once it has
-run.  The true loops integrate the stage law ``rhs``, which reads S and M K'
-at the half-step times from one sine evaluation; the averaged loops
-integrate ``average_rhs``.  A run steps ``BLOCK_STEPS`` steps at a time into
-one block of its own: each block evaluates the dither tables over its own
-half-steps only, its states are tested for blow-up together once it ends,
-and the kept steps are copied into each member's rows.  The recorded map
-input, output, control and gradient estimate are derived from the states
-afterwards by the same laws, a block at a time, and the first sample at
-which one of them is not finite ends its member as a blow-up.  So a run's
-working memory is the trajectory it returns and one block, at any horizon.
+run.  Every loop steps one stage form, ``stage(k, x, out)`` at half-step k:
+the true loops integrate the stage law ``rhs``, which reads S and M K' at
+the half-step times from one sine evaluation, and the averaged loops
+integrate ``average_rhs``, which ignores k.  A run steps ``BLOCK_STEPS``
+steps at a time into one block of its own: each block evaluates the dither
+tables over its own half-steps only, its states are tested for blow-up
+together once it ends, and the kept steps are copied into each member's
+rows.  The recorded map input, output, control and gradient estimate are
+derived from the states afterwards by the same laws, a block at a time, and
+the first sample at which one of them is not finite ends its member as a
+blow-up.  So a run's working memory is the trajectory it returns and one
+block, at any horizon.
 
 ``simulate_batch`` runs configs that share one loop (scenario, map,
 controller, ``demod_remove_offset``) as one (B, n) stack, so B runs pay
@@ -189,7 +191,7 @@ class Trajectory:
         return self.theta.shape[1]
 
 
-def _rk4_run(stage_for, records: list, dts: list, timed: bool = True) -> list:
+def _rk4_run(stage_for, records: list, dts: list) -> list:
     """Steps each member into its record; returns each member's
     ``SimulationBlowUp``, or None for a member that ran to its end.
 
@@ -206,16 +208,15 @@ def _rk4_run(stage_for, records: list, dts: list, timed: bool = True) -> list:
     block, ``stage_for(rows, window)`` gives the stage law of the members at
     ``rows``, an index array of the members, or one int for a lone row, over
     the block's ``window``, the slice of half-step indices it steps through.
-    A ``timed`` stage is ``stage(k, x, out)``, where k counts half-steps from
-    the window's start, that is the time (window.start + k) * dt / 2; an
-    autonomous one is ``stage(x, out)``.  A stage writes its value into
-    ``out``, which it may not alias with x.  After each block, every state
-    it stepped is tested at once, and a blow-up ends the phase at its first
-    offending step; the block's later steps are discarded, and the kept ones
-    are copied into each member's record.  Overflow is silenced while a
-    block steps, since only those discarded steps can overflow: a kept
-    state lies within the limit, far inside the float range unless the
-    initial state is itself near 1e148.
+    A stage is ``stage(k, x, out)``, where k counts half-steps from the
+    window's start, that is the time (window.start + k) * dt / 2; it writes
+    its value at x into ``out``, which it may not alias with x.  After each
+    block, every state it stepped is tested at once, and a blow-up ends the
+    phase at its first offending step; the block's later steps are
+    discarded, and the kept ones are copied into each member's record.
+    Overflow is silenced while a block steps, since only those discarded
+    steps can overflow: a kept state lies within the limit, far inside the
+    float range unless the initial state is itself near 1e148.
     """
     nsteps = [len(record) - 1 for record in records]
     # compared as a squared norm, which a NaN or inf also fails; a float64
@@ -244,17 +245,11 @@ def _rk4_run(stage_for, records: list, dts: list, timed: bool = True) -> list:
             block = buf[:m]
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(m):
-                    if timed:
-                        k = 2 * j
-                        stage(k, x, k1)
-                        stage(k + 1, np.add(x, np.multiply(half, k1, out=y), out=y), k2)
-                        stage(k + 1, np.add(x, np.multiply(half, k2, out=y), out=y), k3)
-                        stage(k + 2, np.add(x, np.multiply(dt, k3, out=y), out=y), k4)
-                    else:
-                        stage(x, k1)
-                        stage(np.add(x, np.multiply(half, k1, out=y), out=y), k2)
-                        stage(np.add(x, np.multiply(half, k2, out=y), out=y), k3)
-                        stage(np.add(x, np.multiply(dt, k3, out=y), out=y), k4)
+                    k = 2 * j
+                    stage(k, x, k1)
+                    stage(k + 1, np.add(x, np.multiply(half, k1, out=y), out=y), k2)
+                    stage(k + 1, np.add(x, np.multiply(half, k2, out=y), out=y), k3)
+                    stage(k + 2, np.add(x, np.multiply(dt, k3, out=y), out=y), k4)
                     # x + dt / 6 * (k1 + 2 * (k2 + k3) + k4), in that order
                     np.multiply(two, np.add(k2, k3, out=y), out=y)
                     np.add(np.add(k1, y, out=y), k4, out=y)
@@ -368,12 +363,13 @@ def _run(cfgs: list) -> list:
     else:  # an averaged loop, on theta_tilde alone
 
         def stage_for(rows, window):
-            return bind((*np.shape(rows), n)).average_rhs
+            average_rhs = bind((*np.shape(rows), n)).average_rhs
+            return lambda k, x, out: average_rhs(x, out)
 
     # a dithered loop steps theta_hat in theta_tilde's rows, converted below
     for cfg, traj in zip(cfgs, trajs):
         traj.theta_tilde[0] = cfg.theta0 if dithered else cfg.theta0 - th_star
-    blowups = _rk4_run(stage_for, [traj.theta_tilde for traj in trajs], dts, timed=dithered)
+    blowups = _rk4_run(stage_for, [traj.theta_tilde for traj in trajs], dts)
     for b, traj in enumerate(trajs):
         if blowups[b]:
             continue

@@ -41,7 +41,7 @@ import time
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -318,9 +318,9 @@ class AwDesign(_Design):
     bounds: SaturationBounds
 
     def _conditions(self, poly: HessianPolytope) -> Iterator[tuple]:
-        """This design's entries of ``_aw_conditions``: Z = P K, Z_aw = P K_aw."""
-        v = {"p": self.p, "lam": self.lam}
-        v.update(z=self.p @ self.k, z_aw=self.p @ self.k_aw)
+        """This design's entries of ``_aw_conditions``: Z = P K, Z_aw = P K_aw,
+        also where P and Lambda are stacks (the certificate search)."""
+        v = {"p": self.p, "lam": self.lam, "z": self.p @ self.k, "z_aw": self.p @ self.k_aw}
         return _aw_conditions(v, poly, self.eta)
 
 
@@ -350,30 +350,16 @@ def _aw_vertex(P, Lam, Z, Zaw, Hi: np.ndarray, eta: float) -> np.ndarray:
     return M
 
 
-def _assemble_aw_problem(
-    poly: HessianPolytope, eta: float, gains: Optional[tuple] = None
-) -> tuple[LmiProblem, _VarLayout]:
-    """Vertex and shaping blocks of the anti-windup design.
-
-    With ``gains = (K, K_aw)`` fixed, Z = P K and Z_aw = P K_aw and the
-    inequalities are affine in (P, Lambda) alone (certificate search).
-    """
-    kinds = {"p": "sym", "lam": "diag"}
-    if gains is None:
-        kinds.update(z="full", z_aw="full")
-
-    def conditions(v):
-        if gains is not None:
-            v.update(z=v["p"] @ gains[0], z_aw=v["p"] @ gains[1])
-        return _aw_conditions(v, poly, eta)
-
-    return _assemble(poly.dim, kinds, conditions)
+def _assemble_aw_problem(poly: HessianPolytope, eta: float) -> tuple[LmiProblem, _VarLayout]:
+    """Vertex and shaping blocks of the anti-windup design."""
+    kinds = {"p": "sym", "lam": "diag", "z": "full", "z_aw": "full"}
+    return _assemble(poly.dim, kinds, lambda v: _aw_conditions(v, poly, eta))
 
 
-def _aw_design(var, eta: float, bounds: SaturationBounds, gains) -> AwDesign:
+def _aw_design(var, eta: float, bounds: SaturationBounds) -> AwDesign:
     """AwDesign from the solved variables; K, K_aw solved from Z = P K."""
     P = var("p")
-    k, k_aw = gains or (np.linalg.solve(P, var("z")), np.linalg.solve(P, var("z_aw")))
+    k, k_aw = np.linalg.solve(P, var("z")), np.linalg.solve(P, var("z_aw"))
     return AwDesign(k=k, k_aw=k_aw, p=P, lam=var("lam"), eta=eta, bounds=bounds)
 
 
@@ -384,7 +370,7 @@ def design_aw_gains(
     _check_request(poly, eta, bounds)
     return _solve(
         "anti-windup design", _assemble_aw_problem(poly, eta),
-        lambda var: _aw_design(var, eta, bounds, None), poly,
+        lambda var: _aw_design(var, eta, bounds), poly,
     )
 
 
@@ -406,14 +392,22 @@ def find_aw_certificate(
     """Search a Lyapunov certificate (P, Lambda) for externally given gains.
 
     Used to validate gain matrices quoted from elsewhere: with K and K_aw
-    fixed the vertex inequalities are affine in (P, Lambda) alone.
+    fixed the vertex inequalities are affine in (P, Lambda) alone.  The
+    problem is the conditions of the design with these gains, evaluated on
+    stacks of P and Lambda.
     """
     k = np.asarray(k, dtype=float)
     k_aw = np.asarray(k_aw, dtype=float)
     _check_request(poly, eta, bounds, k=k, k_aw=k_aw)
+
+    def certificate(p, lam):
+        return AwDesign(k=k, k_aw=k_aw, p=p, lam=lam, eta=eta, bounds=bounds)
+
+    kinds = {"p": "sym", "lam": "diag"}
     return _solve(
-        "certificate search", _assemble_aw_problem(poly, eta, gains=(k, k_aw)),
-        lambda var: _aw_design(var, eta, bounds, (k, k_aw)), poly,
+        "certificate search",
+        _assemble(poly.dim, kinds, lambda v: certificate(**v)._conditions(poly)),
+        lambda var: certificate(var("p"), var("lam")), poly,
     )
 
 

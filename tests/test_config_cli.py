@@ -28,6 +28,11 @@ from esc_sat.config import (
 from esc_sat.synthesis import _kappa_of, load_design, save_design
 from conftest import EX1_H0, fixture_path
 
+# example1.cfg's k_aw, which a rate-saturation loop does not read, and its
+# polytope keys, which no config without a polytope key reads
+EX1_KAW_LINE = "k_aw = 2.2794 0.0824; -0.0865 2.2804\n"
+EX1_POLYTOPE_LINES = "polytope = scaled_nominal\nh0 = 100 30; 30 20\ndelta_bar = 0.1\n"
+
 GOOD = """
 [map]
 q_star = 10
@@ -140,13 +145,19 @@ def test_cli_design_epsilon_sweep(tmp_path):
             "--out",
             str(out),
             "--epsilon-sweep",
-            "0.25,0.5",
+            "0.25,0.5,50",
         ]
     )
     assert rc == 0
     report = (out / "design_report.txt").read_text()
     assert "epsilon = 0.25:" in report
     assert "epsilon = 0.5:" in report
+    # an infeasible candidate is reported in its line, and the sweep goes on
+    assert re.search(
+        r"(?m)^epsilon = 50: rate-saturation design: infeasible \(slack \S+, most "
+        r"violated block 'vertex\[2\]'\)$",
+        report,
+    )
 
 
 def test_cli_verify_rejects_corrupted_design(tmp_path):
@@ -397,7 +408,7 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
             "8:1: [map] theta_star, polytope: polytope has dimension 1, theta_star 2",
         ),
         (
-            "design", "example2.cfg", "polytope = vertices\n", "",
+            "design", "example1.cfg", EX1_POLYTOPE_LINES, "",
             " [map] must define a polytope for gain design",
         ),
         (
@@ -420,11 +431,28 @@ def test_config_number_errors_name_file_and_key(tmp_path, capsys, command, old, 
             "simulate", "example1.cfg", "t_end = 5", "t_end = 0.0001",
             "31:1: [sim] t_end, dt: t_end = 0.0001 rounds to no step of dt = 0.000628319",
         ),
+        # errors of one line, which name the config alike
+        ("simulate", "example1.cfg", "[sim]\n", "[sim\n", "27:1: unterminated section header"),
+        ("simulate", "example1.cfg", "[sim]\n", "[map]\n", "27:1: duplicate section [map]"),
+        (
+            "simulate", "example1.cfg", "theta0 = 2.5 6", "theta0 =",
+            "29:1: [sim] theta0 = '': empty vector",
+        ),
+        (
+            "design", "example1.cfg", "h0 = 100 30; 30 20", "h0 = 100 30;",
+            "9:1: [map] h0 = '100 30;': empty matrix row",
+        ),
+        (
+            "simulate", "example1.cfg", "multipliers = 10 70", "multipliers =",
+            "15:1: [dither] multipliers = '': empty rational vector",
+        ),
     ],
     ids=[
         "theta0", "alpha-count", "alpha-sum", "amplitudes-simulate", "amplitudes-design",
         "k-shape", "h0-simulate", "h0-design", "no-polytope", "k-dimension",
         "period-overflow-simulate", "period-overflow-design", "t_end-under-one-step",
+        "unterminated-section", "duplicate-section", "empty-vector", "empty-matrix-row",
+        "empty-rational-vector",
     ],
 )
 def test_config_errors_across_keys_name_the_config(
@@ -725,7 +753,10 @@ def test_designed_controller_needs_the_scenario_kind(
     )
     assert cli.main(["design", str(design_cfg), "--out", str(tmp_path)]) == 0
     run_cfg = tmp_path / "run.cfg"
-    run_cfg.write_text(text.replace("scenario = input-saturation", f"scenario = {scenario}"))
+    run_text = text.replace("scenario = input-saturation", f"scenario = {scenario}")
+    if scenario == "gradient-saturation":  # a loop that reads no k_aw
+        run_text = run_text.replace(EX1_KAW_LINE, "")
+    run_cfg.write_text(run_text)
     argv = [command, str(run_cfg), "--design", str(tmp_path / "design.txt")]
     if command == "sweep":
         argv += ["--param", "amplitude", "--values", "0.1,0.2"]
@@ -747,6 +778,7 @@ def test_designed_controller_needs_the_map_dimension(
     run_cfg = tmp_path / "run.cfg"
     run_cfg.write_text(
         text.replace("scenario = input-saturation", "scenario = gradient-saturation")
+        .replace(EX1_KAW_LINE, "")
     )
     argv = [command, str(run_cfg), "--design", str(fixture_designs["example2.cfg"])]
     if command == "sweep":
@@ -1234,9 +1266,17 @@ README = Path(__file__).resolve().parents[1] / "README.md"
             "example1.cfg", "kind = aw\n", "kind = aw\nepsilon = 0.5\n",
             "epsilon", "not read under kind = aw",
         ),
+        (
+            "example2.cfg", "[controller]\n", "[controller]\nk_aw = 1 0 0; 0 1 0; 0 0 1\n",
+            "k_aw", "not read under scenario = gradient-saturation",
+        ),
+        (
+            "example1.cfg", "polytope = scaled_nominal\n", "",
+            "h0", "not read without [map] polytope",
+        ),
     ],
     ids=["vertex-under-scaled-nominal", "h0-under-vertices", "alpha-beside-hessian",
-         "epsilon-under-aw"],
+         "epsilon-under-aw", "k_aw-under-gradient-saturation", "h0-without-polytope"],
 )
 def test_a_key_that_nothing_reads_is_refused(
     tmp_path, capsys, fixture_designs, name, old, new, key, reason
@@ -1250,7 +1290,7 @@ def test_a_key_that_nothing_reads_is_refused(
     path.write_text(text)
     lines = text.splitlines()
     at = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = "))
-    section = "synthesis" if key == "epsilon" else "map"
+    section = {"epsilon": "synthesis", "k_aw": "controller"}.get(key, "map")
     raw = lines[at - 1].partition(" = ")[2]
     out = tmp_path / "out"
     for argv in (
@@ -1307,10 +1347,10 @@ COMMAND_REFUSALS = {
         "example1.cfg", {"theta0 = 2.5 6\n": ""}, ["simulate", "{cfg}"]
     ),
     "error: <config>: [map] must define a polytope for gain design": (
-        "example2.cfg", {"polytope = vertices\n": ""}, ["design", "{cfg}"]
+        "example1.cfg", {EX1_POLYTOPE_LINES: ""}, ["design", "{cfg}"]
     ),
     "error: <config>: [map] needs either 'hessian' or a polytope": (
-        "example2.cfg", {"polytope = vertices\n": ""}, ["simulate", "{cfg}"]
+        "example1.cfg", {EX1_POLYTOPE_LINES: ""}, ["simulate", "{cfg}"]
     ),
     "error: <config>: simulating from a polytope needs [map] alpha weights": (
         "example1.cfg", {"alpha = 0.6822 0.3178\n": ""}, ["simulate", "{cfg}"]
@@ -1321,11 +1361,11 @@ COMMAND_REFUSALS = {
         ["verify", "{aw}", "{cfg}"],
     ),
     "error: <config>: scenario 'gradient-saturation' cannot run a design of kind 'aw'": (
-        "example1.cfg", {"= input-saturation": "= gradient-saturation"},
+        "example1.cfg", {"= input-saturation": "= gradient-saturation", EX1_KAW_LINE: ""},
         ["simulate", "{cfg}", "--design", "{aw}"],
     ),
     "error: <config>: the design gives a controller of dimension 3 for a map of dimension 2": (
-        "example1.cfg", {"= input-saturation": "= gradient-saturation"},
+        "example1.cfg", {"= input-saturation": "= gradient-saturation", EX1_KAW_LINE: ""},
         ["sweep", "{cfg}", "--design", "{gradsat}", "--param", "amplitude", "--values", "1,2"],
     ),
     "error: the design has dimension 2 but the config's polytope has dimension 3": (
@@ -1439,6 +1479,28 @@ def test_cli_simulate_writes_outputs(tmp_path):
     assert csv[0].startswith("t,theta_1")
     svg = (tmp_path / "trajectory.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_a_failed_write_removes_only_the_directories_it_created(
+    tmp_path, capsys, monkeypatch, existing
+):
+    # a write that fails once it has begun leaves no temporary file, and no
+    # --out directory that the command created for it
+    def full_disk(traj, path, stride=1):
+        with open(path, "w") as fh:
+            fh.write("t\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "export_csv", full_disk)
+    out = tmp_path / "new" / "sub"
+    if existing:
+        out.mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main(["simulate", fixture_path("example1.cfg"), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    assert out.is_dir() == existing
+    assert [p.name for p in tmp_path.rglob("*")] == (["new", "sub"] if existing else [])
 
 
 def test_cli_simulate_parse_error(tmp_path):

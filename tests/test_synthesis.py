@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from esc_sat import synthesis
+from esc_sat import cli, synthesis
 from esc_sat.plant import SaturationBounds
 from esc_sat.polytope import HessianPolytope, from_scaled_nominal
 from esc_sat.sdp import SdpSolution, check_solution, solve_feasibility
@@ -28,7 +28,7 @@ from esc_sat.synthesis import (
     verify_ellipsoid_inclusion,
     verify_gradsat_design,
 )
-from conftest import EX1_K, EX1_KAW, full_coeffs, lyapunov
+from conftest import EX1_K, EX1_KAW, fixture_path, full_coeffs, lyapunov
 
 
 def test_aw_design_reference_polytope(ex1_polytope, ex1_bounds):
@@ -108,18 +108,26 @@ def _coeffs_by_variable(layout, conditions):
     }
 
 
-def test_batched_assembly_matches_per_variable_build(ex1_polytope, ex2_polytope, ex2_bounds):
-    # one conditions call on the stacked unit vectors gives bit-identical coefficients
+def test_batched_assembly_matches_per_variable_build(
+    monkeypatch, ex1_polytope, ex1_bounds, ex2_polytope, ex2_bounds
+):
+    # one conditions call on the stacked unit vectors gives bit-identical
+    # coefficients; the certificate search's problem, which it assembles
+    # from a design's conditions with P and Lambda stacked, is taken from
+    # find_aw_certificate before it is solved
     def fixed_gains(v):
         v.update(z=v["p"] @ EX1_K, z_aw=v["p"] @ EX1_KAW)
         return _aw_conditions(v, ex1_polytope, 0.9)
 
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "_solve", lambda what, assembled, recover, poly: assembled)
+        search = find_aw_certificate(EX1_K, EX1_KAW, ex1_polytope, 0.9, ex1_bounds)
     cases = [
         (
             _assemble_aw_problem(ex1_polytope, 1.0),
             lambda v: _aw_conditions(v, ex1_polytope, 1.0),
         ),
-        (_assemble_aw_problem(ex1_polytope, 0.9, gains=(EX1_K, EX1_KAW)), fixed_gains),
+        (search, fixed_gains),
         (
             _assemble_gradsat_problem(ex2_polytope, 1.0, 0.5, ex2_bounds),
             lambda v: _gradsat_conditions(v, ex2_polytope, 1.0, 0.5, ex2_bounds.limits),
@@ -388,7 +396,7 @@ def test_gradsat_design_refuses_a_numerically_singular_x(monkeypatch, ex2_polyto
         design_gradsat_gain(ex2_polytope, 1.0, 0.5, ex2_bounds)
 
 
-def test_load_design_rejects_garbage(tmp_path):
+def test_load_design_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("kind = aw\nk = 1 0; 0 1\n")
     with pytest.raises(ValueError, match="missing field"):
@@ -396,3 +404,10 @@ def test_load_design_rejects_garbage(tmp_path):
     path.write_text("kind = squirrel\n")
     with pytest.raises(ValueError, match="unknown kind"):
         load_design(str(path))
+    # a line with no '=' is refused at its line, and verify exits 1 with it
+    path.write_text("kind = aw\nk 1 0; 0 1\n")
+    with pytest.raises(ValueError) as exc:
+        load_design(str(path))
+    assert str(exc.value) == f"{path}:2: expected 'key = value'"
+    assert cli.main(["verify", str(path), fixture_path("example1.cfg")]) == 1
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
