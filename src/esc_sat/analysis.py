@@ -8,8 +8,8 @@ quadrature for the zero-mean terms the averaging step discards.
 The two sector samplers, property tests of ``plant.deadzone``, evaluate one
 form on plain blocks of uniform draws; the two period-mean oracles share
 one periodic trapezoid rule over the dither period, summed one block of
-nodes at a time, and ``sup_deviation`` resamples one block of samples at a
-time.
+nodes at a time (peaks read along contiguous rows), and ``sup_deviation``
+resamples one block of samples at a time.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def fit_decay(
         window = (float(t[0]), float(t[-1]))
     lo, hi = window
     mask = (t >= lo) & (t <= hi)
-    tw = t[mask]
-    nw = norms[mask]
+    # a window over the whole run is the run itself, not a copy of it
+    tw, nw = (t, norms) if mask.all() else (t[mask], norms[mask])
     if tw.size < 2:
         raise ValueError("window selects fewer than two samples")
     truncated = False
@@ -134,9 +134,9 @@ def fit_decay(
         tw = tw[: zero[0]]
         nw = nw[: zero[0]]
         truncated = True
-    slope, intercept = np.polyfit(tw, np.log(nw), 1)
-    pred = intercept + slope * tw
-    residual = float(np.sqrt(np.mean((np.log(nw) - pred) ** 2)))
+    log_nw = np.log(nw)
+    slope, intercept = np.polyfit(tw, log_nw, 1)
+    residual = float(np.sqrt(np.mean((log_nw - (intercept + slope * tw)) ** 2)))
     amplitude = float(np.exp(intercept))
     return DecayFit(
         eta_hat=float(-slope),
@@ -344,10 +344,13 @@ def zero_mean_report(
     Both diagonal conventions of the multiplicative perturbation are
     measured: the mean-free form averages to zero, the literal form to one.
     Every term is evaluated one block of quadrature nodes at a time, and
-    each term's weighted sum and largest magnitude are carried from block
-    to block.  The consistency check in ``average_rhs_consistency`` pins
-    the mean-free convention as the one reproducing the averaged loop.
+    each term's weighted sum and largest magnitude, read along a contiguous
+    copy of its nodes, are carried from block to block.  The consistency
+    check in ``average_rhs_consistency`` pins the mean-free convention as
+    the one reproducing the averaged loop.
     """
+    if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)):
+        raise ValueError(f"nodes must be an integer, got {nodes!r}")
     if nodes < 2:
         raise ValueError(f"nodes must be at least 2, got {nodes}")
     sums, peaks = {}, {}
@@ -364,7 +367,10 @@ def zero_mean_report(
         }
         for pattern, values in series.items():
             sums[pattern] = sums.get(pattern, 0.0) + np.tensordot(wq, values, axes=(0, 0))
-            peaks[pattern] = np.maximum(peaks.get(pattern, 0.0), np.max(np.abs(values), axis=0))
+            # each entry's nodes as one contiguous row (the axes reversed)
+            rows = values.T.copy()
+            peaks[pattern] = np.maximum(peaks.get(pattern, 0.0), np.abs(rows, out=rows).max(-1).T)
+        del pt, series, values, rows  # before the next block's terms are formed
     terms: dict[str, TermMean] = {}
     for pattern, total in sums.items():
         means, linf = total / dither.period, peaks[pattern]

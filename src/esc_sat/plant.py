@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .signals import DitherSpec, eval_S_M, eval_S_M_dot
+from .signals import DitherSpec
 
 __all__ = [
     "QuadraticMap",
@@ -328,11 +328,6 @@ def loop_laws(
     return _LoopLaws(*map(plain, _LoopLaws._fields[:6]), demod_gain, bind)
 
 
-def _delta(M: np.ndarray, S: np.ndarray) -> np.ndarray:
-    # M S' - I at one time, or at each of N times for (N, n) stacks
-    return M[..., :, None] * S[..., None, :] - np.eye(M.shape[-1])
-
-
 @dataclass(frozen=True)
 class PerturbationTerms:
     """Dither-induced terms entering the error dynamics.
@@ -343,9 +338,9 @@ class PerturbationTerms:
     (analysis.zero_mean_report measures both).
 
     At a scalar time the fields have shapes (n, n) and (n,); at a time vector
-    of length N each gains a leading axis N.  ``S`` and ``M`` are the dithers
-    the terms were formed from, so a caller reads them without evaluating
-    the dither again.
+    of length N each gains a leading axis N, C-contiguous.  ``S`` and ``M``
+    are the dithers the terms were formed from, so a caller reads them
+    without evaluating the dither again.
     """
 
     delta: np.ndarray       # Delta(t)
@@ -374,30 +369,43 @@ def perturbation_terms(
                  = M_dot (q* + S'H theta_tilde + S'HS/2) + M S_dot'H (theta_tilde + S).
 
     ``t`` is a scalar or a 1-D time vector (see ``PerturbationTerms``); a
-    ``theta_tilde`` of any shape but (n,) is a ValueError.
+    ``theta_tilde`` not of shape (n,), or a ``t`` or ``theta_tilde`` that is
+    not finite, is a ValueError.  Each term is formed channel-major, a row
+    per component, from one phase, whose sine and cosine give S, M and their
+    derivatives with the bits of ``eval_S_M`` and ``eval_S_M_dot``.
     """
     theta_tilde = np.atleast_1d(np.asarray(theta_tilde, dtype=float))
     if theta_tilde.shape != (qmap.dim,):
         raise ValueError(f"theta_tilde must have shape ({qmap.dim},), got {theta_tilde.shape}")
-    H = qmap.hessian
-    S, M = eval_S_M(spec, t)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D time vector")
+    for name, value in (("theta_tilde", theta_tilde), ("t", t)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    H, bounds = qmap.hessian, qmap.input_bounds
+    # a row per component, time along it (a scalar t is one column); the
+    # cosine is written over the phase, M over the sine and M_dot over the
+    # cosine, each once its source is last read
+    a, omega, tt = (v[:, None] for v in (spec.amplitudes, spec.omegas, theta_tilde))
+    phase = omega * t.reshape(-1)
+    sin, cos = np.sin(phase), np.cos(phase, out=phase)
+    S, M = a * sin, np.multiply(2.0 / a, sin, out=sin)
+    # the dead-zone of the rows' time-major view comes out as rows
+    e = tt if bounds is None else tt - deadzone((tt + qmap.theta_star[:, None] + S).T, bounds).T
 
-    theta = theta_tilde + qmap.theta_star + S
-    if qmap.input_bounds is not None:
-        e = theta_tilde - deadzone(theta, qmap.input_bounds)
-    else:
-        e = theta_tilde
-
-    # H is exactly symmetric, so x' H y is (x @ H) . y for rows x, y; the
-    # kept axis lets the form scale M at one time or at each of N times
+    # x' H y at each time (H is exactly symmetric); at one time as x' H, since
+    # H x of one column is a matrix-vector product that can round otherwise
     def form(x, y):
-        return (x @ H * y).sum(-1, keepdims=True)
+        return ((H @ x if x.shape[1] > 1 else (x.T @ H).T) * y).sum(0)
+
+    def rows(x):
+        # the documented (N, ...) field, C-contiguous, or its row at a scalar t
+        return x.transpose(-1, *range(x.ndim - 1)).copy() if t.ndim else x[..., 0]
 
     half_shs = 0.5 * form(S, S)
-    w = M * (qmap.q_star + 0.5 * form(e, e) + half_shs)
-    S_dot, M_dot = eval_S_M_dot(spec, t)
-    varsigma = (
-        M_dot * (qmap.q_star + form(S, theta_tilde) + half_shs)
-        + M * form(S_dot, theta_tilde + S)
-    )
-    return PerturbationTerms(delta=_delta(M, S), w=w, varsigma=varsigma, S=S, M=M)
+    w = rows(M * (qmap.q_star + 0.5 * form(e, e) + half_shs))
+    S_dot, M_dot = a * omega * cos, np.multiply((2.0 / a) * omega, cos, out=cos)
+    varsigma = rows(M_dot * (qmap.q_star + form(S, tt) + half_shs) + M * form(S_dot, tt + S))
+    delta = rows(M[:, None] * S - np.eye(qmap.dim)[:, :, None])
+    return PerturbationTerms(delta=delta, w=w, varsigma=varsigma, S=rows(S), M=rows(M))

@@ -3,8 +3,9 @@ import importlib.resources
 import numpy as np
 import pytest
 
-from esc_sat.plant import SaturationBounds
+from esc_sat.plant import SaturationBounds, deadzone
 from esc_sat.polytope import HessianPolytope, from_scaled_nominal
+from esc_sat.signals import eval_S_M, eval_S_M_dot
 
 FIXTURES = importlib.resources.files("esc_sat") / "fixtures"
 
@@ -54,6 +55,33 @@ EX2_K = np.array(
 
 def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def row_major_terms(spec, qmap, t, theta_tilde) -> dict:
+    """``plant.perturbation_terms``'s fields formed row-major, one row per
+    time, from ``eval_S_M`` and ``eval_S_M_dot``: the reference whose bits
+    the channel-major terms keep."""
+    theta_tilde = np.asarray(theta_tilde, dtype=float)
+    H = qmap.hessian
+    S, M = eval_S_M(spec, t)
+    theta = theta_tilde + qmap.theta_star + S
+    if qmap.input_bounds is not None:
+        e = theta_tilde - deadzone(theta, qmap.input_bounds)
+    else:
+        e = theta_tilde
+
+    def form(x, y):
+        return (x @ H * y).sum(-1, keepdims=True)
+
+    half_shs = 0.5 * form(S, S)
+    w = M * (qmap.q_star + 0.5 * form(e, e) + half_shs)
+    S_dot, M_dot = eval_S_M_dot(spec, t)
+    varsigma = (
+        M_dot * (qmap.q_star + form(S, theta_tilde) + half_shs)
+        + M * form(S_dot, theta_tilde + S)
+    )
+    delta = M[..., :, None] * S[..., None, :] - np.eye(M.shape[-1])
+    return {"delta": delta, "w": w, "varsigma": varsigma, "S": S, "M": M}
 
 
 def support_coeffs(block) -> np.ndarray:

@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,10 +22,12 @@ from esc_sat.plant import (
     perturbation_terms,
 )
 from esc_sat.signals import DitherSpec, eval_S_M
-from esc_sat.sim import Trajectory
+from esc_sat.sim import Trajectory, simulate
 from esc_sat.synthesis import GradSatDesign, design_gradsat_gain
 from esc_sat.polytope import HessianPolytope
-from conftest import EX1_ALPHA, EX1_H0, EX1_K, EX1_KAW, EX2_VERTICES, fixture_path
+from conftest import (
+    EX1_ALPHA, EX1_H0, EX1_K, EX1_KAW, EX2_VERTICES, fixture_path, row_major_terms,
+)
 
 
 def synthetic_trajectory(times, norms, direction=(1.0, 0.0)):
@@ -79,6 +83,81 @@ def test_fit_decay_window_selection():
     norms = np.where(t < 5.0, np.exp(-0.1 * t), np.exp(-0.5 + 0.1 * (5.0 - t)))
     fit = fit_decay(synthetic_trajectory(t, norms), window=(6.0, 10.0))
     assert fit.eta_hat == pytest.approx(0.1, abs=1e-6)
+
+
+def _fit_decay_reference(traj, signal="theta_tilde", window=None):
+    # fit_decay with its window always copied and the logarithm taken
+    # twice: the reference for the one-logarithm, no-copy form
+    norms = np.linalg.norm(getattr(traj, signal), axis=1)
+    t = traj.times
+    if window is None:
+        window = (float(t[0]), float(t[-1]))
+    lo, hi = window
+    mask = (t >= lo) & (t <= hi)
+    tw = t[mask]
+    nw = norms[mask]
+    truncated = False
+    zero = np.flatnonzero(nw <= 0.0)
+    if zero.size:
+        tw = tw[: zero[0]]
+        nw = nw[: zero[0]]
+        truncated = True
+    slope, intercept = np.polyfit(tw, np.log(nw), 1)
+    pred = intercept + slope * tw
+    residual = float(np.sqrt(np.mean((np.log(nw) - pred) ** 2)))
+    amplitude = float(np.exp(intercept))
+    return analysis.DecayFit(
+        eta_hat=float(-slope),
+        kappa_hat=amplitude / float(nw[0]) * float(np.exp(slope * tw[0])),
+        amplitude=amplitude,
+        window=(float(tw[0]), float(tw[-1])),
+        residual=residual,
+        truncated=truncated,
+    )
+
+
+@pytest.fixture(scope="module")
+def averaged_runs():
+    # each fixture's averaged loop over the benchmark's oracle horizon
+    runs = {}
+    for name, t_end in (("example1", 1.5), ("example2", 3.0)):
+        run = config.load_config(fixture_path(f"{name}.cfg")).built("run")
+        average = "average-aw" if run.scenario == "input-saturation" else "average-gradsat"
+        runs[name] = simulate(dataclasses.replace(run, scenario=average, t_end=t_end, dt=None))
+    return runs
+
+
+def test_fit_decay_has_the_reference_bits(averaged_runs):
+    t = np.linspace(0.0, 10.0, 1000)
+    decay = synthetic_trajectory(t, 3.0 * np.exp(-0.4 * t) * (1.0 + 0.1 * np.sin(7.0 * t)))
+    truncating = synthetic_trajectory(t, np.where(t < 7.0, np.exp(-t), 0.0))
+    cases = [(decay, "theta_tilde", w) for w in (None, (0.0, 10.0), (-1.0, 11.0), (6.0, 10.0))]
+    cases += [(truncating, "theta_tilde", None), (truncating, "theta_tilde", (2.0, 9.0))]
+    for run in averaged_runs.values():
+        for signal in analysis._SIGNALS:
+            cases += [(run, signal, None), (run, signal, (0.2, 1.0))]
+    for traj, signal, window in cases:
+        got = fit_decay(traj, signal, window)
+        # repr gives each float's shortest round trip, so equal reprs are
+        # equal bits, the sign of a zero included
+        assert repr(got) == repr(_fit_decay_reference(traj, signal, window)), (signal, window)
+    assert fit_decay(truncating).truncated
+
+
+def test_fit_decay_copies_no_window_over_the_whole_run(averaged_runs):
+    # example 2's averaged g_hat, 4776 samples: the norms, one logarithm and
+    # the fit, with no copy of the run's times or norms; 380 KiB with both
+    # copies and the logarithm taken twice
+    run = averaged_runs["example2"]
+    fit_decay(run, "g_hat")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit_decay(run, "g_hat")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 340 * 1024, peak
 
 
 def test_sup_deviation_basics():
@@ -331,13 +410,43 @@ def _one_shot_report(dither, qmap, tt, nodes):
     return terms
 
 
+def _row_major_report(dither, qmap, tt, nodes):
+    # zero_mean_report block by block on the row-major terms, each peak
+    # reduced over the node axis: the reference for the channel-major terms
+    # and the peaks read along rows
+    sums, peaks = {}, {}
+    for wq, ts in analysis._period_blocks(dither, nodes):
+        pt = row_major_terms(dither, qmap, ts, tt)
+        series = {
+            "S[{0}]": pt["S"],
+            "M[{0}]": pt["M"],
+            "delta_mean_free[{0},{1}]": pt["delta"],
+            "delta_literal[{0},{0}]": np.diagonal(pt["delta"], axis1=1, axis2=2) + 1.0,
+            "w[{0}]": pt["w"],
+            "varsigma[{0}]": pt["varsigma"],
+        }
+        for pattern, values in series.items():
+            sums[pattern] = sums.get(pattern, 0.0) + np.tensordot(wq, values, axes=(0, 0))
+            peaks[pattern] = np.maximum(peaks.get(pattern, 0.0), np.max(np.abs(values), axis=0))
+    terms = {}
+    for pattern, total in sums.items():
+        means, linf = total / dither.period, peaks[pattern]
+        for idx in np.ndindex(means.shape):
+            terms[pattern.format(*idx)] = (float(means[idx]), float(linf[idx]))
+    return terms
+
+
 @pytest.mark.parametrize("nodes", [2, 1023, 1024, 1025, 5001, 20001])
-@pytest.mark.parametrize("example", ["example1", "example2"])
+@pytest.mark.parametrize("example", ["example1", "example1-saturating", "example2"])
 def test_zero_mean_block_sums_match_one_tensordot(ex1_setup, ex2_setup, example, nodes):
     # a grid of one block is the same sum; over more blocks the sums are
-    # added in another order, within 1e-14 of each term's largest magnitude
-    qmap, dither = ex1_setup[:2] if example == "example1" else ex2_setup
+    # added in another order, within 1e-14 of each term's largest magnitude.
+    # Every mean and peak also has the bits of the report on the row-major
+    # terms, on one block, on a last block of one node (1025) and beyond.
+    qmap, dither = ex2_setup if example == "example2" else ex1_setup[:2]
     tt = np.linspace(0.3, -0.2, qmap.dim)
+    if example == "example1-saturating":
+        tt = np.array([2.95, 0.97])
     got = zero_mean_report(dither, qmap, tt, nodes=nodes).terms
     ref = _one_shot_report(dither, qmap, tt, nodes)
     assert list(got) == list(ref)
@@ -347,6 +456,11 @@ def test_zero_mean_block_sums_match_one_tensordot(ex1_setup, ex2_setup, example,
             assert np.float64(got[name].mean).tobytes() == np.float64(mean).tobytes(), name
         else:
             assert abs(got[name].mean - mean) <= 1e-14 * linf, name
+    row_major = _row_major_report(dither, qmap, tt, nodes)
+    assert list(got) == list(row_major)
+    for name, (mean, linf) in row_major.items():
+        assert np.float64(got[name].mean).tobytes() == np.float64(mean).tobytes(), name
+        assert np.float64(got[name].linf).tobytes() == np.float64(linf).tobytes(), name
 
 
 def test_zero_mean_report_holds_one_block_of_nodes(ex2_setup):
@@ -374,6 +488,30 @@ def test_zero_mean_report_refuses_fewer_than_two_nodes(ex1_setup, nodes):
     qmap, dither, _ = ex1_setup
     with pytest.raises(ValueError, match=f"nodes must be at least 2, got {nodes}"):
         zero_mean_report(dither, qmap, np.array([0.3, -0.2]), nodes=nodes)
+
+
+@pytest.mark.parametrize("nodes", [101.0, True, "101", None], ids=["float", "bool", "str", "none"])
+def test_zero_mean_report_refuses_nodes_that_are_not_an_integer(ex1_setup, nodes):
+    qmap, dither, _ = ex1_setup
+    tt = np.array([0.3, -0.2])
+    with pytest.raises(ValueError, match=re.escape(f"nodes must be an integer, got {nodes!r}")):
+        zero_mean_report(dither, qmap, tt, nodes=nodes)
+    # a numpy integer is an integer
+    assert zero_mean_report(dither, qmap, tt, nodes=np.int64(101)) == zero_mean_report(
+        dither, qmap, tt, nodes=101
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_zero_mean_report_refuses_a_non_finite_state(ex1_setup, bad):
+    # refused by name before any arithmetic, so numpy warns of nothing
+    qmap, dither, _ = ex1_setup
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^theta_tilde must be finite$"):
+            zero_mean_report(dither, qmap, np.array([bad, 0.1]), nodes=101)
+        with pytest.raises(ValueError, match="^theta_tilde must be finite$"):
+            perturbation_terms(dither, qmap, 0.1, [bad, 0.1])
 
 
 @pytest.mark.parametrize("tt", [[0.3], [0.3, -0.2, 0.1]], ids=["1", "3"])

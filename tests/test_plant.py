@@ -12,7 +12,9 @@ from esc_sat.plant import (
     perturbation_terms,
     saturate,
 )
+from esc_sat.config import load_config
 from esc_sat.signals import DitherSpec, eval_S_M, eval_S_M_dot
+from conftest import fixture_path, row_major_terms
 
 
 @pytest.fixture
@@ -576,3 +578,56 @@ def test_varsigma_is_the_time_derivative_of_the_demodulated_output(case):
 def test_perturbation_terms_reject_time_grid(dither, qmap):
     with pytest.raises(ValueError, match="1-D"):
         perturbation_terms(dither, qmap, np.zeros((2, 3)), np.zeros(2))
+
+
+def _terms_case(case):
+    # a vector case, or a bundled fixture's dither and map: example 1's map
+    # has input bounds, which the saturating state's dithered path leaves,
+    # and example 2's has none
+    if case in _VECTOR_CASES:
+        return _VECTOR_CASES[case]
+    name, tt = {
+        "example1": ("example1", [0.3, -0.2]),
+        "example1-saturating": ("example1", [2.95, 0.97]),
+        "example2": ("example2", [0.3, -0.2, 0.1]),
+    }[case]
+    cfg = load_config(fixture_path(f"{name}.cfg"))
+    return cfg.built("dither"), cfg.built("map"), np.array(tt)
+
+
+_TIMES = {
+    "scalar": lambda T: 0.37 * T,
+    "zero": lambda T: 0.0,
+    "one": lambda T: np.array([0.37 * T]),
+    "two": lambda T: np.array([0.0, 0.61 * T]),
+    "257": lambda T: np.linspace(0.0, T, 257),
+    "1024": lambda T: np.linspace(0.0, T, 1024),
+}
+
+
+@pytest.mark.parametrize("times", list(_TIMES))
+@pytest.mark.parametrize(
+    "case", sorted(_VECTOR_CASES) + ["example1", "example1-saturating", "example2"]
+)
+def test_channel_major_terms_have_the_row_major_bits(case, times):
+    # every field, at a scalar time and on time vectors of one, two and
+    # more nodes, has the shape, the C order and the bits of the row-major form
+    spec, qmap, tt = _terms_case(case)
+    t = _TIMES[times](spec.period)
+    got = perturbation_terms(spec, qmap, t, tt)
+    for name, want in row_major_terms(spec, qmap, t, tt).items():
+        value = getattr(got, name)
+        assert value.shape == want.shape and value.flags.c_contiguous, name
+        assert value.tobytes() == np.ascontiguousarray(want).tobytes(), name
+    if case in ("n3", "example1-saturating") and np.size(t) > 2:
+        # the path over the period leaves the bounds
+        theta = tt + qmap.theta_star + np.atleast_2d(got.S)
+        assert np.any(deadzone(theta, qmap.input_bounds) != 0.0)
+
+
+@pytest.mark.parametrize(
+    "t", [np.nan, np.inf, -np.inf, [0.0, np.nan, 1.0]], ids=["nan", "inf", "-inf", "vector-nan"]
+)
+def test_perturbation_terms_refuse_a_non_finite_time(dither, qmap, t):
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        perturbation_terms(dither, qmap, t, np.array([0.3, -0.2]))
